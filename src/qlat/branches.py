@@ -5,16 +5,28 @@ For a single integral non-scalar matrix `a` and a vertex v, the margin
     mu(a, v) = min(v_p(m01), v_p(m10), v_p(m00 - m11)),  m = g^-1 a g,
 
 measures how deep `a` sits inside the shifted maximal order at v: `a` lies
-in Z_(p) + p^r * D_v exactly when mu(a, v) >= r.  The sets {mu >= 0} come in
-four exactly-representable families, each carried by a margin function that
-changes by at most 1 along edges and is concave along geodesics:
+in Z_(p) + p^r * D_v exactly when mu(a, v) >= r.  No conjugate is formed:
+with the entries of `a` cleared to integers once per matrix, the three
+valuations are those of integer expressions in the disc coordinates of v
+(see `mu_margin`).  The sets {mu >= 0} come in four exactly-representable
+families, each carried by a margin function that changes by at most 1
+along edges and is concave along geodesics:
 
 - `ThickPath`: all vertices within t of a finite path (field case),
 - `ThickApartment`: within t of the axis fixed by a split semisimple matrix
   (ends are rational lines when the eigenvalues are rational, otherwise the
   axis is carried by a witness matrix),
-- `Fan`: a horoball around one boundary line (nilpotent-plus-scalar case),
+- `Fan`: a horoball around one boundary line z (nilpotent-plus-scalar
+  case), whose slack is a difference of Busemann functions
+  beta_z(base) - beta_z(v), with beta_z(D(x, n)) = n - 2 min(n, v(x - z)),
 - `Full` / `Empty`.
+
+Thick rays use the same Busemann function: the distance from v to the ray
+from base toward z is (d(v, base) + beta_z(v) - beta_z(base)) / 2, so no
+membership test walks along a ray.  The margin ascent that finds the summit
+of a single matrix reads its direction off the residue mod p: a neighbor can
+keep or raise the margin only along an eigenline of that residue, so each
+step looks at two neighbors at most, whatever p is.
 
 Intersections of these shapes are computed exactly: margins are concave and
 1-Lipschitz, so a bounded intersection is the lower level set of its summit
@@ -32,25 +44,29 @@ from math import inf, isqrt
 from .bt_tree import (
     End,
     Vertex,
+    ball,
+    busemann,
     canonical_vertex,
+    child,
     dist_to_ray,
     distance,
     end_from_vector,
     neighbors,
+    parent,
     standard_vertex,
     step_toward_end,
     vertex_budget,
     walk_toward_end,
-    ball,
 )
 from .errors import BudgetExceeded, EmptyShape, InfiniteUnsupported, NotFinite
 from .exact_padic import (
     Mat2,
     commute,
-    conjugate,
+    int_valuation,
     is_local_square_rat,
     is_rational_square,
     reduce_mod_ppow,
+    sqrt_mod,
     unit_part,
     valuation,
 )
@@ -177,21 +193,32 @@ Shape = Full | Empty | ThickPath | ThickRay | ThickApartment | Fan
 
 
 def mu_margin(a: Mat2, v: Vertex):
-    """Largest r with a in Z_(p) + p^r * D_v (may be negative or infinite)."""
-    m = conjugate(a, v.basis())
-    p = v.p
+    """Largest r with a in Z_(p) + p^r * D_v (may be negative or infinite).
+
+    With a = [[al, be], [ga, de]] / den in integers, the conjugate
+    m = g^-1 a g by the basis g = [[p^(v.a), c], [0, q]] of v, q = p^(v.b),
+    has
+
+        m01 = (be q^2 + (al - de) c q - ga c^2) / (den p^(v.a + v.b)),
+        m10 = ga p^(v.a - v.b) / den,
+        m00 - m11 = ((al - de) q - 2 ga c) / (den q),
+
+    so the margin is a minimum of three integer valuations.
+    """
+    den, al, be, ga, de = a.cleared
+    p, c = v.p, v.c
+    q = p**v.b
+    d = al - de
     return min(
-        valuation(m.m01, p),
-        valuation(m.m10, p),
-        valuation(m.m00 - m.m11, p),
-    )
+        int_valuation(be * q * q + d * c * q - ga * c * c, p) - v.a - v.b,
+        int_valuation(ga, p) + v.a - v.b,
+        int_valuation(d * q - 2 * ga * c, p) - v.b,
+    ) - int_valuation(den, p)
 
 
 def fan_slack(base: Vertex, end: End, v: Vertex) -> int:
     """Horoball slack of v relative to the zero level through base."""
-    k = distance(v, base) + 2
-    tip = walk_toward_end(base, end, k)
-    return k - distance(v, tip)
+    return busemann(base, end) - busemann(v, end)
 
 
 def shape_margin(s: Shape, v: Vertex):
@@ -251,12 +278,51 @@ def _quadratic_ext_disc_val(disc, p: int) -> int:
     return 0 if u == 5 else 2
 
 
+def _level_neighbors(a: Mat2, v: Vertex, m: int) -> list[Vertex]:
+    """The at most two neighbors w of v with mu(a, w) >= m = mu(a, v).
+
+    A neighbor of v is a line of L_v / p L_v, and mu(a, w) >= m holds
+    exactly when that line is an eigenline of the residue mod p of
+    (g^-1 a g - m00) / p^m, a non-scalar matrix [[0, r01], [r10, r11]]
+    (scaled by the unit part of den).  The line [s : t] is the parent when
+    t = 0 mod p and otherwise the child with digit s / t.
+    """
+    den, al, be, ga, de = a.cleared
+    p, b, c = v.p, v.b, v.c
+    q = p**b
+    d = al - de
+    k = int_valuation(den, p) + b + m
+
+    def residue(x: int, e: int) -> int:  # x / p^e mod p, given v_p(x) >= e
+        return x // p**e % p if e >= 0 else 0
+
+    r01 = residue(be * q * q + d * c * q - ga * c * c, k + v.a)
+    r10 = residue(ga, k - v.a)
+    r11 = residue(2 * ga * c - d * q, k)
+    if p == 2:
+        roots = [x for x in (0, 1) if (x * x - r11 * x - r01 * r10) % 2 == 0]
+    else:
+        root = sqrt_mod(r11 * r11 + 4 * r01 * r10, p)
+        if root is None:
+            return []
+        half = (p + 1) // 2
+        roots = sorted({(r11 + root) * half % p, (r11 - root) * half % p})
+    out = []
+    for lam in roots:
+        if lam or r01:
+            s, t = r01, lam
+        else:
+            s, t = r11 - lam, -r10
+        out.append(child(v, s * pow(t, -1, p) % p) if t % p else parent(v))
+    return out
+
+
 def _climb(a: Mat2, start: Vertex, ceiling=None) -> tuple[Vertex, int]:
     """Greedy margin ascent from start; returns (summit vertex, margin)."""
     cur = start
     m = mu_margin(a, cur)
     while ceiling is None or m < ceiling:
-        better = [n for n in neighbors(cur) if mu_margin(a, n) > m]
+        better = [n for n in _level_neighbors(a, cur, m) if mu_margin(a, n) > m]
         if not better:
             break
         cur = min(better)
@@ -323,7 +389,9 @@ def classify_single(a: Mat2, p: int) -> Shape:
     # Field case: the margin summit is a single vertex or a single edge.
     summit, t = _climb(a, _stable_start(a, p))
     assert t == (v_disc - _quadratic_ext_disc_val(disc, p)) // 2
-    stem = [summit] + [n for n in neighbors(summit) if mu_margin(a, n) == t]
+    stem = [summit] + [
+        n for n in _level_neighbors(a, summit, t) if mu_margin(a, n) == t
+    ]
     assert len(stem) <= 2
     return ThickPath(tuple(sorted(stem)), t)
 

@@ -6,11 +6,25 @@ a unique canonical upper-triangular basis
     [[p^a, c], [0, p^b]],   a, b >= 0,  0 <= c < p^a an integer,
                             min(a, b, v_p(c)) = 0,
 
-so vertices compare and hash structurally.  The graph distance between two
-classes is e2 - e1 for the elementary divisor exponents of a change-of-basis
-matrix, neighbors are the p+1 index-p sublattice classes, and ends of the
-tree (boundary points) are lines in the plane, encoded by a primitive
-integer vector.
+so vertices compare and hash structurally.  Dividing by p^b shows the
+class is that of span{(p^n, 0), (x, 1)} with n = a - b and x = c / p^b,
+which depends only on the disc x + p^n Z_p of the p-adic line: the tree is
+the tree of discs D(x, n) (Serre, *Trees*, ch. II.1).  Every operation
+here works on these integer disc coordinates, with no matrices:
+
+- the parent of D(x, n) is D(x, n - 1) and its p children are
+  D(x + j p^n, n + 1); read back as triples, b = max(0, -n, -v(x));
+- the distance is n + m - 2 min(n, m, v(x - y)), the least disc holding
+  both vertices being at level min(n, m, v(x - y));
+- an end of the tree (a boundary point) is a line in the plane, encoded
+  by a primitive integer vector (x_e, y_e), that is the point
+  z = x_e / y_e of the projective line (z = oo when y_e = 0); the ray
+  toward z descends into the child holding z when z lies in the disc and
+  climbs to the parent otherwise;
+- the Busemann function toward z is n - 2 min(n, v(x - z)), and n toward
+  oo, so horoball slacks and distances to rays are closed forms.
+
+`canonical_vertex` turns a matrix of lattice basis columns into its triple.
 
 Ball enumeration checks its vertex budget (default 200,000, overridable via
 the QLAT_MAX_VERTICES environment variable or an explicit argument) before
@@ -25,7 +39,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import ResourceLimit, SingularMatrix
-from .exact_padic import Mat2, Rat, reduce_mod_ppow, smith_local, valuation
+from .exact_padic import Mat2, int_valuation, reduce_mod_ppow, valuation
 
 DEFAULT_MAX_VERTICES = 200_000
 
@@ -56,7 +70,7 @@ class Vertex:
         p, a, b, c = self.p, self.a, self.b, self.c
         if a < 0 or b < 0 or not (0 <= c < p**a):
             raise ValueError(f"non-canonical vertex triple ({a}, {b}, {c})")
-        if min(a, b, valuation(c, p)) != 0:
+        if a and b and c % p == 0:
             raise ValueError(f"vertex triple ({a}, {b}, {c}) is not primitive")
 
     def basis(self) -> Mat2:
@@ -96,44 +110,66 @@ def canonical_vertex(g: Mat2, p: int) -> Vertex:
     return Vertex(p, a, b, int(cq))
 
 
+def _capped_valuation(n: int, p: int, cap: int) -> int:
+    """min(v_p(n), cap) for an integer n (cap for n = 0)."""
+    k = 0
+    while k < cap and n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
+def parent(v: Vertex) -> Vertex:
+    """D(x, n - 1)."""
+    p, a, b = v.p, v.a, v.b
+    if a == 0:
+        return Vertex(p, 0, b + 1, 0)
+    return Vertex(p, a - 1, b, v.c % p ** (a - 1))
+
+
+def child(v: Vertex, j: int) -> Vertex:
+    """D(x + j p^n, n + 1) for a digit 0 <= j < p."""
+    p, a, b = v.p, v.a, v.b
+    if a == 0 and b:  # x = 0, n = -b < 0
+        return Vertex(p, 1, b, j) if j else Vertex(p, 0, b - 1, 0)
+    return Vertex(p, a + 1, b, v.c + j * p**a)
+
+
+def _meet(v: Vertex, w: Vertex) -> int:
+    """min(n, m, v(x - y)): the level of the least disc holding both."""
+    p = v.p
+    # x - y = (c_v p^b_w - c_w p^b_v) / p^(b_v + b_w)
+    num = v.c * p**w.b - w.c * p**v.b
+    cap = min(v.a + w.b, w.a + v.b)
+    return _capped_valuation(num, p, cap) - v.b - w.b
+
+
 def distance(v: Vertex, w: Vertex) -> int:
-    """Graph distance: spread of the elementary divisors of the transition."""
+    """Graph distance n + m - 2 min(n, m, v(x - y))."""
     if v.p != w.p:
         raise ValueError("vertices live on trees of different primes")
-    if v == w:
-        return 0
-    m = v.basis().inverse() * w.basis()
-    e1, e2 = smith_local(m, v.p)
-    return e2 - e1
+    return v.a - v.b + w.a - w.b - 2 * _meet(v, w)
 
 
 def neighbors(v: Vertex) -> tuple[Vertex, ...]:
-    """The p+1 adjacent classes, sorted canonically."""
-    p = v.p
-    g = v.basis()
-    out = set()
-    for j in range(p):
-        out.add(canonical_vertex(g * Mat2.of([[1, 0], [j, p]]), p))
-    out.add(canonical_vertex(g * Mat2.of([[p, 0], [0, 1]]), p))
-    assert len(out) == p + 1
-    return tuple(sorted(out))
+    """The p+1 adjacent classes, sorted canonically: parent and children."""
+    kids = [child(v, j) for j in range(v.p)]
+    up = parent(v)
+    if v.a == 0 and v.b:  # child 0 is (0, b - 1, 0), before the parent
+        return (kids[0], up, *kids[1:])
+    return (up, *kids)
 
 
 def geodesic(v: Vertex, w: Vertex) -> tuple[Vertex, ...]:
-    """The unique path from v to w, inclusive."""
-    path = [v]
-    cur = v
-    d = distance(v, w)
-    while cur != w:
-        for n in neighbors(cur):
-            if distance(n, w) == d - 1:
-                cur = n
-                break
-        else:  # pragma: no cover - unreachable on a tree
-            raise AssertionError("no descent step found")
-        path.append(cur)
-        d -= 1
-    return tuple(path)
+    """The unique path from v to w, inclusive: up to their meet, then down."""
+    n, m = v.a - v.b, w.a - w.b
+    k = (n + m - distance(v, w)) // 2
+    up, down = [v], [w]
+    for _ in range(n - k):
+        up.append(parent(up[-1]))
+    for _ in range(m - k):
+        down.append(parent(down[-1]))
+    return tuple(up + down[-2::-1])
 
 
 def ball_size(p: int, radius: int) -> int:
@@ -186,9 +222,6 @@ class End:
         if lead < 0:
             raise ValueError("end vector must have positive leading entry")
 
-    def vector(self) -> tuple[Rat, Rat]:
-        return (Fraction(self.x), Fraction(self.y))
-
 
 def end_from_vector(vec) -> End:
     """Normalize any nonzero rational vector to a canonical end."""
@@ -206,21 +239,20 @@ def end_from_vector(vec) -> End:
 
 
 def step_toward_end(v: Vertex, end: End) -> Vertex:
-    """The neighbor of v on the ray from v to the given boundary line."""
-    p = v.p
-    g = v.basis()
-    # Coordinates of the line direction in the lattice basis, made primitive.
-    u = g.inverse().apply(end.vector())
-    m = min(valuation(x, p) for x in u)
-    u = (u[0] * Fraction(p) ** (-m), u[1] * Fraction(p) ** (-m))
-    w = g.apply(u)  # primitive lattice vector spanning the line's direction
-    # New lattice: Z*w + p*Lambda, using a basis vector completing w.
-    if valuation(u[1], p) == 0:
-        other = (g.m00, g.m10)  # column 1 completes
-    else:
-        other = (g.m01, g.m11)  # column 2 completes
-    nb = Mat2.of([[w[0], p * other[0]], [w[1], p * other[1]]])
-    return canonical_vertex(nb, p)
+    """The neighbor of v on the ray from v to the given boundary line.
+
+    That is the child of D(x, n) holding z = end.x / end.y when
+    v(z - x) >= n, and the parent otherwise (always for z = oo).
+    """
+    if end.y:
+        p, a, b = v.p, v.a, v.b
+        e = int_valuation(end.y, p)
+        # (z - x) p^n = num / (end.y p^a)
+        num = end.x * p**b - v.c * end.y
+        q = p ** (a + e)
+        if num % q == 0:
+            return child(v, num // q * pow(end.y // p**e, -1, p) % p)
+    return parent(v)
 
 
 def walk_toward_end(v: Vertex, end: End, steps: int) -> Vertex:
@@ -239,17 +271,25 @@ def ray_vertices(base: Vertex, end: End, count: int) -> tuple[Vertex, ...]:
     return tuple(out)
 
 
+def busemann(v: Vertex, end: End) -> int:
+    """Busemann function toward end: n - 2 min(n, v(x - z)), or n toward oo.
+
+    It drops by 1 along each step toward the end and rises by 1 along
+    every other edge.
+    """
+    n = v.a - v.b
+    if not end.y:
+        return n
+    p = v.p
+    e = int_valuation(end.y, p)
+    # x - z = -num / (end.y p^b), so min(n, v(x - z)) = min(a + e, v(num)) - b - e
+    num = end.x * p**v.b - v.c * end.y
+    return n - 2 * (_capped_valuation(num, p, v.a + e) - v.b - e)
+
+
 def dist_to_ray(v: Vertex, base: Vertex, end: End) -> int:
-    """Distance from v to the ray; the distance along the ray is convex."""
-    cur = base
-    best = distance(v, base)
-    while True:
-        nxt = step_toward_end(cur, end)
-        d = distance(v, nxt)
-        if d >= best:
-            return best
-        best = d
-        cur = nxt
+    """Distance from v to the ray from base toward end."""
+    return (distance(v, base) + busemann(v, end) - busemann(base, end)) // 2
 
 
 # ---------------------------------------------------------------------------

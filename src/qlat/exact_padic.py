@@ -9,11 +9,13 @@ valuations.
 
 The module provides:
 
-- `valuation` / `reduce_mod_ppow`: valuations and canonical residues modulo
-  powers of p (representatives live in Z[1/p] and in [0, p^e)).
-- `Mat2`: immutable exact 2x2 matrices.
-- `smith_local`: local Smith form of an invertible 2x2 matrix, with optional
-  unimodular-over-Z_(p) transforms.
+- `valuation` / `int_valuation` / `reduce_mod_ppow`: valuations of rationals
+  and of integers, and canonical residues modulo powers of p
+  (representatives live in Z[1/p] and in [0, p^e)).
+- `sqrt_mod`: the smallest square root modulo a prime (Tonelli-Shanks).
+- `Mat2`: immutable exact 2x2 matrices, with their entries cleared to
+  integers over a common denominator.
+- `smith_local`: elementary-divisor exponents of an invertible 2x2 matrix.
 - `Module4`: finitely generated Z_(p)-submodules of the 4-dimensional space
   of 2x2 matrices, kept in a unique canonical Hermite basis so that module
   equality is plain structural equality.
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, inf, isqrt
 
 from .errors import SingularMatrix
@@ -49,6 +52,17 @@ def valuation(x, p: int):
     while d % p == 0:
         d //= p
         v -= 1
+    return v
+
+
+def int_valuation(n: int, p: int):
+    """p-adic valuation of an integer; +infinity for zero."""
+    if n == 0:
+        return inf
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
     return v
 
 
@@ -86,6 +100,36 @@ def legendre(a: int, p: int) -> int:
     if a == 0:
         return 0
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+def sqrt_mod(a: int, p: int) -> int | None:
+    """Smallest x in [0, p) with x^2 = a mod the prime p, or None.
+
+    Tonelli-Shanks: write p - 1 = q * 2^s with q odd and correct the
+    candidate a^((q+1)/2) by powers of a quadratic non-residue.
+    """
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return min(r, p - r)
 
 
 def is_rational_square(x) -> bool:
@@ -222,6 +266,18 @@ class Mat2:
         x, y = vec
         return (a * x + b * y, c * x + d * y)
 
+    @cached_property
+    def cleared(self) -> tuple[int, int, int, int, int]:
+        """(den, a, b, c, d) in integers with self = [[a, b], [c, d]] / den.
+
+        den > 0 is the least common denominator of the entries; the value
+        is computed once per matrix and then kept on it.
+        """
+        den = 1
+        for x in self.entries:
+            den = den * x.denominator // gcd(den, x.denominator)
+        return (den, *(x.numerator * (den // x.denominator) for x in self.entries))
+
     def min_valuation(self, p: int):
         return min(valuation(x, p) for x in self.entries)
 
@@ -242,56 +298,16 @@ def commute(a: Mat2, b: Mat2) -> bool:
 # Local Smith form
 
 
-def smith_local_transforms(g: Mat2, p: int):
-    """(e1, e2, u, v) with u*g*v = diag(p^e1, p^e2), u and v in GL2(Z_(p)).
-
-    e1 <= e2, e1 is the minimal entry valuation, and e1 + e2 = v_p(det g).
-    """
-    if g.det() == 0:
-        raise SingularMatrix("smith form requires an invertible matrix")
-    a = [list(r) for r in g.rows()]
-    u = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    v = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-
-    # Bring a minimal-valuation entry to position (0, 0).
-    pos = min(
-        ((i, j) for i in range(2) for j in range(2)),
-        key=lambda ij: (valuation(a[ij[0]][ij[1]], p), ij),
-    )
-    if pos[0] == 1:
-        a[0], a[1] = a[1], a[0]
-        u[0], u[1] = u[1], u[0]
-    if pos[1] == 1:
-        for row in a:
-            row[0], row[1] = row[1], row[0]
-        for row in v:
-            row[0], row[1] = row[1], row[0]
-
-    # Clear the rest of the first column and row; quotients are in Z_(p).
-    f = a[1][0] / a[0][0]
-    a[1] = [x - f * y for x, y in zip(a[1], a[0])]
-    u[1] = [x - f * y for x, y in zip(u[1], u[0])]
-    fc = a[0][1] / a[0][0]
-    for row in a:
-        row[1] -= fc * row[0]
-    for row in v:
-        row[1] -= fc * row[0]
-
-    e1 = valuation(a[0][0], p)
-    e2 = valuation(a[1][1], p)
-    s1 = Fraction(p) ** e1 / a[0][0]
-    s2 = Fraction(p) ** e2 / a[1][1]
-    a[0] = [x * s1 for x in a[0]]
-    u[0] = [x * s1 for x in u[0]]
-    a[1] = [x * s2 for x in a[1]]
-    u[1] = [x * s2 for x in u[1]]
-    return e1, e2, Mat2.of(u), Mat2.of(v)
-
-
 def smith_local(g: Mat2, p: int) -> tuple[int, int]:
-    """Elementary-divisor exponents (e1, e2), e1 <= e2, of g over Z_(p)."""
-    e1, e2, _, _ = smith_local_transforms(g, p)
-    return e1, e2
+    """Elementary-divisor exponents (e1, e2), e1 <= e2, of g over Z_(p).
+
+    e1 is the minimal entry valuation and e1 + e2 = v_p(det g).
+    """
+    dt = g.det()
+    if dt == 0:
+        raise SingularMatrix("smith form requires an invertible matrix")
+    e1 = g.min_valuation(p)
+    return e1, valuation(dt, p) - e1
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .exact_padic import (
     is_rational_square,
     legendre,
     reduce_mod_ppow,
+    sqrt_mod,
     valuation,
 )
 from .quadforms import (
@@ -41,7 +42,6 @@ from .quadforms import (
     kronecker_at,
     negative_identity_class,
     prime_form,
-    sqrt_mod,
 )
 
 #: Field element x + y*sqrt(m), held as a pair of exact rationals.

@@ -23,11 +23,10 @@ from .errors import NotShiftedEichler, Unbounded
 from .exact_padic import (
     Mat2,
     Module4,
-    conjugate,
+    int_valuation,
     module_hnf,
     module_intersect,
     reduce_mod_ppow,
-    valuation,
 )
 
 CLOSURE_MAX_ROUNDS = 64
@@ -120,21 +119,30 @@ def shifted_eichler_module(v1: Vertex, v2: Vertex, r: int) -> Module4:
     return module_hnf(mats, p)
 
 
+def _divisible(x: int, p: int, e: int) -> bool:
+    return e <= 0 or x % p**e == 0
+
+
 def contains_shifted(v: Vertex, h: Mat2, r: int) -> bool:
     """Is h in Z_(p) + p^r * D_v?
 
     In the coordinates of the lattice class this says: all entries local
     integers, both off-diagonal entries and the diagonal difference
-    divisible by p^r.
+    divisible by p^r.  With the entries of g^-1 h g written over integers
+    as in `branches.mu_margin`, each condition is the divisibility of an
+    integer by a power of p (m11 is integral once m00 and m00 - m11 are).
     """
-    m = conjugate(h, v.basis())
-    p = v.p
-    if any(valuation(x, p) < 0 for x in m.entries):
-        return False
+    den, al, be, ga, de = h.cleared
+    p, a, b, c = v.p, v.a, v.b, v.c
+    k = int_valuation(den, p) + b
+    r = max(r, 0)
+    q = p**b
+    d = al - de
     return (
-        valuation(m.m01, p) >= r
-        and valuation(m.m10, p) >= r
-        and valuation(m.m00 - m.m11, p) >= r
+        _divisible(al * q - ga * c, p, k)
+        and _divisible(ga, p, k + r - a)
+        and _divisible(d * q - 2 * ga * c, p, k + r)
+        and _divisible(be * q * q + d * c * q - ga * c * c, p, k + r + a)
     )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .exact_padic import legendre
+from .exact_padic import legendre, sqrt_mod
 
 
 @dataclass(frozen=True, order=True)
@@ -343,14 +343,6 @@ def kronecker_at(disc: int, p: int) -> int:
     return legendre(disc % p, p)
 
 
-def sqrt_mod(a: int, p: int) -> int | None:
-    a %= p
-    for x in range(p):
-        if x * x % p == a:
-            return x
-    return None
-
-
 def prime_form(disc: int, p: int, selector: int = 1) -> QForm:
     """Form (p, b, c) of the prime ideal above p; selector picks the branch.
 
@@ -419,17 +411,22 @@ def fundamental_unit(m: int) -> tuple[int, int, int, int]:
     if m % 4 != 1:
         x, y, n = pell_minimal(m)
         return x, y, 1, n
-    # Half-integer units allowed: minimal x^2 - m*y^2 = +-4 with x = y mod 2.
-    y = 1
-    while y < 10**6:
-        for sign in (-1, 1):
-            t = m * y * y + 4 * sign
-            if t > 0:
-                x = isqrt(t)
-                if x * x == t:
-                    return x, y, 2, sign
-        y += 1
-    raise AssertionError("fundamental unit search exceeded bound")  # pragma: no cover
+    # Half-integer units allowed: (x + y*sqrt(m))/2 = h - k*(1 - sqrt(m))/2
+    # for the first convergent h/k of (1 + sqrt(m))/2 whose norm
+    # h^2 - h*k - k^2*(m - 1)/4 is +-1.
+    r, c = isqrt(m), (m - 1) // 4
+    pp, qq = 1, 2  # complete quotient (pp + sqrt(m)) / qq
+    h_prev, h = 0, 1
+    k_prev, k = 1, 0
+    while True:
+        a = (pp + r) // qq
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+        norm = h * h - h * k - c * k * k
+        if norm in (1, -1):
+            return 2 * h - k, k, 2, norm
+        pp = a * qq - pp
+        qq = (m - pp * pp) // qq
 
 
 def unit_norm_is_minus_one(m: int) -> bool:

@@ -1,0 +1,199 @@
+"""Slow reference versions of the local-layer primitives.
+
+These are the matrix-based routines that the integer disc-coordinate
+implementations in `qlat.bt_tree`, `qlat.branches` and `qlat.local_orders`
+replaced, kept verbatim (renamed, with their helpers inlined where needed)
+so `test_oracles.py` can check old and new agree.  They work on `Fraction`
+matrices: Smith forms for distances, `canonical_vertex` for neighbors,
+lattice arithmetic for steps toward ends, walks for horoball slacks and
+ray distances, and conjugation for margins.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import isqrt
+
+from qlat.bt_tree import End, Vertex, canonical_vertex
+from qlat.errors import SingularMatrix
+from qlat.exact_padic import Mat2, conjugate, valuation
+
+
+def smith_local_transforms(g: Mat2, p: int):
+    """(e1, e2, u, v) with u*g*v = diag(p^e1, p^e2), u and v in GL2(Z_(p)).
+
+    e1 <= e2, e1 is the minimal entry valuation, and e1 + e2 = v_p(det g).
+    """
+    if g.det() == 0:
+        raise SingularMatrix("smith form requires an invertible matrix")
+    a = [list(r) for r in g.rows()]
+    u = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    v = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+
+    # Bring a minimal-valuation entry to position (0, 0).
+    pos = min(
+        ((i, j) for i in range(2) for j in range(2)),
+        key=lambda ij: (valuation(a[ij[0]][ij[1]], p), ij),
+    )
+    if pos[0] == 1:
+        a[0], a[1] = a[1], a[0]
+        u[0], u[1] = u[1], u[0]
+    if pos[1] == 1:
+        for row in a:
+            row[0], row[1] = row[1], row[0]
+        for row in v:
+            row[0], row[1] = row[1], row[0]
+
+    # Clear the rest of the first column and row; quotients are in Z_(p).
+    f = a[1][0] / a[0][0]
+    a[1] = [x - f * y for x, y in zip(a[1], a[0])]
+    u[1] = [x - f * y for x, y in zip(u[1], u[0])]
+    fc = a[0][1] / a[0][0]
+    for row in a:
+        row[1] -= fc * row[0]
+    for row in v:
+        row[1] -= fc * row[0]
+
+    e1 = valuation(a[0][0], p)
+    e2 = valuation(a[1][1], p)
+    s1 = Fraction(p) ** e1 / a[0][0]
+    s2 = Fraction(p) ** e2 / a[1][1]
+    a[0] = [x * s1 for x in a[0]]
+    u[0] = [x * s1 for x in u[0]]
+    a[1] = [x * s2 for x in a[1]]
+    u[1] = [x * s2 for x in u[1]]
+    return e1, e2, Mat2.of(u), Mat2.of(v)
+
+
+def smith_local(g: Mat2, p: int) -> tuple[int, int]:
+    """Elementary-divisor exponents (e1, e2), e1 <= e2, of g over Z_(p)."""
+    e1, e2, _, _ = smith_local_transforms(g, p)
+    return e1, e2
+
+
+def distance(v: Vertex, w: Vertex) -> int:
+    """Graph distance: spread of the elementary divisors of the transition."""
+    if v.p != w.p:
+        raise ValueError("vertices live on trees of different primes")
+    if v == w:
+        return 0
+    m = v.basis().inverse() * w.basis()
+    e1, e2 = smith_local(m, v.p)
+    return e2 - e1
+
+
+def neighbors(v: Vertex) -> tuple[Vertex, ...]:
+    """The p+1 adjacent classes, sorted canonically."""
+    p = v.p
+    g = v.basis()
+    out = set()
+    for j in range(p):
+        out.add(canonical_vertex(g * Mat2.of([[1, 0], [j, p]]), p))
+    out.add(canonical_vertex(g * Mat2.of([[p, 0], [0, 1]]), p))
+    assert len(out) == p + 1
+    return tuple(sorted(out))
+
+
+def step_toward_end(v: Vertex, end: End) -> Vertex:
+    """The neighbor of v on the ray from v to the given boundary line."""
+    p = v.p
+    g = v.basis()
+    # Coordinates of the line direction in the lattice basis, made primitive.
+    u = g.inverse().apply((Fraction(end.x), Fraction(end.y)))
+    m = min(valuation(x, p) for x in u)
+    u = (u[0] * Fraction(p) ** (-m), u[1] * Fraction(p) ** (-m))
+    w = g.apply(u)  # primitive lattice vector spanning the line's direction
+    # New lattice: Z*w + p*Lambda, using a basis vector completing w.
+    if valuation(u[1], p) == 0:
+        other = (g.m00, g.m10)  # column 1 completes
+    else:
+        other = (g.m01, g.m11)  # column 2 completes
+    nb = Mat2.of([[w[0], p * other[0]], [w[1], p * other[1]]])
+    return canonical_vertex(nb, p)
+
+
+def walk_toward_end(v: Vertex, end: End, steps: int) -> Vertex:
+    for _ in range(steps):
+        v = step_toward_end(v, end)
+    return v
+
+
+def dist_to_ray(v: Vertex, base: Vertex, end: End) -> int:
+    """Distance from v to the ray; the distance along the ray is convex."""
+    cur = base
+    best = distance(v, base)
+    while True:
+        nxt = step_toward_end(cur, end)
+        d = distance(v, nxt)
+        if d >= best:
+            return best
+        best = d
+        cur = nxt
+
+
+def fan_slack(base: Vertex, end: End, v: Vertex) -> int:
+    """Horoball slack of v relative to the zero level through base."""
+    k = distance(v, base) + 2
+    tip = walk_toward_end(base, end, k)
+    return k - distance(v, tip)
+
+
+def mu_margin(a: Mat2, v: Vertex):
+    """Largest r with a in Z_(p) + p^r * D_v (may be negative or infinite)."""
+    m = conjugate(a, v.basis())
+    p = v.p
+    return min(
+        valuation(m.m01, p),
+        valuation(m.m10, p),
+        valuation(m.m00 - m.m11, p),
+    )
+
+
+def contains_shifted(v: Vertex, h: Mat2, r: int) -> bool:
+    """Is h in Z_(p) + p^r * D_v?"""
+    m = conjugate(h, v.basis())
+    p = v.p
+    if any(valuation(x, p) < 0 for x in m.entries):
+        return False
+    return (
+        valuation(m.m01, p) >= r
+        and valuation(m.m10, p) >= r
+        and valuation(m.m00 - m.m11, p) >= r
+    )
+
+
+def climb(a: Mat2, start: Vertex, ceiling=None) -> tuple[Vertex, int]:
+    """Greedy margin ascent from start, scanning all p+1 neighbors."""
+    cur = start
+    m = mu_margin(a, cur)
+    while ceiling is None or m < ceiling:
+        better = [n for n in neighbors(cur) if mu_margin(a, n) > m]
+        if not better:
+            break
+        cur = min(better)
+        m += 1
+        assert mu_margin(a, cur) == m
+    return cur, m
+
+
+def sqrt_mod(a: int, p: int) -> int | None:
+    a %= p
+    for x in range(p):
+        if x * x % p == a:
+            return x
+    return None
+
+
+def half_unit_search(m: int, bound: int = 10**6):
+    """Fundamental unit (x, y, 2, norm) for m = 1 mod 4 by a linear search
+    for the least y with m*y^2 +- 4 a square; None past the bound."""
+    y = 1
+    while y < bound:
+        for sign in (-1, 1):
+            t = m * y * y + 4 * sign
+            if t > 0:
+                x = isqrt(t)
+                if x * x == t:
+                    return x, y, 2, sign
+        y += 1
+    return None

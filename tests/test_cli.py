@@ -55,6 +55,28 @@ def test_local_classify_rational_strings():
     assert doc["shape"]["kind"] == "thick_apartment"
 
 
+def test_local_classify_field_case_at_large_prime():
+    # a^2 = 2 p^2 with 2 a non-residue: the margin climbs one edge to a
+    # thick vertex.  The ascent reads its direction off the residue of a,
+    # so it never builds the p + 1 neighbors of a vertex.
+    p = 1000003
+    request = {"p": p, "generators": [[[0, 2 * p * p], [1, 0]]]}
+    proc = subprocess.run(
+        MOD + ["local", "classify"],
+        input=json.dumps(request).encode(),
+        capture_output=True,
+        timeout=5,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout)["shape"] == {
+        "kind": "thick_path",
+        "level": 0,
+        "p": p,
+        "path": [{"a": 1, "b": 0, "c": 0}],
+        "thickness": 1,
+    }
+
+
 def test_local_branch_enum_eichler():
     doc = run_json(
         ["local", "branch-enum"],

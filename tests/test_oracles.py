@@ -1,0 +1,156 @@
+"""The integer disc-coordinate local layer against the matrix routines it
+replaced (`oracles.py`), on whole balls and seeded ends and matrices."""
+
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
+from sympy.solvers.diophantine.diophantine import diop_DN
+
+import oracles
+from helpers import make_rng, random_matrix
+from qlat.branches import _climb, _level_neighbors, fan_slack, mu_margin
+from qlat.bt_tree import (
+    End,
+    ball,
+    dist_to_ray,
+    distance,
+    end_from_vector,
+    neighbors,
+    standard_vertex,
+    step_toward_end,
+)
+from qlat.exact_padic import Mat2, sqrt_mod
+from qlat.local_orders import contains_shifted
+from qlat.quadforms import fundamental_unit, is_squarefree
+
+BALLS = [(2, 5), (3, 4), (5, 3), (101, 1)]
+
+
+@lru_cache(maxsize=None)
+def whole_ball(p: int, radius: int):
+    return sorted(ball(standard_vertex(p), radius))
+
+
+def seeded_ends(p: int, seed: int) -> list[End]:
+    """oo, 0, ends whose y carries a factor of p, and random ones."""
+    rng = make_rng(seed)
+    ends = [End(1, 0), End(0, 1), end_from_vector((1, p))]
+    ends.append(end_from_vector((2, p * p)))
+    for _ in range(4):
+        x = rng.randrange(-50, 51)
+        y = rng.randrange(1, 30) * p ** rng.randrange(3)
+        ends.append(end_from_vector((x, y)))
+    return sorted(set(ends))
+
+
+def seeded_rational_matrix(rng, p: int) -> Mat2:
+    """Entries with denominators mixing p and a prime-to-p factor."""
+    q = next(x for x in (7, 11, 13) if x != p)
+    dens = (1, 1, p, p * p, q, p * q)
+
+    def entry() -> Fraction:
+        return Fraction(rng.randrange(-40, 41), rng.choice(dens))
+
+    while True:
+        m = Mat2.of([[entry(), entry()], [entry(), entry()]])
+        if not m.is_scalar():
+            return m
+
+
+@pytest.mark.parametrize("p,radius", BALLS)
+def test_distance_matches_smith_form(p, radius):
+    vs = whole_ball(p, radius)
+    others = make_rng(p).sample(vs, 16)
+    for v in vs:
+        for w in others:
+            assert distance(v, w) == oracles.distance(v, w), (v, w)
+
+
+@pytest.mark.parametrize("p,radius", BALLS)
+def test_neighbors_match_canonical_vertex(p, radius):
+    for v in whole_ball(p, radius):
+        assert neighbors(v) == oracles.neighbors(v), v
+
+
+@pytest.mark.parametrize("p,radius", BALLS)
+def test_steps_slacks_and_ray_distances_match_walks(p, radius):
+    vs = whole_ball(p, radius)
+    rng = make_rng(p)
+    bases = [standard_vertex(p), rng.choice(vs)]
+    for end in seeded_ends(p, 100 + p):
+        for v in vs:
+            assert step_toward_end(v, end) == oracles.step_toward_end(v, end)
+        for base in bases:
+            for v in rng.sample(vs, 12):
+                assert fan_slack(base, end, v) == oracles.fan_slack(base, end, v)
+                assert dist_to_ray(v, base, end) == oracles.dist_to_ray(v, base, end)
+
+
+@pytest.mark.parametrize("p,radius", BALLS)
+def test_margins_and_shifted_membership_match_conjugation(p, radius):
+    rng = make_rng(200 + p)
+    mats = [seeded_rational_matrix(rng, p) for _ in range(3)]
+    mats += [random_matrix(rng, p) for _ in range(2)]
+    for a in mats:
+        for v in whole_ball(p, radius):
+            assert mu_margin(a, v) == oracles.mu_margin(a, v), (a, v)
+            for r in (0, 1, 2):
+                got = contains_shifted(v, a, r)
+                assert got == oracles.contains_shifted(v, a, r), (a, v, r)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_eigenline_ascent_matches_full_scan(p):
+    rng = make_rng(300 + p)
+    starts = whole_ball(p, 1)
+    for _ in range(12 if p < 101 else 3):
+        if rng.random() < 0.5:
+            a = random_matrix(rng, p)
+        else:
+            a = seeded_rational_matrix(rng, p)
+        if a.is_scalar():
+            continue
+        for v in rng.sample(starts, 3):
+            m = mu_margin(a, v)
+            full = [n for n in oracles.neighbors(v) if oracles.mu_margin(a, n) >= m]
+            assert sorted(_level_neighbors(a, v, m)) == full, (a, v)
+            assert _climb(a, v, ceiling=m + 6) == oracles.climb(a, v, ceiling=m + 6)
+
+
+def test_sqrt_mod_matches_linear_search_and_sympy():
+    for p in (2, 3, 5, 7, 13, 17, 41, 97, 101, 257):
+        for a in range(p):
+            roots = sympy_sqrt_mod(a, p, all_roots=True)
+            want = min(roots) if roots else None
+            assert sqrt_mod(a, p) == want == oracles.sqrt_mod(a, p), (a, p)
+    # p - 1 = q * 2^s with s = 16 and s = 23
+    for p in (65537, 1000003, 998244353):
+        for a in (2, 3, 5, 10, 12345, 65536):
+            roots = sympy_sqrt_mod(a, p, all_roots=True)
+            assert sqrt_mod(a, p) == (min(roots) if roots else None), (a, p)
+
+
+def test_fundamental_unit_1021():
+    x, y, den, norm = fundamental_unit(1021)
+    assert den == 2 and x * x - 1021 * y * y == 4 * norm
+    assert (x, y, norm) == (85745895, 2683493, -1)
+
+
+def test_fundamental_unit_matches_search_and_diop_dn():
+    for m in range(5, 2000, 4):
+        if not is_squarefree(m):
+            continue
+        got = fundamental_unit(m)
+        x, y, den, norm = got
+        assert den == 2 and x * x - m * y * y == 4 * norm
+        # The unit with least y > 0 among sympy's solutions of x^2 - m y^2 =
+        # +-4 and, doubled, of x^2 - m y^2 = +-1 (a unit in Z[sqrt m] can
+        # share its class with the trivial solution (2, 0) of the first).
+        sols = [s for n in (4, -4) for s in diop_DN(m, n)]
+        sols += [(2 * s, 2 * t) for n in (1, -1) for s, t in diop_DN(m, n)]
+        positive = [s for s in sols if s[0] > 0 and s[1] > 0]
+        assert min(positive, key=lambda s: (s[1], s[0])) == (x, y), m
+        if y < 20000:
+            assert oracles.half_unit_search(m, 20000) == got, m
