@@ -306,7 +306,7 @@ def _level_neighbors(a: Mat2, v: Vertex, m: int) -> list[Vertex]:
         if root is None:
             return []
         half = (p + 1) // 2
-        roots = sorted({(r11 + root) * half % p, (r11 - root) * half % p})
+        roots = {(r11 + root) * half % p, (r11 - root) * half % p}
     out = []
     for lam in roots:
         if lam or r01:

@@ -247,7 +247,7 @@ def step_toward_end(v: Vertex, end: End) -> Vertex:
     if end.y:
         p, a, b = v.p, v.a, v.b
         e = int_valuation(end.y, p)
-        # (z - x) p^n = num / (end.y p^a)
+        # (z - x) / p^n = num / (end.y p^a)
         num = end.x * p**b - v.c * end.y
         q = p ** (a + e)
         if num % q == 0:
