@@ -21,6 +21,9 @@ along edges and is concave along geodesics:
   beta_z(base) - beta_z(v), with beta_z(D(x, n)) = n - 2 min(n, v(x - z)),
 - `Full` / `Empty`.
 
+Each shape class carries its own margin, deepening, diameter and JSON
+form; only the pair rules of `intersect_shapes` match on two kinds.
+
 Thick rays use the same Busemann function: the distance from v to the ray
 from base toward z is (d(v, base) + beta_z(v) - beta_z(base)) / 2, so no
 membership test walks along a ray.  The margin ascent that finds the summit
@@ -31,13 +34,14 @@ step looks at two neighbors at most, whatever p is.
 Intersections of these shapes are computed exactly: margins are concave and
 1-Lipschitz, so a bounded intersection is the lower level set of its summit
 plateau (a path), and shapes sharing one boundary line resolve to a
-`ThickRay`.  The branch of a whole order is the fold of intersections over
+`ThickRay`.  Every neighbor scan of the engine is charged to the vertex
+budget, so a large p exits with BudgetExceeded instead of hanging.  The branch of a whole order is the fold of intersections over
 its basis; deepening by r erodes every margin by r.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import inf, isqrt
 
@@ -51,6 +55,7 @@ from .bt_tree import (
     dist_to_ray,
     distance,
     end_from_vector,
+    iter_neighbors,
     neighbors,
     parent,
     standard_vertex,
@@ -76,28 +81,112 @@ from .local_orders import LocalOrder, contains_shifted, order_closure
 # Shapes
 
 
+class Shape:
+    """A branch shape: the vertex set where its margin is >= 0.
+
+    Each kind carries its own margin, deepening, diameter and JSON form.
+    The defaults here are those of the unbounded kinds: infinite diameter,
+    no rational ends, thickness 0, no Eichler level, and deepening that
+    keeps the set (exact for Full and Empty).  `anchor` is a vertex on the
+    core of every kind but Full and Empty.
+    """
+
+    kind: str
+    level = None
+    thickness = 0
+    rational_ends: frozenset[End] = frozenset()
+
+    def margin(self, v: Vertex):
+        """How far v sits inside the shape; membership is margin >= 0."""
+        raise NotImplementedError
+
+    def deepen(self, r: int) -> Shape:
+        """The depth-r branch {v : ball-depth r inside}: erode the margin by r."""
+        if r < 0:
+            raise ValueError("depth must be >= 0")
+        return self
+
+    def diameter(self):
+        """Vertex-set diameter: finite only for thick paths."""
+        return inf
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "p": self.p}
+
+
 @dataclass(frozen=True)
-class Full:
+class Full(Shape):
     p: int
+    kind = "full"
+
+    def margin(self, v: Vertex):
+        return inf
 
 
 @dataclass(frozen=True)
-class Empty:
+class Empty(Shape):
     p: int
+    kind = "empty"
+
+    def margin(self, v: Vertex):
+        return -inf
+
+    def diameter(self):
+        raise EmptyShape("empty shape has no diameter")
+
+
+class _Thick(Shape):
+    """The kinds made of the vertices within t of a core."""
+
+    def __post_init__(self):
+        if self.t < 0:
+            raise ValueError("thickness must be >= 0")
+
+    @property
+    def thickness(self) -> int:
+        return self.t
+
+    def deepen(self, r: int) -> Shape:
+        if r <= 0:
+            return super().deepen(r)
+        return replace(self, t=self.t - r) if r <= self.t else Empty(self.p)
+
+    def to_json(self) -> dict:
+        return {**super().to_json(), "thickness": self.t}
+
+
+class _Based(Shape):
+    """The kinds built on the ray from `base` toward the boundary line `end`."""
+
+    @property
+    def p(self) -> int:
+        return self.base.p
+
+    @property
+    def anchor(self) -> Vertex:
+        return self.base
+
+    @property
+    def rational_ends(self) -> frozenset[End]:
+        return frozenset([self.end])
+
+    def to_json(self) -> dict:
+        base, end = self.base.to_json(), self.end.to_json()
+        return {**super().to_json(), "base": base, "end": end}
 
 
 @dataclass(frozen=True)
-class ThickPath:
+class ThickPath(_Thick):
     """Vertices within t of a finite path (path listed in canonical order)."""
 
     path: tuple[Vertex, ...]
     t: int
+    kind = "thick_path"
 
     def __post_init__(self):
         if not self.path:
             raise ValueError("thick path needs at least one vertex")
-        if self.t < 0:
-            raise ValueError("thickness must be >= 0")
+        super().__post_init__()
         for u, w in zip(self.path, self.path[1:]):
             if distance(u, w) != 1:
                 raise ValueError("path vertices must be consecutive neighbors")
@@ -112,26 +201,36 @@ class ThickPath:
     def level(self) -> int:
         return len(self.path) - 1
 
+    @property
+    def anchor(self) -> Vertex:
+        return self.path[0]
+
+    def margin(self, v: Vertex):
+        return self.t - min(distance(v, x) for x in self.path)
+
+    def diameter(self):
+        return self.level + 2 * self.t
+
+    def to_json(self) -> dict:
+        path = [v.to_json() for v in self.path]
+        return {**super().to_json(), "path": path, "level": self.level}
+
 
 @dataclass(frozen=True)
-class ThickRay:
+class ThickRay(_Thick, _Based):
     """Vertices within t of the ray from base toward one boundary line."""
 
     base: Vertex
     end: End
     t: int
+    kind = "thick_ray"
 
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("thickness must be >= 0")
-
-    @property
-    def p(self) -> int:
-        return self.base.p
+    def margin(self, v: Vertex):
+        return self.t - dist_to_ray(v, self.base, self.end)
 
 
 @dataclass(frozen=True, eq=False)
-class ThickApartment:
+class ThickApartment(_Thick):
     """Vertices within t of the axis of a split semisimple witness.
 
     `ends` is the sorted pair of rational boundary lines when the witness
@@ -147,10 +246,10 @@ class ThickApartment:
     witness: Mat2 = field(repr=False)
     axis_margin: int = field(repr=False)
     anchor: Vertex = field(repr=False)
+    kind = "thick_apartment"
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("thickness must be >= 0")
+        super().__post_init__()
         if self.ends is not None and tuple(sorted(self.ends)) != self.ends:
             object.__setattr__(self, "ends", tuple(sorted(self.ends)))
 
@@ -168,9 +267,20 @@ class ThickApartment:
     def __hash__(self):
         return hash((self.p, self.ends, self.t))
 
+    @property
+    def rational_ends(self) -> frozenset[End]:
+        return frozenset(self.ends or ())
+
+    def margin(self, v: Vertex):
+        return self.t - (self.axis_margin - mu_margin(self.witness, v))
+
+    def to_json(self) -> dict:
+        ends = None if self.ends is None else [e.to_json() for e in self.ends]
+        return {**super().to_json(), "ends": ends, "anchor": self.anchor.to_json()}
+
 
 @dataclass(frozen=True)
-class Fan:
+class Fan(_Based):
     """A horoball: vertices whose slack toward one boundary line is >= 0.
 
     The base is canonical (the zero-slack vertex reached by a deterministic
@@ -179,13 +289,15 @@ class Fan:
 
     base: Vertex
     end: End
+    kind = "fan"
 
-    @property
-    def p(self) -> int:
-        return self.base.p
+    def margin(self, v: Vertex):
+        return fan_slack(self.base, self.end, v)
 
-
-Shape = Full | Empty | ThickPath | ThickRay | ThickApartment | Fan
+    def deepen(self, r: int) -> Shape:
+        if r <= 0:
+            return super().deepen(r)
+        return canonical_fan(self.p, self.end, lambda v: self.margin(v) - r)
 
 
 # ---------------------------------------------------------------------------
@@ -227,19 +339,7 @@ def shape_margin(s: Shape, v: Vertex):
     Margins change by at most 1 along tree edges and are concave along
     geodesics, which is what the intersection engine relies on.
     """
-    if isinstance(s, Full):
-        return inf
-    if isinstance(s, Empty):
-        return -inf
-    if isinstance(s, ThickPath):
-        return s.t - min(distance(v, x) for x in s.path)
-    if isinstance(s, ThickRay):
-        return s.t - dist_to_ray(v, s.base, s.end)
-    if isinstance(s, ThickApartment):
-        return s.t - (s.axis_margin - mu_margin(s.witness, v))
-    if isinstance(s, Fan):
-        return fan_slack(s.base, s.end, v)
-    raise TypeError(f"not a shape: {s!r}")
+    return s.margin(v)
 
 
 def shape_member(s: Shape, v: Vertex) -> bool:
@@ -256,7 +356,7 @@ def canonical_fan(p: int, end: End, slack_at) -> Fan:
     elif s > 0:
         for _ in range(s):
             toward = step_toward_end(v, end)
-            v = min(n for n in neighbors(v) if n != toward)
+            v = next(n for n in iter_neighbors(v) if n != toward)
     assert slack_at(v) == 0
     return Fan(v, end)
 
@@ -400,52 +500,44 @@ def classify_single(a: Mat2, p: int) -> Shape:
 # Intersection engine
 
 
-def _rational_ends(s: Shape) -> frozenset[End]:
-    if isinstance(s, Fan):
-        return frozenset([s.end])
-    if isinstance(s, ThickRay):
-        return frozenset([s.end])
-    if isinstance(s, ThickApartment) and s.ends is not None:
-        return frozenset(s.ends)
-    return frozenset()
+def _neighbor_scanner(max_vertices=None):
+    """`neighbors`, charging each scan's p+1 vertices to the vertex budget;
+    a scan that would pass the budget raises BudgetExceeded instead."""
+    budget = vertex_budget(max_vertices)
+    spent = 0
+
+    def scan(v: Vertex) -> tuple[Vertex, ...]:
+        nonlocal spent
+        spent += v.p + 1
+        if spent > budget:
+            raise BudgetExceeded(
+                f"neighbor scans exceeded budget of {budget} vertices"
+            )
+        return neighbors(v)
+
+    return scan
 
 
-def _anchor(s: Shape) -> Vertex:
-    if isinstance(s, ThickPath):
-        return s.path[0]
-    if isinstance(s, (ThickRay, Fan)):
-        return s.base
-    if isinstance(s, ThickApartment):
-        return s.anchor
-    raise TypeError(f"shape has no anchor: {s!r}")
+def _reach(s1: Shape, s2: Shape) -> int:
+    """Anchor distance plus both thicknesses: a scale for the engine's walks."""
+    return distance(s1.anchor, s2.anchor) + s1.thickness + s2.thickness
 
 
-def _finite_thickness(s: Shape) -> int:
-    return s.t if isinstance(s, (ThickPath, ThickRay, ThickApartment)) else 0
-
-
-def _resolve_shared_end(s1: Shape, s2: Shape, end: End) -> Shape:
+def _resolve_shared_end(s1: Shape, s2: Shape, end: End, max_vertices=None) -> Shape:
     """Intersection of two shapes sharing exactly one boundary line.
 
     Asymptotically toward the shared line the joint margin stabilizes at
     t* = min of the non-horoball thicknesses; the result is the thick ray of
     thickness t* based at the farthest-back spine vertex still attaining t*.
     """
-    p = s1.p
-    ts = [s.t for s in (s1, s2) if not isinstance(s, Fan)]
-    t_star = min(ts)
+    t_star = min(s.t for s in (s1, s2) if not isinstance(s, Fan))
+    scan = _neighbor_scanner(max_vertices)
 
     def sigma(v: Vertex):
         return min(shape_margin(s1, v), shape_margin(s2, v))
 
-    a1, a2 = _anchor(s1), _anchor(s2)
-    far = (
-        distance(a1, a2)
-        + abs(_finite_thickness(s1))
-        + abs(_finite_thickness(s2))
-        + 8
-    )
-    cur = walk_toward_end(a1, end, far)
+    far = _reach(s1, s2) + 8
+    cur = walk_toward_end(s1.anchor, end, far)
     if sigma(cur) != t_star:
         cur = walk_toward_end(cur, end, far)
         if sigma(cur) != t_star:
@@ -453,7 +545,7 @@ def _resolve_shared_end(s1: Shape, s2: Shape, end: End) -> Shape:
     steps = 0
     while True:
         toward = step_toward_end(cur, end)
-        back = [n for n in neighbors(cur) if n != toward and sigma(n) == t_star]
+        back = [n for n in scan(cur) if n != toward and sigma(n) == t_star]
         if not back:
             break
         cur = min(back)
@@ -471,23 +563,17 @@ def _bounded_intersection(s1: Shape, s2: Shape, max_vertices=None) -> Shape:
     distance from any vertex to the summit plateau is exactly the margin
     drop, which makes the intersection the thick path around the plateau.
     """
-    p = s1.p
+    scan = _neighbor_scanner(max_vertices)
 
     def sigma(v: Vertex):
         return min(shape_margin(s1, v), shape_margin(s2, v))
 
-    a1, a2 = _anchor(s1), _anchor(s2)
-    cap = (
-        distance(a1, a2)
-        + abs(_finite_thickness(s1))
-        + abs(_finite_thickness(s2))
-        + 64
-    )
-    cur = a1
+    cap = _reach(s1, s2) + 64
+    cur = s1.anchor
     val = sigma(cur)
     steps = 0
     while True:
-        better = [n for n in neighbors(cur) if sigma(n) > val]
+        better = [n for n in scan(cur) if sigma(n) > val]
         if not better:
             break
         cur = min(better)
@@ -497,36 +583,29 @@ def _bounded_intersection(s1: Shape, s2: Shape, max_vertices=None) -> Shape:
         if steps > cap:
             raise InfiniteUnsupported(s1, s2, "margin ascent failed to terminate")
     if val < 0:
-        return Empty(p)
+        return Empty(s1.p)
 
-    budget = vertex_budget(max_vertices)
     plateau = {cur}
     frontier = [cur]
     while frontier:
         nxt = []
         for u in frontier:
-            for n in neighbors(u):
+            for n in scan(u):
                 if n not in plateau and sigma(n) == val:
                     plateau.add(n)
-                    if len(plateau) > budget:
-                        raise BudgetExceeded(
-                            f"summit plateau exceeded budget of {budget} vertices"
-                        )
                     nxt.append(n)
         frontier = nxt
 
     if len(plateau) == 1:
         return ThickPath((cur,), val)
-    deg = {u: sum(1 for n in neighbors(u) if n in plateau) for u in plateau}
+    deg = {u: sum(1 for n in scan(u) if n in plateau) for u in plateau}
     tips = sorted(u for u, k in deg.items() if k == 1)
     if any(k > 2 for k in deg.values()) or len(tips) != 2:
         raise InfiniteUnsupported(s1, s2, "summit plateau is not a path")
     path = [tips[0]]
     prev = None
     while path[-1] != tips[1]:
-        nxt = next(
-            n for n in neighbors(path[-1]) if n in plateau and n != prev
-        )
+        nxt = next(n for n in scan(path[-1]) if n in plateau and n != prev)
         prev = path[-1]
         path.append(nxt)
     return ThickPath(tuple(path), val)
@@ -551,14 +630,14 @@ def intersect_shapes(s1: Shape, s2: Shape, max_vertices=None) -> Shape:
     ):
         return s1 if s1.t <= s2.t else s2
 
-    shared = _rational_ends(s1) & _rational_ends(s2)
+    shared = s1.rational_ends & s2.rational_ends
     if shared:
         assert len(shared) == 1, "two shared lines imply a common axis"
         end = next(iter(shared))
         if isinstance(s1, Fan) and isinstance(s2, Fan):
             # Horoballs around the same line are nested.
-            return s1 if fan_slack(s2.base, end, s1.base) >= 0 else s2
-        return _resolve_shared_end(s1, s2, end)
+            return s1 if s2.margin(s1.base) >= 0 else s2
+        return _resolve_shared_end(s1, s2, end, max_vertices)
 
     return _bounded_intersection(s1, s2, max_vertices)
 
@@ -569,43 +648,20 @@ def intersect_shapes(s1: Shape, s2: Shape, max_vertices=None) -> Shape:
 
 def deepen(s: Shape, r: int) -> Shape:
     """The depth-r branch {v : ball-depth r inside s}: erode every margin by r."""
-    if r < 0:
-        raise ValueError("depth must be >= 0")
-    if r == 0 or isinstance(s, (Full, Empty)):
-        return s
-    if isinstance(s, ThickPath):
-        return ThickPath(s.path, s.t - r) if r <= s.t else Empty(s.p)
-    if isinstance(s, ThickRay):
-        return ThickRay(s.base, s.end, s.t - r) if r <= s.t else Empty(s.p)
-    if isinstance(s, ThickApartment):
-        if r > s.t:
-            return Empty(s.p)
-        return ThickApartment(
-            s.p, s.ends, s.t - r, witness=s.witness,
-            axis_margin=s.axis_margin, anchor=s.anchor,
-        )
-    if isinstance(s, Fan):
-        return canonical_fan(
-            s.p, s.end, lambda v: fan_slack(s.base, s.end, v) - r
-        )
-    raise TypeError(f"not a shape: {s!r}")
+    return s.deepen(r)
 
 
 def diameter(s: Shape):
     """Vertex-set diameter: finite only for thick paths; raises on Empty."""
-    if isinstance(s, Empty):
-        raise EmptyShape("empty shape has no diameter")
-    if isinstance(s, ThickPath):
-        return s.level + 2 * s.t
-    return inf
+    return s.diameter()
 
 
 def embeds_in_level(s: Shape, d: int, r: int) -> bool:
     """Does the depth-r branch contain two vertices at distance d?"""
-    deep = deepen(s, r)
-    if isinstance(deep, Empty):
+    try:
+        return s.deepen(r).diameter() >= d
+    except EmptyShape:
         return False
-    return diameter(deep) >= d
 
 
 def branch_of_order(order: LocalOrder, max_vertices=None) -> Shape:
@@ -632,8 +688,6 @@ def enumerate_branch(
 
 def eichler_envelope(s: Shape) -> tuple[Vertex, Vertex, int, int]:
     """(endpoint1, endpoint2, level, shift) read off a thick path."""
-    if isinstance(s, Empty):
-        raise EmptyShape("empty branch has no envelope")
-    if not isinstance(s, ThickPath):
+    if s.diameter() == inf:  # Empty raises EmptyShape
         raise NotFinite(f"branch {type(s).__name__} is unbounded")
     return s.path[0], s.path[-1], s.level, s.t

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import ResourceLimit, SingularMatrix
+from .errors import ResourceLimit, SchemaError, SingularMatrix
 from .exact_padic import Mat2, int_valuation, reduce_mod_ppow, valuation
 
 DEFAULT_MAX_VERTICES = 200_000
@@ -50,9 +50,14 @@ def vertex_budget(max_vertices=None) -> int:
         return int(max_vertices)
     env = os.environ.get("QLAT_MAX_VERTICES")
     if env:
-        n = int(env)
+        try:
+            n = int(env)
+        except ValueError:
+            n = 0
         if n <= 0:
-            raise ValueError("QLAT_MAX_VERTICES must be positive")
+            raise SchemaError(
+                "QLAT_MAX_VERTICES", f"must be a positive integer, got {env!r}"
+            )
         return n
     return DEFAULT_MAX_VERTICES
 
@@ -76,6 +81,9 @@ class Vertex:
     def basis(self) -> Mat2:
         """Column basis matrix of the canonical lattice representative."""
         return Mat2.of([[self.p**self.a, self.c], [0, self.p**self.b]])
+
+    def to_json(self) -> dict:
+        return {"a": self.a, "b": self.b, "c": self.c}
 
 
 def standard_vertex(p: int) -> Vertex:
@@ -151,13 +159,21 @@ def distance(v: Vertex, w: Vertex) -> int:
     return v.a - v.b + w.a - w.b - 2 * _meet(v, w)
 
 
+def iter_neighbors(v: Vertex):
+    """The p+1 adjacent classes one by one, in canonical (sorted) order, so
+    the first that passes a test is the least: parent and children."""
+    first = 0
+    if v.a == 0 and v.b:  # child 0 is (0, b - 1, 0), before the parent
+        yield child(v, 0)
+        first = 1
+    yield parent(v)
+    for j in range(first, v.p):
+        yield child(v, j)
+
+
 def neighbors(v: Vertex) -> tuple[Vertex, ...]:
     """The p+1 adjacent classes, sorted canonically: parent and children."""
-    kids = [child(v, j) for j in range(v.p)]
-    up = parent(v)
-    if v.a == 0 and v.b:  # child 0 is (0, b - 1, 0), before the parent
-        return (kids[0], up, *kids[1:])
-    return (up, *kids)
+    return tuple(iter_neighbors(v))
 
 
 def geodesic(v: Vertex, w: Vertex) -> tuple[Vertex, ...]:
@@ -221,6 +237,9 @@ class End:
         lead = self.x if self.x != 0 else self.y
         if lead < 0:
             raise ValueError("end vector must have positive leading entry")
+
+    def to_json(self) -> list:
+        return [self.x, self.y]
 
 
 def end_from_vector(vec) -> End:

@@ -43,28 +43,14 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
+from math import inf
 
-from .branches import (
-    Empty,
-    Fan,
-    Full,
-    ThickApartment,
-    ThickPath,
-    ThickRay,
-    branch_of_order,
-    deepen,
-    enumerate_branch,
-)
-from .bt_tree import (
-    End,
-    Vertex,
-    ball,
-    distance,
-    export_dot,
-    standard_vertex,
-)
+from .branches import branch_of_order, enumerate_branch
+from .bt_tree import Vertex, ball, distance, export_dot, standard_vertex
 from .errors import (
     EXIT_OK,
+    EmptyShape,
     QlatError,
     SchemaError,
     UnsupportedField,
@@ -284,57 +270,6 @@ def parse_field_element(field: BaseField, value, path: str):
 
 
 # ---------------------------------------------------------------------------
-# Response encoding (ints and strings only; no floats)
-
-
-def enc_vertex(v: Vertex) -> dict:
-    return {"a": v.a, "b": v.b, "c": v.c}
-
-
-def enc_end(e: End) -> list:
-    return [e.x, e.y]
-
-
-def enc_shape(s) -> dict:
-    if isinstance(s, Full):
-        return {"kind": "full", "p": s.p}
-    if isinstance(s, Empty):
-        return {"kind": "empty", "p": s.p}
-    if isinstance(s, ThickPath):
-        return {
-            "kind": "thick_path",
-            "p": s.p,
-            "path": [enc_vertex(v) for v in s.path],
-            "level": s.level,
-            "thickness": s.t,
-        }
-    if isinstance(s, ThickRay):
-        return {
-            "kind": "thick_ray",
-            "p": s.p,
-            "base": enc_vertex(s.base),
-            "end": enc_end(s.end),
-            "thickness": s.t,
-        }
-    if isinstance(s, ThickApartment):
-        return {
-            "kind": "thick_apartment",
-            "p": s.p,
-            "ends": None if s.ends is None else [enc_end(e) for e in s.ends],
-            "anchor": enc_vertex(s.anchor),
-            "thickness": s.t,
-        }
-    if isinstance(s, Fan):
-        return {
-            "kind": "fan",
-            "p": s.p,
-            "base": enc_vertex(s.base),
-            "end": enc_end(s.end),
-        }
-    raise TypeError(f"not a shape: {s!r}")
-
-
-# ---------------------------------------------------------------------------
 # Subcommand handlers
 
 
@@ -347,7 +282,7 @@ def _closed_order(doc: dict):
 def cmd_local_classify(doc: dict, args) -> dict:
     p, order = _closed_order(doc)
     shape = branch_of_order(order, parse_max_vertices(doc))
-    return {"p": p, "rank": order.rank, "shape": enc_shape(shape)}
+    return {"p": p, "rank": order.rank, "shape": shape.to_json()}
 
 
 def cmd_local_branch_enum(doc: dict, args) -> dict:
@@ -363,7 +298,7 @@ def cmd_local_branch_enum(doc: dict, args) -> dict:
     return {
         "p": p,
         "count": len(found),
-        "vertices": [enc_vertex(v) for v in sorted(found)],
+        "vertices": [v.to_json() for v in sorted(found)],
     }
 
 
@@ -373,21 +308,21 @@ def cmd_local_spinor_image(doc: dict, args) -> dict:
     r = parse_nonneg(doc, "shift", "shift", default=0)
     shape = branch_of_order(order, parse_max_vertices(doc))
     image = spinor_image(shape, d, r)
-    deep = deepen(shape, r)
-    if isinstance(deep, Empty):
-        dia, level = None, None
-    elif isinstance(deep, ThickPath):
-        dia, level = deep.level + 2 * deep.t, deep.level
-    else:
-        dia, level = "infinite", None
-    return {"image": image.value, "diameter": dia, "level": level}
+    deep = shape.deepen(r)
+    try:
+        dia = deep.diameter()
+    except EmptyShape:
+        dia = None
+    if dia == inf:
+        dia = "infinite"
+    return {"image": image.value, "diameter": dia, "level": deep.level}
 
 
 def cmd_local_decompose(doc: dict, args) -> dict:
     _, order = _closed_order(doc)
     se = decompose_shifted_eichler(order)
     return {
-        "endpoints": [enc_vertex(v) for v in se.endpoints],
+        "endpoints": [v.to_json() for v in se.endpoints],
         "level": se.level,
         "shift": se.shift,
     }
@@ -405,7 +340,7 @@ def cmd_local_three_maximals(doc: dict, args) -> dict:
     if "level" in doc and doc["level"] != level:
         raise SchemaError("level", f"endpoints are at distance {level}")
     witnesses = three_maximal_orders(ShiftedEichler((v1, v2), level, shift))
-    return {"level": level, "vertices": [enc_vertex(v) for v in witnesses]}
+    return {"level": level, "vertices": [v.to_json() for v in witnesses]}
 
 
 def _parse_ball(doc: dict):
@@ -421,7 +356,7 @@ def _parse_ball(doc: dict):
 
 def cmd_tree_ball(doc: dict, args) -> dict:
     found = _parse_ball(doc)
-    return {"count": len(found), "vertices": [enc_vertex(v) for v in sorted(found)]}
+    return {"count": len(found), "vertices": [v.to_json() for v in sorted(found)]}
 
 
 def cmd_tree_dot(doc: dict, args) -> dict:
@@ -507,6 +442,7 @@ _HELP = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qlat",
@@ -525,8 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the response to FILE instead of stdout")
         sub.add_argument("--pretty", action="store_true",
                          help="indent the response JSON")
-        sub.add_argument("--threads", type=int, default=1, metavar="N",
-                         help="worker hint; results are identical for any N")
         if (domain, op) == ("tree", "dot"):
             sub.add_argument("--dot", metavar="FILE",
                              help="write DOT source to FILE instead of inline")
@@ -578,8 +512,6 @@ def _write_error(exc: QlatError) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        args.threads = 1
     try:
         response = args.handler(_read_request(args), args)
         _write_response(response, args)

@@ -281,9 +281,6 @@ class Mat2:
     def min_valuation(self, p: int):
         return min(valuation(x, p) for x in self.entries)
 
-    def sort_key(self):
-        return self.entries
-
 
 def conjugate(h: Mat2, g: Mat2) -> Mat2:
     """g^-1 h g."""

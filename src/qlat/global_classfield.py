@@ -56,10 +56,6 @@ def fe_is_zero(e: FE) -> bool:
     return e[0] == 0 and e[1] == 0
 
 
-def fe_add(a: FE, b: FE) -> FE:
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def fe_sub(a: FE, b: FE) -> FE:
     return (a[0] - b[0], a[1] - b[1])
 

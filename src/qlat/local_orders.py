@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bt_tree import Vertex, distance, geodesic, neighbors
+from .bt_tree import Vertex, distance, geodesic, iter_neighbors
 from .errors import NotShiftedEichler, Unbounded
 from .exact_padic import (
     Mat2,
@@ -194,17 +194,22 @@ def decompose_shifted_eichler(order: LocalOrder) -> ShiftedEichler:
     return ShiftedEichler((v1, v2), level, shift)
 
 
+def _walk_on(prev: Vertex, cur: Vertex, steps: int) -> Vertex:
+    """Walk `steps` further from cur, entered from prev, without
+    backtracking; the canonically least option each time."""
+    for _ in range(steps):
+        prev, cur = cur, next(n for n in iter_neighbors(cur) if n != prev)
+    return cur
+
+
 def _extend_away(start: Vertex, banned_first, steps: int):
     """Walk `steps` from start: first step outside `banned_first`, then
     non-backtracking; the canonically least option each time.  Returns
     (endpoint, first_step_or_None)."""
     if steps == 0:
         return start, None
-    first = min(n for n in neighbors(start) if n not in banned_first)
-    prev, cur = start, first
-    for _ in range(steps - 1):
-        prev, cur = cur, min(n for n in neighbors(cur) if n != prev)
-    return cur, first
+    first = next(n for n in iter_neighbors(start) if n not in banned_first)
+    return _walk_on(start, first, steps - 1), first
 
 
 def three_maximal_orders(order: ShiftedEichler) -> tuple[Vertex, Vertex, Vertex]:
@@ -258,14 +263,8 @@ def three_maximal_orders(order: ShiftedEichler) -> tuple[Vertex, Vertex, Vertex]
     for i in order_idx:
         anchor = path[i]
         banned = fresh_banned(anchor, i)
-        for first in sorted(n for n in neighbors(anchor) if n not in banned):
-            if r == 0:
-                cand = anchor
-            else:
-                prev, cur = anchor, first
-                for _ in range(r - 1):
-                    prev, cur = cur, min(n for n in neighbors(cur) if n != prev)
-                cand = cur
+        for first in (n for n in iter_neighbors(anchor) if n not in banned):
+            cand = anchor if r == 0 else _walk_on(anchor, first, r - 1)
             if verify(d3, d4, cand):
                 return d3, d4, cand
             if r == 0:

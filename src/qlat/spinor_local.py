@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .branches import Shape, deepen, diameter, Empty
+from .branches import Shape
 from .bt_tree import Vertex, distance
-from .errors import AnchorInvalid
+from .errors import AnchorInvalid, EmptyShape
 
 
 class SpinorImage(Enum):
@@ -35,10 +35,10 @@ def spinor_image(branch: Shape, d: int, r: int) -> SpinorImage:
     """
     if d < 0 or r < 0:
         raise ValueError("level and depth must be >= 0")
-    deep = deepen(branch, r)
-    if isinstance(deep, Empty):
+    try:
+        delta = branch.deepen(r).diameter()
+    except EmptyShape:
         return SpinorImage.NO_EMBEDDING
-    delta = diameter(deep)
     if delta < d:
         return SpinorImage.NO_EMBEDDING
     if d % 2 == 1 or d < delta:

@@ -9,15 +9,17 @@ import pytest
 MOD = [sys.executable, "-m", "qlat.cli"]
 
 
-def run(args, request=None, expect=0):
+def run(args, request=None, expect=0, timeout=None, env=None):
     data = None if request is None else json.dumps(request).encode()
-    proc = subprocess.run(MOD + args, input=data, capture_output=True)
+    proc = subprocess.run(
+        MOD + args, input=data, capture_output=True, timeout=timeout, env=env
+    )
     assert proc.returncode == expect, (proc.returncode, proc.stderr.decode())
     return proc
 
 
-def run_json(args, request, expect=0):
-    proc = run(args, request, expect)
+def run_json(args, request, expect=0, timeout=None, env=None):
+    proc = run(args, request, expect, timeout, env)
     stream = proc.stdout if expect == 0 else proc.stderr
     text = stream.decode()
     assert text.endswith("\n")
@@ -75,6 +77,39 @@ def test_local_classify_field_case_at_large_prime():
         "path": [{"a": 1, "b": 0, "c": 0}],
         "thickness": 1,
     }
+
+
+def test_local_classify_nilpotent_at_large_prime():
+    # The fan's canonical base is reached by climbing away from the end;
+    # each step takes the least neighbor off the ray, the parent here.
+    p = 1000003
+    doc = run_json(
+        ["local", "classify"], {"p": p, "generators": [[[0, p**3], [0, 0]]]},
+        timeout=5,
+    )
+    assert doc == {
+        "p": p,
+        "rank": 2,
+        "shape": {
+            "base": {"a": 3, "b": 0, "c": 0},
+            "end": [1, 0],
+            "kind": "fan",
+            "p": p,
+        },
+    }
+
+
+def test_local_classify_pair_at_large_prime_exceeds_budget():
+    # Intersecting two shapes scans all p + 1 neighbors of a vertex, which
+    # is charged to the vertex budget before the scan is made.
+    p = 1000003
+    doc = run_json(
+        ["local", "classify"],
+        {"p": p, "generators": [[[0, 2], [1, 0]], [[1, 0], [0, -1]]]},
+        expect=3,
+        timeout=5,
+    )
+    assert doc["error"] == "BudgetExceeded"
 
 
 def test_local_branch_enum_eichler():
@@ -164,6 +199,28 @@ def test_local_three_maximals():
     assert len(doc["vertices"]) == 3
     err = run_json(["local", "three-maximals"], {**req, "level": 3}, expect=2)
     assert err["error"] == "SchemaError" and err["path"] == "level"
+
+
+def test_local_three_maximals_at_large_prime():
+    # Hanging the witnesses off the path takes the least neighbor at each
+    # step without building all p + 1 of them.
+    doc = run_json(
+        ["local", "three-maximals"],
+        {
+            "p": 1000003,
+            "endpoints": [{"a": 0, "b": 0, "c": 0}, {"a": 1, "b": 0, "c": 0}],
+            "shift": 2,
+        },
+        timeout=5,
+    )
+    assert doc == {
+        "level": 1,
+        "vertices": [
+            {"a": 0, "b": 2, "c": 0},
+            {"a": 3, "b": 0, "c": 0},
+            {"a": 2, "b": 0, "c": 1},
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +495,10 @@ def test_byte_determinism_and_threads():
     runs = [
         run(["local", "branch-enum"], req).stdout,
         run(["local", "branch-enum"], req).stdout,
-        run(["local", "branch-enum", "--threads", "1"], req).stdout,
-        run(["local", "branch-enum", "--threads", "4"], req).stdout,
     ]
     assert len(set(runs)) == 1
+    # The single-threaded engine takes no worker-count option.
+    run(["local", "branch-enum", "--threads", "4"], req, expect=2)
 
 
 def test_output_is_canonical_json():
@@ -486,3 +543,13 @@ def test_env_budget_cap():
     )
     assert proc.returncode == 3
     assert json.loads(proc.stderr)["error"] == "ResourceLimit"
+
+
+@pytest.mark.parametrize("value", ["0", "abc"])
+def test_env_budget_malformed_exit_2(value):
+    import os
+
+    env = dict(os.environ, QLAT_MAX_VERTICES=value)
+    doc = run_json(["tree", "ball"], {"p": 3, "radius": 2}, expect=2, env=env)
+    assert doc["error"] == "SchemaError"
+    assert doc["path"] == "QLAT_MAX_VERTICES"

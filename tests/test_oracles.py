@@ -72,6 +72,8 @@ def test_distance_matches_smith_form(p, radius):
 def test_neighbors_match_canonical_vertex(p, radius):
     for v in whole_ball(p, radius):
         assert neighbors(v) == oracles.neighbors(v), v
+        # callers take the first passing neighbor as the least one
+        assert list(neighbors(v)) == sorted(neighbors(v)), v
 
 
 @pytest.mark.parametrize("p,radius", BALLS)
