@@ -450,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     domains = parser.add_subparsers(dest="domain", required=True)
     groups: dict[str, argparse._SubParsersAction] = {}
-    for (domain, op), handler in _HANDLERS.items():
+    for domain, op in _HANDLERS:
         if domain not in groups:
             dparser = domains.add_parser(domain)
             groups[domain] = dparser.add_subparsers(dest="op", required=True)
@@ -464,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
         if (domain, op) == ("tree", "dot"):
             sub.add_argument("--dot", metavar="FILE",
                              help="write DOT source to FILE instead of inline")
-        sub.set_defaults(handler=handler)
     return parser
 
 
@@ -512,8 +511,11 @@ def _write_error(exc: QlatError) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Looked up per call, not kept in the cached parser: a handler rebound
+    # in _HANDLERS (by a tracer, say) is the one that runs.
+    handler = _HANDLERS[args.domain, args.op]
     try:
-        response = args.handler(_read_request(args), args)
+        response = handler(_read_request(args), args)
         _write_response(response, args)
     except QlatError as exc:
         _write_error(exc)
