@@ -75,7 +75,7 @@ from .local_orders import (
     order_closure,
     three_maximal_orders,
 )
-from .spinor_local import spinor_image
+from .spinor_local import spinor_image_for_diameter
 
 # ---------------------------------------------------------------------------
 # Request parsing (every failure is a SchemaError carrying the JSON path)
@@ -307,12 +307,12 @@ def cmd_local_spinor_image(doc: dict, args) -> dict:
     d = parse_nonneg(doc, "level", "level")
     r = parse_nonneg(doc, "shift", "shift", default=0)
     shape = branch_of_order(order, parse_max_vertices(doc))
-    image = spinor_image(shape, d, r)
     deep = shape.deepen(r)
     try:
         dia = deep.diameter()
     except EmptyShape:
         dia = None
+    image = spinor_image_for_diameter(dia, d)
     if dia == inf:
         dia = "infinite"
     return {"image": image.value, "diameter": dia, "level": deep.level}
@@ -320,7 +320,7 @@ def cmd_local_spinor_image(doc: dict, args) -> dict:
 
 def cmd_local_decompose(doc: dict, args) -> dict:
     _, order = _closed_order(doc)
-    se = decompose_shifted_eichler(order)
+    se = decompose_shifted_eichler(order, parse_max_vertices(doc))
     return {
         "endpoints": [v.to_json() for v in se.endpoints],
         "level": se.level,

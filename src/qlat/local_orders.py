@@ -174,18 +174,19 @@ class ShiftedEichler:
         return shifted_eichler_module(v1, v2, self.shift)
 
 
-def decompose_shifted_eichler(order: LocalOrder) -> ShiftedEichler:
+def decompose_shifted_eichler(order: LocalOrder, max_vertices=None) -> ShiftedEichler:
     """Recognize Z + p^r * E for an Eichler order E, or raise NotShiftedEichler.
 
     The branch of the order must be a path-with-thickness, the candidate
     invariants are read off its envelope, and the candidate is confirmed by
-    exact module equality.
+    exact module equality.  `max_vertices` bounds the branch computation as
+    in `branch_of_order`.
     """
     from .branches import ThickPath, branch_of_order, eichler_envelope
 
     if order.rank != 4:
         raise NotShiftedEichler(f"rank is {order.rank}, need 4")
-    shape = branch_of_order(order)
+    shape = branch_of_order(order, max_vertices)
     if not isinstance(shape, ThickPath):
         raise NotShiftedEichler(f"branch is {type(shape).__name__}, not a thick path")
     v1, v2, level, shift = eichler_envelope(shape)

@@ -14,7 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
+from .errors import ResourceLimit
 from .exact_padic import legendre, sqrt_mod
+
+# Largest |discriminant| whose class group is computed: reduced-form
+# enumeration takes O(|disc|) steps, so larger requests exit with
+# ResourceLimit instead of running for minutes.
+MAX_CLASS_GROUP_DISC = 10**7
 
 
 @dataclass(frozen=True, order=True)
@@ -235,19 +241,32 @@ class ClassGroup:
         return class_rep(QForm(f.a, -f.b, f.c), self.disc)
 
     def subgroup(self, gens) -> frozenset[QForm]:
-        """Closure of the identity and the given class representatives."""
-        have = {self.identity}
-        frontier = [self.identity]
-        gens = [class_rep(g, self.disc) for g in gens]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.op(x, g)
-                    if y not in have:
-                        have.add(y)
-                        nxt.append(y)
-            frontier = nxt
+        """Closure of the identity and the given class representatives.
+
+        The group is abelian, so adjoining g to a subgroup H adds the cosets
+        g*H, g^2*H, ... up to the first power of g that lies in H: one `op`
+        per new element and one per generator adjoined, so at most twice
+        the order of the result.  A generator already in the subgroup costs
+        a set lookup; `class_rep` runs only on the others.
+        """
+        elems = [self.identity]
+        have = set(elems)
+        for g in gens:
+            if g in have:
+                continue
+            g = class_rep(g, self.disc)
+            if g in have:
+                continue
+            old = elems[1:]
+            x = g
+            while x not in have:
+                elems.append(x)
+                have.add(x)
+                for h in old:
+                    y = self.op(x, h)
+                    elems.append(y)
+                    have.add(y)
+                x = self.op(x, g)
         return frozenset(have)
 
 
@@ -255,20 +274,14 @@ def _enumerate_definite(disc: int) -> tuple[QForm, ...]:
     out = []
     a = 1
     while 3 * a * a <= -disc:
-        for b in range(-a + 1, a + 1):
-            if (b - disc) % 2 != 0:
+        four_a = 4 * a
+        # b runs over (-a, a] with b = disc (mod 2)
+        for b in range(-a + 1 + (a + 1 + disc) % 2, a + 1, 2):
+            c, r = divmod(b * b - disc, four_a)
+            if r or c < a or (a == c and b < 0):
                 continue
-            num = b * b - disc
-            if num % (4 * a) != 0:
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if a == c and b < 0:
-                continue
-            f = QForm(a, b, c)
-            if f.is_primitive():
-                out.append(f)
+            if gcd(gcd(a, b), c) == 1:
+                out.append(QForm(a, b, c))
         a += 1
     return tuple(sorted(out))
 
@@ -289,19 +302,21 @@ def _divisors_signed(n: int):
 
 
 def _enumerate_indefinite_reduced(disc: int) -> list[QForm]:
+    """Reduced forms of a positive non-square discriminant, by b and then by
+    the divisor a of -a*c in the order of `_divisors_signed`.  The tests are
+    those of `is_reduced_indefinite`, with isqrt(disc) computed once."""
     s0 = isqrt(disc)
     out = []
-    for b in range(1, s0 + 1):
-        if (b - disc) % 2 != 0:
-            continue
+    for b in range(2 - disc % 2, s0 + 1, 2):
         n4 = (disc - b * b) // 4  # = -a*c > 0
-        if n4 <= 0:
-            continue
         for a in _divisors_signed(n4):
+            ta = 2 * abs(a)
+            # sqrt(D) >= b + 2|a| violates the left bound
+            if (b + ta) ** 2 <= disc or (ta > b and (ta - b) ** 2 >= disc):
+                continue
             c = -n4 // a
-            f = QForm(a, b, c)
-            if f.is_primitive() and is_reduced_indefinite(f):
-                out.append(f)
+            if gcd(gcd(a, b), c) == 1:
+                out.append(QForm(a, b, c))
     return out
 
 
@@ -309,6 +324,11 @@ def class_group(disc: int) -> ClassGroup:
     """Form class group of a fundamental discriminant (narrow for disc > 0)."""
     if disc % 4 not in (0, 1) or disc in (0, 1):
         raise ValueError(f"{disc} is not a discriminant")
+    if abs(disc) > MAX_CLASS_GROUP_DISC:
+        raise ResourceLimit(
+            f"|discriminant| {abs(disc)} exceeds the class-group cap "
+            f"{MAX_CLASS_GROUP_DISC}"
+        )
     if disc < 0:
         return ClassGroup(disc, _enumerate_definite(disc))
     left = set(_enumerate_indefinite_reduced(disc))

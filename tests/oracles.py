@@ -1,4 +1,4 @@
-"""Slow reference versions of the local-layer primitives.
+"""Slow reference versions of replaced primitives.
 
 These are the matrix-based routines that the integer disc-coordinate
 implementations in `qlat.bt_tree`, `qlat.branches` and `qlat.local_orders`
@@ -7,6 +7,9 @@ so `test_oracles.py` can check old and new agree.  They work on `Fraction`
 matrices: Smith forms for distances, `canonical_vertex` for neighbors,
 lattice arithmetic for steps toward ends, walks for horoball slacks and
 ray distances, and conjugation for margins.
+
+The class-group section at the end keeps the breadth-first subgroup
+closure and the reduced-form enumerations that `qlat.quadforms` replaced.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from math import isqrt
 from qlat.bt_tree import End, Vertex, canonical_vertex
 from qlat.errors import SingularMatrix
 from qlat.exact_padic import Mat2, conjugate, valuation
+from qlat.quadforms import QForm, _divisors_signed, class_rep, is_reduced_indefinite
 
 
 def smith_local_transforms(g: Mat2, p: int):
@@ -197,3 +201,63 @@ def half_unit_search(m: int, bound: int = 10**6):
                     return x, y, 2, sign
         y += 1
     return None
+
+
+# ---------------------------------------------------------------------------
+# Class groups
+
+
+def subgroup_bfs(group, gens) -> frozenset[QForm]:
+    """Closure of the identity and the given class representatives."""
+    have = {group.identity}
+    frontier = [group.identity]
+    gens = [class_rep(g, group.disc) for g in gens]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = group.op(x, g)
+                if y not in have:
+                    have.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(have)
+
+
+def enumerate_definite(disc: int) -> tuple[QForm, ...]:
+    out = []
+    a = 1
+    while 3 * a * a <= -disc:
+        for b in range(-a + 1, a + 1):
+            if (b - disc) % 2 != 0:
+                continue
+            num = b * b - disc
+            if num % (4 * a) != 0:
+                continue
+            c = num // (4 * a)
+            if c < a:
+                continue
+            if a == c and b < 0:
+                continue
+            f = QForm(a, b, c)
+            if f.is_primitive():
+                out.append(f)
+        a += 1
+    return tuple(sorted(out))
+
+
+def enumerate_indefinite_reduced(disc: int) -> list[QForm]:
+    s0 = isqrt(disc)
+    out = []
+    for b in range(1, s0 + 1):
+        if (b - disc) % 2 != 0:
+            continue
+        n4 = (disc - b * b) // 4  # = -a*c > 0
+        if n4 <= 0:
+            continue
+        for a in _divisors_signed(n4):
+            c = -n4 // a
+            f = QForm(a, b, c)
+            if f.is_primitive() and is_reduced_indefinite(f):
+                out.append(f)
+    return out

@@ -188,6 +188,24 @@ def test_local_decompose_rejects_commutative():
     assert err["error"] == "NotShiftedEichler"
 
 
+def test_local_decompose_honours_max_vertices():
+    req = {
+        "p": 3,
+        "generators": [[[1, 0], [0, 0]], [[0, 3], [0, 0]], [[0, 0], [3, 0]]],
+        "max_vertices": 1,
+    }
+    err = run_json(["local", "classify"], req, expect=3)
+    assert err["error"] == "BudgetExceeded"
+    err = run_json(["local", "decompose"], req, expect=3)
+    assert err["error"] == "BudgetExceeded"
+    doc = run_json(["local", "decompose"], {**req, "max_vertices": 10**4})
+    assert doc == {
+        "endpoints": [{"a": 0, "b": 1, "c": 0}, {"a": 1, "b": 0, "c": 0}],
+        "level": 2,
+        "shift": 0,
+    }
+
+
 def test_local_three_maximals():
     req = {
         "p": 3,
@@ -288,6 +306,17 @@ def test_global_sigma_quadratic():
         },
     )
     assert doc2 == {"forced_split": ["3.1"], "group_order": 2, "sigma_degree": 1}
+
+
+def test_global_sigma_class_group_cap():
+    # disc = 4 * 1000000007 is past the class-group cap
+    err = run_json(
+        ["global", "sigma"],
+        {"field": {"kind": "quadratic", "d": 1000000007}, "algebra": {}, "genus": {}},
+        expect=3,
+        timeout=5,
+    )
+    assert err["error"] == "ResourceLimit"
 
 
 def test_global_sigma_definite_algebra():

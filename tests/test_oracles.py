@@ -1,8 +1,11 @@
-"""The integer disc-coordinate local layer against the matrix routines it
-replaced (`oracles.py`), on whole balls and seeded ends and matrices."""
+"""Fast paths against the slow routines they replaced (`oracles.py`): the
+integer disc-coordinate local layer on whole balls and seeded ends and
+matrices, and the class-group layer (coset-extension subgroup closure and
+reduced-form enumeration) on discriminants, generator sets and genera."""
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 import pytest
 from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
@@ -22,8 +25,22 @@ from qlat.bt_tree import (
     step_toward_end,
 )
 from qlat.exact_padic import Mat2, sqrt_mod
+from qlat.global_classfield import BaseField, Genus, QuatAlgebra, spinor_class_field
 from qlat.local_orders import contains_shifted
-from qlat.quadforms import fundamental_unit, is_squarefree
+from qlat import quadforms
+from qlat.quadforms import (
+    ClassGroup,
+    _enumerate_definite,
+    _enumerate_indefinite_reduced,
+    class_group,
+    class_rep,
+    fundamental_discriminant,
+    fundamental_unit,
+    is_squarefree,
+    kronecker_at,
+    negative_identity_class,
+    prime_form,
+)
 
 BALLS = [(2, 5), (3, 4), (5, 3), (101, 1)]
 
@@ -156,3 +173,136 @@ def test_fundamental_unit_matches_search_and_diop_dn():
         assert min(positive, key=lambda s: (s[1], s[0])) == (x, y), m
         if y < 20000:
             assert oracles.half_unit_search(m, 20000) == got, m
+
+
+# ---------------------------------------------------------------------------
+# Class groups
+
+
+def _is_square(n: int) -> bool:
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
+def _seeded_fundamental_discs(seed: int, count: int, lo: int, hi: int) -> list[int]:
+    """`count` fundamental discriminants with lo <= |D| <= hi, both signs."""
+    rng = make_rng(seed)
+    out = set()
+    while len(out) < count:
+        m = rng.randrange(lo // 4, hi // 4) * rng.choice((1, -1))
+        if m not in (0, 1) and is_squarefree(m):
+            d = fundamental_discriminant(m)
+            if lo <= abs(d) <= hi:
+                out.add(d)
+    return sorted(out)
+
+
+def test_reduced_form_enumerations_match_for_small_discriminants():
+    for disc in range(-5000, 5001):
+        if disc % 4 not in (0, 1) or disc in (0, 1) or _is_square(disc):
+            continue
+        if disc < 0:
+            assert _enumerate_definite(disc) == oracles.enumerate_definite(disc), disc
+        else:
+            assert _enumerate_indefinite_reduced(
+                disc
+            ) == oracles.enumerate_indefinite_reduced(disc), disc
+
+
+def test_reduced_form_enumerations_match_on_seeded_large_discriminants():
+    for disc in _seeded_fundamental_discs(11, 24, 10**4, 4 * 10**5):
+        if disc < 0:
+            assert _enumerate_definite(disc) == oracles.enumerate_definite(disc), disc
+        else:
+            assert _enumerate_indefinite_reduced(
+                disc
+            ) == oracles.enumerate_indefinite_reduced(disc), disc
+
+
+def _generator_sets(group: ClassGroup, rng) -> list[list]:
+    """Squares, the norm -1 class, and prime forms at split and ramified
+    primes (raw and reduced), alone and mixed."""
+    disc = group.disc
+    squares = [group.op(x, x) for x in group.reps]
+    primes = []
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        sym = kronecker_at(disc, p)
+        if sym == 0:
+            primes.append(prime_form(disc, p))
+        elif sym == 1:
+            primes.append(prime_form(disc, p, rng.choice((1, 2))))
+    sets = [squares, primes, [class_rep(f, disc) for f in primes]]
+    if disc > 0:
+        sets.append([negative_identity_class(disc)])
+        sets.append(squares + [negative_identity_class(disc)])
+    sets.append(squares + rng.sample(primes, min(2, len(primes))))
+    sets.append(rng.sample(group.reps, min(3, group.order)))
+    return sets
+
+
+class _OpCounter:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        op = ClassGroup.op
+
+        def counted(group, f, g):
+            self.calls += 1
+            return op(group, f, g)
+
+        monkeypatch.setattr(ClassGroup, "op", counted)
+
+
+def test_subgroup_matches_breadth_first_closure(monkeypatch):
+    rng = make_rng(12)
+    discs = _seeded_fundamental_discs(13, 12, 10**3, 2 * 10**4)
+    for disc in discs + [-20, 40, 205, -820, -56, 168]:
+        group = class_group(disc)
+        for gens in _generator_sets(group, rng):
+            counter = _OpCounter(monkeypatch)
+            got = group.subgroup(gens)
+            ops = counter.calls
+            monkeypatch.undo()
+            assert got == oracles.subgroup_bfs(group, gens), (disc, gens)
+            # one op per new element and one per generator adjoined
+            assert ops <= 2 * len(got), (disc, ops, len(got))
+
+
+def _slow_class_groups(monkeypatch):
+    monkeypatch.setattr(ClassGroup, "subgroup", oracles.subgroup_bfs)
+    monkeypatch.setattr(quadforms, "_enumerate_definite", oracles.enumerate_definite)
+    monkeypatch.setattr(
+        quadforms, "_enumerate_indefinite_reduced", oracles.enumerate_indefinite_reduced
+    )
+
+
+def _seeded_genera(seed: int):
+    rng = make_rng(seed)
+    for m in (-5, 10, -14, 34, -161, 399, -1155, 2310, -3315, 4199):
+        field = BaseField.quadratic(m)
+        real = ("inf1", "inf2") if m > 0 and rng.random() < 0.5 else ()
+        level = {}
+        for p in rng.sample((2, 3, 5, 7, 11, 13), 3):
+            for place in field.places_over(p):
+                if rng.random() < 0.6:
+                    level[place] = rng.randrange(0, 4)
+        yield QuatAlgebra.of(field, real=real), Genus.of(level=level)
+
+
+def test_spinor_class_field_matches_breadth_first_closure(monkeypatch):
+    genera = list(_seeded_genera(14))
+    fast = [spinor_class_field(alg, genus) for alg, genus in genera]
+    _slow_class_groups(monkeypatch)
+    slow = [spinor_class_field(alg, genus) for alg, genus in genera]
+    assert [s.degree for s in fast] == [s.degree for s in slow]
+    assert [s.kernel for s in fast] == [s.kernel for s in slow]
+    assert [s.base.reps for s in fast] == [s.base.reps for s in slow]
+    assert len({s.degree for s in fast}) > 1
+
+
+def test_spinor_class_field_op_count_is_linear_in_class_number(monkeypatch):
+    # Q(sqrt(-72134)) has h = 390: 390 squares, then 194 ops to close the
+    # kernel of order 195, where the breadth-first closure made 38,415
+    alg, genus = QuatAlgebra.of(BaseField.quadratic(-72134)), Genus.of()
+    counter = _OpCounter(monkeypatch)
+    sigma = spinor_class_field(alg, genus)
+    assert sigma.base.order == 390
+    assert counter.calls <= 3 * sigma.base.order, counter.calls

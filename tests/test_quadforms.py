@@ -3,7 +3,9 @@
 import pytest
 
 from helpers import make_rng
+from qlat.errors import ResourceLimit
 from qlat.quadforms import (
+    MAX_CLASS_GROUP_DISC,
     ClassGroup,
     QForm,
     class_group,
@@ -161,6 +163,12 @@ def test_class_group_rejects_non_discriminants():
             continue
         with pytest.raises(ValueError):
             class_group(bad)
+
+
+def test_class_group_caps_the_discriminant():
+    for disc in (-(MAX_CLASS_GROUP_DISC + 4), 4 * 1000000007):
+        with pytest.raises(ResourceLimit):
+            class_group(disc)
 
 
 # ---------------------------------------------------------------------------

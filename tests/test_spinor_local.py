@@ -1,5 +1,7 @@
 """Local spinor images: the diameter decision procedure vs the pair oracle."""
 
+from math import inf
+
 import pytest
 
 from helpers import (
@@ -30,7 +32,12 @@ from qlat.bt_tree import (
 from qlat.errors import AnchorInvalid, Unbounded
 from qlat.exact_padic import Mat2
 from qlat.local_orders import order_from_module, shifted_eichler_module
-from qlat.spinor_local import SpinorImage, odd_pair_oracle, spinor_image
+from qlat.spinor_local import (
+    SpinorImage,
+    odd_pair_oracle,
+    spinor_image,
+    spinor_image_for_diameter,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +59,22 @@ def test_decision_table_hand_cases():
     for d in (0, 1, 2, 3, 7):
         assert spinor_image(fan, d, 2) == SpinorImage.FULL
     assert spinor_image(Full(p), 4, 3) == SpinorImage.FULL
+
+
+def test_decision_from_diameter_matches_shapes():
+    p = 3
+    v = standard_vertex(p)
+    shapes = [ThickPath((v,), 2), Fan(v, End(1, 0)), Full(p), Empty(p)]
+    for shape in shapes:
+        for r in range(4):
+            deep = shape.deepen(r)
+            delta = None if isinstance(deep, Empty) else deep.diameter()
+            for d in range(6):
+                assert spinor_image_for_diameter(delta, d) == spinor_image(shape, d, r)
+    assert spinor_image_for_diameter(None, 0) == SpinorImage.NO_EMBEDDING
+    assert spinor_image_for_diameter(inf, 6) == SpinorImage.FULL
+    with pytest.raises(ValueError):
+        spinor_image_for_diameter(4, -1)
 
 
 def test_decision_rejects_negative_arguments():
