@@ -450,7 +450,10 @@ def classify_single(a: Mat2, p: int) -> Shape:
     eigenline pair; the field (non-split) case gives a ThickPath whose stem
     is a vertex or an edge.  Raises Unbounded for non-integral input.
     """
-    order_closure([a], p)  # validates integrality
+    # Z_(p)[a] is bounded exactly when the characteristic polynomial is
+    # integral; the closure then only runs to certify Unbounded.
+    if valuation(a.trace(), p) < 0 or valuation(a.det(), p) < 0:
+        order_closure([a], p)
     if a.is_scalar():
         return Full(p)
     disc = a.discriminant()

@@ -13,6 +13,8 @@ The module provides:
   and of integers, and canonical residues modulo powers of p
   (representatives live in Z[1/p] and in [0, p^e)).
 - `sqrt_mod`: the smallest square root modulo a prime (Tonelli-Shanks).
+- `prime_divisors`: the one trial-division factorizer, capped at
+  `MAX_TRIAL_DIVISOR`; `is_prime` and `is_squarefree` read it lazily.
 - `Mat2`: immutable exact 2x2 matrices, with their entries cleared to
   integers over a common denominator.
 - `smith_local`: elementary-divisor exponents of an invertible 2x2 matrix.
@@ -28,9 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, pairwise
 from math import gcd, inf, isqrt
 
-from .errors import SingularMatrix
+from .errors import ResourceLimit, SingularMatrix
+
+# Trial division stops here: every prime below 10^12 is still decided, and
+# factoring one integer costs at most about half a million divisions.
+MAX_TRIAL_DIVISOR = 10**6
 
 Rat = Fraction
 
@@ -141,15 +148,36 @@ def is_rational_square(x) -> bool:
     return rn * rn == n and rd * rd == d
 
 
+def prime_divisors(n: int):
+    """The prime factors of |n| in ascending order, with multiplicity;
+    none for 0 and +-1.
+
+    Lazy trial division by 2 and the odd numbers below `MAX_TRIAL_DIVISOR`.
+    A cofactor of at least MAX_TRIAL_DIVISOR^2 left without a factor below
+    the cap raises ResourceLimit, after the factors found before it.
+    """
+    n = abs(n)
+    for d in chain((2,), range(3, MAX_TRIAL_DIVISOR, 2)):
+        if d * d > n:
+            break
+        while n % d == 0:
+            yield d
+            n //= d
+    else:
+        if n >= MAX_TRIAL_DIVISOR**2:
+            raise ResourceLimit(
+                f"factoring {n} needs trial divisors past {MAX_TRIAL_DIVISOR}"
+            )
+    if n > 1:
+        yield n
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n > 1 and next(prime_divisors(n)) == n
+
+
+def is_squarefree(m: int) -> bool:
+    return m != 0 and all(a != b for a, b in pairwise(prime_divisors(m)))
 
 
 def is_local_square_rat(x, p: int) -> bool:

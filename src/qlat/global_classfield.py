@@ -27,7 +27,9 @@ from .exact_padic import (
     is_local_square_rat,
     is_prime,
     is_rational_square,
+    is_squarefree,
     legendre,
+    prime_divisors,
     reduce_mod_ppow,
     sqrt_mod,
     valuation,
@@ -38,7 +40,6 @@ from .quadforms import (
     class_group,
     class_rep,
     fundamental_discriminant,
-    is_squarefree,
     kronecker_at,
     negative_identity_class,
     prime_form,
@@ -97,21 +98,6 @@ def _fraction_sqrt(x: Fraction) -> Fraction:
     return Fraction(isqrt(x.numerator), isqrt(x.denominator))
 
 
-def _prime_factors(n: int) -> set[int]:
-    n = abs(n)
-    out: set[int] = set()
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Fields and places
 
@@ -129,14 +115,6 @@ class PrimeIdeal:
         if self.selector:
             return f"{self.p}.{self.selector}"
         return str(self.p)
-
-    @property
-    def residue_degree(self) -> int:
-        return 2 if self.tag == "inert" else 1
-
-    @property
-    def is_dyadic(self) -> bool:
-        return self.p == 2
 
 
 @dataclass(frozen=True)
@@ -665,9 +643,9 @@ def _quadratic_in_sigma(
         n = delta[0]
     else:
         n = fe_norm(delta, field.m)
-    cand = {2} | _prime_factors(field.discriminant)
-    cand |= _prime_factors(n.numerator) | _prime_factors(n.denominator)
-    cand |= _prime_factors(delta[0].denominator) | _prime_factors(delta[1].denominator)
+    cand = {2, *prime_divisors(field.discriminant)}
+    for k in (n.numerator, n.denominator, delta[0].denominator, delta[1].denominator):
+        cand.update(prime_divisors(k))
     for p in sorted(cand):
         for place in field.places_over(p):
             if not is_unramified_or_split(field, delta, place):

@@ -13,8 +13,6 @@ Eichler order.
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +24,6 @@ from .exact_padic import (
     int_valuation,
     module_hnf,
     module_intersect,
-    reduce_mod_ppow,
 )
 
 CLOSURE_MAX_ROUNDS = 64
@@ -277,50 +274,17 @@ def three_maximal_orders(order: ShiftedEichler) -> tuple[Vertex, Vertex, Vertex]
 # Residue field detection
 
 
-def _char_poly_residues(m: Mat2, p: int) -> tuple[int, int]:
-    """(trace, det) of m reduced mod p; well-defined on elements of a
-    bounded order even when matrix entries are non-integral, because trace
-    and det of order elements are local integers."""
-    s = int(reduce_mod_ppow(m.trace(), p, 1))
-    n = int(reduce_mod_ppow(m.det(), p, 1))
-    return s, n
-
-
-def _residue_poly_irreducible(s: int, n: int, p: int) -> bool:
-    return all((z * z - s * z + n) % p != 0 for z in range(p))
-
-
-def has_unramified_residue_field(order: LocalOrder, sample_limit: int = 20000) -> bool:
+def has_unramified_residue_field(order: LocalOrder) -> bool:
     """Does the order contain an element whose residue generates the
     quadratic extension of the residue field?
 
-    Equivalent to the reduction mod p of some Z_(p)-combination of the basis
-    having an irreducible quadratic characteristic polynomial.  For p <= 13
-    all residue combinations are enumerated; for larger p a seeded sample is
-    used.
+    For the order inside D_v, this says its image in D_v / p D_v is F_{p^2}
+    or all of M2(F_p), i.e. it fixes no line mod p.  A fixed line is a
+    neighbor of v whose maximal order also contains the order, so the test
+    holds exactly when the branch is the single vertex v.  At large p the
+    branch computation may raise BudgetExceeded.
     """
-    p = order.p
-    basis = order.closure.basis
-    k = len(basis)
+    from .branches import ThickPath, branch_of_order
 
-    def test(coeffs) -> bool:
-        m = Mat2.zero()
-        for c, b in zip(coeffs, basis):
-            if c:
-                m = m + b.scale(c)
-        if m.is_scalar():
-            return False
-        s, n = _char_poly_residues(m, p)
-        return _residue_poly_irreducible(s, n, p)
-
-    if p <= 13:
-        for coeffs in itertools.product(range(p), repeat=k):
-            if any(coeffs) and test(coeffs):
-                return True
-        return False
-    rng = random.Random(0)
-    for _ in range(sample_limit):
-        coeffs = tuple(rng.randrange(p) for _ in range(k))
-        if any(coeffs) and test(coeffs):
-            return True
-    return False
+    s = branch_of_order(order)
+    return isinstance(s, ThickPath) and len(s.path) == 1 and s.t == 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import ResourceLimit
-from .exact_padic import legendre, sqrt_mod
+from .exact_padic import is_squarefree, legendre, sqrt_mod
 
 # Largest |discriminant| whose class group is computed: reduced-form
 # enumeration takes O(|disc|) steps, so larger requests exit with
@@ -54,20 +54,6 @@ def fundamental_discriminant(m: int) -> int:
     if not is_squarefree(m):
         raise ValueError(f"{m} is not squarefree")
     return m if m % 4 == 1 else 4 * m
-
-
-def is_squarefree(m: int) -> bool:
-    m = abs(m)
-    if m == 0:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % (d * d) == 0:
-            return False
-        while m % d == 0:
-            m //= d
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,24 @@ matrices: Smith forms for distances, `canonical_vertex` for neighbors,
 lattice arithmetic for steps toward ends, walks for horoball slacks and
 ray distances, and conjugation for margins.
 
-The class-group section at the end keeps the breadth-first subgroup
-closure and the reduced-form enumerations that `qlat.quadforms` replaced.
+The class-group section keeps the breadth-first subgroup closure and the
+reduced-form enumerations that `qlat.quadforms` replaced.  The last two
+sections keep the three unbounded trial-division loops that
+`exact_padic.prime_divisors` replaced, and the enumeration of residue
+combinations that the branch test of `has_unramified_residue_field`
+replaced (its seeded sampling for p > 13 is left out: it decided nothing).
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import isqrt
 
 from qlat.bt_tree import End, Vertex, canonical_vertex
 from qlat.errors import SingularMatrix
-from qlat.exact_padic import Mat2, conjugate, valuation
+from qlat.exact_padic import Mat2, conjugate, reduce_mod_ppow, valuation
+from qlat.local_orders import LocalOrder
 from qlat.quadforms import QForm, _divisors_signed, class_rep, is_reduced_indefinite
 
 
@@ -261,3 +267,88 @@ def enumerate_indefinite_reduced(disc: int) -> list[QForm]:
             if f.is_primitive() and is_reduced_indefinite(f):
                 out.append(f)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Trial division
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def is_squarefree(m: int) -> bool:
+    m = abs(m)
+    if m == 0:
+        return False
+    d = 2
+    while d * d <= m:
+        if m % (d * d) == 0:
+            return False
+        while m % d == 0:
+            m //= d
+        d += 1
+    return True
+
+
+def prime_factors(n: int) -> set[int]:
+    n = abs(n)
+    out: set[int] = set()
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.add(n)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Residue field detection
+
+
+def _char_poly_residues(m: Mat2, p: int) -> tuple[int, int]:
+    """(trace, det) of m reduced mod p; well-defined on elements of a
+    bounded order even when matrix entries are non-integral, because trace
+    and det of order elements are local integers."""
+    s = int(reduce_mod_ppow(m.trace(), p, 1))
+    n = int(reduce_mod_ppow(m.det(), p, 1))
+    return s, n
+
+
+def _residue_poly_irreducible(s: int, n: int, p: int) -> bool:
+    return all((z * z - s * z + n) % p != 0 for z in range(p))
+
+
+def has_unramified_residue_field(order: LocalOrder) -> bool:
+    """Some residue combination of the basis has an irreducible quadratic
+    characteristic polynomial; every combination is tried (p <= 13)."""
+    p = order.p
+    basis = order.closure.basis
+    k = len(basis)
+
+    def test(coeffs) -> bool:
+        m = Mat2.zero()
+        for c, b in zip(coeffs, basis):
+            if c:
+                m = m + b.scale(c)
+        if m.is_scalar():
+            return False
+        s, n = _char_poly_residues(m, p)
+        return _residue_poly_irreducible(s, n, p)
+
+    assert p <= 13, "the enumeration is exhaustive only for small p"
+    for coeffs in itertools.product(range(p), repeat=k):
+        if any(coeffs) and test(coeffs):
+            return True
+    return False

@@ -319,6 +319,56 @@ def test_global_sigma_class_group_cap():
     assert err["error"] == "ResourceLimit"
 
 
+# Each request needs a trial divisor past the factorizer's cap of 10^6, so
+# it exits with ResourceLimit instead of dividing for hours.
+P18 = 10**18 + 9
+FACTOR_CAP_REQUESTS = [
+    (["local", "classify"], {"p": P18, "generators": [[[0, 1], [1, 0]]]}),
+    (
+        ["global", "sigma"],
+        {"field": {"kind": "quadratic", "d": P18}, "algebra": {}, "genus": {}},
+    ),
+    (
+        ["global", "sigma"],
+        {"field": {"kind": "Q"}, "algebra": {"ramified": [str(P18)]}, "genus": {}},
+    ),
+    (
+        ["global", "rep-field"],
+        {
+            "field": {"kind": "Q"},
+            "algebra": {},
+            "genus": {},
+            "suborder": {
+                "kind": "commutative-quadratic",
+                "delta": P18 * (10**18 + 31),
+            },
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args,request_doc",
+    FACTOR_CAP_REQUESTS,
+    ids=["classify-p", "sigma-field", "sigma-ramified-place", "rep-field-delta"],
+)
+def test_factor_cap_exits_3(args, request_doc):
+    err = run_json(args, request_doc, expect=3, timeout=5)
+    assert err["error"] == "ResourceLimit"
+
+
+def test_composite_prime_with_small_factor_is_a_schema_error():
+    # 10^18 + 10 is even: the first trial divisor decides it
+    err = run_json(
+        ["local", "classify"],
+        {"p": 10**18 + 10, "generators": [[[0, 1], [1, 0]]]},
+        expect=2,
+        timeout=5,
+    )
+    assert err["error"] == "SchemaError" and err["path"] == "p"
+    assert "not prime" in err["message"]
+
+
 def test_global_sigma_definite_algebra():
     doc = run_json(
         ["global", "sigma"],

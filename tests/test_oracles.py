@@ -1,18 +1,21 @@
 """Fast paths against the slow routines they replaced (`oracles.py`): the
 integer disc-coordinate local layer on whole balls and seeded ends and
-matrices, and the class-group layer (coset-extension subgroup closure and
-reduced-form enumeration) on discriminants, generator sets and genera."""
+matrices, the class-group layer (coset-extension subgroup closure and
+reduced-form enumeration) on discriminants, generator sets and genera, the
+capped factorizer on integers, and the branch-based residue-field test on
+seeded and structured orders."""
 
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
 import pytest
+from sympy import factorint
 from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 from sympy.solvers.diophantine.diophantine import diop_DN
 
 import oracles
-from helpers import make_rng, random_matrix
+from helpers import make_rng, random_matrix, random_order, random_vertex
 from qlat.branches import _climb, _level_neighbors, fan_slack, mu_margin
 from qlat.bt_tree import (
     End,
@@ -24,9 +27,24 @@ from qlat.bt_tree import (
     standard_vertex,
     step_toward_end,
 )
-from qlat.exact_padic import Mat2, sqrt_mod
+from qlat.errors import ResourceLimit
+from qlat.exact_padic import (
+    MAX_TRIAL_DIVISOR,
+    Mat2,
+    is_prime,
+    prime_divisors,
+    sqrt_mod,
+)
 from qlat.global_classfield import BaseField, Genus, QuatAlgebra, spinor_class_field
-from qlat.local_orders import contains_shifted
+from qlat.local_orders import (
+    contains_shifted,
+    has_unramified_residue_field,
+    maximal_order_module,
+    order_closure,
+    order_from_module,
+    shift_order,
+    shifted_eichler_module,
+)
 from qlat import quadforms
 from qlat.quadforms import (
     ClassGroup,
@@ -306,3 +324,106 @@ def test_spinor_class_field_op_count_is_linear_in_class_number(monkeypatch):
     sigma = spinor_class_field(alg, genus)
     assert sigma.base.order == 390
     assert counter.calls <= 3 * sigma.base.order, counter.calls
+
+
+# ---------------------------------------------------------------------------
+# Factorizer
+
+
+def _sympy_factors(n: int) -> list[int]:
+    n = abs(n)
+    if n < 2:
+        return []
+    return sorted(q for q, e in factorint(n).items() for _ in range(e))
+
+
+def _check_factorizer(n: int):
+    assert list(prime_divisors(n)) == _sympy_factors(n), n
+    assert set(prime_divisors(n)) == oracles.prime_factors(n), n
+    assert is_prime(n) == oracles.is_prime(n), n
+    assert is_squarefree(n) == oracles.is_squarefree(n), n
+
+
+def test_factorizer_matches_trial_division_loops_below_20000():
+    for n in range(-50, 20000):
+        _check_factorizer(n)
+
+
+def test_factorizer_matches_sympy_on_seeded_integers_below_10_12():
+    rng = make_rng(21)
+    for _ in range(40):
+        _check_factorizer(rng.randrange(2, 10**12))
+    for _ in range(8):
+        _check_factorizer(rng.randrange(2, 10**6) ** 2 * rng.randrange(1, 1000))
+    # primes and semiprimes whose factors sit just under the cap
+    for n in (999983, 999979 * 999983, 10**12 - 11, -(10**12 - 11)):
+        assert list(prime_divisors(n)) == _sympy_factors(n), n
+
+
+def test_factorizer_cap_edges():
+    assert MAX_TRIAL_DIVISOR == 10**6
+    assert list(prime_divisors(999983**2)) == [999983, 999983]
+    assert is_prime(10**12 - 11)  # the largest prime below 10^12
+    big = 10**12 + 39  # the least prime above 10^12
+    with pytest.raises(ResourceLimit):
+        is_prime(big)
+    with pytest.raises(ResourceLimit):
+        list(prime_divisors(3 * big))
+    # a small factor still decides without reaching the cap
+    assert not is_prime(2 * big)
+    assert not is_squarefree(4 * big)
+    assert next(prime_divisors(3 * big)) == 3
+
+
+# ---------------------------------------------------------------------------
+# Residue field
+
+
+def _nonresidue_generator(p: int) -> Mat2:
+    """A matrix whose characteristic polynomial is irreducible mod p."""
+    if p == 2:
+        return Mat2.of([[0, -1], [1, 1]])
+    n = next(n for n in range(2, p) if sqrt_mod(n, p) is None)
+    return Mat2.of([[0, n], [1, 0]])
+
+
+def _structured_orders(p: int, rng, count: int):
+    """Conjugated field generators and their shifts, Eichler orders and
+    maximal orders; `count` conjugates and vertex pairs of each kind."""
+    fields = [
+        _nonresidue_generator(p),
+        Mat2.of([[0, p], [1, 0]]),
+        Mat2.of([[1, p], [1, 1]]),
+        _nonresidue_generator(p) + Mat2.of([[p, 0], [0, 0]]),
+    ]
+    for f in fields:
+        for _ in range(count):
+            g = random_matrix(rng, p, span=1)
+            if g.det() == 0:
+                continue
+            order = order_closure([g * f * g.inverse()], p)
+            yield order
+            yield shift_order(order, 1)
+        two = order_closure([f, Mat2.of([[1, 0], [0, -1]])], p)
+        yield two
+        yield shift_order(two, 1)
+    for _ in range(2 * count):
+        v1 = random_vertex(rng, p, 3)
+        v2 = random_vertex(rng, p, 3)
+        for r in (0, 1):
+            yield order_from_module(shifted_eichler_module(v1, v2, r))
+        yield order_from_module(maximal_order_module(v1))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_residue_field_branch_test_matches_enumeration(p):
+    # the enumeration tries p^4 combinations on each rank-4 order
+    count = 3 if p < 7 else 1
+    rng = make_rng(40 + p)
+    orders = list(_structured_orders(p, rng, count))
+    for ngens in (1, 2, 3):
+        orders += [random_order(rng, p, ngens) for _ in range(4 * count)]
+    got = [has_unramified_residue_field(o) for o in orders]
+    for o, answer in zip(orders, got):
+        assert answer == oracles.has_unramified_residue_field(o), o
+    assert True in got and False in got
