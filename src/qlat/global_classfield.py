@@ -7,20 +7,19 @@ Global arithmetic over Q and over quadratic fields Q(sqrt(m)):
   local square tests, and unramifiedness tests for field elements; the
   split-place branch is pinned by a canonical Hensel square root, so every
   answer is reproducible;
-* narrow ray class groups with real moduli, realized inside the narrow
-  form class group of the field discriminant;
-* the spinor class field of an Eichler-type quaternion genus (its degree,
-  forced split places, and ideal-class kernel), representation fields of
-  suborder genera (commutative quadratic suborders with a conductor,
-  rank-3 suborders, rank-4 Eichler-type suborders), and the resulting
-  selectivity ratios.
+* narrow ray class groups with real moduli, known by their order;
+* the spinor class field of an Eichler-type quaternion genus (its degree
+  and forced split places), representation fields of suborder genera
+  (commutative quadratic suborders with a conductor, rank-3 suborders,
+  rank-4 Eichler-type suborders), and the resulting selectivity ratios,
+  with degrees read off the F_2 rank of genus characters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import inf, prod
 
 from .errors import AlgebraNotSplit, EmbeddingInfeasible, SchemaError
 from .exact_padic import (
@@ -35,14 +34,10 @@ from .exact_padic import (
     valuation,
 )
 from .quadforms import (
-    ClassGroup,
-    QForm,
     class_group,
-    class_rep,
     fundamental_discriminant,
     kronecker_at,
     negative_identity_class,
-    prime_form,
 )
 
 #: Field element x + y*sqrt(m), held as a pair of exact rationals.
@@ -439,37 +434,16 @@ def fe_is_square(field: BaseField, el: FE) -> bool:
 
 @dataclass(frozen=True)
 class RayClassGroup:
-    """Narrow ray class group of conductor = a set of real places,
-    realized as (narrow form class group) / kernel."""
+    """Narrow ray class group of conductor = a set of real places."""
 
     field: BaseField
     modulus: tuple[str, ...]
-    base: ClassGroup | None = dc_field(repr=False, default=None)
-    kernel: frozenset[QForm] = frozenset()
+    order: int
 
     @property
-    def order(self) -> int:
-        if self.base is None:
-            return 1
-        return self.base.order // len(self.kernel)
-
-    def coset_rep(self, f: QForm) -> QForm:
-        """Canonical label of the coset of f (minimal class representative)."""
-        if self.base is None:
-            raise ValueError("the trivial group has no form representatives")
-        return min(self.base.op(f, k) for k in self.kernel)
-
-    def prime_class(self, place: PrimeIdeal) -> QForm | None:
-        """Coset of the class of the prime ideal; None over Q."""
-        if self.base is None:
-            return None
-        return self.coset_rep(_ideal_class(self.base, place))
-
-
-def _ideal_class(base: ClassGroup, place: PrimeIdeal) -> QForm:
-    if place.tag == "inert":
-        return base.identity  # the ideal is (p), principal and totally positive
-    return class_rep(prime_form(base.disc, place.p, place.selector or 1), base.disc)
+    def wide(self) -> bool:
+        """Does the modulus drop a real place?"""
+        return len(self.modulus) < len(self.field.real_place_keys())
 
 
 def narrow_ray_class_group(field: BaseField, modulus=()) -> RayClassGroup:
@@ -478,18 +452,76 @@ def narrow_ray_class_group(field: BaseField, modulus=()) -> RayClassGroup:
         if key not in field.real_place_keys():
             raise ValueError(f"{key!r} is not a real place of this field")
     if field.is_rational:
-        return RayClassGroup(field, keys, None, frozenset())
+        return RayClassGroup(field, keys, 1)
     disc = field.discriminant
     base = class_group(disc)
-    if field.m < 0 or len(keys) == 2:
-        kernel = frozenset({base.identity})
-    else:
-        # Dropping a real place from the modulus absorbs the class of the
-        # norm -1 form (ideals become identified with their totally
-        # negative twists); dropping one place or both gives the same
-        # quotient, the wide class group.
-        kernel = base.subgroup([negative_identity_class(disc)])
-    return RayClassGroup(field, keys, base, kernel)
+    ray = RayClassGroup(field, keys, base.order)
+    # Dropping a real place from the modulus absorbs the class of the norm
+    # -1 form, of order 1 or 2; dropping one place or both gives the same
+    # quotient, the wide class group.
+    if ray.wide and negative_identity_class(disc) != base.identity:
+        return RayClassGroup(field, keys, base.order // 2)
+    return ray
+
+
+# ---------------------------------------------------------------------------
+# Genus characters
+
+
+def _prime_discriminants(disc: int) -> tuple[int, ...]:
+    """The prime discriminants with product disc: -4, 8 or -8, then
+    p* = +-p = 1 mod 4 for each odd p | disc, ascending in p."""
+    qs = [p if p % 4 == 1 else -p for p in sorted(set(prime_divisors(disc))) if p > 2]
+    if disc % 2 == 0:
+        qs.insert(0, disc // prod(qs))
+    return tuple(qs)
+
+
+def _genus_row(qs: tuple[int, ...], place: PrimeIdeal) -> int:
+    """Genus characters at the class of a prime ideal: bit i is set when
+    (q_i / N(place)) = -1.  An inert ideal (p) gives 0; at a ramified one
+    over p | q_j, bit j makes the bits sum to zero, as in every row."""
+    if place.tag == "inert":
+        return 0
+    row, ramified = 0, None
+    for i, q in enumerate(qs):
+        if q % place.p == 0:
+            ramified = i
+        elif kronecker_at(q, place.p) == -1:
+            row |= 1 << i
+    if ramified is not None and row.bit_count() % 2:
+        row |= 1 << ramified
+    return row
+
+
+def _f2_rank(rows) -> int:
+    """Rank over F_2 of integer bit rows (an XOR basis keyed by top bit)."""
+    basis: dict[int, int] = {}
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            if top not in basis:
+                basis[top] = row
+                break
+            row ^= basis[top]
+    return len(basis)
+
+
+def _genus_degree(ray: RayClassGroup, places) -> int:
+    """Index in the ray class group of the squares and the places' classes.
+
+    Genus theory maps the narrow class group onto the sum-zero rows of
+    F_2^t with kernel the squares (Cox, *Primes of the form x^2 + ny^2*,
+    §§3, 6), so the index is 2^(t - 1 - rank); a wide modulus adds the row
+    of the norm -1 class, bit i set when q_i < 0.
+    """
+    if ray.field.is_rational:
+        return 1
+    qs = _prime_discriminants(ray.field.discriminant)
+    rows = [_genus_row(qs, place) for place in places]
+    if ray.wide:
+        rows.append(sum(1 << i for i, q in enumerate(qs) if q < 0))
+    return 2 ** (len(qs) - 1 - _f2_rank(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -574,42 +606,37 @@ def validate_genus(algebra: QuatAlgebra, genus: Genus, path: str = "genus") -> N
 
 @dataclass(frozen=True)
 class SigmaField:
-    """The spinor class field of a genus, presented by class-group data:
-    degree over the base field, the ray class group order it sits in, the
-    finite places whose Frobenius classes are forced to die, and the
-    ideal-class kernel cutting it out."""
+    """The spinor class field of a genus: the ray class group it is a
+    quotient of, its degree over the base field, and the finite places
+    whose Frobenius classes are forced to die."""
 
-    field: BaseField
-    modulus: tuple[str, ...]
+    ray: RayClassGroup
     degree: int
-    group_order: int
-    forced_split: tuple[str, ...]
-    base: ClassGroup | None = dc_field(repr=False, default=None)
-    kernel: frozenset[QForm] = dc_field(repr=False, default=frozenset())
+    forced: tuple[PrimeIdeal, ...]
+
+    @property
+    def group_order(self) -> int:
+        return self.ray.order
+
+    @property
+    def forced_split(self) -> tuple[str, ...]:
+        return tuple(p.key() for p in self.forced)
 
 
 def spinor_class_field(algebra: QuatAlgebra, genus: Genus) -> SigmaField:
-    """Degree, forced split places, and kernel of the spinor class field.
+    """Degree and forced split places of the spinor class field.
 
     The class field is the largest exponent-2 extension of the base field
     that is unramified at all finite places, unramified at the real places
     where the algebra is split (those stay in the modulus), and split at
     every finite division place and every place of odd level.
     """
-    field = algebra.field
     validate_genus(algebra, genus)
-    forced = sorted(set(algebra.finite) | {p for p, d in genus.level if d % 2 == 1})
-    fkeys = tuple(p.key() for p in forced)
-    ray = narrow_ray_class_group(field, algebra.real)
-    if ray.base is None:
-        return SigmaField(field, ray.modulus, 1, 1, fkeys, None, frozenset())
-    base = ray.base
-    gens = set(ray.kernel)
-    gens.update(base.op(x, x) for x in base.reps)
-    gens.update(_ideal_class(base, p) for p in forced)
-    kernel = base.subgroup(gens)
-    degree = base.order // len(kernel)
-    return SigmaField(field, ray.modulus, degree, ray.order, fkeys, base, kernel)
+    forced = tuple(
+        sorted(set(algebra.finite) | {p for p, d in genus.level if d % 2 == 1})
+    )
+    ray = narrow_ray_class_group(algebra.field, algebra.real)
+    return SigmaField(ray, _genus_degree(ray, forced), forced)
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +684,7 @@ def _quadratic_in_sigma(
     # (c) the forced classes must split in K(sqrt(delta)).  After (a) the
     # extension is unramified at these places, so splitting is exactly the
     # local square condition.
-    for key in sigma.forced_split:
-        place = parse_place_key(field, key)
+    for place in sigma.forced:
         if not is_local_square(field, delta, place):
             return False
     return True
@@ -775,11 +801,5 @@ def rep_field_rank4(algebra: QuatAlgebra, genus: Genus, sub: Genus) -> RepField:
         if d2 + 2 * r2 > d1 + 2 * r1:
             strict.append(place)
     sigma = spinor_class_field(algebra, genus)
-    keys = tuple(p.key() for p in strict)
-    if sigma.base is None:
-        return RepField(1, sigma, keys)
-    kernel = sigma.base.subgroup(
-        set(sigma.kernel) | {_ideal_class(sigma.base, p) for p in strict}
-    )
-    degree = sigma.base.order // len(kernel)
-    return RepField(degree, sigma, keys)
+    degree = _genus_degree(sigma.ray, sigma.forced + tuple(strict))
+    return RepField(degree, sigma, tuple(p.key() for p in strict))

@@ -226,35 +226,6 @@ class ClassGroup:
     def inverse(self, f: QForm) -> QForm:
         return class_rep(QForm(f.a, -f.b, f.c), self.disc)
 
-    def subgroup(self, gens) -> frozenset[QForm]:
-        """Closure of the identity and the given class representatives.
-
-        The group is abelian, so adjoining g to a subgroup H adds the cosets
-        g*H, g^2*H, ... up to the first power of g that lies in H: one `op`
-        per new element and one per generator adjoined, so at most twice
-        the order of the result.  A generator already in the subgroup costs
-        a set lookup; `class_rep` runs only on the others.
-        """
-        elems = [self.identity]
-        have = set(elems)
-        for g in gens:
-            if g in have:
-                continue
-            g = class_rep(g, self.disc)
-            if g in have:
-                continue
-            old = elems[1:]
-            x = g
-            while x not in have:
-                elems.append(x)
-                have.add(x)
-                for h in old:
-                    y = self.op(x, h)
-                    elems.append(y)
-                    have.add(y)
-                x = self.op(x, g)
-        return frozenset(have)
-
 
 def _enumerate_definite(disc: int) -> tuple[QForm, ...]:
     out = []

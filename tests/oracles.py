@@ -9,24 +9,47 @@ lattice arithmetic for steps toward ends, walks for horoball slacks and
 ray distances, and conjugation for margins.
 
 The class-group section keeps the breadth-first subgroup closure and the
-reduced-form enumerations that `qlat.quadforms` replaced.  The last two
-sections keep the three unbounded trial-division loops that
-`exact_padic.prime_divisors` replaced, and the enumeration of residue
-combinations that the branch test of `has_unramified_residue_field`
-replaced (its seeded sampling for p > 13 is left out: it decided nothing).
+reduced-form enumerations that `qlat.quadforms` replaced.  The spinor
+class-field section keeps the class-group closure that the genus-character
+degree of `qlat.global_classfield` replaced: the coset-extension subgroup,
+ray class groups carried as a form class group with a kernel, and the
+spinor class field and rank-4 representation-field degree as the index of
+a closed kernel.  The last two sections keep the three unbounded
+trial-division loops that `exact_padic.prime_divisors` replaced, and the
+enumeration of residue combinations that the branch test of
+`has_unramified_residue_field` replaced (its seeded sampling for p > 13
+is left out: it decided nothing).
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import isqrt
 
 from qlat.bt_tree import End, Vertex, canonical_vertex
-from qlat.errors import SingularMatrix
+from qlat.errors import EmbeddingInfeasible, SingularMatrix
 from qlat.exact_padic import Mat2, conjugate, reduce_mod_ppow, valuation
+from qlat.global_classfield import (
+    BaseField,
+    Genus,
+    PrimeIdeal,
+    QuatAlgebra,
+    RepField,
+    validate_genus,
+)
 from qlat.local_orders import LocalOrder
-from qlat.quadforms import QForm, _divisors_signed, class_rep, is_reduced_indefinite
+from qlat.quadforms import (
+    ClassGroup,
+    QForm,
+    _divisors_signed,
+    class_group,
+    class_rep,
+    is_reduced_indefinite,
+    negative_identity_class,
+    prime_form,
+)
 
 
 def smith_local_transforms(g: Mat2, p: int):
@@ -267,6 +290,155 @@ def enumerate_indefinite_reduced(disc: int) -> list[QForm]:
             if f.is_primitive() and is_reduced_indefinite(f):
                 out.append(f)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Spinor class fields by class-group closure
+
+
+def subgroup(group: ClassGroup, gens) -> frozenset[QForm]:
+    """Closure of the identity and the given class representatives.
+
+    The group is abelian, so adjoining g to a subgroup H adds the cosets
+    g*H, g^2*H, ... up to the first power of g that lies in H: one `op`
+    per new element and one per generator adjoined, so at most twice
+    the order of the result.  A generator already in the subgroup costs
+    a set lookup; `class_rep` runs only on the others.
+    """
+    elems = [group.identity]
+    have = set(elems)
+    for g in gens:
+        if g in have:
+            continue
+        g = class_rep(g, group.disc)
+        if g in have:
+            continue
+        old = elems[1:]
+        x = g
+        while x not in have:
+            elems.append(x)
+            have.add(x)
+            for h in old:
+                y = group.op(x, h)
+                elems.append(y)
+                have.add(y)
+            x = group.op(x, g)
+    return frozenset(have)
+
+
+@dataclass(frozen=True)
+class RayClassGroup:
+    """Narrow ray class group of conductor = a set of real places,
+    realized as (narrow form class group) / kernel."""
+
+    field: BaseField
+    modulus: tuple[str, ...]
+    base: ClassGroup | None = dc_field(repr=False, default=None)
+    kernel: frozenset[QForm] = frozenset()
+
+    @property
+    def order(self) -> int:
+        if self.base is None:
+            return 1
+        return self.base.order // len(self.kernel)
+
+
+def _ideal_class(base: ClassGroup, place: PrimeIdeal) -> QForm:
+    if place.tag == "inert":
+        return base.identity  # the ideal is (p), principal and totally positive
+    return class_rep(prime_form(base.disc, place.p, place.selector or 1), base.disc)
+
+
+def narrow_ray_class_group(field: BaseField, modulus=()) -> RayClassGroup:
+    keys = tuple(sorted(set(modulus)))
+    for key in keys:
+        if key not in field.real_place_keys():
+            raise ValueError(f"{key!r} is not a real place of this field")
+    if field.is_rational:
+        return RayClassGroup(field, keys, None, frozenset())
+    disc = field.discriminant
+    base = class_group(disc)
+    if field.m < 0 or len(keys) == 2:
+        kernel = frozenset({base.identity})
+    else:
+        # Dropping a real place from the modulus absorbs the class of the
+        # norm -1 form (ideals become identified with their totally
+        # negative twists); dropping one place or both gives the same
+        # quotient, the wide class group.
+        kernel = subgroup(base, [negative_identity_class(disc)])
+    return RayClassGroup(field, keys, base, kernel)
+
+
+@dataclass(frozen=True)
+class SigmaField:
+    """The spinor class field of a genus, presented by class-group data:
+    degree over the base field, the ray class group order it sits in, the
+    finite places whose Frobenius classes are forced to die, and the
+    ideal-class kernel cutting it out."""
+
+    field: BaseField
+    modulus: tuple[str, ...]
+    degree: int
+    group_order: int
+    forced_split: tuple[str, ...]
+    base: ClassGroup | None = dc_field(repr=False, default=None)
+    kernel: frozenset[QForm] = dc_field(repr=False, default=frozenset())
+
+
+def spinor_class_field(algebra: QuatAlgebra, genus: Genus) -> SigmaField:
+    """Degree, forced split places, and kernel of the spinor class field.
+
+    The class field is the largest exponent-2 extension of the base field
+    that is unramified at all finite places, unramified at the real places
+    where the algebra is split (those stay in the modulus), and split at
+    every finite division place and every place of odd level.
+    """
+    field = algebra.field
+    validate_genus(algebra, genus)
+    forced = sorted(set(algebra.finite) | {p for p, d in genus.level if d % 2 == 1})
+    fkeys = tuple(p.key() for p in forced)
+    ray = narrow_ray_class_group(field, algebra.real)
+    if ray.base is None:
+        return SigmaField(field, ray.modulus, 1, 1, fkeys, None, frozenset())
+    base = ray.base
+    gens = set(ray.kernel)
+    gens.update(base.op(x, x) for x in base.reps)
+    gens.update(_ideal_class(base, p) for p in forced)
+    kernel = subgroup(base, gens)
+    degree = base.order // len(kernel)
+    return SigmaField(field, ray.modulus, degree, ray.order, fkeys, base, kernel)
+
+
+def rep_field_rank4(algebra: QuatAlgebra, genus: Genus, sub: Genus) -> RepField:
+    """Representation field of a rank-4 Eichler-type suborder genus: the
+    index of the spinor kernel extended by the classes of the places where
+    the suborder is strictly deeper."""
+    validate_genus(algebra, genus)
+    validate_genus(algebra, sub, path="suborder")
+    support = sorted(set(genus.support()) | set(sub.support()))
+    strict: list[PrimeIdeal] = []
+    for place in support:
+        r1, d1 = genus.shift_at(place), genus.level_at(place)
+        r2, d2 = sub.shift_at(place), sub.level_at(place)
+        if r2 < r1:
+            raise EmbeddingInfeasible(
+                place.key(), "the suborder shift is shallower than the genus shift"
+            )
+        if d2 + 2 * r2 < d1 + 2 * r1:
+            raise EmbeddingInfeasible(
+                place.key(), "the suborder diameter is smaller than the genus level"
+            )
+        if d2 + 2 * r2 > d1 + 2 * r1:
+            strict.append(place)
+    sigma = spinor_class_field(algebra, genus)
+    keys = tuple(p.key() for p in strict)
+    if sigma.base is None:
+        return RepField(1, sigma, keys)
+    kernel = subgroup(
+        sigma.base, set(sigma.kernel) | {_ideal_class(sigma.base, p) for p in strict}
+    )
+    degree = sigma.base.order // len(kernel)
+    return RepField(degree, sigma, keys)
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,20 @@
 fields, representation fields, and the local/global cross-check."""
 
 from fractions import Fraction
-from math import inf
+from itertools import combinations
+from math import gcd, inf, prod
 
 import pytest
 
+from helpers import make_rng
 from qlat.branches import ThickPath, classify_single
 from qlat.errors import AlgebraNotSplit, EmbeddingInfeasible, SchemaError
-from qlat.exact_padic import Mat2
+from qlat.exact_padic import Mat2, is_prime, is_squarefree
 from qlat.global_classfield import (
     BaseField,
     Genus,
     QuatAlgebra,
+    _prime_discriminants,
     fe,
     fe_conj,
     fe_inv,
@@ -33,7 +36,7 @@ from qlat.global_classfield import (
     spinor_class_field,
     val_at_place,
 )
-from qlat.quadforms import QForm, class_rep
+from qlat.quadforms import QForm, class_rep, fundamental_discriminant
 from qlat.spinor_local import SpinorImage, spinor_image
 
 Q = BaseField.rationals()
@@ -320,12 +323,53 @@ def test_ray_class_group_orders():
 
 
 def test_prime_classes_in_ray_group():
-    ray = narrow_ray_class_group(K10, ("inf1", "inf2"))
-    ident = ray.coset_rep(ray.base.identity)
-    assert ray.prime_class(place(K10, "7")) == ident  # inert: the ideal (7)
-    assert ray.prime_class(place(K10, "31.1")) == ident  # 31 = N(11 + 3 sqrt10)
-    assert ray.prime_class(place(K10, "3.1")) != ident
-    assert narrow_ray_class_group(Q).prime_class(place(Q, "3")) is None
+    # A place strict for a rank-4 suborder keeps degree 2 in the narrow ray
+    # class group of Q(sqrt 10) (order 2) exactly when its class is trivial.
+    alg = QuatAlgebra.of(K10, real=("inf1", "inf2"))
+
+    def degree(field, alg, key):
+        sub = Genus.of(shift={place(field, key): 1})
+        return rep_field_rank4(alg, Genus.of(), sub).degree
+
+    assert narrow_ray_class_group(K10, ("inf1", "inf2")).order == 2
+    assert degree(K10, alg, "7") == 2  # inert: the ideal (7)
+    assert degree(K10, alg, "31.1") == 2  # 31 = N(11 + 3 sqrt10)
+    assert degree(K10, alg, "3.1") == 1
+    assert degree(Q, QuatAlgebra.of(Q), "3") == 1
+
+
+# ---------------------------------------------------------------------------
+# genus characters
+
+
+def _check_prime_discriminants(disc: int):
+    qs = _prime_discriminants(disc)
+    assert prod(qs) == disc, (disc, qs)
+    for q in qs:
+        assert q in (-4, 8, -8) or (q % 4 == 1 and is_prime(abs(q))), (disc, q)
+    for q, r in combinations(qs, 2):
+        assert gcd(q, r) == 1, (disc, qs)
+
+
+def test_prime_discriminants_of_small_fundamental_discriminants():
+    count = 0
+    for m in range(-10**4, 10**4 + 1):
+        if m not in (0, 1) and is_squarefree(m):
+            disc = fundamental_discriminant(m)
+            if abs(disc) <= 10**4:
+                _check_prime_discriminants(disc)
+                count += 1
+    assert count > 6000
+
+
+def test_prime_discriminants_of_seeded_fundamental_discriminants():
+    rng = make_rng(16)
+    count = 0
+    while count < 300:
+        m = rng.randrange(2, 10**7 // 4) * rng.choice((1, -1))
+        if is_squarefree(m):
+            _check_prime_discriminants(fundamental_discriminant(m))
+            count += 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Fast paths against the slow routines they replaced (`oracles.py`): the
 integer disc-coordinate local layer on whole balls and seeded ends and
-matrices, the class-group layer (coset-extension subgroup closure and
-reduced-form enumeration) on discriminants, generator sets and genera, the
-capped factorizer on integers, and the branch-based residue-field test on
-seeded and structured orders."""
+matrices, the class-group layer (reduced-form enumeration, and the
+coset-extension closure against the breadth-first one) on discriminants
+and generator sets, the genus-character class-field degrees against the
+class-group closure on genera, the capped factorizer on integers, and the
+branch-based residue-field test on seeded and structured orders."""
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -35,7 +37,15 @@ from qlat.exact_padic import (
     prime_divisors,
     sqrt_mod,
 )
-from qlat.global_classfield import BaseField, Genus, QuatAlgebra, spinor_class_field
+from qlat import global_classfield
+from qlat.global_classfield import (
+    BaseField,
+    Genus,
+    QuatAlgebra,
+    _prime_discriminants,
+    rep_field_rank4,
+    spinor_class_field,
+)
 from qlat.local_orders import (
     contains_shifted,
     has_unramified_residue_field,
@@ -276,7 +286,7 @@ def test_subgroup_matches_breadth_first_closure(monkeypatch):
         group = class_group(disc)
         for gens in _generator_sets(group, rng):
             counter = _OpCounter(monkeypatch)
-            got = group.subgroup(gens)
+            got = oracles.subgroup(group, gens)
             ops = counter.calls
             monkeypatch.undo()
             assert got == oracles.subgroup_bfs(group, gens), (disc, gens)
@@ -285,7 +295,7 @@ def test_subgroup_matches_breadth_first_closure(monkeypatch):
 
 
 def _slow_class_groups(monkeypatch):
-    monkeypatch.setattr(ClassGroup, "subgroup", oracles.subgroup_bfs)
+    monkeypatch.setattr(oracles, "subgroup", oracles.subgroup_bfs)
     monkeypatch.setattr(quadforms, "_enumerate_definite", oracles.enumerate_definite)
     monkeypatch.setattr(
         quadforms, "_enumerate_indefinite_reduced", oracles.enumerate_indefinite_reduced
@@ -305,25 +315,130 @@ def _seeded_genera(seed: int):
         yield QuatAlgebra.of(field, real=real), Genus.of(level=level)
 
 
+def _sigma_facts(sigma) -> tuple:
+    return sigma.degree, sigma.group_order, sigma.forced_split
+
+
 def test_spinor_class_field_matches_breadth_first_closure(monkeypatch):
     genera = list(_seeded_genera(14))
     fast = [spinor_class_field(alg, genus) for alg, genus in genera]
     _slow_class_groups(monkeypatch)
-    slow = [spinor_class_field(alg, genus) for alg, genus in genera]
-    assert [s.degree for s in fast] == [s.degree for s in slow]
-    assert [s.kernel for s in fast] == [s.kernel for s in slow]
-    assert [s.base.reps for s in fast] == [s.base.reps for s in slow]
+    slow = [oracles.spinor_class_field(alg, genus) for alg, genus in genera]
+    assert [_sigma_facts(s) for s in fast] == [_sigma_facts(s) for s in slow]
     assert len({s.degree for s in fast}) > 1
 
 
-def test_spinor_class_field_op_count_is_linear_in_class_number(monkeypatch):
-    # Q(sqrt(-72134)) has h = 390: 390 squares, then 194 ops to close the
-    # kernel of order 195, where the breadth-first closure made 38,415
+def test_spinor_class_field_makes_no_compositions(monkeypatch):
+    # Q(sqrt(-72134)) has h = 390: the degree comes from genus characters,
+    # with no composition of classes
+    calls = []
+    compose = quadforms.compose
+    monkeypatch.setattr(
+        quadforms, "compose", lambda f, g: calls.append(1) or compose(f, g)
+    )
     alg, genus = QuatAlgebra.of(BaseField.quadratic(-72134)), Genus.of()
-    counter = _OpCounter(monkeypatch)
     sigma = spinor_class_field(alg, genus)
-    assert sigma.base.order == 390
-    assert counter.calls <= 3 * sigma.base.order, counter.calls
+    assert (sigma.group_order, sigma.degree) == (390, 2)
+    assert calls == []
+
+
+@pytest.fixture
+def cached_class_groups(monkeypatch):
+    """Each class group, class representative and product of two classes
+    computed once, and each closure-oracle ray group and spinor class
+    field built once, for sweeps over thousands of genera."""
+    cached = lru_cache(maxsize=None)(class_group)
+    monkeypatch.setattr(global_classfield, "class_group", cached)
+    monkeypatch.setattr(oracles, "class_group", cached)
+    rep = lru_cache(maxsize=None)(quadforms.class_rep)
+    monkeypatch.setattr(quadforms, "class_rep", rep)
+    monkeypatch.setattr(oracles, "class_rep", rep)
+    for name in ("narrow_ray_class_group", "spinor_class_field"):
+        monkeypatch.setattr(oracles, name, lru_cache(None)(getattr(oracles, name)))
+    memo: dict = {}
+
+    def keyed(fn, key):
+        def call(group, x):
+            k = (group.disc, key(x))
+            if k not in memo:
+                memo[k] = fn(group, x)
+            return memo[k]
+
+        return call
+
+    # an ideal class by its place, a subgroup by its generator set, and a
+    # product of two classes by the pair (forms carry their discriminant)
+    ideal_class = keyed(oracles._ideal_class, lambda place: place)
+    monkeypatch.setattr(oracles, "_ideal_class", ideal_class)
+    monkeypatch.setattr(oracles, "subgroup", keyed(oracles.subgroup, frozenset))
+    op = ClassGroup.op
+    monkeypatch.setattr(ClassGroup, "op", lambda group, f, g: (
+        memo.get((f, g)) or memo.setdefault((f, g), op(group, f, g))))
+
+
+def _fundamental_radicands(bound: int):
+    """The squarefree m whose field discriminant has |D| <= bound."""
+    for m in range(-bound, bound + 1):
+        if m not in (0, 1) and is_squarefree(m):
+            if abs(fundamental_discriminant(m)) <= bound:
+                yield m
+
+
+def genus_sweep(bound: int, seed: int, rank4_share: float) -> tuple[int, int, list]:
+    """Genus-character degrees against the class-group closure on every
+    fundamental discriminant with |D| <= bound, under both moduli and every
+    forced set of at most three places over 2, 3, 5 and 7 (odd level).
+    A seeded share of these genera also gets a rank-4 suborder strict at
+    up to two seeded places over 2..13.  Returns the numbers of spinor and
+    rank-4 comparisons and the mismatches."""
+    rng = make_rng(seed)
+    cases, cases4, bad = 0, 0, []
+    for m in _fundamental_radicands(bound):
+        field = BaseField.quadratic(m)
+        small = [pl for p in (2, 3, 5, 7) for pl in field.places_over(p)]
+        extra = small + [pl for p in (11, 13) for pl in field.places_over(p)]
+        for real in [(), ("inf1", "inf2")] if m > 0 else [()]:
+            alg = QuatAlgebra.of(field, real=real)
+            for k in range(4):
+                for forced in itertools.combinations(small, k):
+                    level = {pl: 1 for pl in forced}
+                    genus = Genus.of(level=level)
+                    new = _sigma_facts(spinor_class_field(alg, genus))
+                    old = _sigma_facts(oracles.spinor_class_field(alg, genus))
+                    if new != old:
+                        bad.append((m, real, forced, new, old))
+                    cases += 1
+                    if rng.random() >= rank4_share:
+                        continue
+                    strict = rng.sample(extra, rng.randrange(3))
+                    sub = Genus.of(level=level, shift={pl: 1 for pl in strict})
+                    new4 = rep_field_rank4(alg, genus, sub)
+                    old4 = oracles.rep_field_rank4(alg, genus, sub)
+                    new = new4.degree, new4.strict_places
+                    old = old4.degree, old4.strict_places
+                    if new != old:
+                        bad.append((m, real, forced, strict, new, old))
+                    cases4 += 1
+    return cases, cases4, bad
+
+
+def test_genus_degrees_match_class_group_closure(cached_class_groups):
+    cases, cases4, bad = genus_sweep(2000, 15, 0.1)
+    assert bad == []
+    assert cases > 60_000 and cases4 > 5_000
+
+
+def test_genus_count_is_two_to_the_prime_discriminants_minus_one(
+    cached_class_groups,
+):
+    # [Cl+ : Cl+^2] on the closure oracle is 2^(t-1), t the number of
+    # prime discriminants dividing D
+    for m in _fundamental_radicands(2000):
+        disc = fundamental_discriminant(m)
+        group = class_group(disc)
+        squares = oracles.subgroup(group, [group.op(x, x) for x in group.reps])
+        t = len(_prime_discriminants(disc))
+        assert group.order // len(squares) == 2 ** (t - 1), disc
 
 
 # ---------------------------------------------------------------------------
