@@ -1,26 +1,25 @@
 """Exact arithmetic over Z localized at a prime p.
 
-Everything is computed over exact rationals (`fractions.Fraction`).  The
-local ring Z_(p) = {a/b : p does not divide b} enters only through p-adic
-valuations: an element is local-integral iff its valuation is >= 0, and a
-rational is a unit iff its valuation is 0.  No p-adic approximation is ever
-needed because every quantity we derive is decided by finitely many
-valuations.
-
-The module provides:
+The local ring Z_(p) = {a/b : p does not divide b} enters only through
+p-adic valuations and residues modulo powers of p: an element is
+local-integral iff its valuation is >= 0, a prime-to-p integer is a unit,
+and no p-adic approximation is ever needed.  Scalars and matrices at the
+interface are exact rationals (`fractions.Fraction`); modules are integer
+rows over a common denominator.
 
 - `valuation` / `int_valuation` / `reduce_mod_ppow`: valuations of rationals
-  and of integers, and canonical residues modulo powers of p
-  (representatives live in Z[1/p] and in [0, p^e)).
+  and of integers, and canonical residues modulo powers of p.
 - `sqrt_mod`: the smallest square root modulo a prime (Tonelli-Shanks).
 - `prime_divisors`: the one trial-division factorizer, capped at
   `MAX_TRIAL_DIVISOR`; `is_prime` and `is_squarefree` read it lazily.
 - `Mat2`: immutable exact 2x2 matrices, with their entries cleared to
   integers over a common denominator.
 - `smith_local`: elementary-divisor exponents of an invertible 2x2 matrix.
-- `Module4`: finitely generated Z_(p)-submodules of the 4-dimensional space
-  of 2x2 matrices, kept in a unique canonical Hermite basis so that module
-  equality is plain structural equality.
+- `Module4`: finitely generated Z_(p)-submodules of the 2x2 matrices in
+  their unique canonical Hermite basis, held as integer rows over one
+  denominator, so module equality is tuple equality.  `module_hnf` and
+  `module_intersect` eliminate on integers: rows are scaled by prime-to-p
+  units and reduced with inverses modulo powers of p.
 
 All values are immutable and all functions are pure.
 """
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, pairwise
-from math import gcd, inf, isqrt
+from math import gcd, inf, isqrt, lcm
 
 from .errors import ResourceLimit, SingularMatrix
 
@@ -339,194 +338,181 @@ def smith_local(g: Mat2, p: int) -> tuple[int, int]:
 # Canonical modules of 2x2 matrices
 
 
-def _flatten(m: Mat2) -> list[Rat]:
-    return list(m.entries)
-
-
-def _unflatten(row) -> Mat2:
-    return Mat2((Fraction(row[0]), Fraction(row[1]), Fraction(row[2]), Fraction(row[3])))
-
-
 @dataclass(frozen=True)
 class Module4:
     """A finitely generated Z_(p)-submodule of the 2x2 matrices.
 
-    The basis is the unique canonical Hermite basis: each basis element has a
-    pivot coordinate (in row-major flat order) equal to a power of p, pivots
-    sit at strictly increasing coordinates, each pivot coordinate of the
-    other basis elements is reduced to the canonical representative modulo
-    the pivot power, and everything below a pivot is zero.  Two spans are
-    equal iff their canonical bases are identical, so `==` is exact module
-    equality.
+    It is kept in its unique canonical Hermite basis: each basis element
+    has a pivot coordinate (in row-major flat order) equal to a power of p,
+    pivots sit at strictly increasing coordinates, each pivot coordinate of
+    the other basis elements is reduced to its representative in Z[1/p] and
+    [0, p^e) modulo the pivot power p^e, and everything before a pivot is
+    zero.  The basis is stored as integer `rows` over `den`, the least
+    common denominator of its entries: a power of p at rank 4, where every
+    coordinate has a pivot, and possibly with a prime-to-p part below.
+    Equal spans have identical (den, rows), so `==` is exact module
+    equality.  `basis` is the same basis as exact matrices.
     """
 
     p: int
-    basis: tuple[Mat2, ...]
+    den: int
+    rows: tuple[tuple[int, int, int, int], ...]
+
+    @staticmethod
+    def of(p: int, den: int, rows) -> "Module4":
+        """The module of canonical rows over den, common factors cancelled."""
+        rows = list(rows)
+        g = gcd(den, *chain.from_iterable(rows))
+        return Module4(p, den // g, tuple(tuple(x // g for x in r) for r in rows))
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
-    def pivot_columns(self) -> tuple[int, ...]:
-        cols = []
-        for m in self.basis:
-            flat = m.entries
-            cols.append(next(i for i in range(4) if flat[i] != 0))
-        return tuple(cols)
+    @cached_property
+    def basis(self) -> tuple[Mat2, ...]:
+        den = self.den
+        return tuple(Mat2(tuple(Fraction(x, den) for x in r)) for r in self.rows)
 
-
-def module_hnf(gens, p: int) -> Module4:
-    """Canonical Hermite basis of the Z_(p)-span of the given matrices."""
-    rows = [_flatten(g) for g in gens if any(x != 0 for x in g.entries)]
-    pivots: list[tuple[int, list[Rat]]] = []
-    for col in range(4):
-        best = None
-        for r in rows:
-            if r[col] != 0 and (
-                best is None or valuation(r[col], p) < valuation(best[col], p)
-            ):
-                best = r
-        if best is None:
-            continue
-        rows.remove(best)
-        e = valuation(best[col], p)
-        s = Fraction(p) ** e / best[col]
-        best = [x * s for x in best]
-        remaining = []
-        for r in rows:
-            if r[col] != 0:
-                f = r[col] / best[col]
-                r = [x - f * y for x, y in zip(r, best)]
-            if any(x != 0 for x in r):
-                remaining.append(r)
-        rows = remaining
-        pivots.append((col, best))
-
-    # Reduce entries above each pivot to canonical residues.
-    for i in range(len(pivots)):
-        ci, bi = pivots[i]
-        for j in range(i + 1, len(pivots)):
-            cj, bj = pivots[j]
-            ej = valuation(bj[cj], p)
-            x = bi[cj]
-            red = reduce_mod_ppow(x, p, ej)
-            if red != x:
-                f = (x - red) / bj[cj]
-                bi = [a - f * b for a, b in zip(bi, bj)]
-        pivots[i] = (ci, bi)
-    return Module4(p, tuple(_unflatten(b) for _, b in pivots))
+    def min_valuation(self) -> int:
+        """Least valuation of a basis entry (the module must be nonzero)."""
+        p = self.p
+        least = min(int_valuation(x, p) for r in self.rows for x in r if x)
+        return least - int_valuation(self.den, p)
 
 
-def module_sum(a: Module4, b: Module4) -> Module4:
-    if a.p != b.p:
-        raise ValueError("modules over different primes")
-    return module_hnf(list(a.basis) + list(b.basis), a.p)
+def _ppart(n: int, p: int) -> int:
+    """The largest power of p dividing the nonzero integer n."""
+    q = 1
+    while n % p == 0:
+        n //= p
+        q *= p
+    return q
 
 
-def module_contains(mod: Module4, m: Mat2) -> bool:
-    """Is m in the Z_(p)-span?  Coefficients must be local integers."""
-    p = mod.p
-    r = _flatten(m)
-    for col, b in zip(mod.pivot_columns(), mod.basis):
-        if r[col] != 0:
-            f = r[col] / b.entries[col]
-            if valuation(f, p) < 0:
-                return False
-            r = [x - f * y for x, y in zip(r, b.entries)]
-    return all(x == 0 for x in r)
+def _over_ppow(parts, p: int):
+    """The rows of each (den, rows) part as integers over one power q of p,
+    and q.  The prime-to-p part of a denominator is a unit and is dropped."""
+    parts = [(_ppart(den, p), rows) for den, rows in parts]
+    q = max((k for k, _ in parts), default=1)
+    return [[[x * (q // k) for x in r] for r in rows] for k, rows in parts], q
 
 
-def module_contains_module(inner: Module4, outer: Module4) -> bool:
-    return all(module_contains(outer, m) for m in inner.basis)
+def integer_rows(mats, p: int):
+    """The matrices as flat integer rows over one power q of p, and q: each
+    is scaled by a unit, so the rows span the same module and generate the
+    same order."""
+    parts, q = _over_ppow([(c[0], [c[1:]]) for c in (m.cleared for m in mats)], p)
+    return [r for (r,) in parts], q
 
 
-def _integer_rows(mats, p: int, k: int):
-    """Scale by p^k then clear prime-to-p denominators row by row."""
+def _echelon(rows, p: int):
+    """Pivot rows of an echelon form over Z_(p) of integer rows.
+
+    Returns (column, row, p^e) for each pivot, p^e the p-part of its pivot
+    entry.  The pivot of a column is the first row whose entry there has
+    the least valuation; every other row r with entry y becomes
+    (x/g) r - (y/g) pivot, for the pivot entry x and g = gcd(x, y).  The
+    factor x/g is prime to p, so no step changes the Z_(p)-span.
+    """
+    rows = [r for r in rows if any(r)]
     out = []
-    for m in mats:
-        flat = [x * Fraction(p) ** k for x in m.entries]
-        den = 1
-        for x in flat:
-            den = den * x.denominator // gcd(den, x.denominator)
-        # den is prime to p because every x has v_p >= 0 after scaling.
-        out.append([int(x * den) for x in flat])
+    for col in range(len(rows[0]) if rows else 0):
+        live = [i for i, r in enumerate(rows) if r[col]]
+        if not live:
+            continue
+        pe = _ppart(gcd(*(rows[i][col] for i in live)), p)
+        pivot = rows.pop(next(i for i in live if rows[i][col] // pe % p))
+        x = pivot[col]
+        rest = []
+        for r in rows:
+            y = r[col]
+            if y:
+                g = gcd(x, y)
+                r = [x // g * s - y // g * t for s, t in zip(r, pivot)]
+                if not any(r):
+                    continue
+            rest.append(r)
+        rows = rest
+        out.append((col, pivot, pe))
     return out
 
 
-def _integer_row_hnf(rows):
-    """Row echelon over Z with transform: returns (H, U), H = U * rows."""
-    m = len(rows)
-    H = [list(r) for r in rows]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    pr = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        if pr >= m:
-            break
-        while True:
-            idxs = [i for i in range(pr, m) if H[i][col] != 0]
-            if not idxs:
-                break
-            i0 = min(idxs, key=lambda i: (abs(H[i][col]), i))
-            done = True
-            for i in idxs:
-                if i == i0:
-                    continue
-                q = H[i][col] // H[i0][col]
-                H[i] = [x - q * y for x, y in zip(H[i], H[i0])]
-                U[i] = [x - q * y for x, y in zip(U[i], U[i0])]
-                if H[i][col] != 0:
-                    done = False
-            if done:
-                H[pr], H[i0] = H[i0], H[pr]
-                U[pr], U[i0] = U[i0], U[pr]
-                break
-        if pr < m and H[pr][col] != 0:
-            if H[pr][col] < 0:
-                H[pr] = [-x for x in H[pr]]
-                U[pr] = [-x for x in U[pr]]
-            pr += 1
-    return H, U
+def _hermite(pivots, p: int, den: int) -> Module4:
+    """The canonical module of echelon rows (as from `_echelon`) over den.
+
+    Row i is held as X_i / (d w_i), d the p-part of den and w_i > 0 the
+    prime-to-p part of its pivot entry, so its pivot is a power of p.  Its
+    entry y at the pivot of a later row j, with pivot entry p^e w_j, is
+    reduced with the inverse of w_i mod p^e: row i loses t / w_i times row
+    j for t = (y - w_i R) / p^e and the residue R = y / w_i mod p^e, so X_i
+    becomes w_j X_i - t X_j over d w_i w_j.  At rank 4 every w_i ends at 1.
+    """
+    rows = []
+    for col, x, pe in pivots:
+        w = x[col] // pe
+        g = gcd(w, *x) if w > 0 else -gcd(w, *x)
+        rows.append([col, [s // g for s in x], pe, w // g])
+    for i in range(len(rows) - 2, -1, -1):
+        _, x, _, w = rows[i]
+        for col, xj, pe, wj in rows[i + 1 :]:
+            y = x[col]
+            t = y // pe if w == 1 else (y - w * (y * pow(w, -1, pe) % pe)) // pe
+            if t:
+                x = [wj * s - t * u for s, u in zip(x, xj)]
+                w *= wj
+                if w > 1:
+                    g = gcd(w, *x)
+                    x, w = [s // g for s in x], w // g
+        rows[i][1], rows[i][3] = x, w
+    m = lcm(*(w for *_, w in rows))
+    return Module4.of(p, _ppart(den, p) * m, ([s * (m // w) for s in x] for _, x, _, w in rows))
+
+
+def module_hnf(gens, p: int, den: int | None = None) -> Module4:
+    """Canonical Hermite basis of the Z_(p)-span of the given matrices.
+
+    `gens` are Mat2s or, when `den` is given, integer rows
+    (m00, m01, m10, m11) of matrices over the common denominator den.
+    """
+    if den is None:
+        gens, den = integer_rows(gens, p)
+    return _hermite(_echelon(gens, p), p, den)
+
+
+def _common_rows(a: Module4, b: Module4):
+    """The rows of two modules over one power q of p, and q."""
+    if a.p != b.p:
+        raise ValueError("modules over different primes")
+    (ra, rb), q = _over_ppow(((a.den, a.rows), (b.den, b.rows)), a.p)
+    return ra, rb, q
+
+
+def module_sum(a: Module4, b: Module4) -> Module4:
+    ra, rb, q = _common_rows(a, b)
+    return module_hnf(ra + rb, a.p, q)
+
+
+def module_contains(mod: Module4, m: Mat2) -> bool:
+    """Is m in the Z_(p)-span?"""
+    return module_sum(mod, module_hnf([m], mod.p)) == mod
+
+
+def module_contains_module(inner: Module4, outer: Module4) -> bool:
+    return module_sum(inner, outer) == outer
 
 
 def module_intersect(a: Module4, b: Module4) -> Module4:
     """Canonical basis of the intersection of two Z_(p)-modules.
 
-    Both modules are rescaled to integer lattices (a global p-power scaling
-    plus prime-to-p row scalings, neither of which changes the local span),
-    the integer intersection is extracted from the kernel rows of a row
-    echelon transform of the stacked bases, and the result is rescaled back.
-    Localization at p is flat, so the integer-lattice intersection localizes
-    to the intersection of the local spans.
+    Zassenhaus: over one power of p, the echelon form of the rows (x, x)
+    for x in a and (y, 0) for y in b has, in the rows whose first half is
+    zero, second halves that are an echelon basis of the intersection.
     """
-    if a.p != b.p:
-        raise ValueError("modules over different primes")
-    p = a.p
-    if not a.basis or not b.basis:
-        return Module4(p, ())
-    k = 0
-    for m in list(a.basis) + list(b.basis):
-        v = m.min_valuation(p)
-        if v < -k:
-            k = -v
-    k = max(0, k)
-    ma = _integer_rows(a.basis, p, k)
-    mb = _integer_rows(b.basis, p, k)
-    stacked = ma + [[-x for x in row] for row in mb]
-    H, U = _integer_row_hnf(stacked)
-    gens = []
-    for i in range(len(stacked)):
-        if all(x == 0 for x in H[i]):
-            coeffs = U[i][: len(ma)]
-            vec = [0, 0, 0, 0]
-            for c, row in zip(coeffs, ma):
-                for j in range(4):
-                    vec[j] += c * row[j]
-            if any(vec):
-                gens.append(_unflatten(vec) * Fraction(1, p**k))
-    if not gens:
-        return Module4(p, ())
-    return module_hnf(gens, p)
+    ra, rb, q = _common_rows(a, b)
+    stacked = [r + r for r in ra] + [r + [0, 0, 0, 0] for r in rb]
+    pivots = _echelon(stacked, a.p)
+    return _hermite([(c - 4, r[4:], pe) for c, r, pe in pivots if c >= 4], a.p, q)
 
 
 def module_index_valuation(sub: Module4, sup: Module4) -> int:
@@ -537,11 +523,11 @@ def module_index_valuation(sub: Module4, sup: Module4) -> int:
     """
     if sub.p != sup.p or sub.rank != sup.rank:
         raise ValueError("index requires equal rank over the same prime")
-    if sub.pivot_columns() != sup.pivot_columns():
+    cols = [next(i for i in range(4) if r[i]) for r in sub.rows]
+    if cols != [next(i for i in range(4) if r[i]) for r in sup.rows]:
         raise ValueError("pivot mismatch: modules not comparable by index")
     p = sub.p
-    total = 0
-    for msub, msup in zip(sub.basis, sup.basis):
-        col = next(i for i in range(4) if msub.entries[i] != 0)
-        total += valuation(msub.entries[col], p) - valuation(msup.entries[col], p)
+    total = sup.rank * (int_valuation(sup.den, p) - int_valuation(sub.den, p))
+    for c, rsub, rsup in zip(cols, sub.rows, sup.rows):
+        total += int_valuation(rsub[c], p) - int_valuation(rsup[c], p)
     return total

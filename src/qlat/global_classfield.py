@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import inf, prod
 
 from .errors import AlgebraNotSplit, EmbeddingInfeasible, SchemaError
@@ -35,7 +36,6 @@ from .exact_padic import (
 )
 from .quadforms import (
     class_group,
-    fundamental_discriminant,
     kronecker_at,
     negative_identity_class,
 )
@@ -134,9 +134,10 @@ class BaseField:
 
     @property
     def discriminant(self) -> int:
+        """The field discriminant, in closed form (`quadratic` checked m)."""
         if self.m is None:
             return 1
-        return fundamental_discriminant(self.m)
+        return self.m if self.m % 4 == 1 else 4 * self.m
 
     def real_place_keys(self) -> tuple[str, ...]:
         if self.m is None:
@@ -581,11 +582,19 @@ class Genus:
     def of(level=None, shift=None) -> "Genus":
         return Genus(_normalize_ideal_map(level), _normalize_ideal_map(shift))
 
+    @cached_property
+    def _levels(self) -> dict:
+        return dict(self.level)
+
+    @cached_property
+    def _shifts(self) -> dict:
+        return dict(self.shift)
+
     def level_at(self, place: PrimeIdeal) -> int:
-        return dict(self.level).get(place, 0)
+        return self._levels.get(place, 0)
 
     def shift_at(self, place: PrimeIdeal) -> int:
-        return dict(self.shift).get(place, 0)
+        return self._shifts.get(place, 0)
 
     def support(self) -> tuple[PrimeIdeal, ...]:
         return tuple(sorted({p for p, _ in self.level} | {p for p, _ in self.shift}))

@@ -14,7 +14,6 @@ Eichler order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bt_tree import Vertex, distance, geodesic, iter_neighbors
 from .errors import NotShiftedEichler, Unbounded
@@ -22,6 +21,7 @@ from .exact_padic import (
     Mat2,
     Module4,
     int_valuation,
+    integer_rows,
     module_hnf,
     module_intersect,
 )
@@ -50,32 +50,35 @@ def order_closure(gens, p: int, max_rounds: int = CLOSURE_MAX_ROUNDS) -> LocalOr
     growing: the minimum entry valuation strictly decreasing over a window
     of rounds, or no stabilization within the round cap.  For bounded input
     the iteration stabilizes and the result is multiplicatively closed.
+    Each round multiplies integer matrices (the generators over one power
+    of p, see `integer_rows`) and compares integer canonical forms.
     """
     gens = tuple(gens)
-    mats = [Mat2.identity(), *gens]
-    span = module_hnf(mats, p)
+    mats, q = integer_rows(gens, p)
+    span = module_hnf([(q, 0, 0, q), *mats], p, q)
     minvals = []
+    reason = f"no stabilization within {max_rounds} rounds"
     for _ in range(max_rounds):
-        prods = [g * b for g in gens for b in span.basis]
-        grown = module_hnf(list(span.basis) + prods, p)
+        rows = [[x * q for x in r] for r in span.rows]
+        rows += [
+            (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            for a, b, c, d in mats
+            for e, f, g, h in span.rows
+        ]
+        grown = module_hnf(rows, p, q * span.den)
         if grown == span:
             return LocalOrder(p, gens, span)
         span = grown
-        minvals.append(min(b.min_valuation(p) for b in span.basis))
+        minvals.append(span.min_valuation())
         window = minvals[-_DIVERGENCE_WINDOW:]
         if len(window) == _DIVERGENCE_WINDOW and all(
             x > y for x, y in zip(window, window[1:])
         ):
-            raise Unbounded(
-                {
-                    "reason": "entry valuations strictly decreasing",
-                    "min_valuations": minvals,
-                    "basis": [[str(x) for x in b.entries] for b in span.basis],
-                }
-            )
+            reason = "entry valuations strictly decreasing"
+            break
     raise Unbounded(
         {
-            "reason": f"no stabilization within {max_rounds} rounds",
+            "reason": reason,
             "min_valuations": minvals,
             "basis": [[str(x) for x in b.entries] for b in span.basis],
         }
@@ -87,33 +90,50 @@ def order_from_module(module: Module4, generators=()) -> LocalOrder:
 
 
 def maximal_order_module(v: Vertex) -> Module4:
-    """The stabilizer order of the lattice class v, as a canonical module."""
-    g = v.basis()
-    units = [
-        Mat2.of([[1, 0], [0, 0]]),
-        Mat2.of([[0, 1], [0, 0]]),
-        Mat2.of([[0, 0], [1, 0]]),
-        Mat2.of([[0, 0], [0, 1]]),
-    ]
-    return module_hnf([g * e * g.inverse() for e in units], v.p)
+    """The stabilizer order of the lattice class v, as a canonical module.
+
+    It is {m : h^-1 m h integral} for h = [[p^(a-b), c / p^b], [0, 1]].
+    With m = v_p(c) (m = a when c = 0), k = a - m, s = m - b, c' = c / p^m,
+    u = 1 / c' and e = -c' mod p^k, its canonical basis is
+
+        (p^-k, p^(s-k) e, p^(-s-k) u, (u e mod p^2k) / p^k),
+        (0, p^s, 0, u),  (0, 0, p^-s, e),  (0, 0, 0, p^k).
+    """
+    p, a, b, c = v.p, v.a, v.b, v.c
+    m = int_valuation(c, p) if c else a
+    k, s = a - m, m - b
+    pk, cu = p**k, c // p**m
+    u, e = pow(cu, -1, pk), -cu % pk
+    z = k + abs(s)  # the rows are scaled by p^z to integers
+    top = p ** (z - k)
+    rows = (
+        (top, e * p ** (z + s - k), u * p ** (z - s - k), u * e % (pk * pk) * top),
+        (0, p ** (z + s), 0, u * p**z),
+        (0, 0, p ** (z - s), e * p**z),
+        (0, 0, 0, p ** (z + k)),
+    )
+    return Module4.of(p, p**z, rows)
+
+
+def _plus_scalars(module: Module4, t: int) -> Module4:
+    """Z_(p) + p^t * module."""
+    den, q = module.den, module.p**t
+    rows = [(den, 0, 0, den)] + [[x * q for x in r] for r in module.rows]
+    return module_hnf(rows, module.p, den)
 
 
 def shift_order(order: LocalOrder, t: int) -> LocalOrder:
     """Z_(p) + p^t * O for an order O; again an order, no resaturation needed."""
     if t < 0:
         raise ValueError("shift must be >= 0")
-    p = order.p
-    scaled = tuple(b.scale(Fraction(p) ** t) for b in order.closure.basis)
-    module = module_hnf([Mat2.identity(), *scaled], p)
-    return LocalOrder(p, scaled, module)
+    scaled = tuple(b.scale(order.p**t) for b in order.closure.basis)
+    return LocalOrder(order.p, scaled, _plus_scalars(order.closure, t))
 
 
 def shifted_eichler_module(v1: Vertex, v2: Vertex, r: int) -> Module4:
     """Canonical module of Z_(p) + p^r * (D_v1 intersect D_v2)."""
     inner = module_intersect(maximal_order_module(v1), maximal_order_module(v2))
-    p = v1.p
-    mats = [Mat2.identity()] + [b.scale(Fraction(p) ** r) for b in inner.basis]
-    return module_hnf(mats, p)
+    return _plus_scalars(inner, r)
 
 
 def _divisible(x: int, p: int, e: int) -> bool:

@@ -19,6 +19,13 @@ trial-division loops that `exact_padic.prime_divisors` replaced, and the
 enumeration of residue combinations that the branch test of
 `has_unramified_residue_field` replaced (its seeded sampling for p > 13
 is left out: it decided nothing).
+
+The last section keeps the Fraction module layer that the integer
+`Module4` of `qlat.exact_padic` replaced: the canonical Hermite basis as
+a tuple of exact matrices, the Hermite form by rational elimination, the
+intersection through an integer row echelon with transform, the maximal
+orders as conjugated matrix units, the shifted Eichler modules built on
+them, and the order closure over exact matrix products.
 """
 
 from __future__ import annotations
@@ -26,10 +33,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from qlat.bt_tree import End, Vertex, canonical_vertex
-from qlat.errors import EmbeddingInfeasible, SingularMatrix
+from qlat.errors import EmbeddingInfeasible, SingularMatrix, Unbounded
 from qlat.exact_padic import Mat2, conjugate, reduce_mod_ppow, valuation
 from qlat.global_classfield import (
     BaseField,
@@ -39,7 +46,7 @@ from qlat.global_classfield import (
     RepField,
     validate_genus,
 )
-from qlat.local_orders import LocalOrder
+from qlat.local_orders import _DIVERGENCE_WINDOW, CLOSURE_MAX_ROUNDS, LocalOrder
 from qlat.quadforms import (
     ClassGroup,
     QForm,
@@ -524,3 +531,235 @@ def has_unramified_residue_field(order: LocalOrder) -> bool:
         if any(coeffs) and test(coeffs):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# The Fraction module layer
+
+Rat = Fraction
+
+
+def _flatten(m: Mat2) -> list[Rat]:
+    return list(m.entries)
+
+
+def _unflatten(row) -> Mat2:
+    return Mat2((Fraction(row[0]), Fraction(row[1]), Fraction(row[2]), Fraction(row[3])))
+
+
+@dataclass(frozen=True)
+class Module4:
+    """A finitely generated Z_(p)-submodule of the 2x2 matrices.
+
+    The basis is the unique canonical Hermite basis: each basis element has a
+    pivot coordinate (in row-major flat order) equal to a power of p, pivots
+    sit at strictly increasing coordinates, each pivot coordinate of the
+    other basis elements is reduced to the canonical representative modulo
+    the pivot power, and everything below a pivot is zero.  Two spans are
+    equal iff their canonical bases are identical, so `==` is exact module
+    equality.
+    """
+
+    p: int
+    basis: tuple[Mat2, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.basis)
+
+    def pivot_columns(self) -> tuple[int, ...]:
+        cols = []
+        for m in self.basis:
+            flat = m.entries
+            cols.append(next(i for i in range(4) if flat[i] != 0))
+        return tuple(cols)
+
+
+def module_hnf(gens, p: int) -> Module4:
+    """Canonical Hermite basis of the Z_(p)-span of the given matrices."""
+    rows = [_flatten(g) for g in gens if any(x != 0 for x in g.entries)]
+    pivots: list[tuple[int, list[Rat]]] = []
+    for col in range(4):
+        best = None
+        for r in rows:
+            if r[col] != 0 and (
+                best is None or valuation(r[col], p) < valuation(best[col], p)
+            ):
+                best = r
+        if best is None:
+            continue
+        rows.remove(best)
+        e = valuation(best[col], p)
+        s = Fraction(p) ** e / best[col]
+        best = [x * s for x in best]
+        remaining = []
+        for r in rows:
+            if r[col] != 0:
+                f = r[col] / best[col]
+                r = [x - f * y for x, y in zip(r, best)]
+            if any(x != 0 for x in r):
+                remaining.append(r)
+        rows = remaining
+        pivots.append((col, best))
+
+    # Reduce entries above each pivot to canonical residues.
+    for i in range(len(pivots)):
+        ci, bi = pivots[i]
+        for j in range(i + 1, len(pivots)):
+            cj, bj = pivots[j]
+            ej = valuation(bj[cj], p)
+            x = bi[cj]
+            red = reduce_mod_ppow(x, p, ej)
+            if red != x:
+                f = (x - red) / bj[cj]
+                bi = [a - f * b for a, b in zip(bi, bj)]
+        pivots[i] = (ci, bi)
+    return Module4(p, tuple(_unflatten(b) for _, b in pivots))
+
+
+def _integer_rows(mats, p: int, k: int):
+    """Scale by p^k then clear prime-to-p denominators row by row."""
+    out = []
+    for m in mats:
+        flat = [x * Fraction(p) ** k for x in m.entries]
+        den = 1
+        for x in flat:
+            den = den * x.denominator // gcd(den, x.denominator)
+        # den is prime to p because every x has v_p >= 0 after scaling.
+        out.append([int(x * den) for x in flat])
+    return out
+
+
+def _integer_row_hnf(rows):
+    """Row echelon over Z with transform: returns (H, U), H = U * rows."""
+    m = len(rows)
+    H = [list(r) for r in rows]
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    pr = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        if pr >= m:
+            break
+        while True:
+            idxs = [i for i in range(pr, m) if H[i][col] != 0]
+            if not idxs:
+                break
+            i0 = min(idxs, key=lambda i: (abs(H[i][col]), i))
+            done = True
+            for i in idxs:
+                if i == i0:
+                    continue
+                q = H[i][col] // H[i0][col]
+                H[i] = [x - q * y for x, y in zip(H[i], H[i0])]
+                U[i] = [x - q * y for x, y in zip(U[i], U[i0])]
+                if H[i][col] != 0:
+                    done = False
+            if done:
+                H[pr], H[i0] = H[i0], H[pr]
+                U[pr], U[i0] = U[i0], U[pr]
+                break
+        if pr < m and H[pr][col] != 0:
+            if H[pr][col] < 0:
+                H[pr] = [-x for x in H[pr]]
+                U[pr] = [-x for x in U[pr]]
+            pr += 1
+    return H, U
+
+
+def module_intersect(a: Module4, b: Module4) -> Module4:
+    """Canonical basis of the intersection of two Z_(p)-modules.
+
+    Both modules are rescaled to integer lattices (a global p-power scaling
+    plus prime-to-p row scalings, neither of which changes the local span),
+    the integer intersection is extracted from the kernel rows of a row
+    echelon transform of the stacked bases, and the result is rescaled back.
+    Localization at p is flat, so the integer-lattice intersection localizes
+    to the intersection of the local spans.
+    """
+    if a.p != b.p:
+        raise ValueError("modules over different primes")
+    p = a.p
+    if not a.basis or not b.basis:
+        return Module4(p, ())
+    k = 0
+    for m in list(a.basis) + list(b.basis):
+        v = m.min_valuation(p)
+        if v < -k:
+            k = -v
+    k = max(0, k)
+    ma = _integer_rows(a.basis, p, k)
+    mb = _integer_rows(b.basis, p, k)
+    stacked = ma + [[-x for x in row] for row in mb]
+    H, U = _integer_row_hnf(stacked)
+    gens = []
+    for i in range(len(stacked)):
+        if all(x == 0 for x in H[i]):
+            coeffs = U[i][: len(ma)]
+            vec = [0, 0, 0, 0]
+            for c, row in zip(coeffs, ma):
+                for j in range(4):
+                    vec[j] += c * row[j]
+            if any(vec):
+                gens.append(_unflatten(vec) * Fraction(1, p**k))
+    if not gens:
+        return Module4(p, ())
+    return module_hnf(gens, p)
+
+
+def order_closure(gens, p: int, max_rounds: int = CLOSURE_MAX_ROUNDS) -> LocalOrder:
+    """Saturate {1} + gens into the order they generate.
+
+    Raises `Unbounded` (with a growth certificate) if the module keeps
+    growing: the minimum entry valuation strictly decreasing over a window
+    of rounds, or no stabilization within the round cap.  For bounded input
+    the iteration stabilizes and the result is multiplicatively closed.
+    """
+    gens = tuple(gens)
+    mats = [Mat2.identity(), *gens]
+    span = module_hnf(mats, p)
+    minvals = []
+    for _ in range(max_rounds):
+        prods = [g * b for g in gens for b in span.basis]
+        grown = module_hnf(list(span.basis) + prods, p)
+        if grown == span:
+            return LocalOrder(p, gens, span)
+        span = grown
+        minvals.append(min(b.min_valuation(p) for b in span.basis))
+        window = minvals[-_DIVERGENCE_WINDOW:]
+        if len(window) == _DIVERGENCE_WINDOW and all(
+            x > y for x, y in zip(window, window[1:])
+        ):
+            raise Unbounded(
+                {
+                    "reason": "entry valuations strictly decreasing",
+                    "min_valuations": minvals,
+                    "basis": [[str(x) for x in b.entries] for b in span.basis],
+                }
+            )
+    raise Unbounded(
+        {
+            "reason": f"no stabilization within {max_rounds} rounds",
+            "min_valuations": minvals,
+            "basis": [[str(x) for x in b.entries] for b in span.basis],
+        }
+    )
+
+
+def maximal_order_module(v: Vertex) -> Module4:
+    """The stabilizer order of the lattice class v, as a canonical module."""
+    g = v.basis()
+    units = [
+        Mat2.of([[1, 0], [0, 0]]),
+        Mat2.of([[0, 1], [0, 0]]),
+        Mat2.of([[0, 0], [1, 0]]),
+        Mat2.of([[0, 0], [0, 1]]),
+    ]
+    return module_hnf([g * e * g.inverse() for e in units], v.p)
+
+
+def shifted_eichler_module(v1: Vertex, v2: Vertex, r: int) -> Module4:
+    """Canonical module of Z_(p) + p^r * (D_v1 intersect D_v2)."""
+    inner = module_intersect(maximal_order_module(v1), maximal_order_module(v2))
+    p = v1.p
+    mats = [Mat2.identity()] + [b.scale(Fraction(p) ** r) for b in inner.basis]
+    return module_hnf(mats, p)

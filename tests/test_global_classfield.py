@@ -362,6 +362,26 @@ def test_prime_discriminants_of_small_fundamental_discriminants():
     assert count > 6000
 
 
+def test_field_discriminant_closed_form_matches_fundamental_discriminant():
+    count = 0
+    for m in range(-1999, 2000):
+        if m not in (0, 1) and is_squarefree(m):
+            assert BaseField.quadratic(m).discriminant == fundamental_discriminant(m), m
+            count += 1
+    assert count > 2400
+    assert BaseField.rationals().discriminant == 1
+
+
+def test_genus_lookups_read_the_level_and_shift_maps():
+    f = BaseField.quadratic(-5)
+    p2, p3, p7 = (f.places_over(q)[0] for q in (2, 3, 7))
+    genus = Genus.of({p2: 3, p3: 1}, {p3: 2})
+    assert [genus.level_at(q) for q in (p2, p3, p7)] == [3, 1, 0]
+    assert [genus.shift_at(q) for q in (p2, p3, p7)] == [0, 2, 0]
+    assert genus == Genus.of({p3: 1, p2: 3}, {p3: 2})
+    assert hash(genus) == hash(Genus.of({p3: 1, p2: 3}, {p3: 2}))
+
+
 def test_prime_discriminants_of_seeded_fundamental_discriminants():
     rng = make_rng(16)
     count = 0

@@ -1,6 +1,8 @@
 """Fast paths against the slow routines they replaced (`oracles.py`): the
 integer disc-coordinate local layer on whole balls and seeded ends and
-matrices, the class-group layer (reduced-form enumeration, and the
+matrices, the integer module layer (Hermite forms, intersections, maximal
+and shifted Eichler modules, order closure) on seeded generator sets and
+vertex pairs, the class-group layer (reduced-form enumeration, and the
 coset-extension closure against the breadth-first one) on discriminants
 and generator sets, the genus-character class-field degrees against the
 class-group closure on genera, the capped factorizer on integers, and the
@@ -29,11 +31,13 @@ from qlat.bt_tree import (
     standard_vertex,
     step_toward_end,
 )
-from qlat.errors import ResourceLimit
+from qlat.errors import ResourceLimit, Unbounded
 from qlat.exact_padic import (
     MAX_TRIAL_DIVISOR,
     Mat2,
     is_prime,
+    module_hnf,
+    module_intersect,
     prime_divisors,
     sqrt_mod,
 )
@@ -542,3 +546,149 @@ def test_residue_field_branch_test_matches_enumeration(p):
     for o, answer in zip(orders, got):
         assert answer == oracles.has_unramified_residue_field(o), o
     assert True in got and False in got
+
+
+# ---------------------------------------------------------------------------
+# Integer module layer
+
+
+def _generator_set(rng, p: int, rank: int) -> list[Mat2]:
+    """Rational combinations of `rank` seeded matrices whose entries carry
+    p-power and prime-to-p denominators, with a zero and a repeated
+    generator mixed in."""
+    base = [seeded_rational_matrix(rng, p) for _ in range(rank)]
+    dens = (1, 1, p, next(x for x in (3, 5, 7) if x != p))
+    gens = []
+    for _ in range(rng.randrange(rank, rank + 3)):
+        m = Mat2.zero()
+        for b in base:
+            m = m + b.scale(Fraction(rng.randrange(-9, 10), rng.choice(dens)))
+        gens.append(m)
+    gens += [Mat2.zero(), gens[0]]
+    rng.shuffle(gens)
+    return gens
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_module_hnf_and_intersection_match_fraction_layer(p):
+    rng = make_rng(300 + p)
+    sets = [_generator_set(rng, p, rank) for rank in (1, 2, 3, 4) for _ in range(12)]
+    # the same spans again, from shuffled generators scaled by units
+    units = [q for q in (1, -1, 2, 3, 5, 7) if q % p]
+    sets += [
+        [g.scale(rng.choice(units)) for g in rng.sample(gens, len(gens))]
+        for gens in sets[::5]
+    ]
+    new = [module_hnf(gens, p) for gens in sets]
+    old = [oracles.module_hnf(gens, p) for gens in sets]
+    for gens, a, b in zip(sets, new, old):
+        assert a.basis == b.basis and a.rank == b.rank, gens
+    assert {1, 2, 3, 4} <= {b.rank for b in old}
+    assert any(a.den % p and a.den > 1 for a in new)  # prime-to-p denominators
+    for i, j in itertools.product(range(len(sets)), repeat=2):
+        assert (new[i] == new[j]) == (old[i] == old[j]), (i, j)
+    assert sum(new[i] == new[j] for i in range(len(sets)) for j in range(i)) >= 10
+    for a, b, oa, ob in zip(new, new[1:], old, old[1:]):
+        assert module_intersect(a, b).basis == oracles.module_intersect(oa, ob).basis
+
+
+# every vertex pair of these balls; at p = 101 the pairs through the centre
+# or its parent and a seeded sample of the child pairs (see CHANGES.md)
+MODULE_BALLS = [(2, 3), (3, 2), (5, 2), (101, 1)]
+CHILD_PAIR_SAMPLE = 150
+
+
+@pytest.mark.parametrize("p,radius", MODULE_BALLS)
+def test_maximal_and_shifted_eichler_modules_match_conjugation(p, radius):
+    vs = whole_ball(p, radius)
+    old = {v: oracles.maximal_order_module(v) for v in vs}
+    for v in vs:
+        assert maximal_order_module(v).basis == old[v].basis, v
+    pairs = list(itertools.combinations_with_replacement(vs, 2))
+    if p == 101:
+        hubs = {standard_vertex(p), *(v for v in vs if v.a == 0)}
+        rest = [pair for pair in pairs if not hubs & set(pair)]
+        pairs = [pair for pair in pairs if hubs & set(pair)]
+        pairs += make_rng(p).sample(rest, CHILD_PAIR_SAMPLE)
+    for v, w in pairs:
+        inner = oracles.module_intersect(old[v], old[w])  # holds 1: r = 0
+        assert shifted_eichler_module(v, w, 0).basis == inner.basis, (v, w)
+        for r in (1, 2):
+            scaled = [b.scale(Fraction(p) ** r) for b in inner.basis]
+            want = oracles.module_hnf([Mat2.identity(), *scaled], p)
+            assert shifted_eichler_module(v, w, r).basis == want.basis, (v, w, r)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_order_closure_matches_fraction_layer(p):
+    rng = make_rng(400 + p)
+    q = next(x for x in (3, 5, 7) if x != p)
+    cases = [[random_matrix(rng, p, span=1) for _ in range(n)] for n in (1, 1, 2, 2, 3)]
+    cases += [[g.scale(Fraction(1, q)) for g in gens] for gens in cases[:3]]
+    cases.append([Mat2.of([[0, 1], [p, 0]]), Mat2.of([[1, 0], [0, 0]])])
+    for gens in cases:
+        new, old = order_closure(gens, p), oracles.order_closure(gens, p)
+        assert new.closure.basis == old.closure.basis, gens
+        assert new.rank == old.rank and new.generators == old.generators
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_unbounded_certificate_matches_fraction_layer(p):
+    gens = [Mat2.of([[Fraction(1, p), 1], [0, 0]]), Mat2.of([[0, 0], [Fraction(3, 7), 1]])]
+    reasons = {64: "entry valuations strictly decreasing", 5: "no stabilization within 5 rounds"}
+    for rounds, reason in reasons.items():
+        with pytest.raises(Unbounded) as new:
+            order_closure(gens, p, rounds)
+        with pytest.raises(Unbounded) as old:
+            oracles.order_closure(gens, p, rounds)
+        assert new.value.certificate == old.value.certificate
+        assert new.value.certificate["reason"] == reason
+
+
+def test_order_closure_calls_module_hnf_once_per_round(monkeypatch):
+    """The benchmark counts closure rounds as module_hnf calls minus one."""
+    import qlat.local_orders as local_orders
+
+    counts = {}
+
+    def counting(module, key):
+        fn = module.module_hnf
+
+        def wrapped(*args, **kwargs):
+            counts[key] = counts.get(key, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, "module_hnf", wrapped)
+
+    counting(local_orders, "new")
+    counting(oracles, "old")
+    rng = make_rng(77)
+    for p in (2, 3, 5):
+        for n in (1, 2, 3):
+            gens = [random_matrix(rng, p) for _ in range(n)]
+            counts.clear()
+            order_closure(gens, p)
+            oracles.order_closure(gens, p)
+            assert counts["new"] == counts["old"] >= 2
+
+
+def test_module_layer_builds_no_fractions(monkeypatch):
+    """Hermite forms, intersections, closure rounds and the closed-form
+    modules run on integers; only `basis` and certificates convert."""
+    import qlat.exact_padic as exact_padic
+
+    rng = make_rng(78)
+    gens = {p: [random_matrix(rng, p) for _ in range(2)] for p in (2, 3, 101)}
+
+    def refuse(*args):
+        raise AssertionError("Fraction built in the integer module layer")
+
+    monkeypatch.setattr(exact_padic, "Fraction", refuse)
+    for p, mats in gens.items():
+        order = order_closure(mats, p)
+        v, w = standard_vertex(p), neighbors(standard_vertex(p))[-1]
+        se = shifted_eichler_module(v, w, 1)
+        assert module_intersect(order.closure, se) == module_intersect(se, order.closure)
+        assert module_hnf(order.closure.rows, p, order.closure.den) == order.closure
+    with pytest.raises(AssertionError, match="Fraction built"):
+        order.closure.basis
