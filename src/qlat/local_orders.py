@@ -94,7 +94,7 @@ def maximal_order_module(v: Vertex) -> Module4:
 
     It is {m : h^-1 m h integral} for h = [[p^(a-b), c / p^b], [0, 1]].
     With m = v_p(c) (m = a when c = 0), k = a - m, s = m - b, c' = c / p^m,
-    u = 1 / c' and e = -c' mod p^k, its canonical basis is
+    u = 1 / c' mod p^k and e = -c' mod p^k, its canonical basis is
 
         (p^-k, p^(s-k) e, p^(-s-k) u, (u e mod p^2k) / p^k),
         (0, p^s, 0, u),  (0, 0, p^-s, e),  (0, 0, 0, p^k).
