@@ -381,19 +381,10 @@ class Module4:
         return least - int_valuation(self.den, p)
 
 
-def _ppart(n: int, p: int) -> int:
-    """The largest power of p dividing the nonzero integer n."""
-    q = 1
-    while n % p == 0:
-        n //= p
-        q *= p
-    return q
-
-
 def _over_ppow(parts, p: int):
     """The rows of each (den, rows) part as integers over one power q of p,
     and q.  The prime-to-p part of a denominator is a unit and is dropped."""
-    parts = [(_ppart(den, p), rows) for den, rows in parts]
+    parts = [(p ** int_valuation(den, p), rows) for den, rows in parts]
     q = max((k for k, _ in parts), default=1)
     return [[[x * (q // k) for x in r] for r in rows] for k, rows in parts], q
 
@@ -421,7 +412,7 @@ def _echelon(rows, p: int):
         live = [i for i, r in enumerate(rows) if r[col]]
         if not live:
             continue
-        pe = _ppart(gcd(*(rows[i][col] for i in live)), p)
+        pe = p ** int_valuation(gcd(*(rows[i][col] for i in live)), p)
         pivot = rows.pop(next(i for i in live if rows[i][col] // pe % p))
         x = pivot[col]
         rest = []
@@ -466,7 +457,8 @@ def _hermite(pivots, p: int, den: int) -> Module4:
                     x, w = [s // g for s in x], w // g
         rows[i][1], rows[i][3] = x, w
     m = lcm(*(w for *_, w in rows))
-    return Module4.of(p, _ppart(den, p) * m, ([s * (m // w) for s in x] for _, x, _, w in rows))
+    d = p ** int_valuation(den, p)
+    return Module4.of(p, d * m, ([s * (m // w) for s in x] for _, x, _, w in rows))
 
 
 def module_hnf(gens, p: int, den: int | None = None) -> Module4:
