@@ -8,7 +8,8 @@ interface are exact rationals (`fractions.Fraction`); modules are integer
 rows over a common denominator.
 
 - `valuation` / `int_valuation` / `reduce_mod_ppow`: valuations of rationals
-  and of integers, and canonical residues modulo powers of p.
+  and of integers, and canonical residues modulo powers of p
+  (representatives live in Z[1/p] and in [0, p^e)).
 - `sqrt_mod`: the smallest square root modulo a prime (Tonelli-Shanks).
 - `prime_divisors`: the one trial-division factorizer, capped at
   `MAX_TRIAL_DIVISOR`; `is_prime` and `is_squarefree` read it lazily.
