@@ -51,6 +51,7 @@ from .bt_tree import (
     ball,
     busemann,
     canonical_vertex,
+    check_ball_budget,
     child,
     dist_to_ray,
     distance,
@@ -680,13 +681,65 @@ def branch_of_order(order: LocalOrder, max_vertices=None) -> Shape:
 def enumerate_branch(
     order: LocalOrder, r: int, center: Vertex, radius: int, max_vertices=None
 ) -> frozenset[Vertex]:
-    """Brute-force probe: depth-r branch vertices within a ball (exact there)."""
-    region = ball(center, radius, max_vertices)
-    return frozenset(
-        v
-        for v in region
-        if all(contains_shifted(v, b, r) for b in order.closure.basis)
-    )
+    """The depth-r branch vertices within `radius` of `center` (exact there).
+
+    The branch and the ball are subtrees, so their intersection is connected
+    and a breadth-first search from one member, expanding members inside
+    the ball, finds all of it.  The member is found by climbing sigma(v) =
+    min over the non-scalar basis of mu_margin(b, v) - r: each set
+    {mu(b, .) >= r} is a subtree whose distance from v outside it is
+    r - mu(b, v), and on a tree the distance to an intersection of subtrees
+    is the largest distance to one of them.  So sigma(center) is minus the
+    distance to the branch, each greedy step raises it by exactly 1, and a
+    branch within `radius` is met in at most `radius` steps.  An order of
+    scalars only has a full (or empty) branch and keeps the ball filter.
+    """
+    check_ball_budget(center.p, radius, max_vertices)
+    r = max(r, 0)
+    basis = order.closure.basis
+    margins = [b for b in basis if not b.is_scalar()]
+
+    def member(v: Vertex) -> bool:
+        return all(contains_shifted(v, b, r) for b in basis)
+
+    def filtered() -> frozenset[Vertex]:
+        return frozenset(filter(member, ball(center, radius, max_vertices)))
+
+    if not margins:
+        return filtered()
+
+    def sigma(v: Vertex):
+        return min(mu_margin(b, v) for b in margins) - r
+
+    seed, s = center, sigma(center)
+    for _ in range(radius):
+        if s >= 0:
+            break
+        seed = next((n for n in iter_neighbors(seed) if sigma(n) > s), None)
+        if seed is None:  # a summit below 0: the branch is empty
+            return frozenset()
+        s += 1
+    if s < 0:
+        return frozenset()
+    if not member(seed):  # sigma >= 0 certifies membership; stay exact anyway
+        return filtered()
+    # Along a geodesic between two vertices of the ball the distance to the
+    # centre is convex and changes by 1 per step, so only its ends can sit
+    # on the ball's edge: members there, but the seed, are not expanded.
+    found = {seed}
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for n in neighbors(u):
+                if n in found or (d := distance(center, n)) > radius:
+                    continue
+                if member(n):
+                    found.add(n)
+                    if d < radius:
+                        nxt.append(n)
+        frontier = nxt
+    return frozenset(found)
 
 
 def eichler_envelope(s: Shape) -> tuple[Vertex, Vertex, int, int]:

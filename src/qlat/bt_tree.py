@@ -28,20 +28,29 @@ here works on these integer disc coordinates, with no matrices:
 
 Ball enumeration checks its vertex budget (default 200,000, overridable via
 the QLAT_MAX_VERTICES environment variable or an explicit argument) before
-allocating anything.
+allocating anything, then generates the ball from parent and child links:
+up k steps from the centre, down into the other children.  The DOT export
+reads its edges off the same parent links, and both sort vertices on the
+integer triple (`canonical_order`).
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 from .errors import ResourceLimit, SchemaError, SingularMatrix
 from .exact_padic import Mat2, int_valuation, reduce_mod_ppow, valuation
 
 DEFAULT_MAX_VERTICES = 200_000
+MAX_SIZE_BITS = 1 << 16  # ball sizes surely past 2^65536 are never formed
+# Largest exponent a or b a request may give a vertex: Vertex(p, a, b, c)
+# forms p^a, and every vertex built near it forms a power as large.
+MAX_VERTEX_EXPONENT = 1000
 
 
 def vertex_budget(max_vertices=None) -> int:
@@ -84,6 +93,18 @@ class Vertex:
 
     def to_json(self) -> dict:
         return {"a": self.a, "b": self.b, "c": self.c}
+
+
+_TRIPLE = attrgetter("a", "b", "c")
+
+
+def canonical_order(vertices) -> list[Vertex]:
+    """Vertices of one tree in canonical order, the order of `Vertex.__lt__`.
+
+    The sort key is the integer triple (a, b, c), which compares in C, not
+    the dataclass comparison.
+    """
+    return sorted(vertices, key=_TRIPLE)
 
 
 def standard_vertex(p: int) -> Vertex:
@@ -194,28 +215,53 @@ def ball_size(p: int, radius: int) -> int:
     return 1 + (p + 1) * (p**radius - 1) // (p - 1)
 
 
-def ball(v: Vertex, radius: int, max_vertices=None) -> frozenset[Vertex]:
-    """All vertices within the given distance of v."""
+def check_ball_budget(p: int, radius: int, max_vertices=None) -> None:
+    """Refuse a ball of this radius over the vertex budget, before building it.
+
+    The diagnostic states the exact size when Python can print it, and else
+    "more than 2^radius" (ball_size(p, R) > p^R >= 2^R).  A radius past the
+    budget's bit length with R (bit_length(p) - 1) >= MAX_SIZE_BITS is
+    refused without forming p^R, whose size would be far past printing.
+    """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     budget = vertex_budget(max_vertices)
-    size = ball_size(v.p, radius)
-    if size > budget:
-        raise ResourceLimit(
-            f"ball of radius {radius} at p={v.p} has {size} vertices, "
-            f"budget is {budget}"
-        )
-    seen = {v}
-    frontier = [v]
-    for _ in range(radius):
-        nxt = []
-        for u in frontier:
-            for n in neighbors(u):
-                if n not in seen:
-                    seen.add(n)
-                    nxt.append(n)
-        frontier = nxt
-    return frozenset(seen)
+    count = f"more than 2^{radius}"
+    bits = radius * (p.bit_length() - 1)  # p^radius has more bits than this
+    if radius < budget.bit_length() or bits < MAX_SIZE_BITS:
+        size = ball_size(p, radius)
+        if size <= budget:
+            return
+        with suppress(ValueError):  # past the int-to-str digit limit
+            count = str(size)
+    raise ResourceLimit(
+        f"ball of radius {radius} at p={p} has {count} vertices, budget is {budget}"
+    )
+
+
+def ball(v: Vertex, radius: int, max_vertices=None) -> frozenset[Vertex]:
+    """All vertices within the given distance of v.
+
+    Generated, not searched: a vertex at distance d from v is reached by
+    climbing k <= d parents and then descending d - k levels, into a child
+    off the climbed path when k > 0.  So for each k <= radius the ball holds
+    the k-th ancestor of v and its descendants down to radius - k levels,
+    less the branch of the ancestor below it, and each vertex is built once.
+    """
+    p = v.p
+    check_ball_budget(p, radius, max_vertices)
+    out = []
+    below, top = None, v
+    for k in range(radius + 1):
+        out.append(top)
+        if k < radius:
+            level = [w for j in range(p) if (w := child(top, j)) != below]
+            out += level
+            for _ in range(radius - k - 1):
+                level = [child(u, j) for u in level for j in range(p)]
+                out += level
+        below, top = top, parent(top)
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -319,24 +365,26 @@ def export_dot(vertices, highlights=None) -> str:
     """Graphviz DOT source for the induced subgraph on the given vertices.
 
     `highlights` maps vertices to extra label strings.  Output is
-    deterministic: vertices sorted canonically, edges listed once.
+    deterministic: vertices sorted canonically, edges listed once.  Every
+    tree edge joins a vertex to its parent, so the induced edges are those
+    of the vertices whose parent is in the set too.
     """
-    verts = sorted(set(vertices))
+    verts = canonical_order(set(vertices))
     highlights = highlights or {}
-    vset = set(verts)
-
-    def name(v: Vertex) -> str:
-        return f"v_{v.a}_{v.b}_{v.c}"
+    index = {v: i for i, v in enumerate(verts)}
+    names = [f"v_{v.a}_{v.b}_{v.c}" for v in verts]
 
     lines = ["graph lattice_classes {", "  node [shape=circle];"]
-    for v in verts:
+    for v, name in zip(verts, names):
         label = f"({v.a},{v.b},{v.c})"
         if v in highlights:
             label += f"\\n{highlights[v]}"
-        lines.append(f'  {name(v)} [label="{label}"];')
-    for v in verts:
-        for n in neighbors(v):
-            if n in vset and v < n:
-                lines.append(f"  {name(v)} -- {name(n)};")
+        lines.append(f'  {name} [label="{label}"];')
+    edges = sorted(
+        (min(i, j), max(i, j))
+        for v, i in index.items()
+        if (j := index.get(parent(v))) is not None
+    )
+    lines += [f"  {names[i]} -- {names[j]};" for i, j in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"

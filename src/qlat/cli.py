@@ -47,11 +47,20 @@ from functools import cache
 from math import inf
 
 from .branches import branch_of_order, enumerate_branch
-from .bt_tree import Vertex, ball, distance, export_dot, standard_vertex
+from .bt_tree import (
+    MAX_VERTEX_EXPONENT,
+    Vertex,
+    ball,
+    canonical_order,
+    distance,
+    export_dot,
+    standard_vertex,
+)
 from .errors import (
     EXIT_OK,
     EmptyShape,
     QlatError,
+    ResourceLimit,
     SchemaError,
     UnsupportedField,
     exit_code_for,
@@ -170,6 +179,12 @@ def parse_vertex(value, p: int, path: str) -> Vertex:
     a = _expect_int(_require(obj, "a", path), f"{path}.a")
     b = _expect_int(_require(obj, "b", path), f"{path}.b")
     c = _expect_int(_require(obj, "c", path), f"{path}.c")
+    for key, e in (("a", a), ("b", b)):
+        if e > MAX_VERTEX_EXPONENT:
+            raise ResourceLimit(
+                f"vertex exponent {key} = {e} is above {MAX_VERTEX_EXPONENT}",
+                path=f"{path}.{key}",
+            )
     try:
         return Vertex(p, a, b, c)
     except ValueError as exc:
@@ -298,7 +313,7 @@ def cmd_local_branch_enum(doc: dict, args) -> dict:
     return {
         "p": p,
         "count": len(found),
-        "vertices": [v.to_json() for v in sorted(found)],
+        "vertices": [v.to_json() for v in canonical_order(found)],
     }
 
 
@@ -356,7 +371,8 @@ def _parse_ball(doc: dict):
 
 def cmd_tree_ball(doc: dict, args) -> dict:
     found = _parse_ball(doc)
-    return {"count": len(found), "vertices": [v.to_json() for v in sorted(found)]}
+    vertices = [v.to_json() for v in canonical_order(found)]
+    return {"count": len(found), "vertices": vertices}
 
 
 def cmd_tree_dot(doc: dict, args) -> dict:
@@ -501,8 +517,9 @@ def _write_response(doc: dict, args) -> None:
 
 def _write_error(exc: QlatError) -> None:
     report = {"error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, SchemaError):
-        report["path"] = exc.path
+    path = getattr(exc, "path", None)
+    if path is not None:
+        report["path"] = path
     place = getattr(exc, "place", None)
     if place is not None:
         report["place"] = place

@@ -30,7 +30,14 @@ class SchemaError(QlatError):
 
 
 class ResourceLimit(QlatError):
-    """A configured cardinality or size cap was exceeded."""
+    """A configured cardinality or size cap was exceeded.
+
+    ``path`` points into the request when one field alone is over its cap.
+    """
+
+    def __init__(self, message: str, path: str | None = None):
+        self.path = path
+        super().__init__(message)
 
 
 class BudgetExceeded(ResourceLimit):

@@ -20,12 +20,18 @@ enumeration of residue combinations that the branch test of
 `has_unramified_residue_field` replaced (its seeded sampling for p > 13
 is left out: it decided nothing).
 
-The last section keeps the Fraction module layer that the integer
+The section after it keeps the Fraction module layer that the integer
 `Module4` of `qlat.exact_padic` replaced: the canonical Hermite basis as
 a tuple of exact matrices, the Hermite form by rational elimination, the
 intersection through an integer row echelon with transform, the maximal
 orders as conjugated matrix units, the shifted Eichler modules built on
 them, and the order closure over exact matrix products.
+
+The last section keeps the searches that the generated balls of
+`qlat.bt_tree` and the climb-and-walk of `qlat.branches.enumerate_branch`
+replaced: the breadth-first ball over neighbor scans, the DOT export that
+finds its edges by scanning the neighbors of every vertex, and the branch
+enumeration that filters the whole ball through `contains_shifted`.
 """
 
 from __future__ import annotations
@@ -35,8 +41,9 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd, isqrt
 
+from qlat import bt_tree, local_orders
 from qlat.bt_tree import End, Vertex, canonical_vertex
-from qlat.errors import EmbeddingInfeasible, SingularMatrix, Unbounded
+from qlat.errors import EmbeddingInfeasible, ResourceLimit, SingularMatrix, Unbounded
 from qlat.exact_padic import Mat2, conjugate, reduce_mod_ppow, valuation
 from qlat.global_classfield import (
     BaseField,
@@ -763,3 +770,70 @@ def shifted_eichler_module(v1: Vertex, v2: Vertex, r: int) -> Module4:
     p = v1.p
     mats = [Mat2.identity()] + [b.scale(Fraction(p) ** r) for b in inner.basis]
     return module_hnf(mats, p)
+
+
+# ---------------------------------------------------------------------------
+# Balls, DOT edges and branch enumeration by search
+
+
+def ball(v: Vertex, radius: int, max_vertices=None) -> frozenset[Vertex]:
+    """All vertices within the given distance of v."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    budget = bt_tree.vertex_budget(max_vertices)
+    size = bt_tree.ball_size(v.p, radius)
+    if size > budget:
+        raise ResourceLimit(
+            f"ball of radius {radius} at p={v.p} has {size} vertices, "
+            f"budget is {budget}"
+        )
+    seen = {v}
+    frontier = [v]
+    for _ in range(radius):
+        nxt = []
+        for u in frontier:
+            for n in bt_tree.neighbors(u):
+                if n not in seen:
+                    seen.add(n)
+                    nxt.append(n)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def export_dot(vertices, highlights=None) -> str:
+    """Graphviz DOT source for the induced subgraph on the given vertices.
+
+    `highlights` maps vertices to extra label strings.  Output is
+    deterministic: vertices sorted canonically, edges listed once.
+    """
+    verts = sorted(set(vertices))
+    highlights = highlights or {}
+    vset = set(verts)
+
+    def name(v: Vertex) -> str:
+        return f"v_{v.a}_{v.b}_{v.c}"
+
+    lines = ["graph lattice_classes {", "  node [shape=circle];"]
+    for v in verts:
+        label = f"({v.a},{v.b},{v.c})"
+        if v in highlights:
+            label += f"\\n{highlights[v]}"
+        lines.append(f'  {name(v)} [label="{label}"];')
+    for v in verts:
+        for n in bt_tree.neighbors(v):
+            if n in vset and v < n:
+                lines.append(f"  {name(v)} -- {name(n)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def enumerate_branch(
+    order: LocalOrder, r: int, center: Vertex, radius: int, max_vertices=None
+) -> frozenset[Vertex]:
+    """Brute-force probe: depth-r branch vertices within a ball (exact there)."""
+    region = ball(center, radius, max_vertices)
+    return frozenset(
+        v
+        for v in region
+        if all(local_orders.contains_shifted(v, b, r) for b in order.closure.basis)
+    )

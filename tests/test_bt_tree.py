@@ -10,13 +10,16 @@ from qlat.bt_tree import (
     Vertex,
     ball,
     ball_size,
+    canonical_order,
     canonical_vertex,
+    child,
     dist_to_ray,
     distance,
     end_from_vector,
     export_dot,
     geodesic,
     neighbors,
+    parent,
     ray_vertices,
     standard_vertex,
     step_toward_end,
@@ -117,6 +120,16 @@ def test_ball_sizes_and_budget():
         ball(standard_vertex(2), 40)
     with pytest.raises(ResourceLimit):
         ball(standard_vertex(3), 4, max_vertices=10)
+
+
+def test_children_parent_and_canonical_order():
+    for p in (2, 3, 5):
+        region = ball(Vertex(p, 1, 2, 1), 3)
+        assert canonical_order(region) == sorted(region)
+        for v in region:
+            kids = [child(v, j) for j in range(p)]
+            assert len(kids) == p and all(parent(w) == v for w in kids)
+            assert sorted(kids + [parent(v)]) == list(neighbors(v))
 
 
 def test_ball_respects_env_budget(monkeypatch):

@@ -357,6 +357,66 @@ def test_factor_cap_exits_3(args, request_doc):
     assert err["error"] == "ResourceLimit"
 
 
+# Each ball is far past the vertex budget, and its size p^radius far past
+# what Python prints (or computes in reasonable time): refused unformed.
+HUGE_BALL_REQUESTS = [
+    (["tree", "ball"], {"p": 3, "radius": 10**7}),
+    (["tree", "dot"], {"p": 2, "radius": 10**5}),
+    (
+        ["local", "branch-enum"],
+        {"p": 3, "generators": [[[1, 0], [0, 0]]], "radius": 10**7},
+    ),
+    (["tree", "ball"], {"p": 3, "radius": 10**9}),
+]
+
+
+@pytest.mark.parametrize(
+    "args,request_doc",
+    HUGE_BALL_REQUESTS,
+    ids=["ball-1e7", "dot-1e5", "branch-enum-1e7", "ball-1e9"],
+)
+def test_huge_radius_exits_3(args, request_doc):
+    err = run_json(args, request_doc, expect=3, timeout=5)
+    assert err["error"] == "ResourceLimit"
+    radius = request_doc["radius"]
+    assert f"has more than 2^{radius} vertices, budget is 200000" in err["message"]
+
+
+def test_ball_budget_message_keeps_the_exact_size():
+    err = run_json(["tree", "ball"], {"p": 3, "radius": 20}, expect=3)
+    assert err["message"] == (
+        "ball of radius 20 at p=3 has 6973568801 vertices, budget is 200000"
+    )
+
+
+# Vertex(p, a, b, c) forms p^a: an exponent past the cap is refused before
+# any vertex is built, with the path of the field.
+FAR = {"a": 10**8, "b": 0, "c": 0}
+HUGE_EXPONENT_REQUESTS = [
+    (["tree", "ball"], {"p": 3, "radius": 1, "center": FAR}, "center.a"),
+    (
+        ["local", "branch-enum"],
+        {"p": 3, "generators": [[[1, 0], [0, 0]]], "radius": 1, "center": FAR},
+        "center.a",
+    ),
+    (
+        ["local", "three-maximals"],
+        {"p": 3, "endpoints": [{"a": 0, "b": 0, "c": 0}, FAR]},
+        "endpoints[1].a",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args,request_doc,path",
+    HUGE_EXPONENT_REQUESTS,
+    ids=["ball-center", "branch-enum-center", "three-maximals-endpoint"],
+)
+def test_huge_vertex_exponent_exits_3(args, request_doc, path):
+    err = run_json(args, request_doc, expect=3, timeout=5)
+    assert err["error"] == "ResourceLimit" and err["path"] == path
+
+
 def test_composite_prime_with_small_factor_is_a_schema_error():
     # 10^18 + 10 is even: the first trial divisor decides it
     err = run_json(

@@ -1,18 +1,24 @@
-"""Property tests of the two global subcommands: random and malformed
-requests through `qlat.cli.main` in-process.  Every request must end in
-an answer (exit 0) or a typed diagnostic (exit 2, 3 or 4, one JSON object
-on stderr), never in a traceback."""
+"""Property tests of the two global subcommands and of `tree ball`,
+`tree dot` and `local branch-enum`: random and malformed requests through
+`qlat.cli.main` in-process.  Every request must end in an answer (exit 0)
+or a typed diagnostic (exit 2, 3 or 4, one JSON object on stderr), never
+in a traceback.  Balls must have the closed-form size, and enumerated
+branches must be those of the ball filter in `oracles.py`."""
 
 import io
 import json
 import sys
+from fractions import Fraction
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from qlat.bt_tree import Vertex, ball_size
 from qlat.cli import main
-from qlat.exact_padic import is_squarefree
+from qlat.exact_padic import Mat2, is_squarefree
 from qlat.global_classfield import BaseField
+from qlat.local_orders import order_closure
 
 FUZZ = settings(
     max_examples=200,
@@ -150,3 +156,107 @@ def test_global_rep_field_fuzz(request):
     doc = check(["global", "rep-field"], request)
     if doc is not None:
         assert doc["sigma_degree"] % doc["rep_field_degree"] == 0, doc
+
+
+# ---------------------------------------------------------------------------
+# Tree subcommands
+
+TREE_FUZZ = settings(FUZZ, max_examples=100)
+
+# radii too large to build, and vertex exponents past the cap
+huge_radii = st.sampled_from([20, 10**5, 10**7, 10**9])
+bad_radii = st.sampled_from([-1, "2", 1.5, None])
+bad_vertices = st.sampled_from([
+    {"a": 10**8, "b": 0, "c": 0},
+    {"a": 0, "b": 10**8, "c": 0},
+    {"a": 1, "b": 1, "c": 0},
+    {"a": 1, "b": 0, "c": 99},
+    {"a": -1, "b": 0, "c": 0},
+    {"a": 0, "b": 0},
+    [0, 0, 0],
+])
+bad_budgets = st.sampled_from([0, -5, "10", 2.5])
+
+
+@st.composite
+def vertices(draw, p: int) -> dict:
+    """A canonical triple: 0 <= c < p^a, and c prime to p when a, b > 0."""
+    a, b = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    c = draw(st.integers(0, p**a - 1))
+    if a and b and c % p == 0:
+        c += 1
+    return {"a": a, "b": b, "c": c}
+
+
+@st.composite
+def tree_requests(draw, branch: bool) -> dict:
+    """A ball request at p <= 7 with a malformed or oversized field in one
+    place in eight; branch requests add one to three generators."""
+    rarely = st.sampled_from([False] * 7 + [True])
+
+    def mostly(valid, bad):
+        return draw(bad if draw(rarely) else valid)
+
+    p = mostly(st.sampled_from([2, 3, 5, 7]), st.sampled_from([4, 1, "3"]))
+    q = p if p in (2, 3, 5, 7) else 2
+    doc = {"p": p, "radius": mostly(st.integers(0, 7 - q // 2), huge_radii | bad_radii)}
+    if draw(st.booleans()):
+        doc["center"] = mostly(vertices(q), bad_vertices)
+    if draw(rarely):
+        doc["max_vertices"] = draw(st.integers(1, 300) | bad_budgets)
+    if branch:
+        entry = st.integers(-9, 9)
+        doc["generators"] = [
+            [[draw(entry), draw(entry)], [draw(entry), draw(entry)]]
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+        if draw(rarely):  # a fraction (often unbounded, exit 4) or junk
+            row = draw(st.sampled_from(doc["generators"]))[draw(st.integers(0, 1))]
+            junk = st.sampled_from(["1/2", "2/3", "x", 1.5])
+            row[draw(st.integers(0, 1))] = draw(junk)
+        doc["depth"] = mostly(st.integers(0, 2), bad_radii)
+    return doc
+
+
+@TREE_FUZZ
+@given(tree_requests(branch=False))
+@example({"p": 3, "radius": 10**7})
+@example({"p": 3, "radius": 10**9})
+@example({"p": 3, "radius": 1, "center": {"a": 10**8, "b": 0, "c": 0}})
+def test_tree_ball_fuzz(request):
+    doc = check(["tree", "ball"], request)
+    if doc is not None:
+        assert doc["count"] == ball_size(request["p"], request["radius"])
+        assert len(doc["vertices"]) == doc["count"]
+
+
+@TREE_FUZZ
+@given(tree_requests(branch=False))
+@example({"p": 2, "radius": 10**5})
+def test_tree_dot_fuzz(request):
+    doc = check(["tree", "dot"], request)
+    if doc is not None:
+        assert doc["vertices"] == ball_size(request["p"], request["radius"])
+        assert doc["dot"].count(" -- ") == doc["vertices"] - 1  # a subtree
+
+
+@TREE_FUZZ
+@given(tree_requests(branch=True))
+@example({"p": 3, "generators": [[[1, 0], [0, 0]]], "radius": 10**7})
+@example({
+    "p": 3, "generators": [[[1, 0], [0, 0]]], "radius": 1,
+    "center": {"a": 10**8, "b": 0, "c": 0},
+})
+def test_local_branch_enum_fuzz(request):
+    doc = check(["local", "branch-enum"], request)
+    if doc is not None:
+        p = request["p"]
+        gens = [Mat2.of([[Fraction(x) for x in row] for row in g])
+                for g in request["generators"]]
+        center = Vertex(p, **request.get("center", {"a": 0, "b": 0, "c": 0}))
+        want = oracles.enumerate_branch(
+            order_closure(gens, p), request.get("depth", 0), center,
+            request["radius"], request.get("max_vertices"),
+        )
+        got = [Vertex(p, v["a"], v["b"], v["c"]) for v in doc["vertices"]]
+        assert got == sorted(want), request

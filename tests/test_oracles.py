@@ -19,14 +19,29 @@ from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 from sympy.solvers.diophantine.diophantine import diop_DN
 
 import oracles
-from helpers import make_rng, random_matrix, random_order, random_vertex
-from qlat.branches import _climb, _level_neighbors, fan_slack, mu_margin
+from helpers import (
+    make_rng,
+    random_matrix,
+    random_order,
+    random_vertex,
+    random_vertex_at,
+    spine_vertex,
+)
+from qlat.branches import (
+    _climb,
+    _level_neighbors,
+    branch_of_order,
+    enumerate_branch,
+    fan_slack,
+    mu_margin,
+)
 from qlat.bt_tree import (
     End,
     ball,
     dist_to_ray,
     distance,
     end_from_vector,
+    export_dot,
     neighbors,
     standard_vertex,
     step_toward_end,
@@ -35,13 +50,14 @@ from qlat.errors import ResourceLimit, Unbounded
 from qlat.exact_padic import (
     MAX_TRIAL_DIVISOR,
     Mat2,
+    is_local_square_rat,
     is_prime,
     module_hnf,
     module_intersect,
     prime_divisors,
     sqrt_mod,
 )
-from qlat import global_classfield
+from qlat import branches, global_classfield
 from qlat.global_classfield import (
     BaseField,
     Genus,
@@ -693,3 +709,90 @@ def test_module_layer_builds_no_fractions(monkeypatch):
         assert module_hnf(order.closure.rows, p, order.closure.den) == order.closure
     with pytest.raises(AssertionError, match="Fraction built"):
         order.closure.basis
+
+
+# ---------------------------------------------------------------------------
+# Generated balls, parent-link DOT edges, climb-and-walk branch enumeration
+
+
+# p: (r1, r2).  Balls of radius 0-3 and DOT texts of radius 0-2 are checked
+# around every vertex within 2 of the standard vertex, radius-4 balls around
+# those within r1, and radius-3 and radius-4 DOT texts around those within
+# r2.  The oracle ball and DOT export scan the p + 1 neighbors of every
+# vertex, so at p = 5 and 7 the large cases take fewer centres.
+BIG_CASE_CENTRES = {2: (2, 2), 3: (2, 2), 5: (2, 1), 7: (1, 0)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_generated_balls_and_dot_match_search(p):
+    ball_reach, dot_reach = BIG_CASE_CENTRES[p]
+    for centre in whole_ball(p, 2):
+        d = distance(centre, standard_vertex(p))
+        for radius in range(5 if d <= ball_reach else 4):
+            got = ball(centre, radius)
+            assert got == oracles.ball(centre, radius), (centre, radius)
+            if radius < 3 or d <= dot_reach:
+                assert export_dot(got) == oracles.export_dot(got), (centre, radius)
+
+
+def _branch_orders(p: int, rng):
+    """Orders of every branch kind: scalars (full), a nilpotent (fan), split
+    semisimple with rational and with irrational eigenvalues (apartments),
+    field elements (thick paths), a shared-end Borel pair (thick ray), and
+    seeded orders on one to three generators."""
+    gens = [
+        [Mat2.scalar(7)],
+        [Mat2.of([[2, p], [0, 2]])],
+        [Mat2.of([[1, 0], [0, 1 + p * p]])],
+        [_nonresidue_generator(p)],
+        [Mat2.of([[0, p], [1, 0]])],
+        [Mat2.of([[1, 0], [0, 0]]), Mat2.of([[0, 1], [0, 0]])],
+        [Mat2.of([[1, 0], [0, 0]]), Mat2.of([[0, 0], [p, 0]])],
+    ]
+    # x^2 = q, q a p-adic square but not a rational one (irrational axis)
+    q = next(q for q in range(2, 200) if is_local_square_rat(Fraction(q), p)
+             and isqrt(q) ** 2 != q)
+    gens.append([Mat2.of([[0, q], [1, 0]])])
+    orders = [order_closure(g, p) for g in gens]
+    for ngens in (1, 2, 3):
+        orders += [random_order(rng, p, ngens) for _ in range(2)]
+    return orders
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_walked_branch_enumeration_matches_ball_filter(p):
+    rng = make_rng(700 + p)
+    kinds, sizes = set(), set()
+    for order in _branch_orders(p, rng):
+        shape = branch_of_order(order)
+        kinds.add(shape.kind)
+        for depth in (0, 1, 2):
+            deep = shape.deepen(depth)
+            kinds.add(deep.kind)
+            on = spine_vertex(deep) if deep.kind != "empty" else standard_vertex(p)
+            near, far = random_vertex_at(rng, on, 2), random_vertex_at(rng, on, 5)
+            for centre in (on, near, far):
+                for radius in (0, 1, 3):
+                    got = enumerate_branch(order, depth, centre, radius)
+                    want = oracles.enumerate_branch(order, depth, centre, radius)
+                    assert got == want, (order, depth, centre, radius)
+                    sizes.add(min(len(got), 2))
+    assert sizes == {0, 1, 2}
+    assert kinds == {
+        "full", "fan", "thick_apartment", "thick_path", "thick_ray", "empty"
+    }
+
+
+def test_branch_walk_scans_only_the_inside_of_the_ball(monkeypatch):
+    # A depth-5 apartment at p = 101 holds the whole radius-2 ball: the walk
+    # scans the neighbors of the centre and of its 102 neighbors, not of
+    # the 10,302 vertices on the ball's edge.
+    p = 101
+    order = order_closure([Mat2.of([[1, 0], [0, 1 + p**5]])], p)
+    scanned = []
+    monkeypatch.setattr(
+        branches, "neighbors", lambda v: scanned.append(v) or neighbors(v)
+    )
+    got = enumerate_branch(order, 0, standard_vertex(p), 2)
+    assert got == oracles.enumerate_branch(order, 0, standard_vertex(p), 2)
+    assert len(got) == 10405 and len(scanned) == 1 + (p + 1)
