@@ -32,16 +32,20 @@ allocating anything, then generates the ball from parent and child links:
 up k steps from the centre, down into the other children.  The DOT export
 reads its edges off the same parent links, and both sort vertices on the
 integer triple (`canonical_order`).
+
+A vertex is the tuple (p, a, b, c), so hashing, equality, order and field
+access run in C.  The public constructor validates the triple; `parent`
+and `child` build theirs unchecked, as they are canonical by construction.
 """
 
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import attrgetter
 
 from .errors import ResourceLimit, SchemaError, SingularMatrix
 from .exact_padic import Mat2, int_valuation, reduce_mod_ppow, valuation
@@ -71,21 +75,18 @@ def vertex_budget(max_vertices=None) -> int:
     return DEFAULT_MAX_VERTICES
 
 
-@dataclass(frozen=True, order=True)
-class Vertex:
-    """Canonical lattice class; sorts by the canonical triple."""
+class Vertex(namedtuple("Vertex", "p a b c")):
+    """Canonical lattice class: the tuple (p, a, b, c), sorted by the triple
+    within one tree."""
 
-    p: int
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        p, a, b, c = self.p, self.a, self.b, self.c
+    def __new__(cls, p: int, a: int, b: int, c: int):
         if a < 0 or b < 0 or not (0 <= c < p**a):
             raise ValueError(f"non-canonical vertex triple ({a}, {b}, {c})")
         if a and b and c % p == 0:
             raise ValueError(f"vertex triple ({a}, {b}, {c}) is not primitive")
+        return tuple.__new__(cls, (p, a, b, c))
 
     def basis(self) -> Mat2:
         """Column basis matrix of the canonical lattice representative."""
@@ -95,16 +96,15 @@ class Vertex:
         return {"a": self.a, "b": self.b, "c": self.c}
 
 
-_TRIPLE = attrgetter("a", "b", "c")
+# Builds a Vertex without the canonical-triple check, for links whose
+# triples are canonical by construction.
+_link = tuple.__new__
 
 
 def canonical_order(vertices) -> list[Vertex]:
-    """Vertices of one tree in canonical order, the order of `Vertex.__lt__`.
-
-    The sort key is the integer triple (a, b, c), which compares in C, not
-    the dataclass comparison.
-    """
-    return sorted(vertices, key=_TRIPLE)
+    """Vertices of one tree in canonical order: tuple order, which is the
+    order of the triple (a, b, c) since p is fixed within one tree."""
+    return sorted(vertices)
 
 
 def standard_vertex(p: int) -> Vertex:
@@ -150,18 +150,18 @@ def _capped_valuation(n: int, p: int, cap: int) -> int:
 
 def parent(v: Vertex) -> Vertex:
     """D(x, n - 1)."""
-    p, a, b = v.p, v.a, v.b
+    p, a, b, c = v
     if a == 0:
-        return Vertex(p, 0, b + 1, 0)
-    return Vertex(p, a - 1, b, v.c % p ** (a - 1))
+        return _link(Vertex, (p, 0, b + 1, 0))
+    return _link(Vertex, (p, a - 1, b, c % p ** (a - 1)))
 
 
 def child(v: Vertex, j: int) -> Vertex:
     """D(x + j p^n, n + 1) for a digit 0 <= j < p."""
-    p, a, b = v.p, v.a, v.b
+    p, a, b, c = v
     if a == 0 and b:  # x = 0, n = -b < 0
-        return Vertex(p, 1, b, j) if j else Vertex(p, 0, b - 1, 0)
-    return Vertex(p, a + 1, b, v.c + j * p**a)
+        return _link(Vertex, (p, 1, b, j) if j else (p, 0, b - 1, 0))
+    return _link(Vertex, (p, a + 1, b, c + j * p**a))
 
 
 def _meet(v: Vertex, w: Vertex) -> int:

@@ -500,6 +500,10 @@ def _read_request(args) -> dict:
             f"invalid JSON: {exc.msg} at line {exc.lineno} "
             f"column {exc.colno} (char {exc.pos})",
         ) from None
+    except (ValueError, RecursionError) as exc:
+        # an integer past the int-to-str digit limit, or nesting too deep
+        # for the decoder
+        raise SchemaError("$", f"invalid JSON: {exc}") from None
     return _expect_obj(doc, "$")
 
 

@@ -27,11 +27,15 @@ intersection through an integer row echelon with transform, the maximal
 orders as conjugated matrix units, the shifted Eichler modules built on
 them, and the order closure over exact matrix products.
 
-The last section keeps the searches that the generated balls of
+The section after it keeps the searches that the generated balls of
 `qlat.bt_tree` and the climb-and-walk of `qlat.branches.enumerate_branch`
 replaced: the breadth-first ball over neighbor scans, the DOT export that
 finds its edges by scanning the neighbors of every vertex, and the branch
 enumeration that filters the whole ball through `contains_shifted`.
+
+The last section keeps the frozen dataclass `Vertex` that the tuple-backed
+`qlat.bt_tree.Vertex` replaced.  The routines above take either: they read
+only the fields p, a, b and c.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from qlat import bt_tree, local_orders
-from qlat.bt_tree import End, Vertex, canonical_vertex
+from qlat.bt_tree import End, canonical_vertex
 from qlat.errors import EmbeddingInfeasible, ResourceLimit, SingularMatrix, Unbounded
 from qlat.exact_padic import Mat2, conjugate, reduce_mod_ppow, valuation
 from qlat.global_classfield import (
@@ -837,3 +841,31 @@ def enumerate_branch(
         for v in region
         if all(local_orders.contains_shifted(v, b, r) for b in order.closure.basis)
     )
+
+
+# ---------------------------------------------------------------------------
+# The frozen-dataclass vertex
+
+
+@dataclass(frozen=True, order=True)
+class Vertex:
+    """Canonical lattice class; sorts by the canonical triple."""
+
+    p: int
+    a: int
+    b: int
+    c: int
+
+    def __post_init__(self):
+        p, a, b, c = self.p, self.a, self.b, self.c
+        if a < 0 or b < 0 or not (0 <= c < p**a):
+            raise ValueError(f"non-canonical vertex triple ({a}, {b}, {c})")
+        if a and b and c % p == 0:
+            raise ValueError(f"vertex triple ({a}, {b}, {c}) is not primitive")
+
+    def basis(self) -> Mat2:
+        """Column basis matrix of the canonical lattice representative."""
+        return Mat2.of([[self.p**self.a, self.c], [0, self.p**self.b]])
+
+    def to_json(self) -> dict:
+        return {"a": self.a, "b": self.b, "c": self.c}

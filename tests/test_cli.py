@@ -557,6 +557,29 @@ def test_invalid_json_reports_position():
     assert "line 1" in err["message"] and "char 1" in err["message"]
 
 
+# json.loads rejects these with a ValueError past the int-to-str digit
+# limit and a RecursionError, neither of them a JSONDecodeError.
+UNDECODABLE_REQUESTS = [
+    b'{"p": 3, "radius": ' + b"1" * 5000 + b"}",
+    b"[" * 100_000,
+]
+
+
+@pytest.mark.parametrize(
+    "data", UNDECODABLE_REQUESTS, ids=["5000-digit-integer", "deep-nesting"]
+)
+def test_undecodable_json_exits_2(data):
+    proc = subprocess.run(
+        MOD + ["tree", "ball"], input=data, capture_output=True, timeout=5
+    )
+    assert proc.returncode == 2, proc.stderr.decode()
+    text = proc.stderr.decode()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    err = json.loads(text)
+    assert err["error"] == "SchemaError" and err["path"] == "$"
+    assert err["message"].startswith("$: invalid JSON: ")
+
+
 def test_zero_denominator_diagnostic():
     err = run_json(
         ["local", "classify"],

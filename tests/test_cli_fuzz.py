@@ -1,9 +1,10 @@
-"""Property tests of the two global subcommands and of `tree ball`,
-`tree dot` and `local branch-enum`: random and malformed requests through
-`qlat.cli.main` in-process.  Every request must end in an answer (exit 0)
-or a typed diagnostic (exit 2, 3 or 4, one JSON object on stderr), never
-in a traceback.  Balls must have the closed-form size, and enumerated
-branches must be those of the ball filter in `oracles.py`."""
+"""Property tests of all nine subcommands: random and malformed requests
+through `qlat.cli.main` in-process.  Every request must end in an answer
+(exit 0) or a typed diagnostic (exit 2, 3 or 4, one JSON object on
+stderr), never in a traceback.  Balls must have the closed-form size,
+enumerated branches must be those of the ball filter in `oracles.py`, the
+spinor-image diameter must be that of the classified shape deepened by the
+shift, and three-maximals on a decomposition must give back its level."""
 
 import io
 import json
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import oracles
 from qlat.bt_tree import Vertex, ball_size
 from qlat.cli import main
-from qlat.exact_padic import Mat2, is_squarefree
+from qlat.exact_padic import Mat2, conjugate, is_squarefree
 from qlat.global_classfield import BaseField
 from qlat.local_orders import order_closure
 
@@ -260,3 +261,150 @@ def test_local_branch_enum_fuzz(request):
         )
         got = [Vertex(p, v["a"], v["b"], v["c"]) for v in doc["vertices"]]
         assert got == sorted(want), request
+
+
+# ---------------------------------------------------------------------------
+# Order subcommands
+
+LOCAL_FUZZ = settings(FUZZ, max_examples=100)
+
+bad_generators = st.sampled_from([
+    "x", 1.5, None, [], [[1, 0]], [[1, 0], [0]], [[1, 0], [0, "1/0"]],
+    [[1, 0], [0, 0.5]], [["a", 0], [0, 1]],
+])
+bad_levels = st.sampled_from([-1, "2", 1.5, None])
+
+
+def rational_json(x: Fraction):
+    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def matrix_json(m: Mat2) -> list:
+    return [[rational_json(x) for x in row] for row in m.rows()]
+
+
+@st.composite
+def generator_sets(draw, q: int) -> list[Mat2]:
+    """One to three generators at the prime q: integral, upper triangular,
+    scalar or nilpotent ones, integral ones plus 1/q (not integral) or over
+    a prime-to-q denominator, or the three generators of Z + q^r (level-d
+    Eichler order); all conjugated by a shear or a diagonal power of q."""
+    entry = st.integers(-9, 9)
+    scale = Fraction(q) ** draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(
+        ["integral", "triangular", "scalar", "nilpotent", "non-integral",
+         "prime-to-p", "eichler", "eichler"]
+    ))
+    if kind == "eichler":
+        d, r = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+        units = ([[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [q**d, 0]])
+        gens = [Mat2.of(m).scale(q**r) for m in units]
+    else:
+        gens = []
+        for _ in range(draw(st.integers(1, 3))):
+            if kind == "scalar":
+                m = Mat2.scalar(draw(entry))
+            elif kind == "nilpotent":
+                x, y = draw(entry), draw(entry)
+                m = Mat2.of([[x * y, -x * x], [y * y, -x * y]])
+            elif kind == "triangular":
+                m = Mat2.of([[draw(entry), draw(entry)], [0, draw(entry)]])
+            else:
+                m = Mat2.of([[draw(entry), draw(entry)], [draw(entry), draw(entry)]])
+            gens.append(m.scale(scale))
+        if kind == "non-integral":
+            gens[0] += Mat2.scalar(Fraction(1, q))
+        elif kind == "prime-to-p":
+            den = draw(st.sampled_from([d for d in (2, 3, 5, 7, 11) if d != q]))
+            gens = [m.scale(Fraction(1, den)) for m in gens]
+    g = draw(st.sampled_from([
+        Mat2.identity(),
+        Mat2.of([[1, draw(entry)], [0, 1]]),
+        Mat2.of([[q ** draw(st.integers(1, 2)), 0], [0, 1]]),
+    ]))
+    return [conjugate(m, g) for m in gens]
+
+
+@st.composite
+def order_requests(draw) -> dict:
+    """An order request at p in {2, 3, 5, 7, 101} with a malformed prime,
+    generator or field in one place in eight."""
+    rarely = st.sampled_from([False] * 7 + [True])
+
+    def mostly(valid, bad):
+        return draw(bad if draw(rarely) else valid)
+
+    p = mostly(st.sampled_from([2, 3, 5, 7, 101]), st.sampled_from([4, 1, "3"]))
+    q = p if p in (2, 3, 5, 7, 101) else 2
+    gens = [matrix_json(m) for m in draw(generator_sets(q))]
+    if draw(rarely):
+        gens[draw(st.integers(0, len(gens) - 1))] = draw(bad_generators)
+    doc = {"p": p, "generators": mostly(st.just(gens), st.sampled_from([[], "x"]))}
+    doc["level"] = mostly(st.integers(0, 4), bad_levels)
+    doc["shift"] = mostly(st.integers(0, 3), bad_levels)
+    if draw(rarely):
+        doc["max_vertices"] = draw(st.integers(1, 300) | bad_budgets)
+    return doc
+
+
+def deepened(shape: dict, shift: int):
+    """(diameter, level) of a classified shape deepened by `shift`: a thick
+    path of thickness t keeps its level and has diameter
+    level + 2 (t - shift), and is empty once shift > t; fans, full trees,
+    thick rays and thick apartments are unbounded."""
+    kind = shape["kind"]
+    if kind == "empty":
+        return None, None
+    if kind in ("full", "fan"):
+        return "infinite", None
+    if shift > shape["thickness"]:
+        return None, None
+    if kind == "thick_path":
+        return shape["level"] + 2 * (shape["thickness"] - shift), shape["level"]
+    return "infinite", None
+
+
+@LOCAL_FUZZ
+@given(order_requests())
+@example({"p": 3, "generators": [[[0, 9], [18, 0]]], "level": 2, "shift": 1})
+@example({"p": 101, "generators": [[[0, 1], [1, 0]], [[1, 0], [0, -1]]], "level": 1})
+@example({"p": 5, "generators": [[[0, 1], [0, 0]]], "level": 1, "shift": 0})
+@example({"p": 2, "generators": [[[1, 0], [0, 0]], [[0, 1], [0, 0]]], "shift": 1})
+def test_local_classify_and_spinor_image_fuzz(request):
+    shape = check(["local", "classify"], request)
+    doc = check(["local", "spinor-image"], request)
+    if shape is not None and doc is not None:
+        want = deepened(shape["shape"], request.get("shift", 0))
+        assert (doc["diameter"], doc["level"]) == want, (request, shape, doc)
+
+
+@LOCAL_FUZZ
+@given(order_requests(), st.integers(0, 3))
+@example({
+    "p": 3, "generators": [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [3, 0]]],
+}, 0)
+def test_local_decompose_and_three_maximals_fuzz(request, stray):
+    doc = check(["local", "decompose"], request)
+    if doc is None:
+        return
+    assert doc["level"] >= 0 and doc["shift"] >= 0 and len(doc["endpoints"]) == 2
+    three = {"p": request["p"], "endpoints": doc["endpoints"], "shift": doc["shift"]}
+    got = check(["local", "three-maximals"], three)
+    assert got is not None and got["level"] == doc["level"], (request, doc, got)
+    assert len(got["vertices"]) == 3
+    # a stated level other than the endpoints' distance is refused
+    stated = {**three, "level": doc["level"] + 1 + stray}
+    code, _, err = call(["local", "three-maximals"], stated)
+    assert code == 2 and json.loads(err)["path"] == "level"
+
+
+@settings(LOCAL_FUZZ, max_examples=60)
+@given(st.sampled_from([2, 3, 5, 7, 101]).flatmap(
+    lambda p: st.tuples(st.just(p), *[vertices(p) | bad_vertices] * 2)
+), st.integers(0, 3) | bad_levels)
+def test_local_three_maximals_fuzz(ends, shift):
+    p, v, w = ends
+    request = {"p": p, "endpoints": [v, w], "shift": shift}
+    doc = check(["local", "three-maximals"], request)
+    if doc is not None:
+        assert len(doc["vertices"]) == 3

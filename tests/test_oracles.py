@@ -6,7 +6,8 @@ vertex pairs, the class-group layer (reduced-form enumeration, and the
 coset-extension closure against the breadth-first one) on discriminants
 and generator sets, the genus-character class-field degrees against the
 class-group closure on genera, the capped factorizer on integers, and the
-branch-based residue-field test on seeded and structured orders."""
+branch-based residue-field test on seeded and structured orders, and the
+tuple-backed vertex against the frozen dataclass on whole balls."""
 
 import itertools
 from fractions import Fraction
@@ -37,12 +38,17 @@ from qlat.branches import (
 )
 from qlat.bt_tree import (
     End,
+    Vertex,
     ball,
+    child,
     dist_to_ray,
     distance,
     end_from_vector,
     export_dot,
+    geodesic,
+    iter_neighbors,
     neighbors,
+    parent,
     standard_vertex,
     step_toward_end,
 )
@@ -57,7 +63,7 @@ from qlat.exact_padic import (
     prime_divisors,
     sqrt_mod,
 )
-from qlat import branches, global_classfield
+from qlat import branches, bt_tree, global_classfield
 from qlat.global_classfield import (
     BaseField,
     Genus,
@@ -796,3 +802,67 @@ def test_branch_walk_scans_only_the_inside_of_the_ball(monkeypatch):
     got = enumerate_branch(order, 0, standard_vertex(p), 2)
     assert got == oracles.enumerate_branch(order, 0, standard_vertex(p), 2)
     assert len(got) == 10405 and len(scanned) == 1 + (p + 1)
+
+
+# ---------------------------------------------------------------------------
+# Tuple-backed vertices against the frozen dataclass
+
+
+VERTEX_BALLS = [(2, 5), (3, 4), (5, 3), (7, 2)]
+INVALID_TRIPLES = [
+    (3, 1, 0, 3), (3, 1, 0, -1), (3, 1, 1, 0), (3, -1, 0, 0), (3, 0, -1, 0),
+    (3, 0, 2, 1), (2, 2, 1, 4), (5, 2, 3, 10), (7, 0, 0, 1),
+]
+
+
+def assert_rebuilds(vertices):
+    """Each vertex is a Vertex whose triple passes the validated constructor."""
+    for v in vertices:
+        assert type(v) is Vertex and Vertex(*v) == v, v
+
+
+@pytest.mark.parametrize("p,radius", VERTEX_BALLS)
+def test_tuple_vertex_matches_dataclass(p, radius):
+    new = whole_ball(p, radius)
+    old = [oracles.Vertex(*v) for v in new]
+    for v, o in zip(new, old):
+        assert hash(v) == hash(o) and repr(v) == repr(o), v
+        assert (v.p, v.a, v.b, v.c) == (o.p, o.a, o.b, o.c)
+        assert v.to_json() == o.to_json() and v.basis() == o.basis()
+    for (v, o), (w, q) in itertools.product(zip(new, old), repeat=2):
+        assert (v == w) == (o == q) and (v < w) == (o < q), (v, w)
+    assert old == sorted(old)  # `new` is in tuple order
+    assert [tuple(v) for v in frozenset(new)] == [
+        (o.p, o.a, o.b, o.c) for o in frozenset(old)
+    ]
+
+
+@pytest.mark.parametrize("p,radius", VERTEX_BALLS)
+def test_unchecked_links_build_canonical_vertices(p, radius, monkeypatch):
+    vs = whole_ball(p, radius)
+    for v in vs:
+        assert_rebuilds([parent(v), *(child(v, j) for j in range(p))])
+        assert_rebuilds(iter_neighbors(v))
+    built = []  # the vertex lists `ball` turns into frozensets
+    monkeypatch.setattr(
+        bt_tree, "frozenset", lambda out: built.append(out) or frozenset(out),
+        raising=False,
+    )
+    for v in whole_ball(p, 1):
+        region = ball(v, radius)
+        assert_rebuilds(region)
+        as_dataclasses = frozenset(oracles.Vertex(*w) for w in built.pop())
+        assert [tuple(w) for w in region] == [
+            (o.p, o.a, o.b, o.c) for o in as_dataclasses
+        ]
+    for v, w in itertools.combinations(vs[:: max(1, len(vs) // 12)], 2):
+        assert_rebuilds(geodesic(v, w))
+
+
+def test_invalid_triples_raise_like_the_dataclass():
+    for triple in INVALID_TRIPLES:
+        with pytest.raises(ValueError) as new:
+            Vertex(*triple)
+        with pytest.raises(ValueError) as old:
+            oracles.Vertex(*triple)
+        assert str(new.value) == str(old.value), triple
