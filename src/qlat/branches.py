@@ -41,7 +41,7 @@ its basis; deepening by r erodes every margin by r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from fractions import Fraction
 from math import inf, isqrt
 
@@ -89,13 +89,22 @@ class Shape:
     The defaults here are those of the unbounded kinds: infinite diameter,
     no rational ends, thickness 0, no Eichler level, and deepening that
     keeps the set (exact for Full and Empty).  `anchor` is a vertex on the
-    core of every kind but Full and Empty.
+    core of every kind but Full and Empty.  Shapes are value tuples whose
+    equality also compares the kind, since Full(p) and Empty(p) are both
+    the tuple (p,).
     """
 
+    __slots__ = ()
     kind: str
     level = None
     thickness = 0
     rational_ends: frozenset[End] = frozenset()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    __ne__ = object.__ne__  # the negated __eq__; tuple's would ignore the kind
+    __hash__ = tuple.__hash__
 
     def margin(self, v: Vertex):
         """How far v sits inside the shape; membership is margin >= 0."""
@@ -115,18 +124,16 @@ class Shape:
         return {"kind": self.kind, "p": self.p}
 
 
-@dataclass(frozen=True)
-class Full(Shape):
-    p: int
+class Full(Shape, namedtuple("Full", "p")):
+    __slots__ = ()
     kind = "full"
 
     def margin(self, v: Vertex):
         return inf
 
 
-@dataclass(frozen=True)
-class Empty(Shape):
-    p: int
+class Empty(Shape, namedtuple("Empty", "p")):
+    __slots__ = ()
     kind = "empty"
 
     def margin(self, v: Vertex):
@@ -139,9 +146,13 @@ class Empty(Shape):
 class _Thick(Shape):
     """The kinds made of the vertices within t of a core."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.t < 0:
             raise ValueError("thickness must be >= 0")
+        return self
 
     @property
     def thickness(self) -> int:
@@ -150,7 +161,10 @@ class _Thick(Shape):
     def deepen(self, r: int) -> Shape:
         if r <= 0:
             return super().deepen(r)
-        return replace(self, t=self.t - r) if r <= self.t else Empty(self.p)
+        if r > self.t:
+            return Empty(self.p)
+        # the constructor validates the new shape, as _replace would not
+        return type(self)(**{**self._asdict(), "t": self.t - r})
 
     def to_json(self) -> dict:
         return {**super().to_json(), "thickness": self.t}
@@ -158,6 +172,8 @@ class _Thick(Shape):
 
 class _Based(Shape):
     """The kinds built on the ray from `base` toward the boundary line `end`."""
+
+    __slots__ = ()
 
     @property
     def p(self) -> int:
@@ -176,23 +192,22 @@ class _Based(Shape):
         return {**super().to_json(), "base": base, "end": end}
 
 
-@dataclass(frozen=True)
-class ThickPath(_Thick):
+class ThickPath(_Thick, namedtuple("ThickPath", "path t")):
     """Vertices within t of a finite path (path listed in canonical order)."""
 
-    path: tuple[Vertex, ...]
-    t: int
+    __slots__ = ()
     kind = "thick_path"
 
-    def __post_init__(self):
-        if not self.path:
+    def __new__(cls, path: tuple[Vertex, ...], t: int):
+        if not path:
             raise ValueError("thick path needs at least one vertex")
-        super().__post_init__()
-        for u, w in zip(self.path, self.path[1:]):
+        if path[0] > path[-1]:
+            path = tuple(reversed(path))
+        self = super().__new__(cls, path, t)
+        for u, w in zip(path, path[1:]):
             if distance(u, w) != 1:
                 raise ValueError("path vertices must be consecutive neighbors")
-        if self.path[0] > self.path[-1]:
-            object.__setattr__(self, "path", tuple(reversed(self.path)))
+        return self
 
     @property
     def p(self) -> int:
@@ -217,42 +232,36 @@ class ThickPath(_Thick):
         return {**super().to_json(), "path": path, "level": self.level}
 
 
-@dataclass(frozen=True)
-class ThickRay(_Thick, _Based):
+class ThickRay(_Thick, _Based, namedtuple("ThickRay", "base end t")):
     """Vertices within t of the ray from base toward one boundary line."""
 
-    base: Vertex
-    end: End
-    t: int
+    __slots__ = ()
     kind = "thick_ray"
 
     def margin(self, v: Vertex):
         return self.t - dist_to_ray(v, self.base, self.end)
 
 
-@dataclass(frozen=True, eq=False)
-class ThickApartment(_Thick):
+class ThickApartment(
+    _Thick, namedtuple("ThickApartment", "p ends t witness axis_margin anchor")
+):
     """Vertices within t of the axis of a split semisimple witness.
 
     `ends` is the sorted pair of rational boundary lines when the witness
     has rational eigenvalues, and None when the eigenvalues are irrational
     (then only the witness pins the axis down, and equality of shapes is
     decided by whether the witnesses commute).  `axis_margin` is the value
-    of mu(witness, .) on the axis and `anchor` is a vertex on the axis.
+    of mu(witness, .) on the axis and `anchor` is a vertex on the axis;
+    `repr` leaves out these last three.
     """
 
-    p: int
-    ends: tuple[End, End] | None
-    t: int
-    witness: Mat2 = field(repr=False)
-    axis_margin: int = field(repr=False)
-    anchor: Vertex = field(repr=False)
+    __slots__ = ()
     kind = "thick_apartment"
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.ends is not None and tuple(sorted(self.ends)) != self.ends:
-            object.__setattr__(self, "ends", tuple(sorted(self.ends)))
+    def __new__(cls, p, ends, t, witness, axis_margin, anchor):
+        if ends is not None:
+            ends = tuple(sorted(ends))
+        return super().__new__(cls, p, ends, t, witness, axis_margin, anchor)
 
     def __eq__(self, other):
         if not isinstance(other, ThickApartment):
@@ -268,6 +277,9 @@ class ThickApartment(_Thick):
     def __hash__(self):
         return hash((self.p, self.ends, self.t))
 
+    def __repr__(self):
+        return f"ThickApartment(p={self.p!r}, ends={self.ends!r}, t={self.t!r})"
+
     @property
     def rational_ends(self) -> frozenset[End]:
         return frozenset(self.ends or ())
@@ -280,16 +292,14 @@ class ThickApartment(_Thick):
         return {**super().to_json(), "ends": ends, "anchor": self.anchor.to_json()}
 
 
-@dataclass(frozen=True)
-class Fan(_Based):
+class Fan(_Based, namedtuple("Fan", "base end")):
     """A horoball: vertices whose slack toward one boundary line is >= 0.
 
     The base is canonical (the zero-slack vertex reached by a deterministic
     walk from the standard vertex), so structural equality is set equality.
     """
 
-    base: Vertex
-    end: End
+    __slots__ = ()
     kind = "fan"
 
     def margin(self, v: Vertex):

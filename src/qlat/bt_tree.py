@@ -43,7 +43,6 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 from contextlib import suppress
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -268,21 +267,20 @@ def ball(v: Vertex, radius: int, max_vertices=None) -> frozenset[Vertex]:
 # Ends of the tree
 
 
-@dataclass(frozen=True, order=True)
-class End:
+class End(namedtuple("End", "x y")):
     """A boundary point: the line spanned by the primitive vector (x, y)."""
 
-    x: int
-    y: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.x == 0 and self.y == 0:
+    def __new__(cls, x: int, y: int):
+        if x == 0 and y == 0:
             raise ValueError("end requires a nonzero vector")
-        if gcd(self.x, self.y) != 1:
+        if gcd(x, y) != 1:
             raise ValueError("end vector must be primitive")
-        lead = self.x if self.x != 0 else self.y
+        lead = x if x != 0 else y
         if lead < 0:
             raise ValueError("end vector must have positive leading entry")
+        return tuple.__new__(cls, (x, y))
 
     def to_json(self) -> list:
         return [self.x, self.y]

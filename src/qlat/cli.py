@@ -488,7 +488,7 @@ def _read_request(args) -> dict:
         try:
             with open(args.infile, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SchemaError("$", f"cannot read {args.infile}: {exc}") from None
     else:
         text = sys.stdin.read()

@@ -27,7 +27,7 @@ All values are immutable and all functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, pairwise
@@ -199,11 +199,23 @@ def is_local_square_rat(x, p: int) -> bool:
 # 2x2 matrices
 
 
-@dataclass(frozen=True)
-class Mat2:
-    """Immutable exact 2x2 matrix; entries row-major (m00, m01, m10, m11)."""
+class Frozen:
+    """Base of the value types whose instances hold attributes besides
+    tuple fields, and refuse every assignment: the slots of `QForm`, and
+    the dict where `cached_property` stores the values of `Mat2`,
+    `Module4` and `Genus` once."""
 
-    entries: tuple[Rat, Rat, Rat, Rat]
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Mat2(Frozen, namedtuple("Mat2", "entries")):
+    """Immutable exact 2x2 matrix; entries row-major (m00, m01, m10, m11)."""
 
     @staticmethod
     def of(rows) -> "Mat2":
@@ -339,8 +351,7 @@ def smith_local(g: Mat2, p: int) -> tuple[int, int]:
 # Canonical modules of 2x2 matrices
 
 
-@dataclass(frozen=True)
-class Module4:
+class Module4(Frozen, namedtuple("Module4", "p den rows")):
     """A finitely generated Z_(p)-submodule of the 2x2 matrices.
 
     It is kept in its unique canonical Hermite basis: each basis element
@@ -354,10 +365,6 @@ class Module4:
     Equal spans have identical (den, rows), so `==` is exact module
     equality.  `basis` is the same basis as exact matrices.
     """
-
-    p: int
-    den: int
-    rows: tuple[tuple[int, int, int, int], ...]
 
     @staticmethod
     def of(p: int, den: int, rows) -> "Module4":

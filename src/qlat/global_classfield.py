@@ -17,13 +17,14 @@ Global arithmetic over Q and over quadratic fields Q(sqrt(m)):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import inf, prod
 
 from .errors import AlgebraNotSplit, EmbeddingInfeasible, SchemaError
 from .exact_padic import (
+    Frozen,
     is_local_square_rat,
     is_prime,
     is_rational_square,
@@ -97,14 +98,13 @@ def _fraction_sqrt(x: Fraction) -> Fraction:
 # Fields and places
 
 
-@dataclass(frozen=True, order=True)
-class PrimeIdeal:
+class PrimeIdeal(namedtuple("PrimeIdeal", "p selector tag")):
     """A finite place: the prime below, its splitting type, and — at split
-    primes — which of the two branches (selector 1 or 2) this place is."""
+    primes — which of the two branches (selector 1 or 2) this place is.
+    `selector` is 0 unless split, else 1 or 2; `tag` is one of "rational",
+    "inert", "ramified" and "split"."""
 
-    p: int
-    selector: int  # 0 unless split, else 1 or 2
-    tag: str  # "rational" | "inert" | "ramified" | "split"
+    __slots__ = ()
 
     def key(self) -> str:
         if self.selector:
@@ -112,11 +112,10 @@ class PrimeIdeal:
         return str(self.p)
 
 
-@dataclass(frozen=True)
-class BaseField:
+class BaseField(namedtuple("BaseField", "m")):
     """Q (m is None) or the quadratic field Q(sqrt(m)), m squarefree."""
 
-    m: int | None
+    __slots__ = ()
 
     @staticmethod
     def rationals() -> "BaseField":
@@ -433,13 +432,10 @@ def fe_is_square(field: BaseField, el: FE) -> bool:
 # Ray class groups
 
 
-@dataclass(frozen=True)
-class RayClassGroup:
+class RayClassGroup(namedtuple("RayClassGroup", "field modulus order")):
     """Narrow ray class group of conductor = a set of real places."""
 
-    field: BaseField
-    modulus: tuple[str, ...]
-    order: int
+    __slots__ = ()
 
     @property
     def wide(self) -> bool:
@@ -529,15 +525,12 @@ def _genus_degree(ray: RayClassGroup, places) -> int:
 # Quaternion genera
 
 
-@dataclass(frozen=True)
-class QuatAlgebra:
+class QuatAlgebra(namedtuple("QuatAlgebra", "field finite real", defaults=((), ()))):
     """A quaternion algebra over the base field, given by its ramified
     places (finite prime ideals and real place keys); the set must have
     even size."""
 
-    field: BaseField
-    finite: tuple[PrimeIdeal, ...] = ()
-    real: tuple[str, ...] = ()
+    __slots__ = ()
 
     @staticmethod
     def of(field: BaseField, finite=(), real=()) -> "QuatAlgebra":
@@ -570,13 +563,9 @@ def _normalize_ideal_map(entries) -> tuple[tuple[PrimeIdeal, int], ...]:
     return tuple(sorted(out.items()))
 
 
-@dataclass(frozen=True)
-class Genus:
+class Genus(Frozen, namedtuple("Genus", "level shift", defaults=((), ()))):
     """Eichler-type genus data: per-place level exponents and the shift
     ideal exponents (the r in O + p^r * intersection)."""
-
-    level: tuple[tuple[PrimeIdeal, int], ...] = ()
-    shift: tuple[tuple[PrimeIdeal, int], ...] = ()
 
     @staticmethod
     def of(level=None, shift=None) -> "Genus":
@@ -613,15 +602,12 @@ def validate_genus(algebra: QuatAlgebra, genus: Genus, path: str = "genus") -> N
 # Spinor class fields
 
 
-@dataclass(frozen=True)
-class SigmaField:
+class SigmaField(namedtuple("SigmaField", "ray degree forced")):
     """The spinor class field of a genus: the ray class group it is a
     quotient of, its degree over the base field, and the finite places
     whose Frobenius classes are forced to die."""
 
-    ray: RayClassGroup
-    degree: int
-    forced: tuple[PrimeIdeal, ...]
+    __slots__ = ()
 
     @property
     def group_order(self) -> int:
@@ -652,15 +638,12 @@ def spinor_class_field(algebra: QuatAlgebra, genus: Genus) -> SigmaField:
 # Representation fields
 
 
-@dataclass(frozen=True)
-class RepField:
+class RepField(namedtuple("RepField", "degree sigma strict_places", defaults=((),))):
     """Representation field of a suborder genus: its degree over the base
     field, the ambient spinor class field, and the places whose conditions
     push the field down (strict/unbalanced places)."""
 
-    degree: int
-    sigma: SigmaField
-    strict_places: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 def selectivity_ratio(rep: RepField) -> Fraction:

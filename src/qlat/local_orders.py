@@ -13,7 +13,7 @@ Eichler order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bt_tree import Vertex, distance, geodesic, iter_neighbors
 from .errors import NotShiftedEichler, Unbounded
@@ -30,13 +30,10 @@ CLOSURE_MAX_ROUNDS = 64
 _DIVERGENCE_WINDOW = 8
 
 
-@dataclass(frozen=True)
-class LocalOrder:
+class LocalOrder(namedtuple("LocalOrder", "p generators closure")):
     """An order presented by generators plus its canonical module basis."""
 
-    p: int
-    generators: tuple[Mat2, ...]
-    closure: Module4
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -167,20 +164,18 @@ def contains_shifted(v: Vertex, h: Mat2, r: int) -> bool:
 # Shifted Eichler orders
 
 
-@dataclass(frozen=True)
-class ShiftedEichler:
+class ShiftedEichler(namedtuple("ShiftedEichler", "endpoints level shift")):
     """Invariants (endpoint pair, level d, shift r) of Z + p^r * Eichler(d)."""
 
-    endpoints: tuple[Vertex, Vertex]
-    level: int
-    shift: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        v1, v2 = self.endpoints
-        if self.shift < 0:
+    def __new__(cls, endpoints: tuple[Vertex, Vertex], level: int, shift: int):
+        v1, v2 = endpoints
+        if shift < 0:
             raise ValueError("shift must be >= 0")
-        if distance(v1, v2) != self.level:
+        if distance(v1, v2) != level:
             raise ValueError("level must equal the distance between endpoints")
+        return tuple.__new__(cls, (endpoints, level, shift))
 
     @property
     def p(self) -> int:

@@ -11,11 +11,12 @@ quadratic fields come from the continued fraction of the square root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import total_ordering
 from math import gcd, isqrt
 
 from .errors import ResourceLimit
-from .exact_padic import is_squarefree, legendre, sqrt_mod
+from .exact_padic import Frozen, is_squarefree, legendre, sqrt_mod
 
 # Largest |discriminant| whose class group is computed: reduced-form
 # enumeration takes O(|disc|) steps, so larger requests exit with
@@ -23,13 +24,39 @@ from .exact_padic import is_squarefree, legendre, sqrt_mod
 MAX_CLASS_GROUP_DISC = 10**7
 
 
-@dataclass(frozen=True, order=True)
-class QForm:
-    """Primitive integral binary quadratic form a*x^2 + b*x*y + c*y^2."""
+@total_ordering
+class QForm(Frozen):
+    """Primitive integral binary quadratic form a*x^2 + b*x*y + c*y^2.
 
-    a: int
-    b: int
-    c: int
+    A class with the frozen dataclass's methods rather than a tuple: a
+    tuple's `+` and `*` would concatenate and repeat forms, and its
+    comparisons in C make global-classfield about 1.15x faster, which waits
+    on ROADMAP item 1 (the benchmark's peak_rss_mb grows with the requests
+    a run sends).
+    """
+
+    __slots__ = __match_args__ = ("a", "b", "c")
+
+    def __init__(self, a: int, b: int, c: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c) == (other.a, other.b, other.c)
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c) < (other.a, other.b, other.c)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c))
+
+    def __repr__(self):
+        return f"QForm(a={self.a!r}, b={self.b!r}, c={self.c!r})"
 
     @property
     def disc(self) -> int:
@@ -201,16 +228,14 @@ def compose(f1: QForm, f2: QForm) -> QForm:
 # Class groups
 
 
-@dataclass(frozen=True)
-class ClassGroup:
+class ClassGroup(namedtuple("ClassGroup", "disc reps")):
     """The form class group of a fundamental discriminant.
 
     For disc > 0 this is the narrow class group (proper equivalence of
     forms).  `reps` lists one canonical representative per class, sorted.
     """
 
-    disc: int
-    reps: tuple[QForm, ...]
+    __slots__ = ()
 
     @property
     def order(self) -> int:

@@ -33,28 +33,50 @@ replaced: the breadth-first ball over neighbor scans, the DOT export that
 finds its edges by scanning the neighbors of every vertex, and the branch
 enumeration that filters the whole ball through `contains_shifted`.
 
-The last section keeps the frozen dataclass `Vertex` that the tuple-backed
-`qlat.bt_tree.Vertex` replaced.  The routines above take either: they read
-only the fields p, a, b and c.
+The section after it keeps the frozen dataclass `Vertex` that the
+tuple-backed `qlat.bt_tree.Vertex` replaced.  The routines above take
+either: they read only the fields p, a, b and c.
+
+The last section keeps the twenty other frozen dataclasses that value
+tuples replaced across `qlat` (matrices, modules, ends, orders, the six
+shapes, forms and class groups, places, fields and class-field records),
+renamed with the prefix "Dataclass".
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import cached_property
+from itertools import chain
+from math import gcd, inf, isqrt
 
 from qlat import bt_tree, local_orders
+from qlat.branches import canonical_fan
 from qlat.bt_tree import End, canonical_vertex
-from qlat.errors import EmbeddingInfeasible, ResourceLimit, SingularMatrix, Unbounded
-from qlat.exact_padic import Mat2, conjugate, reduce_mod_ppow, valuation
+from qlat.errors import (
+    EmbeddingInfeasible,
+    EmptyShape,
+    ResourceLimit,
+    SingularMatrix,
+    Unbounded,
+)
+from qlat.exact_padic import (
+    Mat2,
+    commute,
+    conjugate,
+    int_valuation,
+    reduce_mod_ppow,
+    valuation,
+)
 from qlat.global_classfield import (
     BaseField,
     Genus,
     PrimeIdeal,
     QuatAlgebra,
     RepField,
+    _normalize_ideal_map,
     validate_genus,
 )
 from qlat.local_orders import _DIVERGENCE_WINDOW, CLOSURE_MAX_ROUNDS, LocalOrder
@@ -64,9 +86,12 @@ from qlat.quadforms import (
     _divisors_signed,
     class_group,
     class_rep,
+    compose,
     is_reduced_indefinite,
+    kronecker_at,
     negative_identity_class,
     prime_form,
+    principal_form,
 )
 
 
@@ -869,3 +894,656 @@ class Vertex:
 
     def to_json(self) -> dict:
         return {"a": self.a, "b": self.b, "c": self.c}
+
+
+# ---------------------------------------------------------------------------
+# The frozen dataclasses that the value tuples replaced
+#
+# Each class keeps its dataclass text, renamed with the prefix "Dataclass"
+# (so the repr names differ by that prefix) and building its twins where
+# it built itself.  The helpers they call resolve in this module: the
+# slow oracles above where one exists, else the functions of qlat.
+
+
+@dataclass(frozen=True)
+class DataclassMat2:
+    """Immutable exact 2x2 matrix; entries row-major (m00, m01, m10, m11)."""
+
+    entries: tuple[Rat, Rat, Rat, Rat]
+
+    @staticmethod
+    def of(rows) -> "DataclassMat2":
+        (a, b), (c, d) = rows
+        return DataclassMat2((Fraction(a), Fraction(b), Fraction(c), Fraction(d)))
+
+    @staticmethod
+    def identity() -> "DataclassMat2":
+        return DataclassMat2.of([[1, 0], [0, 1]])
+
+    @staticmethod
+    def zero() -> "DataclassMat2":
+        return DataclassMat2.of([[0, 0], [0, 0]])
+
+    @staticmethod
+    def scalar(x) -> "DataclassMat2":
+        return DataclassMat2.of([[x, 0], [0, x]])
+
+    @property
+    def m00(self) -> Rat:
+        return self.entries[0]
+
+    @property
+    def m01(self) -> Rat:
+        return self.entries[1]
+
+    @property
+    def m10(self) -> Rat:
+        return self.entries[2]
+
+    @property
+    def m11(self) -> Rat:
+        return self.entries[3]
+
+    def rows(self) -> tuple[tuple[Rat, Rat], tuple[Rat, Rat]]:
+        a, b, c, d = self.entries
+        return ((a, b), (c, d))
+
+    def __add__(self, other: "DataclassMat2") -> "DataclassMat2":
+        pairs = zip(self.entries, other.entries)
+        return DataclassMat2(tuple(x + y for x, y in pairs))
+
+    def __sub__(self, other: "DataclassMat2") -> "DataclassMat2":
+        pairs = zip(self.entries, other.entries)
+        return DataclassMat2(tuple(x - y for x, y in pairs))
+
+    def __neg__(self) -> "DataclassMat2":
+        return DataclassMat2(tuple(-x for x in self.entries))
+
+    def __mul__(self, other):
+        if isinstance(other, DataclassMat2):
+            a, b, c, d = self.entries
+            e, f, g, h = other.entries
+            return DataclassMat2(
+                (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            )
+        x = Fraction(other)
+        return DataclassMat2(tuple(v * x for v in self.entries))
+
+    def __rmul__(self, other) -> "DataclassMat2":
+        x = Fraction(other)
+        return DataclassMat2(tuple(x * v for v in self.entries))
+
+    def scale(self, x) -> "DataclassMat2":
+        return self * Fraction(x)
+
+    def trace(self) -> Rat:
+        return self.entries[0] + self.entries[3]
+
+    def det(self) -> Rat:
+        a, b, c, d = self.entries
+        return a * d - b * c
+
+    def discriminant(self) -> Rat:
+        """Discriminant of the characteristic polynomial, trace^2 - 4 det."""
+        t = self.trace()
+        return t * t - 4 * self.det()
+
+    def inverse(self) -> "DataclassMat2":
+        dt = self.det()
+        if dt == 0:
+            raise SingularMatrix("matrix is not invertible")
+        a, b, c, d = self.entries
+        return DataclassMat2((d / dt, -b / dt, -c / dt, a / dt))
+
+    def is_scalar(self) -> bool:
+        a, b, c, d = self.entries
+        return b == 0 and c == 0 and a == d
+
+    def apply(self, vec):
+        a, b, c, d = self.entries
+        x, y = vec
+        return (a * x + b * y, c * x + d * y)
+
+    @cached_property
+    def cleared(self) -> tuple[int, int, int, int, int]:
+        """(den, a, b, c, d) in integers with self = [[a, b], [c, d]] / den.
+
+        den > 0 is the least common denominator of the entries; the value
+        is computed once per matrix and then kept on it.
+        """
+        den = 1
+        for x in self.entries:
+            den = den * x.denominator // gcd(den, x.denominator)
+        return (den, *(x.numerator * (den // x.denominator) for x in self.entries))
+
+    def min_valuation(self, p: int):
+        return min(valuation(x, p) for x in self.entries)
+
+
+@dataclass(frozen=True)
+class DataclassModule4:
+    """A finitely generated Z_(p)-submodule of the 2x2 matrices.
+
+    It is kept in its unique canonical Hermite basis: each basis element
+    has a pivot coordinate (in row-major flat order) equal to a power of p,
+    pivots sit at strictly increasing coordinates, each pivot coordinate of
+    the other basis elements is reduced to its representative in Z[1/p] and
+    [0, p^e) modulo the pivot power p^e, and everything before a pivot is
+    zero.  The basis is stored as integer `rows` over `den`, the least
+    common denominator of its entries: a power of p at rank 4, where every
+    coordinate has a pivot, and possibly with a prime-to-p part below.
+    Equal spans have identical (den, rows), so `==` is exact module
+    equality.  `basis` is the same basis as exact matrices.
+    """
+
+    p: int
+    den: int
+    rows: tuple[tuple[int, int, int, int], ...]
+
+    @staticmethod
+    def of(p: int, den: int, rows) -> "DataclassModule4":
+        """The module of canonical rows over den, common factors cancelled."""
+        rows = list(rows)
+        g = gcd(den, *chain.from_iterable(rows))
+        rows = tuple(tuple(x // g for x in r) for r in rows)
+        return DataclassModule4(p, den // g, rows)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    @cached_property
+    def basis(self) -> tuple[DataclassMat2, ...]:
+        den = self.den
+        return tuple(
+            DataclassMat2(tuple(Fraction(x, den) for x in r)) for r in self.rows
+        )
+
+    def min_valuation(self) -> int:
+        """Least valuation of a basis entry (the module must be nonzero)."""
+        p = self.p
+        least = min(int_valuation(x, p) for r in self.rows for x in r if x)
+        return least - int_valuation(self.den, p)
+
+
+@dataclass(frozen=True, order=True)
+class DataclassEnd:
+    """A boundary point: the line spanned by the primitive vector (x, y)."""
+
+    x: int
+    y: int
+
+    def __post_init__(self):
+        if self.x == 0 and self.y == 0:
+            raise ValueError("end requires a nonzero vector")
+        if gcd(self.x, self.y) != 1:
+            raise ValueError("end vector must be primitive")
+        lead = self.x if self.x != 0 else self.y
+        if lead < 0:
+            raise ValueError("end vector must have positive leading entry")
+
+    def to_json(self) -> list:
+        return [self.x, self.y]
+
+
+@dataclass(frozen=True)
+class DataclassLocalOrder:
+    """An order presented by generators plus its canonical module basis."""
+
+    p: int
+    generators: tuple[Mat2, ...]
+    closure: Module4
+
+    @property
+    def rank(self) -> int:
+        return self.closure.rank
+
+
+@dataclass(frozen=True)
+class DataclassShiftedEichler:
+    """Invariants (endpoint pair, level d, shift r) of Z + p^r * Eichler(d)."""
+
+    endpoints: tuple[Vertex, Vertex]
+    level: int
+    shift: int
+
+    def __post_init__(self):
+        v1, v2 = self.endpoints
+        if self.shift < 0:
+            raise ValueError("shift must be >= 0")
+        if distance(v1, v2) != self.level:
+            raise ValueError("level must equal the distance between endpoints")
+
+    @property
+    def p(self) -> int:
+        return self.endpoints[0].p
+
+    def module(self) -> Module4:
+        v1, v2 = self.endpoints
+        return shifted_eichler_module(v1, v2, self.shift)
+
+
+class DataclassShape:
+    """A branch shape: the vertex set where its margin is >= 0.
+
+    Each kind carries its own margin, deepening, diameter and JSON form.
+    The defaults here are those of the unbounded kinds: infinite diameter,
+    no rational ends, thickness 0, no Eichler level, and deepening that
+    keeps the set (exact for Full and Empty).  `anchor` is a vertex on the
+    core of every kind but Full and Empty.
+    """
+
+    kind: str
+    level = None
+    thickness = 0
+    rational_ends: frozenset[End] = frozenset()
+
+    def margin(self, v: Vertex):
+        """How far v sits inside the shape; membership is margin >= 0."""
+        raise NotImplementedError
+
+    def deepen(self, r: int) -> DataclassShape:
+        """The depth-r branch {v : ball-depth r inside}: erode the margin by r."""
+        if r < 0:
+            raise ValueError("depth must be >= 0")
+        return self
+
+    def diameter(self):
+        """Vertex-set diameter: finite only for thick paths."""
+        return inf
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "p": self.p}
+
+
+@dataclass(frozen=True)
+class DataclassFull(DataclassShape):
+    p: int
+    kind = "full"
+
+    def margin(self, v: Vertex):
+        return inf
+
+
+@dataclass(frozen=True)
+class DataclassEmpty(DataclassShape):
+    p: int
+    kind = "empty"
+
+    def margin(self, v: Vertex):
+        return -inf
+
+    def diameter(self):
+        raise EmptyShape("empty shape has no diameter")
+
+
+class DataclassThick(DataclassShape):
+    """The kinds made of the vertices within t of a core."""
+
+    def __post_init__(self):
+        if self.t < 0:
+            raise ValueError("thickness must be >= 0")
+
+    @property
+    def thickness(self) -> int:
+        return self.t
+
+    def deepen(self, r: int) -> DataclassShape:
+        if r <= 0:
+            return super().deepen(r)
+        return replace(self, t=self.t - r) if r <= self.t else DataclassEmpty(self.p)
+
+    def to_json(self) -> dict:
+        return {**super().to_json(), "thickness": self.t}
+
+
+class DataclassBased(DataclassShape):
+    """The kinds built on the ray from `base` toward the boundary line `end`."""
+
+    @property
+    def p(self) -> int:
+        return self.base.p
+
+    @property
+    def anchor(self) -> Vertex:
+        return self.base
+
+    @property
+    def rational_ends(self) -> frozenset[End]:
+        return frozenset([self.end])
+
+    def to_json(self) -> dict:
+        base, end = self.base.to_json(), self.end.to_json()
+        return {**super().to_json(), "base": base, "end": end}
+
+
+@dataclass(frozen=True)
+class DataclassThickPath(DataclassThick):
+    """Vertices within t of a finite path (path listed in canonical order)."""
+
+    path: tuple[Vertex, ...]
+    t: int
+    kind = "thick_path"
+
+    def __post_init__(self):
+        if not self.path:
+            raise ValueError("thick path needs at least one vertex")
+        super().__post_init__()
+        for u, w in zip(self.path, self.path[1:]):
+            if distance(u, w) != 1:
+                raise ValueError("path vertices must be consecutive neighbors")
+        if self.path[0] > self.path[-1]:
+            object.__setattr__(self, "path", tuple(reversed(self.path)))
+
+    @property
+    def p(self) -> int:
+        return self.path[0].p
+
+    @property
+    def level(self) -> int:
+        return len(self.path) - 1
+
+    @property
+    def anchor(self) -> Vertex:
+        return self.path[0]
+
+    def margin(self, v: Vertex):
+        return self.t - min(distance(v, x) for x in self.path)
+
+    def diameter(self):
+        return self.level + 2 * self.t
+
+    def to_json(self) -> dict:
+        path = [v.to_json() for v in self.path]
+        return {**super().to_json(), "path": path, "level": self.level}
+
+
+@dataclass(frozen=True)
+class DataclassThickRay(DataclassThick, DataclassBased):
+    """Vertices within t of the ray from base toward one boundary line."""
+
+    base: Vertex
+    end: End
+    t: int
+    kind = "thick_ray"
+
+    def margin(self, v: Vertex):
+        return self.t - dist_to_ray(v, self.base, self.end)
+
+
+@dataclass(frozen=True, eq=False)
+class DataclassThickApartment(DataclassThick):
+    """Vertices within t of the axis of a split semisimple witness.
+
+    `ends` is the sorted pair of rational boundary lines when the witness
+    has rational eigenvalues, and None when the eigenvalues are irrational
+    (then only the witness pins the axis down, and equality of shapes is
+    decided by whether the witnesses commute).  `axis_margin` is the value
+    of mu(witness, .) on the axis and `anchor` is a vertex on the axis.
+    """
+
+    p: int
+    ends: tuple[End, End] | None
+    t: int
+    witness: Mat2 = dc_field(repr=False)
+    axis_margin: int = dc_field(repr=False)
+    anchor: Vertex = dc_field(repr=False)
+    kind = "thick_apartment"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.ends is not None and tuple(sorted(self.ends)) != self.ends:
+            object.__setattr__(self, "ends", tuple(sorted(self.ends)))
+
+    def __eq__(self, other):
+        if not isinstance(other, DataclassThickApartment):
+            return NotImplemented
+        if self.p != other.p or self.t != other.t:
+            return False
+        if (self.ends is None) != (other.ends is None):
+            return False
+        if self.ends is not None:
+            return self.ends == other.ends
+        return commute(self.witness, other.witness)
+
+    def __hash__(self):
+        return hash((self.p, self.ends, self.t))
+
+    @property
+    def rational_ends(self) -> frozenset[End]:
+        return frozenset(self.ends or ())
+
+    def margin(self, v: Vertex):
+        return self.t - (self.axis_margin - mu_margin(self.witness, v))
+
+    def to_json(self) -> dict:
+        ends = None if self.ends is None else [e.to_json() for e in self.ends]
+        return {**super().to_json(), "ends": ends, "anchor": self.anchor.to_json()}
+
+
+@dataclass(frozen=True)
+class DataclassFan(DataclassBased):
+    """A horoball: vertices whose slack toward one boundary line is >= 0.
+
+    The base is canonical (the zero-slack vertex reached by a deterministic
+    walk from the standard vertex), so structural equality is set equality.
+    """
+
+    base: Vertex
+    end: End
+    kind = "fan"
+
+    def margin(self, v: Vertex):
+        return fan_slack(self.base, self.end, v)
+
+    def deepen(self, r: int) -> DataclassShape:
+        if r <= 0:
+            return super().deepen(r)
+        return canonical_fan(self.p, self.end, lambda v: self.margin(v) - r)
+
+
+@dataclass(frozen=True, order=True)
+class DataclassQForm:
+    """Primitive integral binary quadratic form a*x^2 + b*x*y + c*y^2."""
+
+    a: int
+    b: int
+    c: int
+
+    @property
+    def disc(self) -> int:
+        return self.b * self.b - 4 * self.a * self.c
+
+    def value(self, x: int, y: int) -> int:
+        return self.a * x * x + self.b * x * y + self.c * y * y
+
+    def is_primitive(self) -> bool:
+        return gcd(gcd(self.a, self.b), self.c) == 1
+
+
+@dataclass(frozen=True)
+class DataclassClassGroup:
+    """The form class group of a fundamental discriminant.
+
+    For disc > 0 this is the narrow class group (proper equivalence of
+    forms).  `reps` lists one canonical representative per class, sorted.
+    """
+
+    disc: int
+    reps: tuple[QForm, ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.reps)
+
+    @property
+    def identity(self) -> QForm:
+        return class_rep(principal_form(self.disc), self.disc)
+
+    def op(self, f: QForm, g: QForm) -> QForm:
+        return class_rep(compose(f, g), self.disc)
+
+    def inverse(self, f: QForm) -> QForm:
+        return class_rep(DataclassQForm(f.a, -f.b, f.c), self.disc)
+
+
+@dataclass(frozen=True, order=True)
+class DataclassPrimeIdeal:
+    """A finite place: the prime below, its splitting type, and — at split
+    primes — which of the two branches (selector 1 or 2) this place is."""
+
+    p: int
+    selector: int  # 0 unless split, else 1 or 2
+    tag: str  # "rational" | "inert" | "ramified" | "split"
+
+    def key(self) -> str:
+        if self.selector:
+            return f"{self.p}.{self.selector}"
+        return str(self.p)
+
+
+@dataclass(frozen=True)
+class DataclassBaseField:
+    """Q (m is None) or the quadratic field Q(sqrt(m)), m squarefree."""
+
+    m: int | None
+
+    @staticmethod
+    def rationals() -> "DataclassBaseField":
+        return DataclassBaseField(None)
+
+    @staticmethod
+    def quadratic(m: int) -> "DataclassBaseField":
+        if m in (0, 1) or not is_squarefree(m):
+            raise ValueError("radicand must be squarefree and not 0 or 1")
+        return DataclassBaseField(m)
+
+    @property
+    def is_rational(self) -> bool:
+        return self.m is None
+
+    @property
+    def discriminant(self) -> int:
+        """The field discriminant, in closed form (`quadratic` checked m)."""
+        if self.m is None:
+            return 1
+        return self.m if self.m % 4 == 1 else 4 * self.m
+
+    def real_place_keys(self) -> tuple[str, ...]:
+        if self.m is None:
+            return ("inf",)
+        return ("inf1", "inf2") if self.m > 0 else ()
+
+    def places_over(self, p: int) -> tuple[DataclassPrimeIdeal, ...]:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not a prime")
+        if self.m is None:
+            return (DataclassPrimeIdeal(p, 0, "rational"),)
+        sym = kronecker_at(self.discriminant, p)
+        if sym == 0:
+            return (DataclassPrimeIdeal(p, 0, "ramified"),)
+        if sym == -1:
+            return (DataclassPrimeIdeal(p, 0, "inert"),)
+        return (
+            DataclassPrimeIdeal(p, 1, "split"), DataclassPrimeIdeal(p, 2, "split")
+        )
+
+
+@dataclass(frozen=True)
+class DataclassRayClassGroup:
+    """Narrow ray class group of conductor = a set of real places."""
+
+    field: BaseField
+    modulus: tuple[str, ...]
+    order: int
+
+    @property
+    def wide(self) -> bool:
+        """Does the modulus drop a real place?"""
+        return len(self.modulus) < len(self.field.real_place_keys())
+
+
+@dataclass(frozen=True)
+class DataclassQuatAlgebra:
+    """A quaternion algebra over the base field, given by its ramified
+    places (finite prime ideals and real place keys); the set must have
+    even size."""
+
+    field: BaseField
+    finite: tuple[PrimeIdeal, ...] = ()
+    real: tuple[str, ...] = ()
+
+    @staticmethod
+    def of(field: BaseField, finite=(), real=()) -> "DataclassQuatAlgebra":
+        fin = tuple(sorted(set(finite)))
+        re = tuple(sorted(set(real)))
+        for key in re:
+            if key not in field.real_place_keys():
+                raise ValueError(f"{key!r} is not a real place of this field")
+        if (len(fin) + len(re)) % 2:
+            raise ValueError("a ramification set must have even size")
+        return DataclassQuatAlgebra(field, fin, re)
+
+    @property
+    def is_split_everywhere(self) -> bool:
+        return not self.finite and not self.real
+
+
+@dataclass(frozen=True)
+class DataclassGenus:
+    """Eichler-type genus data: per-place level exponents and the shift
+    ideal exponents (the r in O + p^r * intersection)."""
+
+    level: tuple[tuple[PrimeIdeal, int], ...] = ()
+    shift: tuple[tuple[PrimeIdeal, int], ...] = ()
+
+    @staticmethod
+    def of(level=None, shift=None) -> "DataclassGenus":
+        return DataclassGenus(_normalize_ideal_map(level), _normalize_ideal_map(shift))
+
+    @cached_property
+    def _levels(self) -> dict:
+        return dict(self.level)
+
+    @cached_property
+    def _shifts(self) -> dict:
+        return dict(self.shift)
+
+    def level_at(self, place: PrimeIdeal) -> int:
+        return self._levels.get(place, 0)
+
+    def shift_at(self, place: PrimeIdeal) -> int:
+        return self._shifts.get(place, 0)
+
+    def support(self) -> tuple[PrimeIdeal, ...]:
+        return tuple(sorted({p for p, _ in self.level} | {p for p, _ in self.shift}))
+
+
+@dataclass(frozen=True)
+class DataclassSigmaField:
+    """The spinor class field of a genus: the ray class group it is a
+    quotient of, its degree over the base field, and the finite places
+    whose Frobenius classes are forced to die."""
+
+    ray: RayClassGroup
+    degree: int
+    forced: tuple[PrimeIdeal, ...]
+
+    @property
+    def group_order(self) -> int:
+        return self.ray.order
+
+    @property
+    def forced_split(self) -> tuple[str, ...]:
+        return tuple(p.key() for p in self.forced)
+
+
+@dataclass(frozen=True)
+class DataclassRepField:
+    """Representation field of a suborder genus: its degree over the base
+    field, the ambient spinor class field, and the places whose conditions
+    push the field down (strict/unbalanced places)."""
+
+    degree: int
+    sigma: SigmaField
+    strict_places: tuple[str, ...] = ()

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: one subprocess per scenario, JSON in / JSON out."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -627,6 +628,40 @@ def test_bad_vertex_exit_2():
 
 
 # ---------------------------------------------------------------------------
+# Imports: the value types are written out, so no code is generated
+
+
+def test_no_qlat_class_is_a_dataclass():
+    import qlat.cli  # noqa: F401  (imports every engine module)
+
+    classes = {
+        cls
+        for name, mod in list(sys.modules.items())
+        if name == "qlat" or name.startswith("qlat.")
+        for value in vars(mod).values()
+        if isinstance(value, type)
+        for cls in value.__mro__
+    }
+    names = {cls.__name__ for cls in classes}
+    assert {"Mat2", "Module4", "End", "ThickApartment", "QForm", "RepField"} <= names
+    assert [cls for cls in classes if dataclasses.is_dataclass(cls)] == []
+
+
+def _imports_dataclasses(statement: str) -> bool:
+    code = f"import sys; {statement}; print('dataclasses' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, timeout=30, check=True
+    )
+    return proc.stdout.decode().strip() == "True"
+
+
+def test_import_leaves_dataclasses_unloaded():
+    if _imports_dataclasses("pass"):
+        pytest.skip("this interpreter imports dataclasses at start-up")
+    assert not _imports_dataclasses("import qlat.cli")
+
+
+# ---------------------------------------------------------------------------
 # I/O plumbing and determinism
 
 
@@ -646,6 +681,20 @@ def test_missing_input_file(tmp_path):
         capture_output=True,
     )
     assert proc.returncode == 2
+
+
+def test_undecodable_input_file_exits_2(tmp_path):
+    req = tmp_path / "req.json"
+    req.write_bytes(b"\xff")
+    proc = subprocess.run(
+        MOD + ["tree", "ball", "--in", str(req)], capture_output=True, timeout=5
+    )
+    assert proc.returncode == 2, proc.stderr.decode()
+    text = proc.stderr.decode()
+    assert text.count("\n") == 1
+    err = json.loads(text)
+    assert err["error"] == "SchemaError" and err["path"] == "$"
+    assert "can't decode byte 0xff" in err["message"]
 
 
 def test_byte_determinism_and_threads():

@@ -8,6 +8,7 @@ shift, and three-maximals on a decomposition must give back its level."""
 
 import io
 import json
+import signal
 import sys
 from fractions import Fraction
 
@@ -120,7 +121,25 @@ def requests(draw, rep_field: bool):
     return doc
 
 
+# Wall-clock limit of one request, far above what any example takes, so
+# that a hang fails its example, naming the request, instead of the run.
+REQUEST_LIMIT_S = 10.0
+
+
+class Overtime(Exception):
+    """A request ran past REQUEST_LIMIT_S."""
+
+
 def call(argv, request) -> tuple[int, str, str]:
+    def overtime(signum, frame):
+        raise Overtime(
+            f"{' '.join(argv)} ran past {REQUEST_LIMIT_S} s on {json.dumps(request)}"
+        )
+
+    armed = hasattr(signal, "SIGALRM")  # not on Windows: no limit there
+    if armed:
+        previous = signal.signal(signal.SIGALRM, overtime)
+        signal.setitimer(signal.ITIMER_REAL, REQUEST_LIMIT_S)
     saved = sys.stdin, sys.stdout, sys.stderr
     sys.stdin = io.StringIO(json.dumps(request))
     sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
@@ -129,6 +148,9 @@ def call(argv, request) -> tuple[int, str, str]:
         return code, sys.stdout.getvalue(), sys.stderr.getvalue()
     finally:
         sys.stdin, sys.stdout, sys.stderr = saved
+        if armed:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 def check(argv, request) -> dict | None:

@@ -29,6 +29,11 @@ from helpers import (
     spine_vertex,
 )
 from qlat.branches import (
+    Empty,
+    Full,
+    ThickApartment,
+    ThickPath,
+    ThickRay,
     _climb,
     _level_neighbors,
     branch_of_order,
@@ -51,8 +56,9 @@ from qlat.bt_tree import (
     parent,
     standard_vertex,
     step_toward_end,
+    walk_toward_end,
 )
-from qlat.errors import ResourceLimit, Unbounded
+from qlat.errors import NotShiftedEichler, ResourceLimit, Unbounded
 from qlat.exact_padic import (
     MAX_TRIAL_DIVISOR,
     Mat2,
@@ -68,12 +74,17 @@ from qlat.global_classfield import (
     BaseField,
     Genus,
     QuatAlgebra,
+    RepField,
     _prime_discriminants,
+    narrow_ray_class_group,
+    rep_field_rank3,
     rep_field_rank4,
     spinor_class_field,
 )
 from qlat.local_orders import (
+    ShiftedEichler,
     contains_shifted,
+    decompose_shifted_eichler,
     has_unramified_residue_field,
     maximal_order_module,
     order_closure,
@@ -866,3 +877,224 @@ def test_invalid_triples_raise_like_the_dataclass():
         with pytest.raises(ValueError) as old:
             oracles.Vertex(*triple)
         assert str(new.value) == str(old.value), triple
+
+
+# ---------------------------------------------------------------------------
+# Value tuples against the frozen dataclasses
+
+
+def fields(value) -> tuple:
+    """The field values of a value type or of its dataclass, in order."""
+    return tuple(getattr(value, name) for name in type(value).__match_args__)
+
+
+def twin(value):
+    """The frozen dataclass that `value`'s class replaced, on its fields."""
+    return getattr(oracles, "Dataclass" + type(value).__name__)(*fields(value))
+
+
+def old_repr(o) -> str:
+    return repr(o).replace("Dataclass", "")
+
+
+def kind_and_fields(x) -> tuple:
+    """The class name without the "Dataclass" prefix, and the fields."""
+    return type(x).__name__.removeprefix("Dataclass"), fields(x)
+
+
+def assert_refuses_assignment(value, names):
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+
+
+def assert_like_dataclasses(values, ordered=False, cached=()):
+    """==, !=, hash, repr, refused assignment, `<` when `ordered`, the
+    cached properties named in `cached` and frozenset iteration order of
+    the values against their dataclass twins."""
+    olds = [twin(v) for v in values]
+    for v, o in zip(values, olds):
+        assert hash(v) == hash(o) and repr(v) == old_repr(o), v
+        for name in cached:
+            assert repr(getattr(v, name)) == old_repr(getattr(o, name)), (v, name)
+            assert getattr(v, name) is getattr(v, name), (v, name)
+        names = (*type(v).__match_args__, *cached, "unknown")
+        assert_refuses_assignment(v, names)
+        assert_refuses_assignment(o, names)
+    for (v, o), (w, q) in itertools.product(zip(values, olds), repeat=2):
+        assert (v == w) == (o == q) and (v != w) == (o != q), (v, w)
+        if ordered:
+            assert (v < w) == (o < q) and (v <= w) == (o <= q), (v, w)
+    assert [fields(v) for v in frozenset(values)] == [
+        fields(o) for o in frozenset(olds)
+    ]
+    return olds
+
+
+def assert_raises_alike(new, old, *args, **kwargs):
+    """`new(...)` and `old(...)` refuse the arguments with the same error."""
+    with pytest.raises(ValueError) as got:
+        new(*args, **kwargs)
+    with pytest.raises(ValueError) as want:
+        old(*args, **kwargs)
+    assert str(got.value) == str(want.value), args
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_local_value_tuples_match_dataclasses(p):
+    orders = _branch_orders(p, make_rng(1000 + p))
+    rng = make_rng(1010 + p)
+    for _ in range(3):
+        v1, v2 = random_vertex(rng, p, 3), random_vertex(rng, p, 3)
+        orders += [order_from_module(shifted_eichler_module(v1, v2, r)) for r in (0, 1)]
+    shapes = [branch_of_order(o) for o in orders]
+    shapes += [s.deepen(r) for s in shapes for r in (1, 2)]
+    assert {type(s).__name__ for s in shapes} == {
+        "Full", "Empty", "Fan", "ThickPath", "ThickRay", "ThickApartment"
+    }
+    assert_like_dataclasses(shapes)
+    for s in shapes:
+        o = twin(s)
+        assert s.to_json() == o.to_json()
+        assert kind_and_fields(s.deepen(1)) == kind_and_fields(o.deepen(1))
+        assert (s.thickness, s.level, s.rational_ends) == (
+            o.thickness, o.level, o.rational_ends
+        )
+    assert_like_dataclasses([e for s in shapes for e in s.rational_ends], ordered=True)
+    assert_like_dataclasses(orders)
+    modules = [o.closure for o in orders] + [maximal_order_module(v1)]
+    assert_like_dataclasses(modules, cached=("basis",))
+    mats = [m for o in orders for m in (*o.generators, *o.closure.basis)]
+    assert_like_dataclasses(mats, cached=("cleared",))
+    for m, n in itertools.product(mats[:12], repeat=2):
+        pairs = [(m + n, twin(m) + twin(n)), (m - n, twin(m) - twin(n)),
+                 (m * n, twin(m) * twin(n)), (3 * m, 3 * twin(m)),
+                 (m * Fraction(1, p), twin(m) * Fraction(1, p)), (-m, -twin(m))]
+        for got, want in pairs:
+            assert type(got) is Mat2 and got.entries == want.entries
+    eichler = []
+    for order in orders:
+        try:
+            eichler.append(decompose_shifted_eichler(order))
+        except NotShiftedEichler:
+            pass
+    assert len(eichler) >= 6 and {e.shift for e in eichler} == {0, 1}
+    assert_like_dataclasses(eichler)
+    for e in eichler:
+        assert e.p == twin(e).p and e.module().basis == twin(e).module().basis
+
+
+def test_global_value_tuples_match_dataclasses():
+    genera = list(_seeded_genera(1020))
+    algebras = [alg for alg, _ in genera]
+    algebras += [QuatAlgebra.of(alg.field, finite=alg.field.places_over(2)[:2])
+                 for alg in algebras if len(alg.field.places_over(2)) == 2]
+    fields = [BaseField.rationals(), *(alg.field for alg in algebras)]
+    places = [pl for f in fields for p in (2, 3, 5, 7) for pl in f.places_over(p)]
+    rays = [narrow_ray_class_group(f, keys) for f in fields
+            for keys in dict.fromkeys([(), f.real_place_keys()])]
+    sigmas = [spinor_class_field(alg, genus) for alg, genus in genera]
+    subs = [Genus.of(level=dict(genus.level), shift={pl: 1 for pl in sigma.forced})
+            for (_, genus), sigma in zip(genera, sigmas)]
+    reps = [rep_field_rank4(alg, genus, sub) for (alg, genus), sub in zip(genera, subs)]
+    reps.append(rep_field_rank3(QuatAlgebra.of(fields[1]), Genus.of()))
+    assert len({r.degree for r in reps}) > 1 and any(r.strict_places for r in reps)
+    groups = [class_group(d) for d in (-20, -23, -84, -420, 40, 145, 1365)]
+    forms = [f for g in groups for f in g.reps]
+    assert_like_dataclasses(places, ordered=True)
+    assert_like_dataclasses(fields)
+    assert_like_dataclasses(rays)
+    assert_like_dataclasses(algebras)
+    assert_like_dataclasses([genus for _, genus in genera] + subs,
+                            cached=("_levels", "_shifts"))
+    assert_like_dataclasses(sigmas)
+    assert_like_dataclasses(reps)
+    assert_like_dataclasses(forms, ordered=True)
+    olds = assert_like_dataclasses(groups)
+    for g, o in zip(groups, olds):
+        assert (g.order, g.identity) == (o.order, o.identity)
+        assert [g.inverse(f) for f in g.reps] == [o.inverse(f) for f in g.reps]
+    for f in places:
+        assert f.key() == twin(f).key()
+    for sigma in sigmas:
+        o = twin(sigma)
+        assert (sigma.group_order, sigma.forced_split) == (o.group_order, o.forced_split)
+
+
+def test_value_tuple_defaults_and_keywords_match_dataclasses():
+    field = BaseField.quadratic(10)
+    for new in (QuatAlgebra(field), Genus(), RepField(2, None),
+                Genus(shift=((field.places_over(3)[0], 1),))):
+        assert fields(twin(new)) == fields(new)
+    assert QuatAlgebra(field=field, real=("inf1", "inf2")) == QuatAlgebra(
+        field, (), ("inf1", "inf2")
+    )
+
+
+def test_value_tuples_refuse_what_the_dataclasses_refused():
+    p, v = 3, standard_vertex(3)
+    w, far = neighbors(v)[0], walk_toward_end(v, End(1, 0), 2)
+    a = Mat2.of([[0, 2], [1, 0]])
+    cases = [
+        (End, [(0, 0), (2, 4), (-1, 2), (0, -1), (-2, 3)]),
+        (ShiftedEichler, [((v, w), 1, -1), ((v, w), 2, 0), ((v, far), 1, 0)]),
+        (ThickPath, [((), 0), ((v,), -1), ((v, far), 0), ((v, far), -1), ((w, v), -2)]),
+        (ThickRay, [(v, End(1, 0), -1)]),
+    ]
+    for cls, bad in cases:
+        old = getattr(oracles, "Dataclass" + cls.__name__)
+        for args in bad:
+            assert_raises_alike(cls, old, *args)
+    assert_raises_alike(ThickApartment, oracles.DataclassThickApartment,
+                        p, None, -1, witness=a, axis_margin=0, anchor=v)
+    assert_raises_alike(BaseField.quadratic, oracles.DataclassBaseField.quadratic, 12)
+    field = BaseField.quadratic(10)
+    odd = field.places_over(3)[:1]
+    assert_raises_alike(QuatAlgebra.of, oracles.DataclassQuatAlgebra.of, field, odd)
+    assert_raises_alike(QuatAlgebra.of, oracles.DataclassQuatAlgebra.of,
+                        field, (), ("inf",))
+    assert_raises_alike(Genus.of, oracles.DataclassGenus.of, {odd[0]: -1})
+
+
+def test_shape_equality_compares_the_kind():
+    # Full(p) and Empty(p) are both the tuple (p,)
+    full, empty = Full(3), Empty(3)
+    assert fields(full) == fields(empty) and hash(full) == hash(empty)
+    assert full != empty and not full == empty and len({full, empty}) == 2
+    assert full != (3,) and (3,) != full and not full == (3,)
+    assert (twin(full) == twin(empty)) is False
+    assert full == Full(3) and not full != Full(3)
+
+
+def test_irrational_apartments_are_equal_when_their_witnesses_commute():
+    p, v = 3, standard_vertex(3)
+    a = Mat2.of([[0, 7], [1, 0]])  # x^2 = 7: a 3-adic square, not a rational one
+    b = Mat2.of([[0, 10], [1, 0]])  # the same kind, not commuting with a
+    made = [ThickApartment(p, None, 1, witness=w, axis_margin=0, anchor=v)
+            for w in (a, a * 2 + Mat2.identity(), a * a * a, b)]
+    rational = [ThickApartment(p, ends, 1, witness=w, axis_margin=0, anchor=v)
+                for ends in ([End(1, 0), End(0, 1)], (End(0, 1), End(1, 0)))
+                for w in (a, b)]
+    assert made[0] == made[1] == made[2] != made[3]
+    assert rational[0] == rational[1] == rational[2] == rational[3] != made[0]
+    assert rational[0].ends == (End(0, 1), End(1, 0))
+    assert repr(rational[1]) == old_repr(twin(rational[1]))
+    assert_like_dataclasses(made + rational)
+
+
+def test_deepening_builds_through_the_validated_constructor():
+    v = standard_vertex(3)
+    good = ThickPath(tuple(geodesic(v, walk_toward_end(v, End(1, 0), 2))), 2)
+    assert kind_and_fields(good.deepen(1)) == kind_and_fields(twin(good).deepen(1))
+    # shapes built past the checks: deepening rebuilds them through the
+    # constructor, which orients the path and refuses a gap in it
+    backwards = tuple.__new__(ThickPath, (good.path[::-1], 2))
+    assert backwards.deepen(1).path == good.path
+    gap = tuple.__new__(ThickPath, ((good.path[0], good.path[-1]), 2))
+    old = twin(good)
+    object.__setattr__(old, "path", gap.path)
+    for shape in (gap, old):
+        with pytest.raises(ValueError, match="consecutive neighbors"):
+            shape.deepen(1)
