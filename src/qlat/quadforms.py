@@ -58,6 +58,9 @@ class QForm(Frozen):
     def __repr__(self):
         return f"QForm(a={self.a!r}, b={self.b!r}, c={self.c!r})"
 
+    def __reduce__(self):  # copy and pickle through __init__, not setattr
+        return QForm, (self.a, self.b, self.c)
+
     @property
     def disc(self) -> int:
         return self.b * self.b - 4 * self.a * self.c

@@ -9,7 +9,9 @@ class-group closure on genera, the capped factorizer on integers, and the
 branch-based residue-field test on seeded and structured orders, and the
 tuple-backed vertex against the frozen dataclass on whole balls."""
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -913,7 +915,8 @@ def assert_refuses_assignment(value, names):
 def assert_like_dataclasses(values, ordered=False, cached=()):
     """==, !=, hash, repr, refused assignment, `<` when `ordered`, the
     cached properties named in `cached` and frozenset iteration order of
-    the values against their dataclass twins."""
+    the values against their dataclass twins; copies and pickles keep
+    class and fields."""
     olds = [twin(v) for v in values]
     for v, o in zip(values, olds):
         assert hash(v) == hash(o) and repr(v) == old_repr(o), v
@@ -923,6 +926,8 @@ def assert_like_dataclasses(values, ordered=False, cached=()):
         names = (*type(v).__match_args__, *cached, "unknown")
         assert_refuses_assignment(v, names)
         assert_refuses_assignment(o, names)
+        for copied in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert kind_and_fields(copied) == kind_and_fields(v), v
     for (v, o), (w, q) in itertools.product(zip(values, olds), repeat=2):
         assert (v == w) == (o == q) and (v != w) == (o != q), (v, w)
         if ordered:
