@@ -8,9 +8,12 @@ measures how deep `a` sits inside the shifted maximal order at v: `a` lies
 in Z_(p) + p^r * D_v exactly when mu(a, v) >= r.  No conjugate is formed:
 with the entries of `a` cleared to integers once per matrix, the three
 valuations are those of integer expressions in the disc coordinates of v
-(see `mu_margin`).  The sets {mu >= 0} come in four exactly-representable
-families, each carried by a margin function that changes by at most 1
-along edges and is concave along geodesics:
+(see `mu_margin`).  Classification reads valuations, the square class of
+the discriminant, eigenlines and anchor vertices off the same integers,
+and `branch_of_order` reads an order's basis as the integer rows of its
+module.  The sets {mu >= 0} come in four exactly-representable families,
+each carried by a margin function that changes by at most 1 along edges
+and is concave along geodesics:
 
 - `ThickPath`: all vertices within t of a finite path (field case),
 - `ThickApartment`: within t of the axis fixed by a split semisimple matrix
@@ -35,14 +38,14 @@ Intersections of these shapes are computed exactly: margins are concave and
 1-Lipschitz, so a bounded intersection is the lower level set of its summit
 plateau (a path), and shapes sharing one boundary line resolve to a
 `ThickRay`.  Every neighbor scan of the engine is charged to the vertex
-budget, so a large p exits with BudgetExceeded instead of hanging.  The branch of a whole order is the fold of intersections over
-its basis; deepening by r erodes every margin by r.
+budget, so a large p exits with BudgetExceeded instead of hanging.  The
+branch of a whole order is the fold of intersections over its basis;
+deepening by r erodes every margin by r.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import inf, isqrt
 
 from .bt_tree import (
@@ -50,18 +53,18 @@ from .bt_tree import (
     Vertex,
     ball,
     busemann,
-    canonical_vertex,
     check_ball_budget,
     child,
     dist_to_ray,
     distance,
-    end_from_vector,
+    end_of,
     iter_neighbors,
     neighbors,
     parent,
     standard_vertex,
     step_toward_end,
     vertex_budget,
+    vertex_of_columns,
     walk_toward_end,
 )
 from .errors import BudgetExceeded, EmptyShape, InfiniteUnsupported, NotFinite
@@ -69,14 +72,10 @@ from .exact_padic import (
     Mat2,
     commute,
     int_valuation,
-    is_local_square_rat,
-    is_rational_square,
-    reduce_mod_ppow,
+    is_local_square_int,
     sqrt_mod,
-    unit_part,
-    valuation,
 )
-from .local_orders import LocalOrder, contains_shifted, order_closure
+from .local_orders import LocalOrder, contains_cleared, order_closure
 
 # ---------------------------------------------------------------------------
 # Shapes
@@ -326,9 +325,15 @@ def mu_margin(a: Mat2, v: Vertex):
         m10 = ga p^(v.a - v.b) / den,
         m00 - m11 = ((al - de) q - 2 ga c) / (den q),
 
-    so the margin is a minimum of three integer valuations.
+    so the margin is a minimum of three integer valuations (`cleared_margin`).
     """
-    den, al, be, ga, de = a.cleared
+    return cleared_margin(a.cleared, v)
+
+
+def cleared_margin(cleared, v: Vertex):
+    """`mu_margin` of [[al, be], [ga, de]] / den, given as (den, al, be, ga,
+    de); a factor common to all five leaves it unchanged."""
+    den, al, be, ga, de = cleared
     p, c = v.p, v.c
     q = p**v.b
     d = al - de
@@ -376,21 +381,22 @@ def canonical_fan(p: int, end: End, slack_at) -> Fan:
 # Classification of a single matrix
 
 
-def _quadratic_ext_disc_val(disc, p: int) -> int:
+def _quadratic_ext_disc_val(disc: int, p: int) -> int:
     """Valuation of the discriminant of the quadratic extension generated by
-    a root of x^2 = disc (disc not a local square)."""
-    v = valuation(disc, p)
+    a root of x^2 = disc (a nonzero integer, not a local square)."""
+    v = int_valuation(disc, p)
     if p != 2:
         return 0 if v % 2 == 0 else 1
     if v % 2 != 0:
         return 3
-    u = int(reduce_mod_ppow(unit_part(disc, 2), 2, 3))
+    u = (disc >> v) % 8
     assert u != 1, "square discriminant has no field extension"
     return 0 if u == 5 else 2
 
 
-def _level_neighbors(a: Mat2, v: Vertex, m: int) -> list[Vertex]:
-    """The at most two neighbors w of v with mu(a, w) >= m = mu(a, v).
+def _level_neighbors(cleared, v: Vertex, m: int) -> list[Vertex]:
+    """The at most two neighbors w of v with mu(a, w) >= m = mu(a, v), for
+    a cleared to (den, al, be, ga, de).
 
     A neighbor of v is a line of L_v / p L_v, and mu(a, w) >= m holds
     exactly when that line is an eigenline of the residue mod p of
@@ -398,7 +404,7 @@ def _level_neighbors(a: Mat2, v: Vertex, m: int) -> list[Vertex]:
     (scaled by the unit part of den).  The line [s : t] is the parent when
     t = 0 mod p and otherwise the child with digit s / t.
     """
-    den, al, be, ga, de = a.cleared
+    den, al, be, ga, de = cleared
     p, b, c = v.p, v.b, v.c
     q = p**b
     d = al - de
@@ -428,29 +434,28 @@ def _level_neighbors(a: Mat2, v: Vertex, m: int) -> list[Vertex]:
     return out
 
 
-def _climb(a: Mat2, start: Vertex, ceiling=None) -> tuple[Vertex, int]:
-    """Greedy margin ascent from start; returns (summit vertex, margin)."""
+def _climb(a, start: Vertex, ceiling=None) -> tuple[Vertex, int]:
+    """Greedy margin ascent of the cleared a from start: (summit, margin)."""
     cur = start
-    m = mu_margin(a, cur)
+    m = cleared_margin(a, cur)
     while ceiling is None or m < ceiling:
-        better = [n for n in _level_neighbors(a, cur, m) if mu_margin(a, n) > m]
+        better = [n for n in _level_neighbors(a, cur, m) if cleared_margin(a, n) > m]
         if not better:
             break
         cur = min(better)
         m += 1
-        assert mu_margin(a, cur) == m
+        assert cleared_margin(a, cur) == m
     return cur, m
 
 
-def _stable_start(a: Mat2, p: int) -> Vertex:
+def _stable_start(cleared, p: int) -> Vertex:
     """A vertex whose lattice is stable under a: the class of (e, a*e)."""
-    if a.m10 != 0:
-        cols = [[1, a.m00], [0, a.m10]]
-    elif a.m01 != 0:
-        cols = [[0, a.m01], [1, a.m11]]
-    else:  # diagonal: any vertex works
-        return standard_vertex(p)
-    return canonical_vertex(Mat2.of(cols), p)
+    den, al, be, ga, de = cleared
+    if ga:
+        return vertex_of_columns(p, den, 0, al, ga)
+    if be:
+        return vertex_of_columns(p, 0, den, be, de)
+    return standard_vertex(p)  # diagonal: any vertex works
 
 
 def classify_single(a: Mat2, p: int) -> Shape:
@@ -461,50 +466,61 @@ def classify_single(a: Mat2, p: int) -> Shape:
     eigenline pair; the field (non-split) case gives a ThickPath whose stem
     is a vertex or an edge.  Raises Unbounded for non-integral input.
     """
+    return classify_cleared(a.cleared, p, a)
+
+
+def classify_cleared(cleared, p: int, a: Mat2 | None = None) -> Shape:
+    """`classify_single` of [[al, be], [ga, de]] / den, given as (den, al,
+    be, ga, de), and that matrix `a` if already made: its thick apartment
+    witness.  Scaled by den, trace, determinant, discriminant, eigenlines
+    and image lines are all integral."""
+    den, al, be, ga, de = cleared
+    k = int_valuation(den, p)
     # Z_(p)[a] is bounded exactly when the characteristic polynomial is
     # integral; the closure then only runs to certify Unbounded.
-    if valuation(a.trace(), p) < 0 or valuation(a.det(), p) < 0:
-        order_closure([a], p)
-    if a.is_scalar():
+    if int_valuation(al + de, p) < k or int_valuation(al * de - be * ga, p) < 2 * k:
+        order_closure([a if a is not None else Mat2.over(den, cleared[1:])], p)
+    if be == 0 and ga == 0 and al == de:
         return Full(p)
-    disc = a.discriminant()
-    half_trace = a.trace() / 2
+    d = al - de
+    disc = d * d + 4 * be * ga  # den^2 times the discriminant of a
 
     if disc == 0:
-        nil = a - Mat2.scalar(half_trace)
-        col = (nil.m00, nil.m10)
-        if col == (0, 0):
-            col = (nil.m01, nil.m11)
-        end = end_from_vector(col)
-        return canonical_fan(p, end, lambda v: mu_margin(nil, v))
+        # a - trace/2 is (d, 2 be, 2 ga, -d) / (2 den); its image line is
+        # spanned by a nonzero column
+        nil = (2 * den, d, 2 * be, 2 * ga, -d)
+        end = end_of(d, 2 * ga) if d or ga else end_of(2 * be, -d)
+        return canonical_fan(p, end, lambda v: cleared_margin(nil, v))
 
-    v_disc = valuation(disc, p)
-    if is_local_square_rat(disc, p):
+    v_disc = int_valuation(disc, p) - 2 * k
+    if is_local_square_int(disc, p):
         t = v_disc // 2
-        if is_rational_square(disc):
-            root = Fraction(isqrt(disc.numerator), isqrt(disc.denominator))
-            eigs = ((a.trace() + root) / 2, (a.trace() - root) / 2)
+        witness = a if a is not None else Mat2.over(den, cleared[1:])
+        root = isqrt(disc) if disc > 0 else 0
+        if root * root == disc:
+            # the kernel of a - lam, lam = (al + de +- root) / (2 den), holds
+            # (a01, lam - a00), or else (lam - a11, a10): here times 2 den
             vecs = []
-            for lam in eigs:
-                w = (a.m01, lam - a.m00)
+            for r in (root, -root):
+                w = (2 * be, r - d)
                 if w == (0, 0):
-                    w = (lam - a.m11, a.m10)
+                    w = (d + r, 2 * ga)
                 vecs.append(w)
-            ends = tuple(sorted(end_from_vector(w) for w in vecs))
-            anchor = canonical_vertex(
-                Mat2.of([[vecs[0][0], vecs[1][0]], [vecs[0][1], vecs[1][1]]]), p
-            )
-            assert mu_margin(a, anchor) == t
-            return ThickApartment(p, ends, t, witness=a, axis_margin=t, anchor=anchor)
-        anchor, reached = _climb(a, _stable_start(a, p), ceiling=t)
+            ends = tuple(sorted(end_of(*w) for w in vecs))
+            (x1, y1), (x2, y2) = vecs
+            anchor = vertex_of_columns(p, x1, y1, x2, y2)
+            assert cleared_margin(cleared, anchor) == t
+            return ThickApartment(p, ends, t, witness, t, anchor)
+        anchor, reached = _climb(cleared, _stable_start(cleared, p), ceiling=t)
         assert reached == t
-        return ThickApartment(p, None, t, witness=a, axis_margin=t, anchor=anchor)
+        return ThickApartment(p, None, t, witness, t, anchor)
 
     # Field case: the margin summit is a single vertex or a single edge.
-    summit, t = _climb(a, _stable_start(a, p))
+    summit, t = _climb(cleared, _stable_start(cleared, p))
     assert t == (v_disc - _quadratic_ext_disc_val(disc, p)) // 2
     stem = [summit] + [
-        n for n in _level_neighbors(a, summit, t) if mu_margin(a, n) == t
+        n for n in _level_neighbors(cleared, summit, t)
+        if cleared_margin(cleared, n) == t
     ]
     assert len(stem) <= 2
     return ThickPath(tuple(sorted(stem)), t)
@@ -678,13 +694,23 @@ def embeds_in_level(s: Shape, d: int, r: int) -> bool:
         return False
 
 
+def _cleared_basis(order: LocalOrder) -> list[tuple[int, ...]]:
+    """The basis as `Mat2.cleared` tuples, not always in lowest terms."""
+    return [(order.closure.den, *row) for row in order.closure.rows]
+
+
+def _is_scalar(cleared) -> bool:
+    _, al, be, ga, de = cleared
+    return be == 0 and ga == 0 and al == de
+
+
 def branch_of_order(order: LocalOrder, max_vertices=None) -> Shape:
-    """Shape of {v : order contained in D_v}: fold intersections over the basis."""
+    """Shape of {v : order contained in D_v}: fold intersections over the
+    basis, read as the integer rows of the order's module."""
     shape: Shape = Full(order.p)
-    for b in order.closure.basis:
-        if b.is_scalar():
-            continue
-        shape = intersect_shapes(shape, classify_single(b, order.p), max_vertices)
+    for b in _cleared_basis(order):
+        if not _is_scalar(b):
+            shape = intersect_shapes(shape, classify_cleared(b, order.p), max_vertices)
     return shape
 
 
@@ -703,14 +729,15 @@ def enumerate_branch(
     distance to the branch, each greedy step raises it by exactly 1, and a
     branch within `radius` is met in at most `radius` steps.  An order of
     scalars only has a full (or empty) branch and keeps the ball filter.
+    The basis is read as the integer rows of the order's module.
     """
     check_ball_budget(center.p, radius, max_vertices)
     r = max(r, 0)
-    basis = order.closure.basis
-    margins = [b for b in basis if not b.is_scalar()]
+    basis = _cleared_basis(order)
+    margins = [b for b in basis if not _is_scalar(b)]
 
     def member(v: Vertex) -> bool:
-        return all(contains_shifted(v, b, r) for b in basis)
+        return all(contains_cleared(v, b, r) for b in basis)
 
     def filtered() -> frozenset[Vertex]:
         return frozenset(filter(member, ball(center, radius, max_vertices)))
@@ -719,7 +746,7 @@ def enumerate_branch(
         return filtered()
 
     def sigma(v: Vertex):
-        return min(mu_margin(b, v) for b in margins) - r
+        return min(cleared_margin(b, v) for b in margins) - r
 
     seed, s = center, sigma(center)
     for _ in range(radius):

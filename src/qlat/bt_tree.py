@@ -44,10 +44,10 @@ import os
 from collections import namedtuple
 from contextlib import suppress
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ResourceLimit, SchemaError, SingularMatrix
-from .exact_padic import Mat2, int_valuation, reduce_mod_ppow, valuation
+from .exact_padic import Mat2, int_valuation
 
 DEFAULT_MAX_VERTICES = 200_000
 MAX_SIZE_BITS = 1 << 16  # ball sizes surely past 2^65536 are never formed
@@ -112,30 +112,30 @@ def standard_vertex(p: int) -> Vertex:
 
 def canonical_vertex(g: Mat2, p: int) -> Vertex:
     """Canonical form of the lattice class spanned by the columns of g."""
-    if g.det() == 0:
+    _, x1, x2, y1, y2 = g.cleared  # g times its common denominator
+    return vertex_of_columns(p, x1, y1, x2, y2)
+
+
+def vertex_of_columns(p: int, x1: int, y1: int, x2: int, y2: int) -> Vertex:
+    """Canonical form of the lattice class spanned by the integer columns
+    (x1, y1) and (x2, y2).
+
+    Column 2 takes the second coordinate y2 = p^beta w (w a unit) of least
+    valuation; clearing y1 leaves det / y2, of valuation alpha, above it.
+    The class is [[p^alpha, x2 / w mod p^alpha], [0, p^beta]] over the
+    power of p common to alpha, beta and that corner.
+    """
+    det = x1 * y2 - x2 * y1
+    if det == 0:
         raise SingularMatrix("lattice basis must be invertible")
-    cols = [(g.m00, g.m10), (g.m01, g.m11)]
-    # Column 2 takes the minimal-valuation second coordinate.
-    if valuation(cols[0][1], p) < valuation(cols[1][1], p):
-        cols.reverse()
-    (x1, y1), (x2, y2) = cols
-    # Clear the second coordinate of column 1; the quotient is in Z_(p).
-    if y1 != 0:
-        f = y1 / y2
-        x1 -= f * x2
-    alpha = valuation(x1, p)
-    x1 = Fraction(p) ** alpha
-    beta = valuation(y2, p)
-    u2 = Fraction(p) ** beta / y2
-    y2 = Fraction(p) ** beta
-    x2 *= u2
-    c = reduce_mod_ppow(x2, p, alpha)
-    shift = min(alpha, beta, valuation(c, p))
-    a = alpha - shift
-    b = beta - shift
-    cq = c * Fraction(p) ** (-shift)
-    assert cq.denominator == 1
-    return Vertex(p, a, b, int(cq))
+    if int_valuation(y1, p) < int_valuation(y2, p):
+        x2, y2 = x1, y1  # the columns swap; det only changes sign
+    beta = int_valuation(y2, p)
+    alpha = int_valuation(det, p) - beta
+    q = p**alpha
+    c = x2 * pow(y2 // p**beta, -1, q) % q
+    shift = min(alpha, beta, int_valuation(c, p))
+    return Vertex(p, alpha - shift, beta - shift, c // p**shift)
 
 
 def _capped_valuation(n: int, p: int, cap: int) -> int:
@@ -289,16 +289,19 @@ class End(namedtuple("End", "x y")):
 def end_from_vector(vec) -> End:
     """Normalize any nonzero rational vector to a canonical end."""
     x, y = Fraction(vec[0]), Fraction(vec[1])
+    den = lcm(x.denominator, y.denominator)
+    xi, yi = (z.numerator * (den // z.denominator) for z in (x, y))
+    return end_of(xi, yi)
+
+
+def end_of(x: int, y: int) -> End:
+    """The canonical end of the line through the nonzero integer vector (x, y)."""
     if x == 0 and y == 0:
         raise ValueError("end requires a nonzero vector")
-    den = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
-    xi, yi = int(x * den), int(y * den)
-    g = gcd(xi, yi)
-    xi, yi = xi // g, yi // g
-    lead = xi if xi != 0 else yi
-    if lead < 0:
-        xi, yi = -xi, -yi
-    return End(xi, yi)
+    g = gcd(x, y)
+    if (x or y) < 0:
+        g = -g
+    return End(x // g, y // g)
 
 
 def step_toward_end(v: Vertex, end: End) -> Vertex:
@@ -322,16 +325,6 @@ def walk_toward_end(v: Vertex, end: End, steps: int) -> Vertex:
     for _ in range(steps):
         v = step_toward_end(v, end)
     return v
-
-
-def ray_vertices(base: Vertex, end: End, count: int) -> tuple[Vertex, ...]:
-    """The first `count + 1` vertices of the ray from base toward end."""
-    out = [base]
-    cur = base
-    for _ in range(count):
-        cur = step_toward_end(cur, end)
-        out.append(cur)
-    return tuple(out)
 
 
 def busemann(v: Vertex, end: End) -> int:

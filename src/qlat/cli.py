@@ -161,10 +161,8 @@ def parse_matrix(value, path: str) -> Mat2:
         cells = _expect_list(row, f"{path}[{i}]")
         if len(cells) != 2:
             raise SchemaError(f"{path}[{i}]", f"expected 2 entries, got {len(cells)}")
-        parsed.append(
-            [parse_rational(cells[j], f"{path}[{i}][{j}]") for j in range(2)]
-        )
-    return Mat2.of(parsed)
+        parsed += (parse_rational(cells[j], f"{path}[{i}][{j}]") for j in range(2))
+    return Mat2(tuple(parsed))
 
 
 def parse_generators(doc: dict, path: str = "generators") -> list[Mat2]:
@@ -352,7 +350,7 @@ def cmd_local_three_maximals(doc: dict, args) -> dict:
     v2 = parse_vertex(ends[1], p, "endpoints[1]")
     shift = parse_nonneg(doc, "shift", "shift", default=0)
     level = distance(v1, v2)
-    if "level" in doc and doc["level"] != level:
+    if "level" in doc and _expect_int(doc["level"], "level") != level:
         raise SchemaError("level", f"endpoints are at distance {level}")
     witnesses = three_maximal_orders(ShiftedEichler((v1, v2), level, shift))
     return {"level": level, "vertices": [v.to_json() for v in witnesses]}
@@ -379,8 +377,7 @@ def cmd_tree_dot(doc: dict, args) -> dict:
     found = _parse_ball(doc)
     dot = export_dot(found)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+        _write_file(args.dot, dot, "--dot")
         return {"dot_file": args.dot, "vertices": len(found)}
     return {"dot": dot, "vertices": len(found)}
 
@@ -513,10 +510,17 @@ def _write_response(doc: dict, args) -> None:
     else:
         text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if args.outfile:
-        with open(args.outfile, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_file(args.outfile, text, "--out")
     else:
         sys.stdout.write(text)
+
+
+def _write_file(name: str, text: str, option: str) -> None:
+    try:
+        with open(name, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SchemaError(option, f"cannot write {name}: {exc}") from None
 
 
 def _write_error(exc: QlatError) -> None:

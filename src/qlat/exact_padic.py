@@ -4,17 +4,20 @@ The local ring Z_(p) = {a/b : p does not divide b} enters only through
 p-adic valuations and residues modulo powers of p: an element is
 local-integral iff its valuation is >= 0, a prime-to-p integer is a unit,
 and no p-adic approximation is ever needed.  Scalars and matrices at the
-interface are exact rationals (`fractions.Fraction`); modules are integer
-rows over a common denominator.
+interface are exact rationals (`fractions.Fraction`); the local layer reads
+a matrix once as integers over a common denominator, and modules are
+integer rows over one denominator.
 
 - `valuation` / `int_valuation` / `reduce_mod_ppow`: valuations of rationals
   and of integers, and canonical residues modulo powers of p
   (representatives live in Z[1/p] and in [0, p^e)).
-- `sqrt_mod`: the smallest square root modulo a prime (Tonelli-Shanks).
+- `sqrt_mod`: the smallest square root modulo a prime (Tonelli-Shanks);
+  `is_local_square_rat` / `is_local_square_int`: p-adic square classes.
 - `prime_divisors`: the one trial-division factorizer, capped at
   `MAX_TRIAL_DIVISOR`; `is_prime` and `is_squarefree` read it lazily.
-- `Mat2`: immutable exact 2x2 matrices, with their entries cleared to
-  integers over a common denominator.
+- `Mat2`: immutable exact 2x2 matrices; `cleared` holds their entries as
+  integers over the least common denominator, and `commute` compares
+  those.
 - `smith_local`: elementary-divisor exponents of an invertible 2x2 matrix.
 - `Module4`: finitely generated Z_(p)-submodules of the 2x2 matrices in
   their unique canonical Hermite basis, held as integer rows over one
@@ -183,16 +186,21 @@ def is_squarefree(m: int) -> bool:
 def is_local_square_rat(x, p: int) -> bool:
     """Is the nonzero rational x a square in the p-adic completion?"""
     x = Fraction(x)
-    if x == 0:
+    # n / d and n d differ by the square d^2
+    return is_local_square_int(x.numerator * x.denominator, p)
+
+
+def is_local_square_int(n: int, p: int) -> bool:
+    """Is the nonzero integer n a square in the p-adic completion?"""
+    if n == 0:
         raise ZeroDivisionError("square class of zero")
-    v = valuation(x, p)
+    v = int_valuation(n, p)
     if v % 2 != 0:
         return False
-    u = x / Fraction(p) ** v
+    u = n // p**v
     if p == 2:
-        return int(reduce_mod_ppow(u, 2, 3)) == 1
-    r = int(reduce_mod_ppow(u, p, 1))
-    return legendre(r, p) == 1
+        return u % 8 == 1
+    return legendre(u, p) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +231,13 @@ class Mat2(Frozen, namedtuple("Mat2", "entries")):
         return Mat2((Fraction(a), Fraction(b), Fraction(c), Fraction(d)))
 
     @staticmethod
-    def identity() -> "Mat2":
-        return Mat2.of([[1, 0], [0, 1]])
+    def over(den: int, row) -> "Mat2":
+        """The integer row (m00, m01, m10, m11) over the denominator den."""
+        return Mat2(tuple(Fraction(x, den) for x in row))
 
     @staticmethod
-    def zero() -> "Mat2":
-        return Mat2.of([[0, 0], [0, 0]])
+    def identity() -> "Mat2":
+        return Mat2.of([[1, 0], [0, 1]])
 
     @staticmethod
     def scalar(x) -> "Mat2":
@@ -297,15 +306,6 @@ class Mat2(Frozen, namedtuple("Mat2", "entries")):
         a, b, c, d = self.entries
         return Mat2((d / dt, -b / dt, -c / dt, a / dt))
 
-    def is_scalar(self) -> bool:
-        a, b, c, d = self.entries
-        return b == 0 and c == 0 and a == d
-
-    def apply(self, vec):
-        a, b, c, d = self.entries
-        x, y = vec
-        return (a * x + b * y, c * x + d * y)
-
     @cached_property
     def cleared(self) -> tuple[int, int, int, int, int]:
         """(den, a, b, c, d) in integers with self = [[a, b], [c, d]] / den.
@@ -322,13 +322,16 @@ class Mat2(Frozen, namedtuple("Mat2", "entries")):
         return min(valuation(x, p) for x in self.entries)
 
 
-def conjugate(h: Mat2, g: Mat2) -> Mat2:
-    """g^-1 h g."""
-    return g.inverse() * h * g
-
-
 def commute(a: Mat2, b: Mat2) -> bool:
-    return a * b == b * a
+    """ab = ba, on the cleared entries: ab - ba has diagonal +-(a01 b10 -
+    a10 b01) and corners a01 (b11 - b00) - b01 (a11 - a00) and its mirror."""
+    _, a0, a1, a2, a3 = a.cleared
+    _, b0, b1, b2, b3 = b.cleared
+    return (
+        a1 * b2 == a2 * b1
+        and a1 * (b3 - b0) == b1 * (a3 - a0)
+        and a2 * (b3 - b0) == b2 * (a3 - a0)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +382,7 @@ class Module4(Frozen, namedtuple("Module4", "p den rows")):
 
     @cached_property
     def basis(self) -> tuple[Mat2, ...]:
-        den = self.den
-        return tuple(Mat2(tuple(Fraction(x, den) for x in r)) for r in self.rows)
+        return tuple(Mat2.over(self.den, r) for r in self.rows)
 
     def min_valuation(self) -> int:
         """Least valuation of a basis entry (the module must be nonzero)."""
@@ -488,20 +490,6 @@ def _common_rows(a: Module4, b: Module4):
     return ra, rb, q
 
 
-def module_sum(a: Module4, b: Module4) -> Module4:
-    ra, rb, q = _common_rows(a, b)
-    return module_hnf(ra + rb, a.p, q)
-
-
-def module_contains(mod: Module4, m: Mat2) -> bool:
-    """Is m in the Z_(p)-span?"""
-    return module_sum(mod, module_hnf([m], mod.p)) == mod
-
-
-def module_contains_module(inner: Module4, outer: Module4) -> bool:
-    return module_sum(inner, outer) == outer
-
-
 def module_intersect(a: Module4, b: Module4) -> Module4:
     """Canonical basis of the intersection of two Z_(p)-modules.
 
@@ -513,21 +501,3 @@ def module_intersect(a: Module4, b: Module4) -> Module4:
     stacked = [r + r for r in ra] + [r + [0, 0, 0, 0] for r in rb]
     pivots = _echelon(stacked, a.p)
     return _hermite([(c - 4, r[4:], pe) for c, r, pe in pivots if c >= 4], a.p, q)
-
-
-def module_index_valuation(sub: Module4, sup: Module4) -> int:
-    """v_p of the module index [sup : sub] for modules of equal rank.
-
-    Requires sub to be contained in sup with matching pivot coordinates
-    (always true at full rank 4).
-    """
-    if sub.p != sup.p or sub.rank != sup.rank:
-        raise ValueError("index requires equal rank over the same prime")
-    cols = [next(i for i in range(4) if r[i]) for r in sub.rows]
-    if cols != [next(i for i in range(4) if r[i]) for r in sup.rows]:
-        raise ValueError("pivot mismatch: modules not comparable by index")
-    p = sub.p
-    total = sup.rank * (int_valuation(sup.den, p) - int_valuation(sub.den, p))
-    for c, rsub, rsup in zip(cols, sub.rows, sup.rows):
-        total += int_valuation(rsub[c], p) - int_valuation(rsup[c], p)
-    return total

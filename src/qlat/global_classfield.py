@@ -61,10 +61,6 @@ def fe_mul(a: FE, b: FE, m: int) -> FE:
     return (a[0] * b[0] + m * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def fe_conj(a: FE) -> FE:
-    return (a[0], -a[1])
-
-
 def fe_norm(a: FE, m: int) -> Fraction:
     return a[0] * a[0] - m * a[1] * a[1]
 

@@ -5,7 +5,8 @@ An order is a unital subring that is finitely generated as a Z_(p)-module.
 of the generated order, detecting unbounded (non-integral) input.  The
 maximal orders are the lattice stabilizers: one per tree vertex.  A shifted
 Eichler order is Z_(p) + p^r * E for E the intersection of the two maximal
-orders at the endpoints of a path of length d; `decompose_shifted_eichler`
+orders at the endpoints of a path of length d, whose module is one Hermite
+form of a conjugated standard Eichler basis; `decompose_shifted_eichler`
 recognizes members of that family exactly, and `three_maximal_orders`
 produces three maximal orders whose intersection realizes a given shifted
 Eichler order.
@@ -82,10 +83,6 @@ def order_closure(gens, p: int, max_rounds: int = CLOSURE_MAX_ROUNDS) -> LocalOr
     )
 
 
-def order_from_module(module: Module4, generators=()) -> LocalOrder:
-    return LocalOrder(module.p, tuple(generators), module)
-
-
 def maximal_order_module(v: Vertex) -> Module4:
     """The stabilizer order of the lattice class v, as a canonical module.
 
@@ -112,25 +109,49 @@ def maximal_order_module(v: Vertex) -> Module4:
     return Module4.of(p, p**z, rows)
 
 
-def _plus_scalars(module: Module4, t: int) -> Module4:
-    """Z_(p) + p^t * module."""
-    den, q = module.den, module.p**t
-    rows = [(den, 0, 0, den)] + [[x * q for x in r] for r in module.rows]
-    return module_hnf(rows, module.p, den)
-
-
 def shift_order(order: LocalOrder, t: int) -> LocalOrder:
     """Z_(p) + p^t * O for an order O; again an order, no resaturation needed."""
     if t < 0:
         raise ValueError("shift must be >= 0")
-    scaled = tuple(b.scale(order.p**t) for b in order.closure.basis)
-    return LocalOrder(order.p, scaled, _plus_scalars(order.closure, t))
+    p, den, q = order.p, order.closure.den, order.p**t
+    scaled = tuple(b.scale(q) for b in order.closure.basis)
+    rows = [(den, 0, 0, den)] + [[x * q for x in r] for r in order.closure.rows]
+    return LocalOrder(p, scaled, module_hnf(rows, p, den))
 
 
 def shifted_eichler_module(v1: Vertex, v2: Vertex, r: int) -> Module4:
-    """Canonical module of Z_(p) + p^r * (D_v1 intersect D_v2)."""
-    inner = module_intersect(maximal_order_module(v1), maximal_order_module(v2))
-    return _plus_scalars(inner, r)
+    """Canonical module of Z_(p) + p^r * (D_v1 intersect D_v2).
+
+    In the basis [[p^n, x], [0, 1]] of v1 (n = a - b, x = c / p^b), v2 is
+    the class of [[p^e, delta], [0, 1]].  Times p^-mu, mu = min(e, v(delta),
+    0), that lattice is Z_p u + p^d Z_p^2 for d = e - 2 mu, the distance,
+    and u the primitive one of its columns.  So with U unimodular of first
+    column u and g = [[p^a, c], [0, p^b]] U, D_v1 intersect D_v2 is
+    g [[Z, Z], [p^d Z, Z]] g^-1, and the module is spanned by 1 and
+    g X adj(g) / det g for X = p^r e11, p^r e12 and p^(r+d) e21.
+    """
+    p, a, b, c = v1
+    _, a2, b2, c2 = v2
+    e = (a2 - b2) - (a - b)
+    num = c2 * p**b - c * p**b2  # delta = num / p^(a + b2)
+    lead = min(int_valuation(num, p) - a - b2, 0)
+    mu = min(e, lead)
+    if mu == lead:  # the column (delta, 1) p^-mu is primitive
+        u1, u2 = num * p**-mu // p ** (a + b2), p**-mu
+    else:  # the column (1, 0) is
+        u1, u2 = 1, 0
+    u3, u4 = (1, 0) if u2 % p else (0, 1)  # U = [[u1, u3], [u2, u4]], a unit det
+    pa, pb = p**a, p**b
+    g0, g1, g2, g3 = pa * u1 + c * u2, pa * u3 + c * u4, pb * u2, pb * u4
+    x, y = p**r, p ** (r + e - 2 * mu)
+    det = g0 * g3 - g1 * g2
+    rows = [
+        (det, 0, 0, det),
+        (x * g0 * g3, -x * g0 * g1, x * g2 * g3, -x * g1 * g2),
+        (-x * g0 * g2, x * g0 * g0, -x * g2 * g2, x * g0 * g2),
+        (y * g1 * g3, -y * g1 * g1, y * g3 * g3, -y * g1 * g3),
+    ]
+    return module_hnf(rows, p, det)
 
 
 def _divisible(x: int, p: int, e: int) -> bool:
@@ -144,9 +165,16 @@ def contains_shifted(v: Vertex, h: Mat2, r: int) -> bool:
     integers, both off-diagonal entries and the diagonal difference
     divisible by p^r.  With the entries of g^-1 h g written over integers
     as in `branches.mu_margin`, each condition is the divisibility of an
-    integer by a power of p (m11 is integral once m00 and m00 - m11 are).
+    integer by a power of p (m11 is integral once m00 and m00 - m11 are);
+    see `contains_cleared`.
     """
-    den, al, be, ga, de = h.cleared
+    return contains_cleared(v, h.cleared, r)
+
+
+def contains_cleared(v: Vertex, cleared, r: int) -> bool:
+    """`contains_shifted` for h = [[al, be], [ga, de]] / den, given as the
+    integers (den, al, be, ga, de), not necessarily in lowest terms."""
+    den, al, be, ga, de = cleared
     p, a, b, c = v.p, v.a, v.b, v.c
     k = int_valuation(den, p) + b
     r = max(r, 0)

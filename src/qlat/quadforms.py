@@ -68,22 +68,10 @@ class QForm(Frozen):
     def value(self, x: int, y: int) -> int:
         return self.a * x * x + self.b * x * y + self.c * y * y
 
-    def is_primitive(self) -> bool:
-        return gcd(gcd(self.a, self.b), self.c) == 1
-
 
 def principal_form(disc: int) -> QForm:
     b0 = disc % 2
     return QForm(1, b0, (b0 * b0 - disc) // 4)
-
-
-def fundamental_discriminant(m: int) -> int:
-    """Field discriminant of Q(sqrt(m)) for squarefree m not in {0, 1}."""
-    if m in (0, 1):
-        raise ValueError("m must be a squarefree integer other than 0 and 1")
-    if not is_squarefree(m):
-        raise ValueError(f"{m} is not squarefree")
-    return m if m % 4 == 1 else 4 * m
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +238,6 @@ class ClassGroup(namedtuple("ClassGroup", "disc reps")):
 
     def op(self, f: QForm, g: QForm) -> QForm:
         return class_rep(compose(f, g), self.disc)
-
-    def inverse(self, f: QForm) -> QForm:
-        return class_rep(QForm(f.a, -f.b, f.c), self.disc)
 
 
 def _enumerate_definite(disc: int) -> tuple[QForm, ...]:
@@ -432,7 +417,3 @@ def fundamental_unit(m: int) -> tuple[int, int, int, int]:
             return 2 * h - k, k, 2, norm
         pp = a * qq - pp
         qq = (m - pp * pp) // qq
-
-
-def unit_norm_is_minus_one(m: int) -> bool:
-    return fundamental_unit(m)[3] == -1

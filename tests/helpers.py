@@ -7,10 +7,19 @@ test run samples the identical instances.
 from __future__ import annotations
 
 import random
+from math import gcd
 
-from qlat.bt_tree import Vertex, neighbors, standard_vertex
-from qlat.exact_padic import Mat2
+from qlat.bt_tree import End, Vertex, neighbors, standard_vertex, step_toward_end
+from qlat.exact_padic import (
+    Mat2,
+    Module4,
+    _common_rows,
+    int_valuation,
+    is_squarefree,
+    module_hnf,
+)
 from qlat.local_orders import LocalOrder, order_closure
+from qlat.quadforms import ClassGroup, QForm, class_rep, fundamental_unit
 
 
 def make_rng(seed: int) -> random.Random:
@@ -89,3 +98,102 @@ def connected_members(shape, seed: Vertex, radius: int) -> frozenset[Vertex]:
                     nxt.append((n, dist + 1))
         frontier = nxt
     return frozenset(seen)
+
+
+# ---------------------------------------------------------------------------
+# Helpers that only the tests use, moved out of the package: the package
+# keeps what the command line and the public API reach.
+
+
+def zero_matrix() -> Mat2:
+    return Mat2.of([[0, 0], [0, 0]])
+
+
+def is_scalar(m: Mat2) -> bool:
+    a, b, c, d = m.entries
+    return b == 0 and c == 0 and a == d
+
+
+def apply(m: Mat2, vec):
+    """m times the column vector vec."""
+    a, b, c, d = m.entries
+    x, y = vec
+    return (a * x + b * y, c * x + d * y)
+
+
+def conjugate(h: Mat2, g: Mat2) -> Mat2:
+    """g^-1 h g."""
+    return g.inverse() * h * g
+
+
+def module_sum(a: Module4, b: Module4) -> Module4:
+    ra, rb, q = _common_rows(a, b)
+    return module_hnf(ra + rb, a.p, q)
+
+
+def module_contains(mod: Module4, m: Mat2) -> bool:
+    """Is m in the Z_(p)-span?"""
+    return module_sum(mod, module_hnf([m], mod.p)) == mod
+
+
+def module_contains_module(inner: Module4, outer: Module4) -> bool:
+    return module_sum(inner, outer) == outer
+
+
+def module_index_valuation(sub: Module4, sup: Module4) -> int:
+    """v_p of the module index [sup : sub] for modules of equal rank.
+
+    Requires sub to be contained in sup with matching pivot coordinates
+    (always true at full rank 4).
+    """
+    if sub.p != sup.p or sub.rank != sup.rank:
+        raise ValueError("index requires equal rank over the same prime")
+    cols = [next(i for i in range(4) if r[i]) for r in sub.rows]
+    if cols != [next(i for i in range(4) if r[i]) for r in sup.rows]:
+        raise ValueError("pivot mismatch: modules not comparable by index")
+    p = sub.p
+    total = sup.rank * (int_valuation(sup.den, p) - int_valuation(sub.den, p))
+    for c, rsub, rsup in zip(cols, sub.rows, sup.rows):
+        total += int_valuation(rsub[c], p) - int_valuation(rsup[c], p)
+    return total
+
+
+def order_from_module(module: Module4, generators=()) -> LocalOrder:
+    return LocalOrder(module.p, tuple(generators), module)
+
+
+def ray_vertices(base: Vertex, end: End, count: int) -> tuple[Vertex, ...]:
+    """The first `count + 1` vertices of the ray from base toward end."""
+    out = [base]
+    cur = base
+    for _ in range(count):
+        cur = step_toward_end(cur, end)
+        out.append(cur)
+    return tuple(out)
+
+
+def fe_conj(a):
+    """The Galois conjugate of the field element a = (x, y), x + y sqrt(m)."""
+    return (a[0], -a[1])
+
+
+def fundamental_discriminant(m: int) -> int:
+    """Field discriminant of Q(sqrt(m)) for squarefree m not in {0, 1}."""
+    if m in (0, 1):
+        raise ValueError("m must be a squarefree integer other than 0 and 1")
+    if not is_squarefree(m):
+        raise ValueError(f"{m} is not squarefree")
+    return m if m % 4 == 1 else 4 * m
+
+
+def is_primitive(f: QForm) -> bool:
+    return gcd(gcd(f.a, f.b), f.c) == 1
+
+
+def class_inverse(group: ClassGroup, f: QForm) -> QForm:
+    """The inverse of the class of f in the form class group."""
+    return class_rep(QForm(f.a, -f.b, f.c), group.disc)
+
+
+def unit_norm_is_minus_one(m: int) -> bool:
+    return fundamental_unit(m)[3] == -1

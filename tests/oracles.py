@@ -33,6 +33,15 @@ replaced: the breadth-first ball over neighbor scans, the DOT export that
 finds its edges by scanning the neighbors of every vertex, and the branch
 enumeration that filters the whole ball through `contains_shifted`.
 
+The section after it keeps the classification of a single matrix on
+`Fraction` matrices that the integer bodies of `qlat.branches` and
+`qlat.bt_tree` replaced: `canonical_vertex` and `end_from_vector` on
+rationals, the classification's head on `Fraction` trace, determinant and
+discriminant, and `branch_of_order` over `Module4.basis`; and the shifted
+Eichler module as an intersection of two maximal orders, which the closed
+form of `qlat.local_orders` replaced.  The classification resolves
+`mu_margin`, `order_closure` and `sqrt_mod` to the slow versions above.
+
 The section after it keeps the frozen dataclass `Vertex` that the
 tuple-backed `qlat.bt_tree.Vertex` replaced.  The routines above take
 either: they read only the fields p, a, b and c.
@@ -52,9 +61,16 @@ from functools import cached_property
 from itertools import chain
 from math import gcd, inf, isqrt
 
-from qlat import bt_tree, local_orders
-from qlat.branches import canonical_fan
-from qlat.bt_tree import End, canonical_vertex
+from helpers import apply, conjugate, is_primitive, is_scalar, zero_matrix
+from qlat import bt_tree, exact_padic, local_orders
+from qlat.branches import (
+    Full,
+    ThickApartment,
+    ThickPath,
+    canonical_fan,
+    intersect_shapes,
+)
+from qlat.bt_tree import End, child, parent, standard_vertex
 from qlat.errors import (
     EmbeddingInfeasible,
     EmptyShape,
@@ -65,9 +81,11 @@ from qlat.errors import (
 from qlat.exact_padic import (
     Mat2,
     commute,
-    conjugate,
     int_valuation,
+    is_local_square_rat,
+    is_rational_square,
     reduce_mod_ppow,
+    unit_part,
     valuation,
 )
 from qlat.global_classfield import (
@@ -175,10 +193,10 @@ def step_toward_end(v: Vertex, end: End) -> Vertex:
     p = v.p
     g = v.basis()
     # Coordinates of the line direction in the lattice basis, made primitive.
-    u = g.inverse().apply((Fraction(end.x), Fraction(end.y)))
+    u = apply(g.inverse(), (Fraction(end.x), Fraction(end.y)))
     m = min(valuation(x, p) for x in u)
     u = (u[0] * Fraction(p) ** (-m), u[1] * Fraction(p) ** (-m))
-    w = g.apply(u)  # primitive lattice vector spanning the line's direction
+    w = apply(g, u)  # primitive lattice vector spanning the line's direction
     # New lattice: Z*w + p*Lambda, using a basis vector completing w.
     if valuation(u[1], p) == 0:
         other = (g.m00, g.m10)  # column 1 completes
@@ -312,7 +330,7 @@ def enumerate_definite(disc: int) -> tuple[QForm, ...]:
             if a == c and b < 0:
                 continue
             f = QForm(a, b, c)
-            if f.is_primitive():
+            if is_primitive(f):
                 out.append(f)
         a += 1
     return tuple(sorted(out))
@@ -330,7 +348,7 @@ def enumerate_indefinite_reduced(disc: int) -> list[QForm]:
         for a in _divisors_signed(n4):
             c = -n4 // a
             f = QForm(a, b, c)
-            if f.is_primitive() and is_reduced_indefinite(f):
+            if is_primitive(f) and is_reduced_indefinite(f):
                 out.append(f)
     return out
 
@@ -553,11 +571,11 @@ def has_unramified_residue_field(order: LocalOrder) -> bool:
     k = len(basis)
 
     def test(coeffs) -> bool:
-        m = Mat2.zero()
+        m = zero_matrix()
         for c, b in zip(coeffs, basis):
             if c:
                 m = m + b.scale(c)
-        if m.is_scalar():
+        if is_scalar(m):
             return False
         s, n = _char_poly_residues(m, p)
         return _residue_poly_irreducible(s, n, p)
@@ -866,6 +884,212 @@ def enumerate_branch(
         for v in region
         if all(local_orders.contains_shifted(v, b, r) for b in order.closure.basis)
     )
+
+
+# ---------------------------------------------------------------------------
+# Classification on Fraction matrices
+
+
+def canonical_vertex(g: Mat2, p: int) -> Vertex:
+    """Canonical form of the lattice class spanned by the columns of g."""
+    if g.det() == 0:
+        raise SingularMatrix("lattice basis must be invertible")
+    cols = [(g.m00, g.m10), (g.m01, g.m11)]
+    # Column 2 takes the minimal-valuation second coordinate.
+    if valuation(cols[0][1], p) < valuation(cols[1][1], p):
+        cols.reverse()
+    (x1, y1), (x2, y2) = cols
+    # Clear the second coordinate of column 1; the quotient is in Z_(p).
+    if y1 != 0:
+        f = y1 / y2
+        x1 -= f * x2
+    alpha = valuation(x1, p)
+    x1 = Fraction(p) ** alpha
+    beta = valuation(y2, p)
+    u2 = Fraction(p) ** beta / y2
+    y2 = Fraction(p) ** beta
+    x2 *= u2
+    c = reduce_mod_ppow(x2, p, alpha)
+    shift = min(alpha, beta, valuation(c, p))
+    a = alpha - shift
+    b = beta - shift
+    cq = c * Fraction(p) ** (-shift)
+    assert cq.denominator == 1
+    return bt_tree.Vertex(p, a, b, int(cq))
+
+
+def end_from_vector(vec) -> End:
+    """Normalize any nonzero rational vector to a canonical end."""
+    x, y = Fraction(vec[0]), Fraction(vec[1])
+    if x == 0 and y == 0:
+        raise ValueError("end requires a nonzero vector")
+    den = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
+    xi, yi = int(x * den), int(y * den)
+    g = gcd(xi, yi)
+    xi, yi = xi // g, yi // g
+    lead = xi if xi != 0 else yi
+    if lead < 0:
+        xi, yi = -xi, -yi
+    return End(xi, yi)
+
+
+def _quadratic_ext_disc_val(disc, p: int) -> int:
+    """Valuation of the discriminant of the quadratic extension generated by
+    a root of x^2 = disc (disc not a local square)."""
+    v = valuation(disc, p)
+    if p != 2:
+        return 0 if v % 2 == 0 else 1
+    if v % 2 != 0:
+        return 3
+    u = int(reduce_mod_ppow(unit_part(disc, 2), 2, 3))
+    assert u != 1, "square discriminant has no field extension"
+    return 0 if u == 5 else 2
+
+
+def _level_neighbors(a: Mat2, v: Vertex, m: int) -> list[Vertex]:
+    """The at most two neighbors w of v with mu(a, w) >= m = mu(a, v).
+
+    A neighbor of v is a line of L_v / p L_v, and mu(a, w) >= m holds
+    exactly when that line is an eigenline of the residue mod p of
+    (g^-1 a g - m00) / p^m, a non-scalar matrix [[0, r01], [r10, r11]]
+    (scaled by the unit part of den).  The line [s : t] is the parent when
+    t = 0 mod p and otherwise the child with digit s / t.
+    """
+    den, al, be, ga, de = a.cleared
+    p, b, c = v.p, v.b, v.c
+    q = p**b
+    d = al - de
+    k = int_valuation(den, p) + b + m
+
+    def residue(x: int, e: int) -> int:  # x / p^e mod p, given v_p(x) >= e
+        return x // p**e % p if e >= 0 else 0
+
+    r01 = residue(be * q * q + d * c * q - ga * c * c, k + v.a)
+    r10 = residue(ga, k - v.a)
+    r11 = residue(2 * ga * c - d * q, k)
+    if p == 2:
+        roots = [x for x in (0, 1) if (x * x - r11 * x - r01 * r10) % 2 == 0]
+    else:
+        root = sqrt_mod(r11 * r11 + 4 * r01 * r10, p)
+        if root is None:
+            return []
+        half = (p + 1) // 2
+        roots = {(r11 + root) * half % p, (r11 - root) * half % p}
+    out = []
+    for lam in roots:
+        if lam or r01:
+            s, t = r01, lam
+        else:
+            s, t = r11 - lam, -r10
+        out.append(child(v, s * pow(t, -1, p) % p) if t % p else parent(v))
+    return out
+
+
+def _climb(a: Mat2, start: Vertex, ceiling=None) -> tuple[Vertex, int]:
+    """Greedy margin ascent from start; returns (summit vertex, margin)."""
+    cur = start
+    m = mu_margin(a, cur)
+    while ceiling is None or m < ceiling:
+        better = [n for n in _level_neighbors(a, cur, m) if mu_margin(a, n) > m]
+        if not better:
+            break
+        cur = min(better)
+        m += 1
+        assert mu_margin(a, cur) == m
+    return cur, m
+
+
+def _stable_start(a: Mat2, p: int) -> Vertex:
+    """A vertex whose lattice is stable under a: the class of (e, a*e)."""
+    if a.m10 != 0:
+        cols = [[1, a.m00], [0, a.m10]]
+    elif a.m01 != 0:
+        cols = [[0, a.m01], [1, a.m11]]
+    else:  # diagonal: any vertex works
+        return standard_vertex(p)
+    return canonical_vertex(Mat2.of(cols), p)
+
+
+def classify_single(a: Mat2, p: int) -> Shape:
+    """Exact shape of {v : a in D_v}, i.e. the depth-0 branch of Z_(p)[a].
+
+    Scalars give Full; nilpotent-plus-scalar gives a Fan toward the image
+    line; split semisimple gives the ThickApartment around the axis of the
+    eigenline pair; the field (non-split) case gives a ThickPath whose stem
+    is a vertex or an edge.  Raises Unbounded for non-integral input.
+    """
+    # Z_(p)[a] is bounded exactly when the characteristic polynomial is
+    # integral; the closure then only runs to certify Unbounded.
+    if valuation(a.trace(), p) < 0 or valuation(a.det(), p) < 0:
+        order_closure([a], p)
+    if is_scalar(a):
+        return Full(p)
+    disc = a.discriminant()
+    half_trace = a.trace() / 2
+
+    if disc == 0:
+        nil = a - Mat2.scalar(half_trace)
+        col = (nil.m00, nil.m10)
+        if col == (0, 0):
+            col = (nil.m01, nil.m11)
+        end = end_from_vector(col)
+        return canonical_fan(p, end, lambda v: mu_margin(nil, v))
+
+    v_disc = valuation(disc, p)
+    if is_local_square_rat(disc, p):
+        t = v_disc // 2
+        if is_rational_square(disc):
+            root = Fraction(isqrt(disc.numerator), isqrt(disc.denominator))
+            eigs = ((a.trace() + root) / 2, (a.trace() - root) / 2)
+            vecs = []
+            for lam in eigs:
+                w = (a.m01, lam - a.m00)
+                if w == (0, 0):
+                    w = (lam - a.m11, a.m10)
+                vecs.append(w)
+            ends = tuple(sorted(end_from_vector(w) for w in vecs))
+            anchor = canonical_vertex(
+                Mat2.of([[vecs[0][0], vecs[1][0]], [vecs[0][1], vecs[1][1]]]), p
+            )
+            assert mu_margin(a, anchor) == t
+            return ThickApartment(p, ends, t, witness=a, axis_margin=t, anchor=anchor)
+        anchor, reached = _climb(a, _stable_start(a, p), ceiling=t)
+        assert reached == t
+        return ThickApartment(p, None, t, witness=a, axis_margin=t, anchor=anchor)
+
+    # Field case: the margin summit is a single vertex or a single edge.
+    summit, t = _climb(a, _stable_start(a, p))
+    assert t == (v_disc - _quadratic_ext_disc_val(disc, p)) // 2
+    stem = [summit] + [
+        n for n in _level_neighbors(a, summit, t) if mu_margin(a, n) == t
+    ]
+    assert len(stem) <= 2
+    return ThickPath(tuple(sorted(stem)), t)
+
+
+def branch_of_order(order: LocalOrder, max_vertices=None) -> Shape:
+    """Shape of {v : order contained in D_v}: fold intersections over the basis."""
+    shape: Shape = Full(order.p)
+    for b in order.closure.basis:
+        if is_scalar(b):
+            continue
+        shape = intersect_shapes(shape, classify_single(b, order.p), max_vertices)
+    return shape
+
+
+def _plus_scalars(module, t: int):
+    """Z_(p) + p^t * module."""
+    den, q = module.den, module.p**t
+    rows = [(den, 0, 0, den)] + [[x * q for x in r] for r in module.rows]
+    return exact_padic.module_hnf(rows, module.p, den)
+
+
+def shifted_eichler_module_by_intersection(v1: Vertex, v2: Vertex, r: int):
+    """Canonical module of Z_(p) + p^r * (D_v1 intersect D_v2)."""
+    inner = exact_padic.module_intersect(
+        local_orders.maximal_order_module(v1), local_orders.maximal_order_module(v2)
+    )
+    return _plus_scalars(inner, r)
 
 
 # ---------------------------------------------------------------------------

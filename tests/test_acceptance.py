@@ -15,11 +15,14 @@ from math import gcd, isqrt
 
 from helpers import (
     connected_members,
+    is_scalar,
     make_rng,
+    order_from_module,
     random_matrix,
     random_order,
     random_vertex_at,
     spine_vertex,
+    unit_norm_is_minus_one,
 )
 from qlat.branches import (
     Empty,
@@ -59,7 +62,6 @@ from qlat.local_orders import (
     has_unramified_residue_field,
     maximal_order_module,
     order_closure,
-    order_from_module,
     shift_order,
     shifted_eichler_module,
     three_maximal_orders,
@@ -72,7 +74,6 @@ from qlat.quadforms import (
     fundamental_unit,
     pell_minimal,
     prime_form,
-    unit_norm_is_minus_one,
 )
 from qlat.spinor_local import SpinorImage, odd_pair_oracle, spinor_image
 
@@ -359,7 +360,7 @@ def test_acceptance_08_spinor_decision_vs_oracle():
                 )
             else:
                 a = random_matrix(rng, p)
-                if a.is_scalar():
+                if is_scalar(a):
                     continue
                 try:
                     shape = classify_single(a, p)

@@ -5,7 +5,15 @@ from math import inf
 
 import pytest
 
-from helpers import make_rng, random_matrix, random_order, random_vertex_at
+from helpers import (
+    is_scalar,
+    make_rng,
+    module_contains_module,
+    order_from_module,
+    random_matrix,
+    random_order,
+    random_vertex_at,
+)
 from qlat.branches import (
     Empty,
     Fan,
@@ -35,13 +43,8 @@ from qlat.bt_tree import (
     standard_vertex,
 )
 from qlat.errors import EmptyShape, NotFinite, Unbounded
-from qlat.exact_padic import Mat2, module_contains_module
-from qlat.local_orders import (
-    order_closure,
-    order_from_module,
-    shift_order,
-    shifted_eichler_module,
-)
+from qlat.exact_padic import Mat2
+from qlat.local_orders import order_closure, shift_order, shifted_eichler_module
 
 
 def _members(shape, region):
@@ -116,7 +119,7 @@ def test_classify_matches_mu_margin_pointwise():
     for _ in range(60):
         p = rng.choice([2, 3])
         a = random_matrix(rng, p)
-        if a.is_scalar():
+        if is_scalar(a):
             continue
         try:
             s = classify_single(a, p)
@@ -187,7 +190,7 @@ def test_intersect_pointwise_on_samples():
     for _ in range(80):
         p = rng.choice([2, 3])
         a, b = random_matrix(rng, p), random_matrix(rng, p)
-        if a.is_scalar() or b.is_scalar():
+        if is_scalar(a) or is_scalar(b):
             continue
         try:
             s1, s2 = classify_single(a, p), classify_single(b, p)

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import make_rng, random_matrix, random_vertex, random_vertex_at
+from helpers import (
+    make_rng,
+    random_matrix,
+    random_vertex,
+    random_vertex_at,
+    ray_vertices,
+)
 from qlat.bt_tree import (
     End,
     Vertex,
@@ -20,7 +26,6 @@ from qlat.bt_tree import (
     geodesic,
     neighbors,
     parent,
-    ray_vertices,
     standard_vertex,
     step_toward_end,
     walk_toward_end,

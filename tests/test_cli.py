@@ -220,6 +220,21 @@ def test_local_three_maximals():
     assert err["error"] == "SchemaError" and err["path"] == "level"
 
 
+@pytest.mark.parametrize("level", [True, 1.0, "1"])
+def test_local_three_maximals_level_must_be_an_integer(level):
+    # the endpoints are at distance 1, which True and 1.0 compare equal to
+    req = {
+        "p": 3,
+        "endpoints": [{"a": 0, "b": 0, "c": 0}, {"a": 1, "b": 0, "c": 0}],
+        "level": level,
+    }
+    err = run_json(["local", "three-maximals"], req, expect=2)
+    assert err["error"] == "SchemaError" and err["path"] == "level"
+    assert "expected an integer" in err["message"]
+    doc = run_json(["local", "three-maximals"], {**req, "level": 1})
+    assert doc["level"] == 1
+
+
 def test_local_three_maximals_at_large_prime():
     # Hanging the witnesses off the path takes the least neighbor at each
     # step without building all p + 1 of them.
@@ -681,6 +696,31 @@ def test_missing_input_file(tmp_path):
         capture_output=True,
     )
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args,option",
+    [
+        (["tree", "ball", "--out"], "--out"),
+        (["tree", "dot", "--dot"], "--dot"),
+        (["tree", "dot", "--out"], "--out"),
+    ],
+)
+def test_unwritable_output_file_exits_2(tmp_path, args, option):
+    for target in (tmp_path / "absent" / "out.txt", tmp_path):  # a directory
+        proc = subprocess.run(
+            MOD + args + [str(target)],
+            input=json.dumps({"p": 2, "radius": 1}).encode(),
+            capture_output=True,
+            timeout=30,
+        )
+        assert proc.returncode == 2, proc.stderr.decode()
+        assert proc.stdout == b""
+        text = proc.stderr.decode()
+        assert text.count("\n") == 1  # one diagnostic, no traceback
+        err = json.loads(text)
+        assert err["error"] == "SchemaError" and err["path"] == option
+        assert err["message"].startswith(f"{option}: cannot write {target}")
 
 
 def test_undecodable_input_file_exits_2(tmp_path):

@@ -16,9 +16,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import conjugate
 from qlat.bt_tree import Vertex, ball_size
 from qlat.cli import main
-from qlat.exact_padic import Mat2, conjugate, is_squarefree
+from qlat.exact_padic import Mat2, is_squarefree
 from qlat.global_classfield import BaseField
 from qlat.local_orders import order_closure
 

@@ -5,22 +5,27 @@ from math import inf
 
 import pytest
 
-from helpers import make_rng, random_matrix
+from helpers import (
+    apply,
+    conjugate,
+    is_scalar,
+    make_rng,
+    module_contains,
+    module_contains_module,
+    module_index_valuation,
+    module_sum,
+    random_matrix,
+)
 from qlat.errors import SingularMatrix
 from qlat.exact_padic import (
     Mat2,
     commute,
-    conjugate,
     is_local_square_rat,
     is_prime,
     is_rational_square,
     legendre,
-    module_contains,
-    module_contains_module,
     module_hnf,
-    module_index_valuation,
     module_intersect,
-    module_sum,
     reduce_mod_ppow,
     smith_local,
     unit_part,
@@ -127,9 +132,9 @@ def test_mat2_ring_ops():
     assert a.det() == -2
     assert a.discriminant() == 25 - 4 * (-2)
     assert a.inverse() * a == Mat2.identity()
-    assert Mat2.scalar(3).is_scalar()
-    assert not a.is_scalar()
-    assert a.apply((1, 0)) == (1, 3)
+    assert is_scalar(Mat2.scalar(3))
+    assert not is_scalar(a)
+    assert apply(a, (1, 0)) == (1, 3)
 
 
 def test_mat2_inverse_requires_invertibility():

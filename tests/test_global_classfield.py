@@ -7,7 +7,7 @@ from math import gcd, inf, prod
 
 import pytest
 
-from helpers import make_rng
+from helpers import fe_conj, fundamental_discriminant, make_rng
 from qlat.branches import ThickPath, classify_single
 from qlat.errors import AlgebraNotSplit, EmbeddingInfeasible, SchemaError
 from qlat.exact_padic import Mat2, is_prime, is_squarefree
@@ -17,7 +17,6 @@ from qlat.global_classfield import (
     QuatAlgebra,
     _prime_discriminants,
     fe,
-    fe_conj,
     fe_inv,
     fe_is_square,
     fe_mul,
@@ -36,7 +35,7 @@ from qlat.global_classfield import (
     spinor_class_field,
     val_at_place,
 )
-from qlat.quadforms import QForm, class_rep, fundamental_discriminant
+from qlat.quadforms import QForm, class_rep
 from qlat.spinor_local import SpinorImage, spinor_image
 
 Q = BaseField.rationals()

@@ -4,16 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import make_rng, random_order, random_vertex, random_vertex_at
-from qlat.bt_tree import Vertex, ball, distance, standard_vertex
-from qlat.errors import NotShiftedEichler, Unbounded
-from qlat.exact_padic import (
-    Mat2,
+from helpers import (
+    make_rng,
     module_contains,
     module_contains_module,
-    module_hnf,
-    module_intersect,
+    order_from_module,
+    random_order,
+    random_vertex,
+    random_vertex_at,
 )
+from qlat.bt_tree import Vertex, ball, distance, standard_vertex
+from qlat.errors import NotShiftedEichler, Unbounded
+from qlat.exact_padic import Mat2, module_hnf, module_intersect
 from qlat.local_orders import (
     ShiftedEichler,
     contains_shifted,
@@ -21,7 +23,6 @@ from qlat.local_orders import (
     has_unramified_residue_field,
     maximal_order_module,
     order_closure,
-    order_from_module,
     shift_order,
     shifted_eichler_module,
     three_maximal_orders,

@@ -23,12 +23,17 @@ from sympy.solvers.diophantine.diophantine import diop_DN
 
 import oracles
 from helpers import (
+    class_inverse,
+    fundamental_discriminant,
+    is_scalar,
     make_rng,
+    order_from_module,
     random_matrix,
     random_order,
     random_vertex,
     random_vertex_at,
     spine_vertex,
+    zero_matrix,
 )
 from qlat.branches import (
     Empty,
@@ -39,6 +44,7 @@ from qlat.branches import (
     _climb,
     _level_neighbors,
     branch_of_order,
+    classify_single,
     enumerate_branch,
     fan_slack,
     mu_margin,
@@ -47,10 +53,12 @@ from qlat.bt_tree import (
     End,
     Vertex,
     ball,
+    canonical_vertex,
     child,
     dist_to_ray,
     distance,
     end_from_vector,
+    end_of,
     export_dot,
     geodesic,
     iter_neighbors,
@@ -60,7 +68,7 @@ from qlat.bt_tree import (
     step_toward_end,
     walk_toward_end,
 )
-from qlat.errors import NotShiftedEichler, ResourceLimit, Unbounded
+from qlat.errors import NotShiftedEichler, ResourceLimit, SingularMatrix, Unbounded
 from qlat.exact_padic import (
     MAX_TRIAL_DIVISOR,
     Mat2,
@@ -90,7 +98,6 @@ from qlat.local_orders import (
     has_unramified_residue_field,
     maximal_order_module,
     order_closure,
-    order_from_module,
     shift_order,
     shifted_eichler_module,
 )
@@ -101,7 +108,6 @@ from qlat.quadforms import (
     _enumerate_indefinite_reduced,
     class_group,
     class_rep,
-    fundamental_discriminant,
     fundamental_unit,
     is_squarefree,
     kronecker_at,
@@ -139,7 +145,7 @@ def seeded_rational_matrix(rng, p: int) -> Mat2:
 
     while True:
         m = Mat2.of([[entry(), entry()], [entry(), entry()]])
-        if not m.is_scalar():
+        if not is_scalar(m):
             return m
 
 
@@ -196,13 +202,14 @@ def test_eigenline_ascent_matches_full_scan(p):
             a = random_matrix(rng, p)
         else:
             a = seeded_rational_matrix(rng, p)
-        if a.is_scalar():
+        if is_scalar(a):
             continue
         for v in rng.sample(starts, 3):
             m = mu_margin(a, v)
             full = [n for n in oracles.neighbors(v) if oracles.mu_margin(a, n) >= m]
-            assert sorted(_level_neighbors(a, v, m)) == full, (a, v)
-            assert _climb(a, v, ceiling=m + 6) == oracles.climb(a, v, ceiling=m + 6)
+            assert sorted(_level_neighbors(a.cleared, v, m)) == full, (a, v)
+            got = _climb(a.cleared, v, ceiling=m + 6)
+            assert got == oracles.climb(a, v, ceiling=m + 6)
 
 
 def test_sqrt_mod_matches_linear_search_and_sympy():
@@ -595,11 +602,11 @@ def _generator_set(rng, p: int, rank: int) -> list[Mat2]:
     dens = (1, 1, p, next(x for x in (3, 5, 7) if x != p))
     gens = []
     for _ in range(rng.randrange(rank, rank + 3)):
-        m = Mat2.zero()
+        m = zero_matrix()
         for b in base:
             m = m + b.scale(Fraction(rng.randrange(-9, 10), rng.choice(dens)))
         gens.append(m)
-    gens += [Mat2.zero(), gens[0]]
+    gens += [zero_matrix(), gens[0]]
     rng.shuffle(gens)
     return gens
 
@@ -1020,7 +1027,7 @@ def test_global_value_tuples_match_dataclasses():
     olds = assert_like_dataclasses(groups)
     for g, o in zip(groups, olds):
         assert (g.order, g.identity) == (o.order, o.identity)
-        assert [g.inverse(f) for f in g.reps] == [o.inverse(f) for f in g.reps]
+        assert [class_inverse(g, f) for f in g.reps] == [o.inverse(f) for f in g.reps]
     for f in places:
         assert f.key() == twin(f).key()
     for sigma in sigmas:
@@ -1103,3 +1110,178 @@ def test_deepening_builds_through_the_validated_constructor():
     for shape in (gap, old):
         with pytest.raises(ValueError, match="consecutive neighbors"):
             shape.deepen(1)
+
+
+# ---------------------------------------------------------------------------
+# Integer classification, canonical vertices and Eichler modules against the
+# Fraction path
+
+
+def _unimodular(rng, p: int) -> Mat2:
+    """A seeded element of GL2(Z_(p)) with prime-to-p denominators."""
+    q = next(x for x in (3, 5, 7) if x != p)
+    g = Mat2.identity()
+    for _ in range(3):
+        k = Fraction(rng.randrange(-9, 10), rng.choice((1, q)))
+        g = g * Mat2.of([[1, k], [0, 1]]) * Mat2.of([[1, 0], [rng.randrange(-3, 4), 1]])
+    unit = rng.choice([x for x in (1, -1, 2, 3, 5, 7) if x % p])
+    u = Fraction(unit, rng.choice((1, q)))
+    return g * Mat2.of([[u, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("p,radius", BALLS)
+def test_canonical_vertex_matches_fraction_path(p, radius):
+    rng = make_rng(1100 + p)
+    q = next(x for x in (3, 5, 7) if x != p)
+    scales = [1, p, Fraction(1, p), Fraction(-2, p * q), Fraction(q, p**3)]
+    for v in whole_ball(p, radius):
+        for _ in range(2):
+            g = v.basis() * _unimodular(rng, p) * rng.choice(scales)
+            assert canonical_vertex(g, p) == oracles.canonical_vertex(g, p) == v, g
+    for _ in range(60):
+        g = seeded_rational_matrix(rng, p)
+        if g.det() == 0:
+            continue
+        assert canonical_vertex(g, p) == oracles.canonical_vertex(g, p), g
+    singular = [Mat2.of([[1, 2], [2, 4]]), Mat2.of([[0, 0], [0, Fraction(1, p)]])]
+    for g in singular:
+        with pytest.raises(SingularMatrix):
+            canonical_vertex(g, p)
+        with pytest.raises(SingularMatrix):
+            oracles.canonical_vertex(g, p)
+
+
+def test_end_from_vector_matches_fraction_path():
+    rng = make_rng(1110)
+    dens = (1, 2, 3, 4, 9, 10, 49, 101)
+    vectors = [(0, 1), (0, -3), (5, 0), (-5, 0), (Fraction(1, 2), Fraction(-1, 3))]
+    for _ in range(300):
+        x = Fraction(rng.randrange(-60, 61), rng.choice(dens))
+        y = Fraction(rng.randrange(-60, 61), rng.choice(dens))
+        if x or y:
+            vectors.append((x, y))
+    for vec in vectors:
+        assert end_from_vector(vec) == oracles.end_from_vector(vec), vec
+        ints = tuple(Fraction(z) for z in vec)
+        if all(z.denominator == 1 for z in ints):
+            assert end_of(*(int(z) for z in ints)) == end_from_vector(vec)
+    for bad in ((0, 0), (Fraction(0), 0)):
+        with pytest.raises(ValueError, match="nonzero vector"):
+            end_from_vector(bad)
+        with pytest.raises(ValueError, match="nonzero vector"):
+            oracles.end_from_vector(bad)
+
+
+def _classify_outcome(classify, a: Mat2, p: int):
+    """(kind, JSON, shape) of a classification, or the Unbounded certificate;
+    an apartment also gives its witness, ends or not."""
+    try:
+        shape = classify(a, p)
+    except Unbounded as exc:
+        return ("unbounded", exc.certificate, None)
+    extra = None
+    if isinstance(shape, ThickApartment):
+        extra = (shape.witness, shape.axis_margin, shape.ends is None)
+    return (type(shape).__name__, shape.to_json(), extra)
+
+
+def _kind_generators(p: int) -> list[Mat2]:
+    """A scalar, a nilpotent plus scalar, split semisimple with rational and
+    with irrational eigenvalues, and unramified and ramified field elements."""
+    q = next(q for q in range(2, 200) if is_local_square_rat(Fraction(q), p)
+             and isqrt(q) ** 2 != q)
+    return [
+        Mat2.scalar(5),
+        Mat2.of([[3, 1], [0, 3]]),
+        Mat2.of([[1, 0], [0, 1 + p]]),
+        Mat2.of([[0, p * p], [1, 0]]),
+        Mat2.of([[0, q], [1, 0]]),
+        Mat2.of([[0, q * p * p], [1, 0]]),
+        _nonresidue_generator(p),
+        Mat2.of([[0, p], [1, 0]]),
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_classify_single_matches_fraction_path(p):
+    rng = make_rng(1120 + p)
+    mats = []
+    for v in whole_ball(p, 2 if p < 101 else 1):
+        g = v.basis()
+        mats += [g * f * g.inverse() for f in _kind_generators(p)]
+    for _ in range(40 if p < 101 else 10):
+        mats.append(random_matrix(rng, p))
+        mats.append(seeded_rational_matrix(rng, p))
+        g = _unimodular(rng, p)
+        mats.append(g * rng.choice(_kind_generators(p)) * g.inverse())
+    kinds = set()
+    for a in mats:
+        got = _classify_outcome(classify_single, a, p)
+        assert got == _classify_outcome(oracles.classify_single, a, p), a
+        if got[0] == "ThickApartment":
+            kinds.add("irrational" if got[2][2] else "rational")
+        else:
+            kinds.add(got[0])
+    assert kinds == {"Full", "Fan", "rational", "irrational", "ThickPath", "unbounded"}
+
+
+@pytest.mark.parametrize("p,radius", MODULE_BALLS + [(7, 1)])
+def test_shifted_eichler_closed_form_matches_intersection(p, radius):
+    vs = whole_ball(p, radius)
+    pairs = list(itertools.combinations_with_replacement(vs, 2))
+    if p == 101:
+        hubs = {standard_vertex(p), *(v for v in vs if v.a == 0)}
+        rest = [pair for pair in pairs if not hubs & set(pair)]
+        pairs = [pair for pair in pairs if hubs & set(pair)]
+        pairs += make_rng(p).sample(rest, CHILD_PAIR_SAMPLE)
+    for v, w in pairs:
+        for r in (0, 1, 2):
+            want = oracles.shifted_eichler_module_by_intersection(v, w, r)
+            assert shifted_eichler_module(v, w, r) == want, (v, w, r)
+            assert shifted_eichler_module(w, v, r) == want, (w, v, r)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_branch_of_order_matches_fraction_path(p):
+    rng = make_rng(1130 + p)
+    orders = _branch_orders(p, rng) + list(_structured_orders(p, rng, 1))
+    for ngens in (1, 2, 3):
+        orders += [random_order(rng, p, ngens) for _ in range(6 if p < 101 else 2)]
+    kinds = set()
+    for order in orders:
+        got, want = branch_of_order(order), oracles.branch_of_order(order)
+        assert (type(got), got.to_json()) == (type(want), want.to_json()), order
+        assert got == want, order
+        kinds.add(got.kind)
+    assert {"full", "fan", "thick_apartment", "thick_path", "thick_ray"} <= kinds
+
+
+def _fraction_count_orders():
+    """Seeded orders on one to three generators at p = 2, 3, 5 and 7, and
+    one order of every branch kind at p = 3."""
+    rng = make_rng(1140)
+    orders = [random_order(rng, p, n) for p in (2, 3, 5, 7) for n in (1, 2, 3)]
+    return orders + _branch_orders(3, rng)
+
+
+def test_branch_of_order_makes_few_fractions(monkeypatch):
+    """The branch of an order is computed on the integer rows of its module:
+    a Fraction is made only for the witness of a thick apartment."""
+    orders = _fraction_count_orders()
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    shapes = [branch_of_order(order) for order in orders]
+    monkeypatch.undo()
+    # 34 apartment witnesses, of 4 entries each, on every Python version.
+    # Classifying `closure.basis` with Fraction traces, discriminants and
+    # eigenvectors made 3,487 on Python 3.11 (where Fraction arithmetic
+    # also builds through `__new__`).
+    assert len(made) == 136
+    assert all(len(args) == 2 for args in made)  # Fraction(entry, den) only
+    assert sum(s.kind == "thick_apartment" for s in shapes) == 5

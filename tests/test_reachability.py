@@ -1,0 +1,79 @@
+"""Every function and method in `src/qlat` is named somewhere else in the
+package or exported in `qlat.__all__`; helpers only the tests use live in
+`tests/helpers.py` and `tests/oracles.py`."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import qlat
+
+SRC = Path(qlat.__file__).resolve().parent
+
+# Kept although nothing in the package names them, with the reason.
+ALLOWED = {
+    "smith_local": "bench/tracer.py times it as a span, and bench/smoke.py "
+    "requires every span to exist",
+    **{
+        f"Mat2.{name}": "bench/make_corpus.py builds the request pools with it"
+        for name in ("m00", "m01", "m10", "m11", "scalar", "inverse")
+    },
+}
+
+
+def _defs(tree):
+    """(qualified name, name, node) of the top-level functions and methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{sub.name}", sub.name, sub
+
+
+def _named(tree) -> Counter:
+    """How often each identifier is named: variables, attributes, imports."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name] += 1
+    return out
+
+
+def unreached(sources: dict, exported) -> list[str]:
+    """The functions and methods of the given module sources that no other
+    code in them names, dunder methods and exported names aside."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    named = sum((_named(tree) for tree in trees.values()), Counter())
+    out = []
+    for module, tree in trees.items():
+        for qualified, name, node in _defs(tree):
+            if name.startswith("__") and name.endswith("__") or name in exported:
+                continue
+            if named[name] - _named(node)[name] <= 0:
+                out.append(f"{module}.{qualified}")
+    return out
+
+
+def test_unreached_finds_unnamed_functions():
+    sources = {
+        "a": "def f():\n    return f()\n\nclass C:\n    def m(self): pass\n"
+        "    def __eq__(self, other): pass\n",
+        "b": "from a import C\n\ndef g(x):\n    return x.m()\n\ndef h(): pass\n",
+    }
+    assert unreached(sources, {"g"}) == ["a.f", "b.h"]
+    assert unreached(sources, {"g", "h", "f"}) == []
+
+
+def test_every_package_function_is_reached_or_exported():
+    sources = {
+        path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))
+    }
+    found = [name.split(".", 1)[1] for name in unreached(sources, set(qlat.__all__))]
+    assert [name for name in found if name not in ALLOWED] == []
+    assert sorted(found) == sorted(ALLOWED)  # every allowance is still needed

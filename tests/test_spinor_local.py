@@ -6,7 +6,9 @@ import pytest
 
 from helpers import (
     connected_members,
+    is_scalar,
     make_rng,
+    order_from_module,
     random_matrix,
     random_vertex_at,
     spine_vertex,
@@ -31,7 +33,7 @@ from qlat.bt_tree import (
 )
 from qlat.errors import AnchorInvalid, Unbounded
 from qlat.exact_padic import Mat2
-from qlat.local_orders import order_from_module, shifted_eichler_module
+from qlat.local_orders import shifted_eichler_module
 from qlat.spinor_local import (
     SpinorImage,
     odd_pair_oracle,
@@ -183,7 +185,7 @@ def test_decision_matches_oracle_random():
             )
         else:
             a = random_matrix(rng, p)
-            if a.is_scalar():
+            if is_scalar(a):
                 continue
             try:
                 shape = classify_single(a, p)
