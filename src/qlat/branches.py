@@ -486,10 +486,10 @@ def classify_cleared(cleared, p: int, a: Mat2 | None = None) -> Shape:
     disc = d * d + 4 * be * ga  # den^2 times the discriminant of a
 
     if disc == 0:
-        # a - trace/2 is (d, 2 be, 2 ga, -d) / (2 den); its image line is
-        # spanned by a nonzero column
+        # a - trace/2 = (d, 2 be, 2 ga, -d) / (2 den): its first column spans
+        # its image, or e1 does when that column is zero
         nil = (2 * den, d, 2 * be, 2 * ga, -d)
-        end = end_of(d, 2 * ga) if d or ga else end_of(2 * be, -d)
+        end = end_of(d, 2 * ga) if d or ga else End(1, 0)
         return canonical_fan(p, end, lambda v: cleared_margin(nil, v))
 
     v_disc = int_valuation(disc, p) - 2 * k

@@ -287,17 +287,9 @@ class Mat2(Frozen, namedtuple("Mat2", "entries")):
     def scale(self, x) -> "Mat2":
         return self * Fraction(x)
 
-    def trace(self) -> Rat:
-        return self.entries[0] + self.entries[3]
-
     def det(self) -> Rat:
         a, b, c, d = self.entries
         return a * d - b * c
-
-    def discriminant(self) -> Rat:
-        """Discriminant of the characteristic polynomial, trace^2 - 4 det."""
-        t = self.trace()
-        return t * t - 4 * self.det()
 
     def inverse(self) -> "Mat2":
         dt = self.det()

@@ -114,6 +114,16 @@ def is_scalar(m: Mat2) -> bool:
     return b == 0 and c == 0 and a == d
 
 
+def trace(m: Mat2):
+    return m.entries[0] + m.entries[3]
+
+
+def discriminant(m: Mat2):
+    """Discriminant of the characteristic polynomial, trace^2 - 4 det."""
+    t = trace(m)
+    return t * t - 4 * m.det()
+
+
 def apply(m: Mat2, vec):
     """m times the column vector vec."""
     a, b, c, d = m.entries

@@ -36,8 +36,9 @@ enumeration that filters the whole ball through `contains_shifted`.
 The section after it keeps the classification of a single matrix on
 `Fraction` matrices that the integer bodies of `qlat.branches` and
 `qlat.bt_tree` replaced: `canonical_vertex` and `end_from_vector` on
-rationals, the classification's head on `Fraction` trace, determinant and
-discriminant, and `branch_of_order` over `Module4.basis`; and the shifted
+rationals, the p-adic square class of a rational, the classification's
+head on `Fraction` trace, determinant and discriminant, and
+`branch_of_order` over `Module4.basis`; and the shifted
 Eichler module as an intersection of two maximal orders, which the closed
 form of `qlat.local_orders` replaced.  The classification resolves
 `mu_margin`, `order_closure` and `sqrt_mod` to the slow versions above.
@@ -61,7 +62,15 @@ from functools import cached_property
 from itertools import chain
 from math import gcd, inf, isqrt
 
-from helpers import apply, conjugate, is_primitive, is_scalar, zero_matrix
+from helpers import (
+    apply,
+    conjugate,
+    discriminant,
+    is_primitive,
+    is_scalar,
+    trace,
+    zero_matrix,
+)
 from qlat import bt_tree, exact_padic, local_orders
 from qlat.branches import (
     Full,
@@ -82,8 +91,8 @@ from qlat.exact_padic import (
     Mat2,
     commute,
     int_valuation,
-    is_local_square_rat,
     is_rational_square,
+    legendre,
     reduce_mod_ppow,
     unit_part,
     valuation,
@@ -554,7 +563,7 @@ def _char_poly_residues(m: Mat2, p: int) -> tuple[int, int]:
     """(trace, det) of m reduced mod p; well-defined on elements of a
     bounded order even when matrix entries are non-integral, because trace
     and det of order elements are local integers."""
-    s = int(reduce_mod_ppow(m.trace(), p, 1))
+    s = int(reduce_mod_ppow(trace(m), p, 1))
     n = int(reduce_mod_ppow(m.det(), p, 1))
     return s, n
 
@@ -933,6 +942,21 @@ def end_from_vector(vec) -> End:
     return End(xi, yi)
 
 
+def is_local_square_rat(x, p: int) -> bool:
+    """Is the nonzero rational x a square in the p-adic completion?"""
+    x = Fraction(x)
+    if x == 0:
+        raise ZeroDivisionError("square class of zero")
+    v = valuation(x, p)
+    if v % 2 != 0:
+        return False
+    u = x / Fraction(p) ** v
+    if p == 2:
+        return int(reduce_mod_ppow(u, 2, 3)) == 1
+    r = int(reduce_mod_ppow(u, p, 1))
+    return legendre(r, p) == 1
+
+
 def _quadratic_ext_disc_val(disc, p: int) -> int:
     """Valuation of the discriminant of the quadratic extension generated by
     a root of x^2 = disc (disc not a local square)."""
@@ -1020,12 +1044,12 @@ def classify_single(a: Mat2, p: int) -> Shape:
     """
     # Z_(p)[a] is bounded exactly when the characteristic polynomial is
     # integral; the closure then only runs to certify Unbounded.
-    if valuation(a.trace(), p) < 0 or valuation(a.det(), p) < 0:
+    if valuation(trace(a), p) < 0 or valuation(a.det(), p) < 0:
         order_closure([a], p)
     if is_scalar(a):
         return Full(p)
-    disc = a.discriminant()
-    half_trace = a.trace() / 2
+    disc = discriminant(a)
+    half_trace = trace(a) / 2
 
     if disc == 0:
         nil = a - Mat2.scalar(half_trace)
@@ -1040,7 +1064,7 @@ def classify_single(a: Mat2, p: int) -> Shape:
         t = v_disc // 2
         if is_rational_square(disc):
             root = Fraction(isqrt(disc.numerator), isqrt(disc.denominator))
-            eigs = ((a.trace() + root) / 2, (a.trace() - root) / 2)
+            eigs = ((trace(a) + root) / 2, (trace(a) - root) / 2)
             vecs = []
             for lam in eigs:
                 w = (a.m01, lam - a.m00)

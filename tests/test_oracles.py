@@ -72,6 +72,8 @@ from qlat.errors import NotShiftedEichler, ResourceLimit, SingularMatrix, Unboun
 from qlat.exact_padic import (
     MAX_TRIAL_DIVISOR,
     Mat2,
+    commute,
+    is_local_square_int,
     is_local_square_rat,
     is_prime,
     module_hnf,
@@ -1200,6 +1202,38 @@ def _kind_generators(p: int) -> list[Mat2]:
         _nonresidue_generator(p),
         Mat2.of([[0, p], [1, 0]]),
     ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_square_classes_match_fraction_path(p):
+    rng = make_rng(1115 + p)
+    q = next(x for x in (3, 5, 7) if x != p)
+    values = [Fraction(n) for n in range(-70, 71) if n]
+    for _ in range(300):
+        n = rng.randrange(-10**6, 10**6) or 1
+        values.append(Fraction(n * p ** rng.randrange(4), rng.choice((1, p, p * p, q))))
+    for x in values:
+        got = is_local_square_rat(x, p)
+        assert got == oracles.is_local_square_rat(x, p), x
+        if x.denominator == 1:
+            assert is_local_square_int(x.numerator, p) == got, x
+    with pytest.raises(ZeroDivisionError):
+        is_local_square_int(0, p)
+
+
+def test_commute_matches_matrix_products():
+    rng = make_rng(1116)
+    entries = (0, 0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-3, 4))
+    mats = [Mat2.of([[rng.choice(entries) for _ in range(2)] for _ in range(2)])
+            for _ in range(120)]
+    mats += [Mat2.of([[0, 0], [1, 0]]), Mat2.of([[0, 0], [0, 1]]), Mat2.scalar(3)]
+    pairs = 0
+    for a in mats:
+        for b in mats:
+            want = a * b == b * a
+            assert commute(a, b) == want, (a, b)
+            pairs += want and not is_scalar(a) and not is_scalar(b) and a != b
+    assert pairs > 0
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
