@@ -6,19 +6,18 @@ For a single integral non-scalar matrix `a` and a vertex v, the margin
 
 measures how deep `a` sits inside the shifted maximal order at v: `a` lies
 in Z_(p) + p^r * D_v exactly when mu(a, v) >= r.  No conjugate is formed:
-with the entries of `a` cleared to integers once per matrix, the three
-valuations are those of integer expressions in the disc coordinates of v
-(see `mu_margin`).  Classification reads valuations, the square class of
-the discriminant, eigenlines and anchor vertices off the same integers,
-and `branch_of_order` reads an order's basis as the integer rows of its
-module.  The sets {mu >= 0} come in four exactly-representable families,
-each carried by a margin function that changes by at most 1 along edges
-and is concave along geodesics:
+`a` is the integers (den, al, be, ga, de) of a `Mat2` or of any such
+5-tuple, and the three valuations are those of integer expressions in
+them and the disc coordinates of v (see `mu_margin`).  Classification
+reads valuations, the square class of the discriminant, eigenlines and
+anchor vertices off the same integers.  The sets {mu >= 0} come in four
+exactly-representable families, each carried by a margin function that
+changes by at most 1 along edges and is concave along geodesics:
 
 - `ThickPath`: all vertices within t of a finite path (field case),
 - `ThickApartment`: within t of the axis fixed by a split semisimple matrix
   (ends are rational lines when the eigenvalues are rational, otherwise the
-  axis is carried by a witness matrix),
+  axis is carried by a witness, the classified 5-tuple itself),
 - `Fan`: a horoball around one boundary line z (nilpotent-plus-scalar
   case), whose slack is a difference of Busemann functions
   beta_z(base) - beta_z(v), with beta_z(D(x, n)) = n - 2 min(n, v(x - z)),
@@ -49,10 +48,12 @@ from collections import namedtuple
 from math import inf, isqrt
 
 from .bt_tree import (
+    MAX_VERTEX_EXPONENT,
     End,
     Vertex,
     ball,
     busemann,
+    canonical_vertex,
     check_ball_budget,
     child,
     dist_to_ray,
@@ -64,18 +65,17 @@ from .bt_tree import (
     standard_vertex,
     step_toward_end,
     vertex_budget,
-    vertex_of_columns,
     walk_toward_end,
 )
-from .errors import BudgetExceeded, EmptyShape, InfiniteUnsupported, NotFinite
-from .exact_padic import (
-    Mat2,
-    commute,
-    int_valuation,
-    is_local_square_int,
-    sqrt_mod,
+from .errors import (
+    BudgetExceeded,
+    EmptyShape,
+    InfiniteUnsupported,
+    NotFinite,
+    ResourceLimit,
 )
-from .local_orders import LocalOrder, contains_cleared, order_closure
+from .exact_padic import commute, int_valuation, is_local_square_int, sqrt_mod
+from .local_orders import LocalOrder, contains_shifted, order_closure
 
 # ---------------------------------------------------------------------------
 # Shapes
@@ -307,6 +307,8 @@ class Fan(_Based, namedtuple("Fan", "base end")):
     def deepen(self, r: int) -> Shape:
         if r <= 0:
             return super().deepen(r)
+        if r > MAX_VERTEX_EXPONENT:  # refused before walking r steps on
+            raise ResourceLimit(f"fan depth {r} is above {MAX_VERTEX_EXPONENT}")
         return canonical_fan(self.p, self.end, lambda v: self.margin(v) - r)
 
 
@@ -314,26 +316,21 @@ class Fan(_Based, namedtuple("Fan", "base end")):
 # Margins
 
 
-def mu_margin(a: Mat2, v: Vertex):
+def mu_margin(a, v: Vertex):
     """Largest r with a in Z_(p) + p^r * D_v (may be negative or infinite).
 
-    With a = [[al, be], [ga, de]] / den in integers, the conjugate
-    m = g^-1 a g by the basis g = [[p^(v.a), c], [0, q]] of v, q = p^(v.b),
-    has
+    a is a matrix or an integer 5-tuple (den, al, be, ga, de), that is
+    a = [[al, be], [ga, de]] / den; a factor common to all five leaves the
+    margin unchanged.  The conjugate m = g^-1 a g by the basis
+    g = [[p^(v.a), c], [0, q]] of v, q = p^(v.b), has
 
         m01 = (be q^2 + (al - de) c q - ga c^2) / (den p^(v.a + v.b)),
         m10 = ga p^(v.a - v.b) / den,
         m00 - m11 = ((al - de) q - 2 ga c) / (den q),
 
-    so the margin is a minimum of three integer valuations (`cleared_margin`).
+    so the margin is a minimum of three integer valuations.
     """
-    return cleared_margin(a.cleared, v)
-
-
-def cleared_margin(cleared, v: Vertex):
-    """`mu_margin` of [[al, be], [ga, de]] / den, given as (den, al, be, ga,
-    de); a factor common to all five leaves it unchanged."""
-    den, al, be, ga, de = cleared
+    den, al, be, ga, de = a
     p, c = v.p, v.c
     q = p**v.b
     d = al - de
@@ -394,9 +391,9 @@ def _quadratic_ext_disc_val(disc: int, p: int) -> int:
     return 0 if u == 5 else 2
 
 
-def _level_neighbors(cleared, v: Vertex, m: int) -> list[Vertex]:
+def _level_neighbors(a, v: Vertex, m: int) -> list[Vertex]:
     """The at most two neighbors w of v with mu(a, w) >= m = mu(a, v), for
-    a cleared to (den, al, be, ga, de).
+    a = (den, al, be, ga, de).
 
     A neighbor of v is a line of L_v / p L_v, and mu(a, w) >= m holds
     exactly when that line is an eigenline of the residue mod p of
@@ -404,7 +401,7 @@ def _level_neighbors(cleared, v: Vertex, m: int) -> list[Vertex]:
     (scaled by the unit part of den).  The line [s : t] is the parent when
     t = 0 mod p and otherwise the child with digit s / t.
     """
-    den, al, be, ga, de = cleared
+    den, al, be, ga, de = a
     p, b, c = v.p, v.b, v.c
     q = p**b
     d = al - de
@@ -435,51 +432,47 @@ def _level_neighbors(cleared, v: Vertex, m: int) -> list[Vertex]:
 
 
 def _climb(a, start: Vertex, ceiling=None) -> tuple[Vertex, int]:
-    """Greedy margin ascent of the cleared a from start: (summit, margin)."""
+    """Greedy margin ascent of a from start: (summit, margin)."""
     cur = start
-    m = cleared_margin(a, cur)
+    m = mu_margin(a, cur)
     while ceiling is None or m < ceiling:
-        better = [n for n in _level_neighbors(a, cur, m) if cleared_margin(a, n) > m]
+        better = [n for n in _level_neighbors(a, cur, m) if mu_margin(a, n) > m]
         if not better:
             break
         cur = min(better)
         m += 1
-        assert cleared_margin(a, cur) == m
+        assert mu_margin(a, cur) == m
     return cur, m
 
 
-def _stable_start(cleared, p: int) -> Vertex:
+def _stable_start(a, p: int) -> Vertex:
     """A vertex whose lattice is stable under a: the class of (e, a*e)."""
-    den, al, be, ga, de = cleared
+    den, al, be, ga, de = a
     if ga:
-        return vertex_of_columns(p, den, 0, al, ga)
+        return canonical_vertex((1, den, al, 0, ga), p)
     if be:
-        return vertex_of_columns(p, 0, den, be, de)
+        return canonical_vertex((1, 0, be, den, de), p)
     return standard_vertex(p)  # diagonal: any vertex works
 
 
-def classify_single(a: Mat2, p: int) -> Shape:
+def classify_single(a, p: int) -> Shape:
     """Exact shape of {v : a in D_v}, i.e. the depth-0 branch of Z_(p)[a].
 
+    a is a matrix or an integer 5-tuple (den, al, be, ga, de), that is
+    [[al, be], [ga, de]] / den; a thick apartment keeps it as its witness.
     Scalars give Full; nilpotent-plus-scalar gives a Fan toward the image
     line; split semisimple gives the ThickApartment around the axis of the
     eigenline pair; the field (non-split) case gives a ThickPath whose stem
     is a vertex or an edge.  Raises Unbounded for non-integral input.
+    Scaled by den, trace, determinant, discriminant, eigenlines and image
+    lines are all integral.
     """
-    return classify_cleared(a.cleared, p, a)
-
-
-def classify_cleared(cleared, p: int, a: Mat2 | None = None) -> Shape:
-    """`classify_single` of [[al, be], [ga, de]] / den, given as (den, al,
-    be, ga, de), and that matrix `a` if already made: its thick apartment
-    witness.  Scaled by den, trace, determinant, discriminant, eigenlines
-    and image lines are all integral."""
-    den, al, be, ga, de = cleared
+    den, al, be, ga, de = a
     k = int_valuation(den, p)
     # Z_(p)[a] is bounded exactly when the characteristic polynomial is
     # integral; the closure then only runs to certify Unbounded.
     if int_valuation(al + de, p) < k or int_valuation(al * de - be * ga, p) < 2 * k:
-        order_closure([a if a is not None else Mat2.over(den, cleared[1:])], p)
+        order_closure([a], p)
     if be == 0 and ga == 0 and al == de:
         return Full(p)
     d = al - de
@@ -490,12 +483,11 @@ def classify_cleared(cleared, p: int, a: Mat2 | None = None) -> Shape:
         # its image, or e1 does when that column is zero
         nil = (2 * den, d, 2 * be, 2 * ga, -d)
         end = end_of(d, 2 * ga) if d or ga else End(1, 0)
-        return canonical_fan(p, end, lambda v: cleared_margin(nil, v))
+        return canonical_fan(p, end, lambda v: mu_margin(nil, v))
 
     v_disc = int_valuation(disc, p) - 2 * k
     if is_local_square_int(disc, p):
         t = v_disc // 2
-        witness = a if a is not None else Mat2.over(den, cleared[1:])
         root = isqrt(disc) if disc > 0 else 0
         if root * root == disc:
             # the kernel of a - lam, lam = (al + de +- root) / (2 den), holds
@@ -508,19 +500,18 @@ def classify_cleared(cleared, p: int, a: Mat2 | None = None) -> Shape:
                 vecs.append(w)
             ends = tuple(sorted(end_of(*w) for w in vecs))
             (x1, y1), (x2, y2) = vecs
-            anchor = vertex_of_columns(p, x1, y1, x2, y2)
-            assert cleared_margin(cleared, anchor) == t
-            return ThickApartment(p, ends, t, witness, t, anchor)
-        anchor, reached = _climb(cleared, _stable_start(cleared, p), ceiling=t)
+            anchor = canonical_vertex((1, x1, x2, y1, y2), p)
+            assert mu_margin(a, anchor) == t
+            return ThickApartment(p, ends, t, a, t, anchor)
+        anchor, reached = _climb(a, _stable_start(a, p), ceiling=t)
         assert reached == t
-        return ThickApartment(p, None, t, witness, t, anchor)
+        return ThickApartment(p, None, t, a, t, anchor)
 
     # Field case: the margin summit is a single vertex or a single edge.
-    summit, t = _climb(cleared, _stable_start(cleared, p))
+    summit, t = _climb(a, _stable_start(a, p))
     assert t == (v_disc - _quadratic_ext_disc_val(disc, p)) // 2
     stem = [summit] + [
-        n for n in _level_neighbors(cleared, summit, t)
-        if cleared_margin(cleared, n) == t
+        n for n in _level_neighbors(a, summit, t) if mu_margin(a, n) == t
     ]
     assert len(stem) <= 2
     return ThickPath(tuple(sorted(stem)), t)
@@ -694,23 +685,18 @@ def embeds_in_level(s: Shape, d: int, r: int) -> bool:
         return False
 
 
-def _cleared_basis(order: LocalOrder) -> list[tuple[int, ...]]:
-    """The basis as `Mat2.cleared` tuples, not always in lowest terms."""
-    return [(order.closure.den, *row) for row in order.closure.rows]
-
-
-def _is_scalar(cleared) -> bool:
-    _, al, be, ga, de = cleared
+def _is_scalar(a) -> bool:
+    _, al, be, ga, de = a
     return be == 0 and ga == 0 and al == de
 
 
 def branch_of_order(order: LocalOrder, max_vertices=None) -> Shape:
     """Shape of {v : order contained in D_v}: fold intersections over the
-    basis, read as the integer rows of the order's module."""
+    basis, the integer `Mat2`s of the order's module rows."""
     shape: Shape = Full(order.p)
-    for b in _cleared_basis(order):
+    for b in order.closure.basis:
         if not _is_scalar(b):
-            shape = intersect_shapes(shape, classify_cleared(b, order.p), max_vertices)
+            shape = intersect_shapes(shape, classify_single(b, order.p), max_vertices)
     return shape
 
 
@@ -729,15 +715,15 @@ def enumerate_branch(
     distance to the branch, each greedy step raises it by exactly 1, and a
     branch within `radius` is met in at most `radius` steps.  An order of
     scalars only has a full (or empty) branch and keeps the ball filter.
-    The basis is read as the integer rows of the order's module.
+    The basis is the integer `Mat2`s of the order's module rows.
     """
     check_ball_budget(center.p, radius, max_vertices)
     r = max(r, 0)
-    basis = _cleared_basis(order)
+    basis = order.closure.basis
     margins = [b for b in basis if not _is_scalar(b)]
 
     def member(v: Vertex) -> bool:
-        return all(contains_cleared(v, b, r) for b in basis)
+        return all(contains_shifted(v, b, r) for b in basis)
 
     def filtered() -> frozenset[Vertex]:
         return frozenset(filter(member, ball(center, radius, max_vertices)))
@@ -746,7 +732,7 @@ def enumerate_branch(
         return filtered()
 
     def sigma(v: Vertex):
-        return min(cleared_margin(b, v) for b in margins) - r
+        return min(mu_margin(b, v) for b in margins) - r
 
     seed, s = center, sigma(center)
     for _ in range(radius):

@@ -24,7 +24,8 @@ here works on these integer disc coordinates, with no matrices:
 - the Busemann function toward z is n - 2 min(n, v(x - z)), and n toward
   oo, so horoball slacks and distances to rays are closed forms.
 
-`canonical_vertex` turns a matrix of lattice basis columns into its triple.
+`canonical_vertex` turns the integer columns of a lattice basis into its
+triple.
 
 Ball enumeration checks its vertex budget (default 200,000, overridable via
 the QLAT_MAX_VERTICES environment variable or an explicit argument) before
@@ -89,7 +90,7 @@ class Vertex(namedtuple("Vertex", "p a b c")):
 
     def basis(self) -> Mat2:
         """Column basis matrix of the canonical lattice representative."""
-        return Mat2.of([[self.p**self.a, self.c], [0, self.p**self.b]])
+        return Mat2(1, self.p**self.a, self.c, 0, self.p**self.b)
 
     def to_json(self) -> dict:
         return {"a": self.a, "b": self.b, "c": self.c}
@@ -110,21 +111,17 @@ def standard_vertex(p: int) -> Vertex:
     return Vertex(p, 0, 0, 0)
 
 
-def canonical_vertex(g: Mat2, p: int) -> Vertex:
-    """Canonical form of the lattice class spanned by the columns of g."""
-    _, x1, x2, y1, y2 = g.cleared  # g times its common denominator
-    return vertex_of_columns(p, x1, y1, x2, y2)
-
-
-def vertex_of_columns(p: int, x1: int, y1: int, x2: int, y2: int) -> Vertex:
-    """Canonical form of the lattice class spanned by the integer columns
-    (x1, y1) and (x2, y2).
+def canonical_vertex(g, p: int) -> Vertex:
+    """Canonical form of the lattice class spanned by the columns of g, a
+    matrix or an integer 5-tuple (den, x1, x2, y1, y2): the columns are
+    (x1, y1) and (x2, y2), and den scales the lattice only.
 
     Column 2 takes the second coordinate y2 = p^beta w (w a unit) of least
     valuation; clearing y1 leaves det / y2, of valuation alpha, above it.
     The class is [[p^alpha, x2 / w mod p^alpha], [0, p^beta]] over the
     power of p common to alpha, beta and that corner.
     """
+    _, x1, x2, y1, y2 = g
     det = x1 * y2 - x2 * y1
     if det == 0:
         raise SingularMatrix("lattice basis must be invertible")

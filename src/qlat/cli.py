@@ -162,7 +162,7 @@ def parse_matrix(value, path: str) -> Mat2:
         if len(cells) != 2:
             raise SchemaError(f"{path}[{i}]", f"expected 2 entries, got {len(cells)}")
         parsed += (parse_rational(cells[j], f"{path}[{i}][{j}]") for j in range(2))
-    return Mat2(tuple(parsed))
+    return Mat2.of([parsed[:2], parsed[2:]])
 
 
 def parse_generators(doc: dict, path: str = "generators") -> list[Mat2]:
@@ -349,6 +349,10 @@ def cmd_local_three_maximals(doc: dict, args) -> dict:
     v1 = parse_vertex(ends[0], p, "endpoints[0]")
     v2 = parse_vertex(ends[1], p, "endpoints[1]")
     shift = parse_nonneg(doc, "shift", "shift", default=0)
+    if shift > MAX_VERTEX_EXPONENT:  # the vertices found lie about `shift` away
+        raise ResourceLimit(
+            f"shift = {shift} is above {MAX_VERTEX_EXPONENT}", path="shift"
+        )
     level = distance(v1, v2)
     if "level" in doc and _expect_int(doc["level"], "level") != level:
         raise SchemaError("level", f"endpoints are at distance {level}")

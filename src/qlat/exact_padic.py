@@ -3,10 +3,9 @@
 The local ring Z_(p) = {a/b : p does not divide b} enters only through
 p-adic valuations and residues modulo powers of p: an element is
 local-integral iff its valuation is >= 0, a prime-to-p integer is a unit,
-and no p-adic approximation is ever needed.  Scalars and matrices at the
-interface are exact rationals (`fractions.Fraction`); the local layer reads
-a matrix once as integers over a common denominator, and modules are
-integer rows over one denominator.
+and no p-adic approximation is ever needed.  Scalars at the interface are
+exact rationals (`fractions.Fraction`); a matrix is integers over one
+denominator, and so is each row of a module.
 
 - `valuation` / `int_valuation` / `reduce_mod_ppow`: valuations of rationals
   and of integers, and canonical residues modulo powers of p
@@ -15,9 +14,8 @@ integer rows over one denominator.
   `is_local_square_rat` / `is_local_square_int`: p-adic square classes.
 - `prime_divisors`: the one trial-division factorizer, capped at
   `MAX_TRIAL_DIVISOR`; `is_prime` and `is_squarefree` read it lazily.
-- `Mat2`: immutable exact 2x2 matrices; `cleared` holds their entries as
-  integers over the least common denominator, and `commute` compares
-  those.
+- `Mat2`: immutable exact 2x2 matrices, the integer tuple (den, a, b, c, d)
+  in lowest terms; `commute` compares two of them on those integers.
 - `smith_local`: elementary-divisor exponents of an invertible 2x2 matrix.
 - `Module4`: finitely generated Z_(p)-submodules of the 2x2 matrices in
   their unique canonical Hermite basis, held as integer rows over one
@@ -32,7 +30,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, pairwise
 from math import gcd, inf, isqrt, lcm
 
@@ -210,8 +207,7 @@ def is_local_square_int(n: int, p: int) -> bool:
 class Frozen:
     """Base of the value types whose instances hold attributes besides
     tuple fields, and refuse every assignment: the slots of `QForm`, and
-    the dict where `cached_property` stores the values of `Mat2`,
-    `Module4` and `Genus` once."""
+    the dict where `cached_property` stores the values of `Genus` once."""
 
     __slots__ = ()
 
@@ -222,103 +218,115 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Mat2(Frozen, namedtuple("Mat2", "entries")):
-    """Immutable exact 2x2 matrix; entries row-major (m00, m01, m10, m11)."""
+class Mat2(namedtuple("Mat2", "den a b c d")):
+    """Immutable exact 2x2 matrix [[a, b], [c, d]] / den in integers, in
+    lowest terms with den > 0, so equal matrices are equal tuples.
+
+    The local algorithms read the fields, and take any integer 5-tuple
+    (den, a, b, c, d) alike, in lowest terms or not, such as a `Module4`
+    row over its denominator.  `entries` and `m00`-`m11` are the entries
+    as rationals, row-major.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, den: int, a: int, b: int, c: int, d: int):
+        if den == 0:
+            raise ZeroDivisionError("matrix over a zero denominator")
+        g = gcd(den, a, b, c, d) if den > 0 else -gcd(den, a, b, c, d)
+        return tuple.__new__(cls, (den // g, a // g, b // g, c // g, d // g))
 
     @staticmethod
     def of(rows) -> "Mat2":
         (a, b), (c, d) = rows
-        return Mat2((Fraction(a), Fraction(b), Fraction(c), Fraction(d)))
-
-    @staticmethod
-    def over(den: int, row) -> "Mat2":
-        """The integer row (m00, m01, m10, m11) over the denominator den."""
-        return Mat2(tuple(Fraction(x, den) for x in row))
+        xs = [Fraction(a), Fraction(b), Fraction(c), Fraction(d)]
+        den = lcm(*(x.denominator for x in xs))
+        return Mat2(den, *(x.numerator * (den // x.denominator) for x in xs))
 
     @staticmethod
     def identity() -> "Mat2":
-        return Mat2.of([[1, 0], [0, 1]])
+        return Mat2(1, 1, 0, 0, 1)
 
     @staticmethod
     def scalar(x) -> "Mat2":
         return Mat2.of([[x, 0], [0, x]])
 
     @property
+    def entries(self) -> tuple[Rat, Rat, Rat, Rat]:
+        den = self.den
+        return tuple(Fraction(x, den) for x in self[1:])
+
+    @property
     def m00(self) -> Rat:
-        return self.entries[0]
+        return Fraction(self.a, self.den)
 
     @property
     def m01(self) -> Rat:
-        return self.entries[1]
+        return Fraction(self.b, self.den)
 
     @property
     def m10(self) -> Rat:
-        return self.entries[2]
+        return Fraction(self.c, self.den)
 
     @property
     def m11(self) -> Rat:
-        return self.entries[3]
+        return Fraction(self.d, self.den)
 
     def rows(self) -> tuple[tuple[Rat, Rat], tuple[Rat, Rat]]:
         a, b, c, d = self.entries
         return ((a, b), (c, d))
 
     def __add__(self, other: "Mat2") -> "Mat2":
-        return Mat2(tuple(x + y for x, y in zip(self.entries, other.entries)))
+        n, a, b, c, d = self
+        m, e, f, g, h = other
+        return Mat2(n * m, a * m + e * n, b * m + f * n, c * m + g * n, d * m + h * n)
 
     def __sub__(self, other: "Mat2") -> "Mat2":
-        return Mat2(tuple(x - y for x, y in zip(self.entries, other.entries)))
+        return self + -other
 
     def __neg__(self) -> "Mat2":
-        return Mat2(tuple(-x for x in self.entries))
+        n, a, b, c, d = self
+        return Mat2(n, -a, -b, -c, -d)
 
     def __mul__(self, other):
+        n, a, b, c, d = self
         if isinstance(other, Mat2):
-            a, b, c, d = self.entries
-            e, f, g, h = other.entries
-            return Mat2((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
+            m, e, f, g, h = other
+            return Mat2(
+                n * m, a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+            )
         x = Fraction(other)
-        return Mat2(tuple(v * x for v in self.entries))
+        k = x.numerator
+        return Mat2(n * x.denominator, a * k, b * k, c * k, d * k)
 
     def __rmul__(self, other) -> "Mat2":
-        x = Fraction(other)
-        return Mat2(tuple(x * v for v in self.entries))
+        return self.scale(other)  # a scalar: Mat2 * Mat2 runs __mul__
 
     def scale(self, x) -> "Mat2":
         return self * Fraction(x)
 
     def det(self) -> Rat:
-        a, b, c, d = self.entries
-        return a * d - b * c
+        n, a, b, c, d = self
+        return Fraction(a * d - b * c, n * n)
 
     def inverse(self) -> "Mat2":
-        dt = self.det()
+        """n adj(A) / det A for self = A / n."""
+        n, a, b, c, d = self
+        dt = a * d - b * c
         if dt == 0:
             raise SingularMatrix("matrix is not invertible")
-        a, b, c, d = self.entries
-        return Mat2((d / dt, -b / dt, -c / dt, a / dt))
-
-    @cached_property
-    def cleared(self) -> tuple[int, int, int, int, int]:
-        """(den, a, b, c, d) in integers with self = [[a, b], [c, d]] / den.
-
-        den > 0 is the least common denominator of the entries; the value
-        is computed once per matrix and then kept on it.
-        """
-        den = 1
-        for x in self.entries:
-            den = den * x.denominator // gcd(den, x.denominator)
-        return (den, *(x.numerator * (den // x.denominator) for x in self.entries))
+        return Mat2(dt, n * d, -n * b, -n * c, n * a)
 
     def min_valuation(self, p: int):
-        return min(valuation(x, p) for x in self.entries)
+        return min(int_valuation(x, p) for x in self[1:]) - int_valuation(self.den, p)
 
 
-def commute(a: Mat2, b: Mat2) -> bool:
-    """ab = ba, on the cleared entries: ab - ba has diagonal +-(a01 b10 -
-    a10 b01) and corners a01 (b11 - b00) - b01 (a11 - a00) and its mirror."""
-    _, a0, a1, a2, a3 = a.cleared
-    _, b0, b1, b2, b3 = b.cleared
+def commute(a, b) -> bool:
+    """ab = ba, for two matrices or integer 5-tuples: ab - ba has diagonal
+    +-(a01 b10 - a10 b01) and corners a01 (b11 - b00) - b01 (a11 - a00)
+    and its mirror, and a common denominator does not change that."""
+    _, a0, a1, a2, a3 = a
+    _, b0, b1, b2, b3 = b
     return (
         a1 * b2 == a2 * b1
         and a1 * (b3 - b0) == b1 * (a3 - a0)
@@ -330,23 +338,26 @@ def commute(a: Mat2, b: Mat2) -> bool:
 # Local Smith form
 
 
-def smith_local(g: Mat2, p: int) -> tuple[int, int]:
-    """Elementary-divisor exponents (e1, e2), e1 <= e2, of g over Z_(p).
+def smith_local(g, p: int) -> tuple[int, int]:
+    """Elementary-divisor exponents (e1, e2), e1 <= e2, over Z_(p) of g, a
+    matrix or an integer 5-tuple (den, a, b, c, d).
 
     e1 is the minimal entry valuation and e1 + e2 = v_p(det g).
     """
-    dt = g.det()
+    den, a, b, c, d = g
+    dt = a * d - b * c
     if dt == 0:
         raise SingularMatrix("smith form requires an invertible matrix")
-    e1 = g.min_valuation(p)
-    return e1, valuation(dt, p) - e1
+    k = int_valuation(den, p)
+    e1 = min(int_valuation(x, p) for x in (a, b, c, d)) - k
+    return e1, int_valuation(dt, p) - 2 * k - e1
 
 
 # ---------------------------------------------------------------------------
 # Canonical modules of 2x2 matrices
 
 
-class Module4(Frozen, namedtuple("Module4", "p den rows")):
+class Module4(namedtuple("Module4", "p den rows")):
     """A finitely generated Z_(p)-submodule of the 2x2 matrices.
 
     It is kept in its unique canonical Hermite basis: each basis element
@@ -361,6 +372,8 @@ class Module4(Frozen, namedtuple("Module4", "p den rows")):
     equality.  `basis` is the same basis as exact matrices.
     """
 
+    __slots__ = ()
+
     @staticmethod
     def of(p: int, den: int, rows) -> "Module4":
         """The module of canonical rows over den, common factors cancelled."""
@@ -372,9 +385,9 @@ class Module4(Frozen, namedtuple("Module4", "p den rows")):
     def rank(self) -> int:
         return len(self.rows)
 
-    @cached_property
+    @property
     def basis(self) -> tuple[Mat2, ...]:
-        return tuple(Mat2.over(self.den, r) for r in self.rows)
+        return tuple(Mat2(self.den, *r) for r in self.rows)
 
     def min_valuation(self) -> int:
         """Least valuation of a basis entry (the module must be nonzero)."""
@@ -395,7 +408,7 @@ def integer_rows(mats, p: int):
     """The matrices as flat integer rows over one power q of p, and q: each
     is scaled by a unit, so the rows span the same module and generate the
     same order."""
-    parts, q = _over_ppow([(c[0], [c[1:]]) for c in (m.cleared for m in mats)], p)
+    parts, q = _over_ppow([(m[0], [m[1:]]) for m in mats], p)
     return [r for (r,) in parts], q
 
 

@@ -9,7 +9,9 @@ orders at the endpoints of a path of length d, whose module is one Hermite
 form of a conjugated standard Eichler basis; `decompose_shifted_eichler`
 recognizes members of that family exactly, and `three_maximal_orders`
 produces three maximal orders whose intersection realizes a given shifted
-Eichler order.
+Eichler order.  Matrices are read as their integer fields (den, a, b, c,
+d): `order_closure` takes `Mat2`s or such 5-tuples, and `contains_shifted`
+tests one against a vertex with integer divisibilities.
 """
 
 from __future__ import annotations
@@ -114,9 +116,9 @@ def shift_order(order: LocalOrder, t: int) -> LocalOrder:
     if t < 0:
         raise ValueError("shift must be >= 0")
     p, den, q = order.p, order.closure.den, order.p**t
-    scaled = tuple(b.scale(q) for b in order.closure.basis)
-    rows = [(den, 0, 0, den)] + [[x * q for x in r] for r in order.closure.rows]
-    return LocalOrder(p, scaled, module_hnf(rows, p, den))
+    rows = [[x * q for x in r] for r in order.closure.rows]
+    scaled = tuple(Mat2(den, *r) for r in rows)
+    return LocalOrder(p, scaled, module_hnf([(den, 0, 0, den), *rows], p, den))
 
 
 def shifted_eichler_module(v1: Vertex, v2: Vertex, r: int) -> Module4:
@@ -158,23 +160,18 @@ def _divisible(x: int, p: int, e: int) -> bool:
     return e <= 0 or x % p**e == 0
 
 
-def contains_shifted(v: Vertex, h: Mat2, r: int) -> bool:
+def contains_shifted(v: Vertex, h, r: int) -> bool:
     """Is h in Z_(p) + p^r * D_v?
 
-    In the coordinates of the lattice class this says: all entries local
+    h is a matrix or an integer 5-tuple (den, al, be, ga, de), that is
+    [[al, be], [ga, de]] / den, not necessarily in lowest terms.  In the
+    coordinates of the lattice class this says: all entries local
     integers, both off-diagonal entries and the diagonal difference
     divisible by p^r.  With the entries of g^-1 h g written over integers
     as in `branches.mu_margin`, each condition is the divisibility of an
-    integer by a power of p (m11 is integral once m00 and m00 - m11 are);
-    see `contains_cleared`.
+    integer by a power of p (m11 is integral once m00 and m00 - m11 are).
     """
-    return contains_cleared(v, h.cleared, r)
-
-
-def contains_cleared(v: Vertex, cleared, r: int) -> bool:
-    """`contains_shifted` for h = [[al, be], [ga, de]] / den, given as the
-    integers (den, al, be, ga, de), not necessarily in lowest terms."""
-    den, al, be, ga, de = cleared
+    den, al, be, ga, de = h
     p, a, b, c = v.p, v.a, v.b, v.c
     k = int_valuation(den, p) + b
     r = max(r, 0)

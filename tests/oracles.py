@@ -43,6 +43,11 @@ Eichler module as an intersection of two maximal orders, which the closed
 form of `qlat.local_orders` replaced.  The classification resolves
 `mu_margin`, `order_closure` and `sqrt_mod` to the slow versions above.
 
+The section after it keeps `FractionMat2`, the matrix of four `Fraction`
+entries that the integer `qlat.exact_padic.Mat2` replaced, with its
+`cleared` integers.  The routines above build and compare the integer
+`Mat2` through its rational surface (`Mat2.of`, `entries`, products).
+
 The section after it keeps the frozen dataclass `Vertex` that the
 tuple-backed `qlat.bt_tree.Vertex` replaced.  The routines above take
 either: they read only the fields p, a, b and c.
@@ -56,6 +61,7 @@ renamed with the prefix "Dataclass".
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -88,6 +94,7 @@ from qlat.errors import (
     Unbounded,
 )
 from qlat.exact_padic import (
+    Frozen,
     Mat2,
     commute,
     int_valuation,
@@ -607,7 +614,7 @@ def _flatten(m: Mat2) -> list[Rat]:
 
 
 def _unflatten(row) -> Mat2:
-    return Mat2((Fraction(row[0]), Fraction(row[1]), Fraction(row[2]), Fraction(row[3])))
+    return Mat2.of([row[:2], row[2:]])
 
 
 @dataclass(frozen=True)
@@ -979,7 +986,7 @@ def _level_neighbors(a: Mat2, v: Vertex, m: int) -> list[Vertex]:
     (scaled by the unit part of den).  The line [s : t] is the parent when
     t = 0 mod p and otherwise the child with digit s / t.
     """
-    den, al, be, ga, de = a.cleared
+    den, al, be, ga, de = a
     p, b, c = v.p, v.b, v.c
     q = p**b
     d = al - de
@@ -1114,6 +1121,102 @@ def shifted_eichler_module_by_intersection(v1: Vertex, v2: Vertex, r: int):
         local_orders.maximal_order_module(v1), local_orders.maximal_order_module(v2)
     )
     return _plus_scalars(inner, r)
+
+
+# ---------------------------------------------------------------------------
+# The Fraction matrix
+
+
+class FractionMat2(Frozen, namedtuple("FractionMat2", "entries")):
+    """Immutable exact 2x2 matrix; entries row-major (m00, m01, m10, m11)."""
+
+    @staticmethod
+    def of(rows) -> "FractionMat2":
+        (a, b), (c, d) = rows
+        return FractionMat2((Fraction(a), Fraction(b), Fraction(c), Fraction(d)))
+
+    @staticmethod
+    def over(den: int, row) -> "FractionMat2":
+        """The integer row (m00, m01, m10, m11) over the denominator den."""
+        return FractionMat2(tuple(Fraction(x, den) for x in row))
+
+    @staticmethod
+    def identity() -> "FractionMat2":
+        return FractionMat2.of([[1, 0], [0, 1]])
+
+    @staticmethod
+    def scalar(x) -> "FractionMat2":
+        return FractionMat2.of([[x, 0], [0, x]])
+
+    @property
+    def m00(self) -> Rat:
+        return self.entries[0]
+
+    @property
+    def m01(self) -> Rat:
+        return self.entries[1]
+
+    @property
+    def m10(self) -> Rat:
+        return self.entries[2]
+
+    @property
+    def m11(self) -> Rat:
+        return self.entries[3]
+
+    def rows(self) -> tuple[tuple[Rat, Rat], tuple[Rat, Rat]]:
+        a, b, c, d = self.entries
+        return ((a, b), (c, d))
+
+    def __add__(self, other: "FractionMat2") -> "FractionMat2":
+        return FractionMat2(tuple(x + y for x, y in zip(self.entries, other.entries)))
+
+    def __sub__(self, other: "FractionMat2") -> "FractionMat2":
+        return FractionMat2(tuple(x - y for x, y in zip(self.entries, other.entries)))
+
+    def __neg__(self) -> "FractionMat2":
+        return FractionMat2(tuple(-x for x in self.entries))
+
+    def __mul__(self, other):
+        if isinstance(other, FractionMat2):
+            a, b, c, d = self.entries
+            e, f, g, h = other.entries
+            return FractionMat2((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
+        x = Fraction(other)
+        return FractionMat2(tuple(v * x for v in self.entries))
+
+    def __rmul__(self, other) -> "FractionMat2":
+        x = Fraction(other)
+        return FractionMat2(tuple(x * v for v in self.entries))
+
+    def scale(self, x) -> "FractionMat2":
+        return self * Fraction(x)
+
+    def det(self) -> Rat:
+        a, b, c, d = self.entries
+        return a * d - b * c
+
+    def inverse(self) -> "FractionMat2":
+        dt = self.det()
+        if dt == 0:
+            raise SingularMatrix("matrix is not invertible")
+        a, b, c, d = self.entries
+        return FractionMat2((d / dt, -b / dt, -c / dt, a / dt))
+
+    @cached_property
+    def cleared(self) -> tuple[int, int, int, int, int]:
+        """(den, a, b, c, d) in integers with self = [[a, b], [c, d]] / den.
+
+        den > 0 is the least common denominator of the entries; the value
+        is computed once per matrix and then kept on it.
+        """
+        den = 1
+        for x in self.entries:
+            den = den * x.denominator // gcd(den, x.denominator)
+        return (den, *(x.numerator * (den // x.denominator) for x in self.entries))
+
+    def min_valuation(self, p: int):
+        return min(valuation(x, p) for x in self.entries)
 
 
 # ---------------------------------------------------------------------------

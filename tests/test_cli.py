@@ -433,6 +433,31 @@ def test_huge_vertex_exponent_exits_3(args, request_doc, path):
     assert err["error"] == "ResourceLimit" and err["path"] == path
 
 
+# A fan deepened by r has its base r steps on, and three-maximals hangs its
+# vertices `shift` steps off the path: both exponents grow with the request,
+# so a depth or shift past the vertex-exponent cap is refused up front.
+FAN = [[[0, 0], [1, 0]]]
+DEEP_REQUESTS = [
+    (["local", "spinor-image"], {"p": 2, "generators": FAN, "level": 0}, None),
+    (
+        ["local", "three-maximals"],
+        {"p": 2, "endpoints": [{"a": 0, "b": 0, "c": 0}, {"a": 1, "b": 0, "c": 0}]},
+        "shift",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args,request_doc,path", DEEP_REQUESTS, ids=["fan-depth", "three-maximals-shift"]
+)
+def test_shift_past_the_exponent_cap_exits_3(args, request_doc, path):
+    for shift in (1001, 10**5):
+        err = run_json(args, {**request_doc, "shift": shift}, expect=3, timeout=5)
+        assert err["error"] == "ResourceLimit" and err.get("path") == path
+        assert f"{shift} is above 1000" in err["message"]
+    run_json(args, {**request_doc, "shift": 1000}, timeout=10)
+
+
 def test_composite_prime_with_small_factor_is_a_schema_error():
     # 10^18 + 10 is even: the first trial divisor decides it
     err = run_json(

@@ -79,6 +79,7 @@ from qlat.exact_padic import (
     module_hnf,
     module_intersect,
     prime_divisors,
+    smith_local,
     sqrt_mod,
 )
 from qlat import branches, bt_tree, global_classfield
@@ -209,8 +210,8 @@ def test_eigenline_ascent_matches_full_scan(p):
         for v in rng.sample(starts, 3):
             m = mu_margin(a, v)
             full = [n for n in oracles.neighbors(v) if oracles.mu_margin(a, n) >= m]
-            assert sorted(_level_neighbors(a.cleared, v, m)) == full, (a, v)
-            got = _climb(a.cleared, v, ceiling=m + 6)
+            assert sorted(_level_neighbors(a, v, m)) == full, (a, v)
+            got = _climb(a, v, ceiling=m + 6)
             assert got == oracles.climb(a, v, ceiling=m + 6)
 
 
@@ -718,8 +719,9 @@ def test_order_closure_calls_module_hnf_once_per_round(monkeypatch):
 
 
 def test_module_layer_builds_no_fractions(monkeypatch):
-    """Hermite forms, intersections, closure rounds and the closed-form
-    modules run on integers; only `basis` and certificates convert."""
+    """Hermite forms, intersections, closure rounds, the closed-form
+    modules and `basis` run on integers; only `entries` and certificates
+    convert."""
     import qlat.exact_padic as exact_padic
 
     rng = make_rng(78)
@@ -735,8 +737,9 @@ def test_module_layer_builds_no_fractions(monkeypatch):
         se = shifted_eichler_module(v, w, 1)
         assert module_intersect(order.closure, se) == module_intersect(se, order.closure)
         assert module_hnf(order.closure.rows, p, order.closure.den) == order.closure
+        assert module_hnf(order.closure.basis, p) == order.closure
     with pytest.raises(AssertionError, match="Fraction built"):
-        order.closure.basis
+        order.closure.basis[0].entries
 
 
 # ---------------------------------------------------------------------------
@@ -891,6 +894,60 @@ def test_invalid_triples_raise_like_the_dataclass():
 
 
 # ---------------------------------------------------------------------------
+# The integer Mat2 against the Fraction matrix
+
+
+def _mat2_cases(rng, p: int) -> list[Mat2]:
+    """Zero, identity, and seeded integral, non-integral and singular
+    matrices (rank 1, entries with denominators p and 7)."""
+    mats = [Mat2.of([[0, 0], [0, 0]]), Mat2.identity()]
+    for _ in range(12):
+        x = Fraction(rng.randrange(-9, 10), rng.choice((1, p, 7)))
+        y = rng.randrange(-9, 10)
+        k = Fraction(rng.randrange(-5, 6), rng.choice((1, p)))
+        mats += [
+            random_matrix(rng, p),
+            seeded_rational_matrix(rng, p),
+            Mat2.of([[x, y], [k * x, k * y]]),
+        ]
+    return mats
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_integer_mat2_matches_fraction_mat2(p):
+    mats = _mat2_cases(make_rng(1200 + p), p)
+    twins = {m: oracles.FractionMat2(m.entries) for m in mats}
+    assert any(f.det() == 0 for f in twins.values())
+    assert any(f.min_valuation(p) < 0 for f in twins.values())
+    for m, f in twins.items():
+        assert (m.entries, m.rows()) == (f.entries, f.rows())
+        assert (m.m00, m.m01, m.m10, m.m11) == (f.m00, f.m01, f.m10, f.m11)
+        assert tuple(m) == f.cleared and Mat2.of(f.rows()) == m  # lowest terms
+        assert m.det() == f.det() and m.min_valuation(p) == f.min_valuation(p)
+        assert (-m).entries == (-f).entries
+        for x in (0, 3, Fraction(1, p), Fraction(-2, 7)):
+            assert (m * x).entries == (f * x).entries
+            assert (x * m).entries == (x * f).entries
+            assert m.scale(x).entries == f.scale(x).entries
+        if f.det() == 0:
+            for call in (m.inverse, f.inverse, lambda: smith_local(m, p)):
+                with pytest.raises(SingularMatrix):
+                    call()
+        else:
+            assert m.inverse().entries == f.inverse().entries
+            assert m * m.inverse() == Mat2.identity()
+            assert smith_local(m, p) == oracles.smith_local_transforms(f, p)[:2]
+        k = -3 * p  # the same matrix over another denominator
+        same = Mat2(k * m.den, *(k * x for x in m[1:]))
+        assert same == m and hash(same) == hash(m) and tuple(same) == tuple(m)
+    for (m, f), (n, g) in itertools.product(list(twins.items())[:15], repeat=2):
+        for got, want in ((m + n, f + g), (m - n, f - g), (m * n, f * g)):
+            assert type(got) is Mat2 and got.entries == want.entries
+    for (m, f), (n, g) in itertools.product(twins.items(), repeat=2):
+        assert (m == n) == (f == g) and (m != n or hash(m) == hash(n))
+
+
+# ---------------------------------------------------------------------------
 # Value tuples against the frozen dataclasses
 
 
@@ -979,13 +1036,23 @@ def test_local_value_tuples_match_dataclasses(p):
     assert_like_dataclasses([e for s in shapes for e in s.rational_ends], ordered=True)
     assert_like_dataclasses(orders)
     modules = [o.closure for o in orders] + [maximal_order_module(v1)]
-    assert_like_dataclasses(modules, cached=("basis",))
+    assert_like_dataclasses(modules)
+    for m in modules:  # the integer Mat2 basis: same entries, own repr and hash
+        assert [b.entries for b in m.basis] == [b.entries for b in twin(m).basis]
+    # Mat2 is integer fields (den, a, b, c, d), not the dataclass's entries,
+    # so its repr and hash differ by design; values and equality do not.
     mats = [m for o in orders for m in (*o.generators, *o.closure.basis)]
-    assert_like_dataclasses(mats, cached=("cleared",))
+    olds = {m: oracles.DataclassMat2(m.entries) for m in mats}
+    for m in mats:
+        assert_refuses_assignment(m, (*Mat2._fields, "entries", "unknown"))
+        for copied in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert type(copied) is Mat2 and copied == m
+    for m, n in itertools.product(mats, repeat=2):
+        assert (m == n) == (olds[m] == olds[n]) and (m != n) == (olds[m] != olds[n])
     for m, n in itertools.product(mats[:12], repeat=2):
-        pairs = [(m + n, twin(m) + twin(n)), (m - n, twin(m) - twin(n)),
-                 (m * n, twin(m) * twin(n)), (3 * m, 3 * twin(m)),
-                 (m * Fraction(1, p), twin(m) * Fraction(1, p)), (-m, -twin(m))]
+        o, q = olds[m], olds[n]
+        pairs = [(m + n, o + q), (m - n, o - q), (m * n, o * q), (3 * m, 3 * o),
+                 (m * Fraction(1, p), o * Fraction(1, p)), (-m, -o)]
         for got, want in pairs:
             assert type(got) is Mat2 and got.entries == want.entries
     eichler = []
@@ -1299,8 +1366,9 @@ def _fraction_count_orders():
 
 
 def test_branch_of_order_makes_few_fractions(monkeypatch):
-    """The branch of an order is computed on the integer rows of its module:
-    a Fraction is made only for the witness of a thick apartment."""
+    """The branch of an order is computed on the integer rows of its module,
+    and a thick apartment keeps its integer row as the witness: no Fraction
+    is made."""
     orders = _fraction_count_orders()
     made = []
     original = Fraction.__new__
@@ -1312,10 +1380,9 @@ def test_branch_of_order_makes_few_fractions(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
     shapes = [branch_of_order(order) for order in orders]
     monkeypatch.undo()
-    # 34 apartment witnesses, of 4 entries each, on every Python version.
-    # Classifying `closure.basis` with Fraction traces, discriminants and
-    # eigenvectors made 3,487 on Python 3.11 (where Fraction arithmetic
+    # With Fraction witnesses, 34 apartment witnesses of 4 entries each made
+    # 136.  Classifying `closure.basis` with Fraction traces, discriminants
+    # and eigenvectors made 3,487 on Python 3.11 (where Fraction arithmetic
     # also builds through `__new__`).
-    assert len(made) == 136
-    assert all(len(args) == 2 for args in made)  # Fraction(entry, den) only
+    assert len(made) == 0
     assert sum(s.kind == "thick_apartment" for s in shapes) == 5

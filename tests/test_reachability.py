@@ -1,12 +1,19 @@
 """Every function and method in `src/qlat` is named somewhere else in the
 package or exported in `qlat.__all__`; helpers only the tests use live in
-`tests/helpers.py` and `tests/oracles.py`."""
+`tests/helpers.py` and `tests/oracles.py`.  The public entry points that the
+benchmark spans wrap are the ones a request runs through."""
 
 import ast
+import io
+import json
+import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import qlat
+from qlat import branches, bt_tree, cli, local_orders
 
 SRC = Path(qlat.__file__).resolve().parent
 
@@ -77,3 +84,58 @@ def test_every_package_function_is_reached_or_exported():
     found = [name.split(".", 1)[1] for name in unreached(sources, set(qlat.__all__))]
     assert [name for name in found if name not in ALLOWED] == []
     assert sorted(found) == sorted(ALLOWED)  # every allowance is still needed
+
+
+# A span wraps a function under its public name and rebinds the wrapper in
+# every `qlat.*` namespace that holds it; work moved into a private twin
+# would leave the span recording no calls.
+SPANNED = [
+    (branches, "classify_single"),
+    (branches, "mu_margin"),
+    (bt_tree, "canonical_vertex"),
+    (local_orders, "contains_shifted"),
+]
+
+
+def count_calls(monkeypatch, spanned) -> Counter:
+    """Rebind each function wherever the package holds it, counting calls."""
+    calls = Counter()
+    for module, name in spanned:
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod is not None and (mod_name == "qlat" or mod_name.startswith("qlat.")):
+                for key, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+REQUESTS = [
+    # x^2 = 2 splits at 7 but not over Q: the margin climbs to the axis
+    (
+        ["local", "classify"],
+        {"p": 7, "generators": [[[0, 2], [1, 0]]]},
+        {"classify_single", "mu_margin", "canonical_vertex"},
+    ),
+    (
+        ["local", "branch-enum"],
+        {"p": 3, "generators": [[[1, 0], [0, 0]]], "radius": 2},
+        {"contains_shifted"},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,request_doc,reached", REQUESTS, ids=["classify", "enum"])
+def test_requests_reach_the_spanned_functions(
+    monkeypatch, capsys, argv, request_doc, reached
+):
+    calls = count_calls(monkeypatch, SPANNED)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(request_doc)))
+    assert cli.main(argv) == 0
+    json.loads(capsys.readouterr().out)
+    assert {name for name in reached if calls[name] == 0} == set()
