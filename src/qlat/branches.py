@@ -192,7 +192,7 @@ class _Based(Shape):
 
 
 class ThickPath(_Thick, namedtuple("ThickPath", "path t")):
-    """Vertices within t of a finite path (path listed in canonical order)."""
+    """Vertices within t of a finite geodesic path (listed in canonical order)."""
 
     __slots__ = ()
     kind = "thick_path"
@@ -206,6 +206,8 @@ class ThickPath(_Thick, namedtuple("ThickPath", "path t")):
         for u, w in zip(path, path[1:]):
             if distance(u, w) != 1:
                 raise ValueError("path vertices must be consecutive neighbors")
+        if distance(path[0], path[-1]) != len(path) - 1:
+            raise ValueError("path must not backtrack")
         return self
 
     @property
@@ -221,7 +223,12 @@ class ThickPath(_Thick, namedtuple("ThickPath", "path t")):
         return self.path[0]
 
     def margin(self, v: Vertex):
-        return self.t - min(distance(v, x) for x in self.path)
+        # in a tree the distance from v to the geodesic [x, y] is
+        # (d(v, x) + d(v, y) - d(x, y)) / 2
+        x, y = self.path[0], self.path[-1]
+        if x is y:
+            return self.t - distance(v, x)
+        return self.t - (distance(v, x) + distance(v, y) - self.level) // 2
 
     def diameter(self):
         return self.level + 2 * self.t
@@ -363,6 +370,10 @@ def canonical_fan(p: int, end: End, slack_at) -> Fan:
     """Fan with the canonical base for an intrinsic horoball slack function."""
     v = standard_vertex(p)
     s = slack_at(v)
+    if abs(s) > MAX_VERTEX_EXPONENT:  # refused before walking |s| steps out
+        raise ResourceLimit(
+            f"fan base distance {abs(s)} is above {MAX_VERTEX_EXPONENT}"
+        )
     if s < 0:
         for _ in range(-s):
             v = step_toward_end(v, end)
@@ -486,8 +497,11 @@ def classify_single(a, p: int) -> Shape:
         return canonical_fan(p, end, lambda v: mu_margin(nil, v))
 
     v_disc = int_valuation(disc, p) - 2 * k
-    if is_local_square_int(disc, p):
-        t = v_disc // 2
+    split = is_local_square_int(disc, p)
+    t = (v_disc - (0 if split else _quadratic_ext_disc_val(disc, p))) // 2
+    if t > MAX_VERTEX_EXPONENT:  # the branch holds vertices t steps off its core
+        raise ResourceLimit(f"branch thickness {t} is above {MAX_VERTEX_EXPONENT}")
+    if split:
         root = isqrt(disc) if disc > 0 else 0
         if root * root == disc:
             # the kernel of a - lam, lam = (al + de +- root) / (2 den), holds
@@ -508,8 +522,8 @@ def classify_single(a, p: int) -> Shape:
         return ThickApartment(p, None, t, a, t, anchor)
 
     # Field case: the margin summit is a single vertex or a single edge.
-    summit, t = _climb(a, _stable_start(a, p))
-    assert t == (v_disc - _quadratic_ext_disc_val(disc, p)) // 2
+    summit, reached = _climb(a, _stable_start(a, p), ceiling=t)
+    assert reached == t
     stem = [summit] + [
         n for n in _level_neighbors(a, summit, t) if mu_margin(a, n) == t
     ]

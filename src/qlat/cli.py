@@ -84,7 +84,7 @@ from .local_orders import (
     order_closure,
     three_maximal_orders,
 )
-from .spinor_local import spinor_image_for_diameter
+from .spinor_local import spinor_image
 
 # ---------------------------------------------------------------------------
 # Request parsing (every failure is a SchemaError carrying the JSON path)
@@ -319,13 +319,12 @@ def cmd_local_spinor_image(doc: dict, args) -> dict:
     p, order = _closed_order(doc)
     d = parse_nonneg(doc, "level", "level")
     r = parse_nonneg(doc, "shift", "shift", default=0)
-    shape = branch_of_order(order, parse_max_vertices(doc))
-    deep = shape.deepen(r)
+    deep = branch_of_order(order, parse_max_vertices(doc)).deepen(r)
+    image = spinor_image(deep, d, 0)
     try:
         dia = deep.diameter()
     except EmptyShape:
         dia = None
-    image = spinor_image_for_diameter(dia, d)
     if dia == inf:
         dia = "infinite"
     return {"image": image.value, "diameter": dia, "level": deep.level}

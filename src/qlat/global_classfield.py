@@ -25,7 +25,7 @@ from math import inf, prod
 from .errors import AlgebraNotSplit, EmbeddingInfeasible, SchemaError
 from .exact_padic import (
     Frozen,
-    is_local_square_rat,
+    int_valuation,
     is_prime,
     is_rational_square,
     is_squarefree,
@@ -53,35 +53,12 @@ def fe_is_zero(e: FE) -> bool:
     return e[0] == 0 and e[1] == 0
 
 
-def fe_sub(a: FE, b: FE) -> FE:
-    return (a[0] - b[0], a[1] - b[1])
-
-
 def fe_mul(a: FE, b: FE, m: int) -> FE:
     return (a[0] * b[0] + m * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
 def fe_norm(a: FE, m: int) -> Fraction:
     return a[0] * a[0] - m * a[1] * a[1]
-
-
-def fe_inv(a: FE, m: int) -> FE:
-    n = fe_norm(a, m)
-    if n == 0:
-        raise ZeroDivisionError("inverse of a zero-norm element")
-    return (a[0] / n, -a[1] / n)
-
-
-def fe_pow(a: FE, k: int, m: int) -> FE:
-    if k < 0:
-        return fe_pow(fe_inv(a, m), -k, m)
-    out = fe(1)
-    while k:
-        if k & 1:
-            out = fe_mul(out, a, m)
-        a = fe_mul(a, a, m)
-        k >>= 1
-    return out
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction:
@@ -259,121 +236,79 @@ def val_at_place(field: BaseField, el: FE, place: PrimeIdeal):
     return valuation(w, p) - k
 
 
-def _fp2_pow(a0: int, a1: int, e: int, p: int, mbar: int) -> tuple[int, int]:
-    """(a0 + a1*s)^e in F_p[s]/(s^2 - mbar)."""
-    r0, r1 = 1, 0
-    while e:
-        if e & 1:
-            r0, r1 = (r0 * a0 + r1 * a1 * mbar) % p, (r0 * a1 + r1 * a0) % p
-        a0, a1 = (a0 * a0 + a1 * a1 * mbar) % p, 2 * a0 * a1 % p
-        e >>= 1
-    return r0, r1
+def _is_square_mod(field: BaseField, el: FE, place: PrimeIdeal, k: int) -> bool:
+    """Is el = pi^v u with v even and the unit u a square modulo P^k?
+
+    With e = v_P(2), the local square theorem (O'Meara, *Introduction to
+    Quadratic Forms*, §63) makes k = 2e + 1 the test for a local square and
+    k = 2e the test for K_P(sqrt(el)) unramified or split.
+
+    Rational, split and odd places test an integer n in the square class
+    over Q_p of el, or of its norm at an odd inert place (the norm map of
+    F_(p^2)* onto F_p* takes squares exactly to squares).  Dyadic inert and
+    ramified places search the roots a + b theta, 0 <= a, b < 4, of O =
+    Z[theta], theta^2 = t theta + c: squares modulo P^(2e+1) depend only on
+    the root modulo P^(e+1), which holds 4 O.  Inert: pi = 2, theta =
+    (1 + sqrt(m)) / 2 and P^k = 2^k O.  Ramified: theta = sqrt(m) and
+    pi = s + sqrt(m), s = m mod 2, so pi^2 = 2 eps for the unit eps =
+    (m + s) / 2 + s sqrt(m), and el eps^(j mod 2) / 2^j (j = v / 2) is u
+    times a unit square; X + Y pi lies in P^k exactly when 2^ceil(k/2)
+    divides X and 2^floor(k/2) divides Y.
+    """
+    if fe_is_zero(el):
+        raise ZeroDivisionError("square class of zero")
+    p, m, (x, y), tag = place.p, field.m, el, place.tag
+    if tag == "split":
+        w, _, j = _split_embed(field, el, place)
+        n = w * p**j  # el maps to w / p^j
+    elif tag == "rational":
+        n = x.numerator * x.denominator
+    else:
+        v = val_at_place(field, el, place)
+        if v % 2:
+            return False
+        if p != 2:  # at a ramified place u = x / m^(v/2) mod P
+            r = fe_norm(el, m) if tag == "inert" else x / Fraction(m) ** (v // 2)
+            n = r.numerator * r.denominator
+        else:
+            if tag == "inert":
+                x, y = x / Fraction(2) ** v, y / Fraction(2) ** v
+                a0, b0, t, c, s, k0, k1 = x - y, 2 * y, 1, (m - 1) // 4, 0, k, k
+            else:
+                s, j = m % 2, v // 2
+                if j % 2:
+                    x, y = fe_mul(el, ((m + s) // 2, s), m)
+                a0, b0 = x / Fraction(2) ** j, y / Fraction(2) ** j
+                t, c, k0, k1 = 0, m, (k + 1) // 2, k // 2
+            a0, b0 = int(reduce_mod_ppow(a0, 2, 3)), int(reduce_mod_ppow(b0, 2, 3))
+            for a in range(4):
+                for b in range(4):
+                    da, db = a * a + c * b * b - a0, 2 * a * b + t * b * b - b0
+                    if (da - s * db) % 2**k0 == 0 and db % 2**k1 == 0:
+                        return True
+            return False
+    v = int_valuation(n, p)
+    if v % 2:
+        return False
+    u = n // p**v
+    if p == 2:
+        return u % 2**k == 1
+    return k == 0 or legendre(u, p) == 1
 
 
-def _dyadic_ram_unit(field: BaseField, el: FE, v: int) -> FE:
-    """el / pi^v at the ramified dyadic place (v = val_at_place(el), even)."""
-    m = field.m
-    if m % 4 == 2:  # pi = sqrt(m), pi^2 = m
-        s = Fraction(m) ** (v // 2)
-        return (el[0] / s, el[1] / s)
-    return fe_mul(el, fe_pow(fe(1, 1), -v, m), m)  # pi = 1 + sqrt(m)
-
-
-def _omega_basis_mod(field: BaseField, u: FE, e: int) -> tuple[int, int]:
-    """Coordinates of u in the (1, omega) basis modulo 2^e, for m = 1 mod 4
-    (omega = (1 + sqrt(m))/2): u = A + B*omega with A = x - y, B = 2y."""
-    a = reduce_mod_ppow(u[0] - u[1], 2, e)
-    b = reduce_mod_ppow(2 * u[1], 2, e)
-    return int(a), int(b)
-
-
-def _inert_dyadic_square_search(field: BaseField, u: FE, modexp: int) -> bool:
-    """Is the unit u a square of O/2^modexp at the inert dyadic place?"""
-    m = field.m
-    au, bu = _omega_basis_mod(field, u, modexp)
-    mod = 1 << modexp
-    c = (m - 1) // 4
-    for a in range(mod):
-        for b in range(mod):
-            if (a * a + b * b * c - au) % mod == 0 and (2 * a * b + b * b - bu) % mod == 0:
-                return True
-    return False
-
-
-def _ram_dyadic_square_search(
-    field: BaseField, u: FE, place: PrimeIdeal, threshold: int
-) -> bool:
-    """Is u congruent to a square below the given pi-adic threshold?"""
-    m = field.m
-    for a in range(8):
-        for b in range(8):
-            x2 = (Fraction(a * a + m * b * b), Fraction(2 * a * b))
-            if val_at_place(field, fe_sub(x2, u), place) >= threshold:
-                return True
-    return False
+def _two_valuation(place: PrimeIdeal) -> int:
+    """e = v_P(2): 0 over odd p, 2 at a ramified place over 2, else 1."""
+    return 0 if place.p != 2 else 2 if place.tag == "ramified" else 1
 
 
 def is_local_square(field: BaseField, el: FE, place: PrimeIdeal) -> bool:
     """Is the nonzero element el a square in the completion at the place?"""
-    if fe_is_zero(el):
-        raise ZeroDivisionError("square class of zero")
-    p = place.p
-    if place.tag == "rational":
-        return is_local_square_rat(el[0], p)
-    m = field.m
-    if place.tag == "split":
-        w, prec, k = _split_embed(field, el, place)
-        vw = int(valuation(w, p))
-        if (vw - k) % 2:
-            return False
-        u = w // p**vw % p ** (prec - vw)
-        if p == 2:
-            return u % 8 == 1
-        return legendre(u, p) == 1
-    v = val_at_place(field, el, place)
-    if v % 2:
-        return False
-    if place.tag == "inert":
-        u = (el[0] / Fraction(p) ** v, el[1] / Fraction(p) ** v)
-        if p != 2:
-            xr = int(reduce_mod_ppow(u[0], p, 1))
-            yr = int(reduce_mod_ppow(u[1], p, 1))
-            return _fp2_pow(xr, yr, (p * p - 1) // 2, p, m % p) == (1, 0)
-        return _inert_dyadic_square_search(field, u, 3)
-    # ramified
-    if p != 2:
-        u0 = el[0] / Fraction(m) ** (v // 2)
-        return legendre(int(reduce_mod_ppow(u0, p, 1)), p) == 1
-    u = _dyadic_ram_unit(field, el, v)
-    return _ram_dyadic_square_search(field, u, place, 5)
+    return _is_square_mod(field, el, place, 2 * _two_valuation(place) + 1)
 
 
 def is_unramified_or_split(field: BaseField, el: FE, place: PrimeIdeal) -> bool:
-    """Is K_place(sqrt(el)) unramified (possibly split) over the completion?
-
-    At odd residue characteristic this is just evenness of the valuation;
-    at dyadic places the unit part must additionally be a square modulo 4.
-    """
-    if fe_is_zero(el):
-        raise ZeroDivisionError("square class of zero")
-    p = place.p
-    v = val_at_place(field, el, place)
-    if v % 2:
-        return False
-    if p != 2:
-        return True
-    if place.tag == "rational":
-        u = el[0] / Fraction(2) ** v
-        return int(reduce_mod_ppow(u, 2, 2)) == 1
-    if place.tag == "split":
-        w, _, _ = _split_embed(field, el, place)
-        vw = int(valuation(w, 2))
-        return w // 2**vw % 4 == 1
-    if place.tag == "inert":
-        u = (el[0] / Fraction(2) ** v, el[1] / Fraction(2) ** v)
-        return _inert_dyadic_square_search(field, u, 2)
-    u = _dyadic_ram_unit(field, el, v)
-    return _ram_dyadic_square_search(field, u, place, 4)
+    """Is K_place(sqrt(el)) unramified (possibly split) over the completion?"""
+    return _is_square_mod(field, el, place, 2 * _two_valuation(place))
 
 
 def sign_at_real(field: BaseField, el: FE, key: str) -> int:
@@ -694,7 +629,7 @@ def rep_field_comm_quadratic(
     """
     field = algebra.field
     validate_genus(algebra, genus)
-    delta = (Fraction(delta[0]), Fraction(delta[1]))
+    delta = fe(*delta)
     if fe_is_zero(delta):
         raise ValueError("delta must be nonzero")
     if field.is_rational and delta[1] != 0:

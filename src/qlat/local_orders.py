@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .bt_tree import Vertex, distance, geodesic, iter_neighbors
-from .errors import NotShiftedEichler, Unbounded
+from .errors import NotShiftedEichler, QlatError, Unbounded
 from .exact_padic import (
     Mat2,
     Module4,
@@ -232,14 +232,6 @@ def decompose_shifted_eichler(order: LocalOrder, max_vertices=None) -> ShiftedEi
     return ShiftedEichler((v1, v2), level, shift)
 
 
-def _walk_on(prev: Vertex, cur: Vertex, steps: int) -> Vertex:
-    """Walk `steps` further from cur, entered from prev, without
-    backtracking; the canonically least option each time."""
-    for _ in range(steps):
-        prev, cur = cur, next(n for n in iter_neighbors(cur) if n != prev)
-    return cur
-
-
 def _extend_away(start: Vertex, banned_first, steps: int):
     """Walk `steps` from start: first step outside `banned_first`, then
     non-backtracking; the canonically least option each time.  Returns
@@ -247,7 +239,10 @@ def _extend_away(start: Vertex, banned_first, steps: int):
     if steps == 0:
         return start, None
     first = next(n for n in iter_neighbors(start) if n not in banned_first)
-    return _walk_on(start, first, steps - 1), first
+    prev, cur = start, first
+    for _ in range(steps - 1):
+        prev, cur = cur, next(n for n in iter_neighbors(cur) if n != prev)
+    return cur, first
 
 
 def three_maximal_orders(order: ShiftedEichler) -> tuple[Vertex, Vertex, Vertex]:
@@ -255,59 +250,33 @@ def three_maximal_orders(order: ShiftedEichler) -> tuple[Vertex, Vertex, Vertex]
 
     The first two hang `shift` steps beyond the endpoints (pointing away
     from the path), the third hangs `shift` steps off the middle of the path
-    in a fresh direction.  The construction is verified by module equality;
-    if the pinned middle anchor fails, anchors and fresh directions are
-    scanned deterministically.
+    in a fresh direction.  The construction is certified by module
+    equality; a failed certificate raises QlatError.
     """
     v1, v2 = order.endpoints
     d, r = order.level, order.shift
     path = geodesic(v1, v2)
-    target = order.module()
 
     banned3 = {path[1]} if d > 0 else set()
     d3, f3 = _extend_away(v1, banned3, r)
     banned4 = {path[-2]} if d > 0 else ({f3} if f3 is not None else set())
     d4, f4 = _extend_away(v2, banned4, r)
 
-    def verify(a: Vertex, b: Vertex, c: Vertex) -> bool:
-        inter = module_intersect(
-            module_intersect(maximal_order_module(a), maximal_order_module(b)),
-            maximal_order_module(c),
-        )
-        return inter == target
-
-    def fresh_banned(anchor: Vertex, i: int) -> set[Vertex]:
-        banned = set()
-        if i > 0:
-            banned.add(path[i - 1])
-        if i + 1 < len(path):
-            banned.add(path[i + 1])
-        if anchor == d3 or (anchor == v1 and f3 is not None):
-            banned.add(f3 if f3 is not None else d3)
-        if anchor == d4 or (anchor == v2 and f4 is not None):
-            banned.add(f4 if f4 is not None else d4)
-        banned.discard(None)
-        return banned
-
     mid = d // 2
     anchor = path[mid]
-    d5, _ = _extend_away(anchor, fresh_banned(anchor, mid), r)
-    if verify(d3, d4, d5):
-        return d3, d4, d5
-
-    # Deterministic fallback: scan anchors from the middle outward, then all
-    # fresh directions at each anchor.
-    order_idx = sorted(range(len(path)), key=lambda i: (abs(i - mid), i))
-    for i in order_idx:
-        anchor = path[i]
-        banned = fresh_banned(anchor, i)
-        for first in (n for n in iter_neighbors(anchor) if n not in banned):
-            cand = anchor if r == 0 else _walk_on(anchor, first, r - 1)
-            if verify(d3, d4, cand):
-                return d3, d4, cand
-            if r == 0:
-                break
-    raise AssertionError("no realizing triple found")  # pragma: no cover
+    banned = {path[i] for i in (mid - 1, mid + 1) if 0 <= i < len(path)}
+    if anchor == d3 or (anchor == v1 and f3 is not None):
+        banned.add(f3 if f3 is not None else d3)
+    if anchor == d4 or (anchor == v2 and f4 is not None):
+        banned.add(f4 if f4 is not None else d4)
+    d5, _ = _extend_away(anchor, banned, r)
+    inter = module_intersect(
+        module_intersect(maximal_order_module(d3), maximal_order_module(d4)),
+        maximal_order_module(d5),
+    )
+    if inter != order.module():
+        raise QlatError("the three maximal orders do not intersect in the order")
+    return d3, d4, d5
 
 
 # ---------------------------------------------------------------------------

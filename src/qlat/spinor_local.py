@@ -38,16 +38,8 @@ def spinor_image(branch: Shape, d: int, r: int) -> SpinorImage:
     try:
         delta = branch.deepen(r).diameter()
     except EmptyShape:
-        delta = None
-    return spinor_image_for_diameter(delta, d)
-
-
-def spinor_image_for_diameter(delta, d: int) -> SpinorImage:
-    """Spinor image at level d from the diameter delta of the deepened
-    branch (None when that branch is empty)."""
-    if d < 0:
-        raise ValueError("level must be >= 0")
-    if delta is None or delta < d:
+        return SpinorImage.NO_EMBEDDING
+    if delta < d:
         return SpinorImage.NO_EMBEDDING
     if d % 2 == 1 or d < delta:
         return SpinorImage.FULL

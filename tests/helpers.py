@@ -18,6 +18,7 @@ from qlat.exact_padic import (
     is_squarefree,
     module_hnf,
 )
+from qlat.global_classfield import FE, fe, fe_mul, fe_norm
 from qlat.local_orders import LocalOrder, order_closure
 from qlat.quadforms import ClassGroup, QForm, class_rep, fundamental_unit
 
@@ -180,6 +181,29 @@ def ray_vertices(base: Vertex, end: End, count: int) -> tuple[Vertex, ...]:
         cur = step_toward_end(cur, end)
         out.append(cur)
     return tuple(out)
+
+
+def fe_sub(a: FE, b: FE) -> FE:
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def fe_inv(a: FE, m: int) -> FE:
+    n = fe_norm(a, m)
+    if n == 0:
+        raise ZeroDivisionError("inverse of a zero-norm element")
+    return (a[0] / n, -a[1] / n)
+
+
+def fe_pow(a: FE, k: int, m: int) -> FE:
+    if k < 0:
+        return fe_pow(fe_inv(a, m), -k, m)
+    out = fe(1)
+    while k:
+        if k & 1:
+            out = fe_mul(out, a, m)
+        a = fe_mul(a, a, m)
+        k >>= 1
+    return out
 
 
 def fe_conj(a):

@@ -52,10 +52,15 @@ The section after it keeps the frozen dataclass `Vertex` that the
 tuple-backed `qlat.bt_tree.Vertex` replaced.  The routines above take
 either: they read only the fields p, a, b and c.
 
-The last section keeps the twenty other frozen dataclasses that value
+The section after it keeps the twenty other frozen dataclasses that value
 tuples replaced across `qlat` (matrices, modules, ends, orders, the six
 shapes, forms and class groups, places, fields and class-field records),
 renamed with the prefix "Dataclass".
+
+The last section keeps the local square and unramified tests of
+`qlat.global_classfield` as one body per kind of place each, with the
+residue-field power, the dyadic unit and the dyadic square searches that
+the one square-class rule replaced.
 """
 
 from __future__ import annotations
@@ -72,6 +77,8 @@ from helpers import (
     apply,
     conjugate,
     discriminant,
+    fe_pow,
+    fe_sub,
     is_primitive,
     is_scalar,
     trace,
@@ -105,12 +112,18 @@ from qlat.exact_padic import (
     valuation,
 )
 from qlat.global_classfield import (
+    FE,
     BaseField,
     Genus,
     PrimeIdeal,
     QuatAlgebra,
     RepField,
     _normalize_ideal_map,
+    _split_embed,
+    fe,
+    fe_is_zero,
+    fe_mul,
+    val_at_place,
     validate_genus,
 )
 from qlat.local_orders import _DIVERGENCE_WINDOW, CLOSURE_MAX_ROUNDS, LocalOrder
@@ -1898,3 +1911,130 @@ class DataclassRepField:
     degree: int
     sigma: SigmaField
     strict_places: tuple[str, ...] = ()
+
+
+# ---------------------------------------------------------------------------
+# Local square classes, one body per kind of place
+#
+# `is_local_square` and `is_unramified_or_split` as they were before the one
+# square-class rule of `qlat.global_classfield` replaced them, with their
+# residue and dyadic helpers, verbatim.  `is_local_square_rat` resolves to
+# the Fraction version above; `fe_pow` and `fe_sub` come from
+# `tests/helpers.py`, and the rest from `qlat.global_classfield`.
+
+
+def _fp2_pow(a0: int, a1: int, e: int, p: int, mbar: int) -> tuple[int, int]:
+    """(a0 + a1*s)^e in F_p[s]/(s^2 - mbar)."""
+    r0, r1 = 1, 0
+    while e:
+        if e & 1:
+            r0, r1 = (r0 * a0 + r1 * a1 * mbar) % p, (r0 * a1 + r1 * a0) % p
+        a0, a1 = (a0 * a0 + a1 * a1 * mbar) % p, 2 * a0 * a1 % p
+        e >>= 1
+    return r0, r1
+
+
+def _dyadic_ram_unit(field: BaseField, el: FE, v: int) -> FE:
+    """el / pi^v at the ramified dyadic place (v = val_at_place(el), even)."""
+    m = field.m
+    if m % 4 == 2:  # pi = sqrt(m), pi^2 = m
+        s = Fraction(m) ** (v // 2)
+        return (el[0] / s, el[1] / s)
+    return fe_mul(el, fe_pow(fe(1, 1), -v, m), m)  # pi = 1 + sqrt(m)
+
+
+def _omega_basis_mod(field: BaseField, u: FE, e: int) -> tuple[int, int]:
+    """Coordinates of u in the (1, omega) basis modulo 2^e, for m = 1 mod 4
+    (omega = (1 + sqrt(m))/2): u = A + B*omega with A = x - y, B = 2y."""
+    a = reduce_mod_ppow(u[0] - u[1], 2, e)
+    b = reduce_mod_ppow(2 * u[1], 2, e)
+    return int(a), int(b)
+
+
+def _inert_dyadic_square_search(field: BaseField, u: FE, modexp: int) -> bool:
+    """Is the unit u a square of O/2^modexp at the inert dyadic place?"""
+    m = field.m
+    au, bu = _omega_basis_mod(field, u, modexp)
+    mod = 1 << modexp
+    c = (m - 1) // 4
+    for a in range(mod):
+        for b in range(mod):
+            if (a * a + b * b * c - au) % mod == 0 and (2 * a * b + b * b - bu) % mod == 0:
+                return True
+    return False
+
+
+def _ram_dyadic_square_search(
+    field: BaseField, u: FE, place: PrimeIdeal, threshold: int
+) -> bool:
+    """Is u congruent to a square below the given pi-adic threshold?"""
+    m = field.m
+    for a in range(8):
+        for b in range(8):
+            x2 = (Fraction(a * a + m * b * b), Fraction(2 * a * b))
+            if val_at_place(field, fe_sub(x2, u), place) >= threshold:
+                return True
+    return False
+
+
+def is_local_square(field: BaseField, el: FE, place: PrimeIdeal) -> bool:
+    """Is the nonzero element el a square in the completion at the place?"""
+    if fe_is_zero(el):
+        raise ZeroDivisionError("square class of zero")
+    p = place.p
+    if place.tag == "rational":
+        return is_local_square_rat(el[0], p)
+    m = field.m
+    if place.tag == "split":
+        w, prec, k = _split_embed(field, el, place)
+        vw = int(valuation(w, p))
+        if (vw - k) % 2:
+            return False
+        u = w // p**vw % p ** (prec - vw)
+        if p == 2:
+            return u % 8 == 1
+        return legendre(u, p) == 1
+    v = val_at_place(field, el, place)
+    if v % 2:
+        return False
+    if place.tag == "inert":
+        u = (el[0] / Fraction(p) ** v, el[1] / Fraction(p) ** v)
+        if p != 2:
+            xr = int(reduce_mod_ppow(u[0], p, 1))
+            yr = int(reduce_mod_ppow(u[1], p, 1))
+            return _fp2_pow(xr, yr, (p * p - 1) // 2, p, m % p) == (1, 0)
+        return _inert_dyadic_square_search(field, u, 3)
+    # ramified
+    if p != 2:
+        u0 = el[0] / Fraction(m) ** (v // 2)
+        return legendre(int(reduce_mod_ppow(u0, p, 1)), p) == 1
+    u = _dyadic_ram_unit(field, el, v)
+    return _ram_dyadic_square_search(field, u, place, 5)
+
+
+def is_unramified_or_split(field: BaseField, el: FE, place: PrimeIdeal) -> bool:
+    """Is K_place(sqrt(el)) unramified (possibly split) over the completion?
+
+    At odd residue characteristic this is just evenness of the valuation;
+    at dyadic places the unit part must additionally be a square modulo 4.
+    """
+    if fe_is_zero(el):
+        raise ZeroDivisionError("square class of zero")
+    p = place.p
+    v = val_at_place(field, el, place)
+    if v % 2:
+        return False
+    if p != 2:
+        return True
+    if place.tag == "rational":
+        u = el[0] / Fraction(2) ** v
+        return int(reduce_mod_ppow(u, 2, 2)) == 1
+    if place.tag == "split":
+        w, _, _ = _split_embed(field, el, place)
+        vw = int(valuation(w, 2))
+        return w // 2**vw % 4 == 1
+    if place.tag == "inert":
+        u = (el[0] / Fraction(2) ** v, el[1] / Fraction(2) ** v)
+        return _inert_dyadic_square_search(field, u, 2)
+    u = _dyadic_ram_unit(field, el, v)
+    return _ram_dyadic_square_search(field, u, place, 4)

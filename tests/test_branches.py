@@ -184,6 +184,23 @@ def test_enumerated_branches_connected():
 # intersections
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_thick_path_margin_is_distance_to_the_path(p):
+    """The margin reads two distances (the tree's distance to a geodesic);
+    it equals t minus the least distance to a path vertex."""
+    rng = make_rng(1313 + p)
+    region = sorted(ball(standard_vertex(p), 4))
+    for _ in range(12):
+        x = rng.choice(region)
+        path = geodesic(x, random_vertex_at(rng, x, rng.randrange(4)))
+        shape = ThickPath(tuple(path), rng.randrange(3))
+        for v in region:
+            assert shape.margin(v) == shape.t - min(distance(v, w) for w in path)
+    v = standard_vertex(p)
+    with pytest.raises(ValueError, match="backtrack"):
+        ThickPath((v, Vertex(p, 1, 0, 0), v), 0)
+
+
 def test_intersect_pointwise_on_samples():
     rng = make_rng(61)
     done = 0

@@ -458,6 +458,33 @@ def test_shift_past_the_exponent_cap_exits_3(args, request_doc, path):
     run_json(args, {**request_doc, "shift": 1000}, timeout=10)
 
 
+# A branch thicker than the vertex-exponent cap holds vertices past it, and
+# a fan based far out has its base past it: both are refused before any
+# climb or walk toward them.
+HUGE_ENTRY = [[0, 2**3001], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "generators,message",
+    [
+        ([HUGE_ENTRY], "branch thickness 1500 is above 1000"),
+        ([HUGE_ENTRY, [[1, 0], [0, 0]]], "fan base distance 3001 is above 1000"),
+    ],
+    ids=["thickness", "fan-base"],
+)
+def test_huge_matrix_entry_exits_3(generators, message):
+    request = {"p": 2, "generators": generators}
+    err = run_json(["local", "classify"], request, expect=3, timeout=5)
+    assert err["error"] == "ResourceLimit" and message in err["message"]
+
+
+def test_long_eichler_path_answers_quickly():
+    # a thick path's margin reads two distances, however long the path
+    request = {"p": 2, "generators": [[[0, 2**400], [1, 0]], [[1, 0], [0, 0]]]}
+    shape = run_json(["local", "classify"], request, timeout=5)["shape"]
+    assert shape["kind"] == "thick_path" and shape["level"] == 400
+
+
 def test_composite_prime_with_small_factor_is_a_schema_error():
     # 10^18 + 10 is even: the first trial divisor decides it
     err = run_json(

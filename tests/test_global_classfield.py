@@ -7,7 +7,7 @@ from math import gcd, inf, prod
 
 import pytest
 
-from helpers import fe_conj, fundamental_discriminant, make_rng
+from helpers import fe_conj, fe_inv, fe_pow, fundamental_discriminant, make_rng
 from qlat.branches import ThickPath, classify_single
 from qlat.errors import AlgebraNotSplit, EmbeddingInfeasible, SchemaError
 from qlat.exact_padic import Mat2, is_prime, is_squarefree
@@ -17,11 +17,9 @@ from qlat.global_classfield import (
     QuatAlgebra,
     _prime_discriminants,
     fe,
-    fe_inv,
     fe_is_square,
     fe_mul,
     fe_norm,
-    fe_pow,
     hensel_sqrt,
     is_local_square,
     is_unramified_or_split,

@@ -13,8 +13,9 @@ from helpers import (
     random_vertex,
     random_vertex_at,
 )
+from qlat import local_orders
 from qlat.bt_tree import Vertex, ball, distance, standard_vertex
-from qlat.errors import NotShiftedEichler, Unbounded
+from qlat.errors import NotShiftedEichler, QlatError, Unbounded
 from qlat.exact_padic import Mat2, module_hnf, module_intersect
 from qlat.local_orders import (
     ShiftedEichler,
@@ -184,6 +185,28 @@ def test_three_maximal_orders_hand_instance():
     )
     assert inter == se.module()
     assert distance(a, v1) == 2 and distance(b, v2) == 2
+
+
+@pytest.mark.parametrize("p,radius", [(2, 3), (3, 2), (5, 2), (7, 1)])
+def test_first_tripod_realizes_every_shifted_eichler_order(p, radius):
+    """The pinned tripod is certified for every ordered endpoint pair of a
+    ball and every shift r <= 3: no other triple is ever needed."""
+    vertices = sorted(ball(standard_vertex(p), radius))
+    for v1 in vertices:
+        for v2 in vertices:
+            for r in range(4):
+                se = ShiftedEichler((v1, v2), distance(v1, v2), r)
+                a, b, c = three_maximal_orders(se)
+                assert distance(a, v1) == r and distance(b, v2) == r
+
+
+def test_failed_tripod_certificate_raises_a_qlat_error(monkeypatch):
+    v = standard_vertex(3)
+    se = ShiftedEichler((v, Vertex(3, 1, 0, 0)), 1, 2)
+    whole = maximal_order_module(v)
+    monkeypatch.setattr(local_orders, "maximal_order_module", lambda w: whole)
+    with pytest.raises(QlatError, match="do not intersect"):
+        three_maximal_orders(se)
 
 
 def test_has_unramified_residue_field():

@@ -5,9 +5,11 @@ and shifted Eichler modules, order closure) on seeded generator sets and
 vertex pairs, the class-group layer (reduced-form enumeration, and the
 coset-extension closure against the breadth-first one) on discriminants
 and generator sets, the genus-character class-field degrees against the
-class-group closure on genera, the capped factorizer on integers, and the
-branch-based residue-field test on seeded and structured orders, and the
-tuple-backed vertex against the frozen dataclass on whole balls."""
+class-group closure on genera, the capped factorizer on integers, the
+branch-based residue-field test on seeded and structured orders, the
+tuple-backed vertex against the frozen dataclass on whole balls, and the
+one square-class rule against the per-place local square and unramified
+tests on every field Q(sqrt m), |m| <= 200, at every place over p <= 13."""
 
 import copy
 import itertools
@@ -1386,3 +1388,55 @@ def test_branch_of_order_makes_few_fractions(monkeypatch):
     # also builds through `__new__`).
     assert len(made) == 0
     assert sum(s.kind == "thick_apartment" for s in shapes) == 5
+
+
+SQUARE_CLASS_FIELDS = [BaseField.rationals()] + [
+    BaseField.quadratic(m)
+    for m in range(-200, 201)
+    if m not in (0, 1) and is_squarefree(m)
+]
+
+
+def _square_class_elements(rng, p: int, rational: bool):
+    """Seeded x + y sqrt(m): rational ones, pure irrational ones, mixed ones,
+    with p in numerators and denominators, and valuations near +-40."""
+
+    def coord(big=False):
+        e = rng.choice((-41, -40, 40, 41)) if big else rng.randrange(-3, 4)
+        n = rng.choice((-1, 1)) * rng.randrange(1, 60)
+        return Fraction(n, rng.randrange(1, 30)) * Fraction(p) ** e
+
+    zero = Fraction(0)
+    out = [(coord(), zero) for _ in range(3)] + [(coord(True), zero) for _ in range(2)]
+    if not rational:
+        out += [(zero, coord()) for _ in range(2)] + [(zero, coord(True))]
+        out += [(coord(), coord()) for _ in range(3)] + [(coord(True), coord(True))]
+        out += [(coord(True), coord()), (coord(), coord(True))]
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_square_class_rule_matches_per_place_bodies(p):
+    """`is_local_square` and `is_unramified_or_split` share one square-class
+    rule; the per-place bodies they replaced decide every field and place."""
+    rng = make_rng(1300 + p)
+    predicates = [
+        (global_classfield.is_local_square, oracles.is_local_square),
+        (global_classfield.is_unramified_or_split, oracles.is_unramified_or_split),
+    ]
+    tags = set()
+    for field in SQUARE_CLASS_FIELDS:
+        for place in field.places_over(p):
+            tags.add(place.tag)
+            for el in _square_class_elements(rng, p, field.is_rational):
+                got = [new(field, el, place) for new, _ in predicates]
+                assert got == [old(field, el, place) for _, old in predicates], (
+                    field, place, el,
+                )
+                square, unram = got
+                assert unram or not square
+    assert tags == {"rational", "inert", "ramified", "split"}
+    field = SQUARE_CLASS_FIELDS[1]
+    for new, _ in predicates:
+        with pytest.raises(ZeroDivisionError):
+            new(field, (Fraction(0), Fraction(0)), field.places_over(p)[0])

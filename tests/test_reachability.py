@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import qlat
-from qlat import branches, bt_tree, cli, local_orders
+from qlat import branches, bt_tree, cli, global_classfield, local_orders, spinor_local
 
 SRC = Path(qlat.__file__).resolve().parent
 
@@ -22,8 +22,11 @@ ALLOWED = {
     "smith_local": "bench/tracer.py times it as a span, and bench/smoke.py "
     "requires every span to exist",
     **{
-        f"Mat2.{name}": "bench/make_corpus.py builds the request pools with it"
-        for name in ("m00", "m01", "m10", "m11", "scalar", "inverse")
+        name: "bench/make_corpus.py builds the request pools with it"
+        for name in (
+            *(f"Mat2.{m}" for m in ("m00", "m01", "m10", "m11", "scalar", "inverse")),
+            "is_local_square_rat",
+        )
     },
 }
 
@@ -94,6 +97,9 @@ SPANNED = [
     (branches, "mu_margin"),
     (bt_tree, "canonical_vertex"),
     (local_orders, "contains_shifted"),
+    (spinor_local, "spinor_image"),
+    (global_classfield, "is_local_square"),
+    (global_classfield, "is_unramified_or_split"),
 ]
 
 
@@ -127,10 +133,30 @@ REQUESTS = [
         {"p": 3, "generators": [[[1, 0], [0, 0]]], "radius": 2},
         {"contains_shifted"},
     ),
+    (
+        ["local", "spinor-image"],
+        {"p": 3, "generators": [[[0, 9], [18, 0]]], "level": 2, "shift": 1},
+        {"spinor_image"},
+    ),
+    # delta = 2 is a square at 7 (3^2 = 2 mod 7), the place of odd level
+    (
+        ["global", "rep-field"],
+        {
+            "field": {"kind": "Q"},
+            "algebra": {},
+            "genus": {"level": {"7": 1}},
+            "suborder": {"kind": "commutative-quadratic", "delta": 2},
+        },
+        {"is_local_square", "is_unramified_or_split"},
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv,request_doc,reached", REQUESTS, ids=["classify", "enum"])
+@pytest.mark.parametrize(
+    "argv,request_doc,reached",
+    REQUESTS,
+    ids=["classify", "enum", "spinor", "rep-field"],
+)
 def test_requests_reach_the_spanned_functions(
     monkeypatch, capsys, argv, request_doc, reached
 ):

@@ -1,6 +1,5 @@
 """Local spinor images: the diameter decision procedure vs the pair oracle."""
 
-from math import inf
 
 import pytest
 
@@ -34,12 +33,7 @@ from qlat.bt_tree import (
 from qlat.errors import AnchorInvalid, Unbounded
 from qlat.exact_padic import Mat2
 from qlat.local_orders import shifted_eichler_module
-from qlat.spinor_local import (
-    SpinorImage,
-    odd_pair_oracle,
-    spinor_image,
-    spinor_image_for_diameter,
-)
+from qlat.spinor_local import SpinorImage, odd_pair_oracle, spinor_image
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +58,15 @@ def test_decision_table_hand_cases():
 
 
 def test_decision_from_diameter_matches_shapes():
+    """The image depends on the deepened diameter delta alone: none when the
+    deepened branch is empty or delta < d, everything when d is odd or
+    d < delta, and the unit squares when delta = d is even."""
+
+    def by_diameter(delta, d):
+        if delta is None or delta < d:
+            return SpinorImage.NO_EMBEDDING
+        return SpinorImage.FULL if d % 2 or d < delta else SpinorImage.UNIT_SQUARES
+
     p = 3
     v = standard_vertex(p)
     shapes = [ThickPath((v,), 2), Fan(v, End(1, 0)), Full(p), Empty(p)]
@@ -72,11 +75,12 @@ def test_decision_from_diameter_matches_shapes():
             deep = shape.deepen(r)
             delta = None if isinstance(deep, Empty) else deep.diameter()
             for d in range(6):
-                assert spinor_image_for_diameter(delta, d) == spinor_image(shape, d, r)
-    assert spinor_image_for_diameter(None, 0) == SpinorImage.NO_EMBEDDING
-    assert spinor_image_for_diameter(inf, 6) == SpinorImage.FULL
+                assert spinor_image(shape, d, r) == by_diameter(delta, d)
+                assert spinor_image(deep, d, 0) == spinor_image(shape, d, r)
+    assert spinor_image(Empty(p), 0, 0) == SpinorImage.NO_EMBEDDING
+    assert spinor_image(Full(p), 6, 0) == SpinorImage.FULL
     with pytest.raises(ValueError):
-        spinor_image_for_diameter(4, -1)
+        spinor_image(Full(p), -1, 0)
 
 
 def test_decision_rejects_negative_arguments():
