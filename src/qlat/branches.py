@@ -74,7 +74,7 @@ from .errors import (
     NotFinite,
     ResourceLimit,
 )
-from .exact_padic import commute, int_valuation, is_local_square_int, sqrt_mod
+from .exact_padic import commute, int_valuation, is_square_mod, sqrt_mod
 from .local_orders import LocalOrder, contains_shifted, order_closure
 
 # ---------------------------------------------------------------------------
@@ -389,19 +389,6 @@ def canonical_fan(p: int, end: End, slack_at) -> Fan:
 # Classification of a single matrix
 
 
-def _quadratic_ext_disc_val(disc: int, p: int) -> int:
-    """Valuation of the discriminant of the quadratic extension generated by
-    a root of x^2 = disc (a nonzero integer, not a local square)."""
-    v = int_valuation(disc, p)
-    if p != 2:
-        return 0 if v % 2 == 0 else 1
-    if v % 2 != 0:
-        return 3
-    u = (disc >> v) % 8
-    assert u != 1, "square discriminant has no field extension"
-    return 0 if u == 5 else 2
-
-
 def _level_neighbors(a, v: Vertex, m: int) -> list[Vertex]:
     """The at most two neighbors w of v with mu(a, w) >= m = mu(a, v), for
     a = (den, al, be, ga, de).
@@ -456,6 +443,14 @@ def _climb(a, start: Vertex, ceiling=None) -> tuple[Vertex, int]:
     return cur, m
 
 
+def _refuse_past_cap(vertices) -> None:
+    """Refuse a shape on a vertex whose exponent a or b is above the cap,
+    as `cli.parse_vertex` refuses such a vertex."""
+    e = max(max(v.a, v.b) for v in vertices)
+    if e > MAX_VERTEX_EXPONENT:
+        raise ResourceLimit(f"vertex exponent {e} is above {MAX_VERTEX_EXPONENT}")
+
+
 def _stable_start(a, p: int) -> Vertex:
     """A vertex whose lattice is stable under a: the class of (e, a*e)."""
     den, al, be, ga, de = a
@@ -474,9 +469,11 @@ def classify_single(a, p: int) -> Shape:
     Scalars give Full; nilpotent-plus-scalar gives a Fan toward the image
     line; split semisimple gives the ThickApartment around the axis of the
     eigenline pair; the field (non-split) case gives a ThickPath whose stem
-    is a vertex or an edge.  Raises Unbounded for non-integral input.
-    Scaled by den, trace, determinant, discriminant, eigenlines and image
-    lines are all integral.
+    is a vertex or an edge.  Raises Unbounded for non-integral input, and
+    ResourceLimit for a branch thicker than `MAX_VERTEX_EXPONENT` or with
+    its anchor or path past that exponent (a fan base lies at most that
+    many steps out).  Scaled by den, trace, determinant, discriminant,
+    eigenlines and image lines are all integral.
     """
     den, al, be, ga, de = a
     k = int_valuation(den, p)
@@ -497,8 +494,11 @@ def classify_single(a, p: int) -> Shape:
         return canonical_fan(p, end, lambda v: mu_margin(nil, v))
 
     v_disc = int_valuation(disc, p) - 2 * k
-    split = is_local_square_int(disc, p)
-    t = (v_disc - (0 if split else _quadratic_ext_disc_val(disc, p))) // 2
+    split = is_square_mod(disc, p, 3)  # modulo p^3 decides a square at every p
+    # t = (v_disc - w) / 2 for w the valuation of the discriminant of
+    # Q_p(sqrt(disc)): w = v_disc mod 2 at odd p; at p = 2, w = 0 when it is
+    # unramified or split, else 2 or 3 as v_disc is even or odd
+    t = v_disc // 2 - (1 if p == 2 and not is_square_mod(disc, 2, 2) else 0)
     if t > MAX_VERTEX_EXPONENT:  # the branch holds vertices t steps off its core
         raise ResourceLimit(f"branch thickness {t} is above {MAX_VERTEX_EXPONENT}")
     if split:
@@ -515,10 +515,12 @@ def classify_single(a, p: int) -> Shape:
             ends = tuple(sorted(end_of(*w) for w in vecs))
             (x1, y1), (x2, y2) = vecs
             anchor = canonical_vertex((1, x1, x2, y1, y2), p)
+            _refuse_past_cap([anchor])
             assert mu_margin(a, anchor) == t
             return ThickApartment(p, ends, t, a, t, anchor)
         anchor, reached = _climb(a, _stable_start(a, p), ceiling=t)
         assert reached == t
+        _refuse_past_cap([anchor])
         return ThickApartment(p, None, t, a, t, anchor)
 
     # Field case: the margin summit is a single vertex or a single edge.
@@ -528,6 +530,7 @@ def classify_single(a, p: int) -> Shape:
         n for n in _level_neighbors(a, summit, t) if mu_margin(a, n) == t
     ]
     assert len(stem) <= 2
+    _refuse_past_cap(stem)
     return ThickPath(tuple(sorted(stem)), t)
 
 

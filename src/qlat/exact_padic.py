@@ -7,11 +7,10 @@ and no p-adic approximation is ever needed.  Scalars at the interface are
 exact rationals (`fractions.Fraction`); a matrix is integers over one
 denominator, and so is each row of a module.
 
-- `valuation` / `int_valuation` / `reduce_mod_ppow`: valuations of rationals
-  and of integers, and canonical residues modulo powers of p
-  (representatives live in Z[1/p] and in [0, p^e)).
-- `sqrt_mod`: the smallest square root modulo a prime (Tonelli-Shanks);
-  `is_local_square_rat` / `is_local_square_int`: p-adic square classes.
+- `valuation` / `int_valuation`: valuations of rationals and of integers.
+- `sqrt_mod`: the smallest square root modulo a prime (Tonelli-Shanks).
+- `is_square_mod`: the one square-class rule, on integers, behind every
+  local square and unramified test; `is_local_square_int` / `_rat`.
 - `prime_divisors`: the one trial-division factorizer, capped at
   `MAX_TRIAL_DIVISOR`; `is_prime` and `is_squarefree` read it lazily.
 - `Mat2`: immutable exact 2x2 matrices, the integer tuple (den, a, b, c, d)
@@ -31,7 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, pairwise
-from math import gcd, inf, isqrt, lcm
+from math import gcd, inf, lcm
 
 from .errors import ResourceLimit, SingularMatrix
 
@@ -48,18 +47,7 @@ Rat = Fraction
 def valuation(x, p: int):
     """p-adic valuation of a rational; +infinity for zero."""
     x = Fraction(x)
-    if x == 0:
-        return inf
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
 
 
 def int_valuation(n: int, p: int):
@@ -79,26 +67,6 @@ def unit_part(x, p: int) -> Rat:
     if x == 0:
         raise ZeroDivisionError("unit_part of zero")
     return x / Fraction(p) ** valuation(x, p)
-
-
-def reduce_mod_ppow(x, p: int, e: int) -> Rat:
-    """Canonical representative of x modulo p^e * Z_(p).
-
-    The representative lies in Z[1/p] and in [0, p^e); it is 0 exactly when
-    v_p(x) >= e.  Denominators prime to p are inverted modulo the relevant
-    power of p, so the result differs from x by an element of p^e * Z_(p).
-    """
-    x = Fraction(x)
-    if valuation(x, p) >= e:
-        return Fraction(0)
-    n, d = x.numerator, x.denominator
-    s = 0
-    while d % p == 0:
-        d //= p
-        s += 1
-    mod = p ** (e + s)  # e + s >= 1 whenever v_p(x) < e
-    r = n * pow(d, -1, mod) % mod
-    return Fraction(r, p**s)
 
 
 def legendre(a: int, p: int) -> int:
@@ -137,15 +105,6 @@ def sqrt_mod(a: int, p: int) -> int | None:
         s, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return min(r, p - r)
-
-
-def is_rational_square(x) -> bool:
-    x = Fraction(x)
-    if x < 0:
-        return False
-    n, d = x.numerator, x.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    return rn * rn == n and rd * rd == d
 
 
 def prime_divisors(n: int):
@@ -189,15 +148,24 @@ def is_local_square_rat(x, p: int) -> bool:
 
 def is_local_square_int(n: int, p: int) -> bool:
     """Is the nonzero integer n a square in the p-adic completion?"""
+    return is_square_mod(n, p, 3 if p == 2 else 1)
+
+
+def is_square_mod(n: int, p: int, k: int) -> bool:
+    """Is the nonzero integer n = p^v u with v even and the unit u a square
+    modulo p^k?  With e = v_p(2), k = 2e + 1 decides a p-adic square and
+    k = 2e decides Q_p(sqrt(n)) unramified or split (O'Meara, §63).  An odd
+    unit square modulo 8 is one modulo every 2^k, and the Legendre symbol
+    decides every k >= 1 at odd p."""
     if n == 0:
         raise ZeroDivisionError("square class of zero")
     v = int_valuation(n, p)
-    if v % 2 != 0:
+    if v % 2:
         return False
     u = n // p**v
     if p == 2:
-        return u % 8 == 1
-    return legendre(u, p) == 1
+        return (u - 1) % (1 << min(k, 3)) == 0
+    return k == 0 or legendre(u, p) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ Global arithmetic over Q and over quadratic fields Q(sqrt(m)):
   split primes, plus real embeddings — with exact local valuations,
   local square tests, and unramifiedness tests for field elements; the
   split-place branch is pinned by a canonical Hensel square root, so every
-  answer is reproducible;
+  answer is reproducible; each entry point takes an element to one integral
+  representative of its square class, and all below it runs on ints;
 * narrow ray class groups with real moduli, known by their order;
 * the spinor class field of an Eichler-type quaternion genus (its degree
   and forced split places), representation fields of suborder genera
@@ -20,20 +21,17 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from math import inf, prod
+from math import gcd, inf, isqrt, lcm, prod
 
 from .errors import AlgebraNotSplit, EmbeddingInfeasible, SchemaError
 from .exact_padic import (
     Frozen,
     int_valuation,
     is_prime,
-    is_rational_square,
+    is_square_mod,
     is_squarefree,
-    legendre,
     prime_divisors,
-    reduce_mod_ppow,
     sqrt_mod,
-    valuation,
 )
 from .quadforms import (
     class_group,
@@ -41,12 +39,22 @@ from .quadforms import (
     negative_identity_class,
 )
 
-#: Field element x + y*sqrt(m), held as a pair of exact rationals.
+#: Field element x + y*sqrt(m): a pair of ints or Fractions at the entry
+#: points, a pair of ints below them.
 FE = tuple[Fraction, Fraction]
 
 
-def fe(x, y=0) -> FE:
-    return (Fraction(x), Fraction(y))
+def _integral(el: FE) -> tuple[int, int]:
+    """el d^2 for d the lcm of the coordinate denominators: an integral
+    element in the square class of el."""
+    x, y = el
+    dx, dy = x.denominator, y.denominator
+    d = lcm(dx, dy)
+    return x.numerator * (d // dx) * d, y.numerator * (d // dy) * d
+
+
+def _is_square(n: int) -> bool:
+    return n >= 0 and isqrt(n) ** 2 == n
 
 
 def fe_is_zero(e: FE) -> bool:
@@ -59,12 +67,6 @@ def fe_mul(a: FE, b: FE, m: int) -> FE:
 
 def fe_norm(a: FE, m: int) -> Fraction:
     return a[0] * a[0] - m * a[1] * a[1]
-
-
-def _fraction_sqrt(x: Fraction) -> Fraction:
-    from math import isqrt
-
-    return Fraction(isqrt(x.numerator), isqrt(x.denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -185,26 +187,20 @@ def hensel_sqrt(m: int, p: int, prec: int) -> int:
     return r
 
 
-def _split_embed(field: BaseField, el: FE, place: PrimeIdeal) -> tuple[int, int, int]:
-    """Image of p^k * el in Z/p^prec under the split-place embedding.
-
-    Returns (w, prec, k) with w nonzero mod p^prec and k the power of p
-    used to clear denominators, so v_place(el) = v_p(w) - k.
-    """
+def _split_embed(field: BaseField, el: FE, place: PrimeIdeal) -> int:
+    """Image w of the integral element el in Z/p^prec under the split-place
+    embedding, prec = v_p(N(el)) + 5, so w is nonzero, v_place(el) = v_p(w)
+    and w / p^v_p(w) is the unit part of el modulo p^5."""
     p, m = place.p, field.m
     x, y = el
-    k = max(0, -min(valuation(x, p), valuation(y, p)))
-    if k:
-        x, y = x * p**k, y * p**k
-    n = x * x - m * y * y
-    prec = int(valuation(n, p)) + 5
+    prec = int_valuation(x * x - m * y * y, p) + 5
     rho = hensel_sqrt(m, p, prec)
     mod = p**prec
     if place.selector == 2:
         rho = (-rho) % mod
-    w = (int(reduce_mod_ppow(x, p, prec)) + int(reduce_mod_ppow(y, p, prec)) * rho) % mod
+    w = (x + y * rho) % mod
     assert w != 0, "split embedding lost all precision"
-    return w, prec, k
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -212,44 +208,45 @@ def _split_embed(field: BaseField, el: FE, place: PrimeIdeal) -> tuple[int, int,
 
 
 def val_at_place(field: BaseField, el: FE, place: PrimeIdeal):
-    """Normalized valuation of el at the place (uniformizer has value 1);
-    +infinity for zero."""
+    """Normalized valuation of the integral element el at the place
+    (uniformizer has value 1); +infinity for zero."""
     if fe_is_zero(el):
         return inf
     p = place.p
     x, y = el
     if place.tag == "rational":
-        return valuation(x, p)
+        return int_valuation(x, p)
     m = field.m
     if place.tag == "inert":
-        v = valuation(fe_norm(el, m), p)
+        v = int_valuation(fe_norm(el, m), p)
         assert v % 2 == 0
         return v // 2
     if place.tag == "ramified":
         if p != 2:
-            return valuation(fe_norm(el, m), p)
+            return int_valuation(fe_norm(el, m), p)
         if m % 4 == 2:
-            return min(2 * valuation(x, 2), 2 * valuation(y, 2) + 1)
+            return min(2 * int_valuation(x, 2), 2 * int_valuation(y, 2) + 1)
         # m = 3 mod 4: write el = (x - y) + y * (1 + sqrt(m))
-        return min(2 * valuation(x - y, 2), 2 * valuation(y, 2) + 1)
-    w, _, k = _split_embed(field, el, place)
-    return valuation(w, p) - k
+        return min(2 * int_valuation(x - y, 2), 2 * int_valuation(y, 2) + 1)
+    return int_valuation(_split_embed(field, el, place), p)
 
 
 def _is_square_mod(field: BaseField, el: FE, place: PrimeIdeal, k: int) -> bool:
-    """Is el = pi^v u with v even and the unit u a square modulo P^k?
+    """Is the integral el = pi^v u with v even and the unit u a square
+    modulo P^k?
 
     With e = v_P(2), the local square theorem (O'Meara, *Introduction to
     Quadratic Forms*, §63) makes k = 2e + 1 the test for a local square and
     k = 2e the test for K_P(sqrt(el)) unramified or split.
 
-    Rational, split and odd places test an integer n in the square class
-    over Q_p of el, or of its norm at an odd inert place (the norm map of
-    F_(p^2)* onto F_p* takes squares exactly to squares).  Dyadic inert and
-    ramified places search the roots a + b theta, 0 <= a, b < 4, of O =
-    Z[theta], theta^2 = t theta + c: squares modulo P^(2e+1) depend only on
-    the root modulo P^(e+1), which holds 4 O.  Inert: pi = 2, theta =
-    (1 + sqrt(m)) / 2 and P^k = 2^k O.  Ramified: theta = sqrt(m) and
+    Rational, split and odd places read `exact_padic.is_square_mod` at an
+    integer in the square class over Q_p of el, or of its norm at an odd
+    inert place (the norm map of F_(p^2)* onto F_p* takes squares exactly
+    to squares).  Dyadic inert and ramified places search the roots
+    a + b theta, 0 <= a, b < 4, of O = Z[theta], theta^2 = t theta + c:
+    squares modulo P^(2e+1) depend only on the root modulo P^(e+1), which
+    holds 4 O.  Inert: pi = 2, theta = (1 + sqrt(m)) / 2, P^k = 2^k O and
+    u = (x - y) / 2^v + (2y / 2^v) theta.  Ramified: theta = sqrt(m) and
     pi = s + sqrt(m), s = m mod 2, so pi^2 = 2 eps for the unit eps =
     (m + s) / 2 + s sqrt(m), and el eps^(j mod 2) / 2^j (j = v / 2) is u
     times a unit square; X + Y pi lies in P^k exactly when 2^ceil(k/2)
@@ -259,41 +256,32 @@ def _is_square_mod(field: BaseField, el: FE, place: PrimeIdeal, k: int) -> bool:
         raise ZeroDivisionError("square class of zero")
     p, m, (x, y), tag = place.p, field.m, el, place.tag
     if tag == "split":
-        w, _, j = _split_embed(field, el, place)
-        n = w * p**j  # el maps to w / p^j
+        n = _split_embed(field, el, place)
     elif tag == "rational":
-        n = x.numerator * x.denominator
+        n = x
     else:
         v = val_at_place(field, el, place)
         if v % 2:
             return False
         if p != 2:  # at a ramified place u = x / m^(v/2) mod P
-            r = fe_norm(el, m) if tag == "inert" else x / Fraction(m) ** (v // 2)
-            n = r.numerator * r.denominator
+            n = fe_norm(el, m) if tag == "inert" else x * m ** (v // 2)
         else:
-            if tag == "inert":
-                x, y = x / Fraction(2) ** v, y / Fraction(2) ** v
-                a0, b0, t, c, s, k0, k1 = x - y, 2 * y, 1, (m - 1) // 4, 0, k, k
+            if tag == "inert":  # exact shifts: u and its coordinates are integral
+                a0, b0 = ((x - y) >> v) % 8, (2 * y >> v) % 8
+                t, c, s, k0, k1 = 1, (m - 1) // 4, 0, k, k
             else:
                 s, j = m % 2, v // 2
                 if j % 2:
                     x, y = fe_mul(el, ((m + s) // 2, s), m)
-                a0, b0 = x / Fraction(2) ** j, y / Fraction(2) ** j
+                a0, b0 = (x >> j) % 8, (y >> j) % 8
                 t, c, k0, k1 = 0, m, (k + 1) // 2, k // 2
-            a0, b0 = int(reduce_mod_ppow(a0, 2, 3)), int(reduce_mod_ppow(b0, 2, 3))
             for a in range(4):
                 for b in range(4):
                     da, db = a * a + c * b * b - a0, 2 * a * b + t * b * b - b0
                     if (da - s * db) % 2**k0 == 0 and db % 2**k1 == 0:
                         return True
             return False
-    v = int_valuation(n, p)
-    if v % 2:
-        return False
-    u = n // p**v
-    if p == 2:
-        return u % 2**k == 1
-    return k == 0 or legendre(u, p) == 1
+    return is_square_mod(n, p, k)
 
 
 def _two_valuation(place: PrimeIdeal) -> int:
@@ -303,12 +291,12 @@ def _two_valuation(place: PrimeIdeal) -> int:
 
 def is_local_square(field: BaseField, el: FE, place: PrimeIdeal) -> bool:
     """Is the nonzero element el a square in the completion at the place?"""
-    return _is_square_mod(field, el, place, 2 * _two_valuation(place) + 1)
+    return _is_square_mod(field, _integral(el), place, 2 * _two_valuation(place) + 1)
 
 
 def is_unramified_or_split(field: BaseField, el: FE, place: PrimeIdeal) -> bool:
     """Is K_place(sqrt(el)) unramified (possibly split) over the completion?"""
-    return _is_square_mod(field, el, place, 2 * _two_valuation(place))
+    return _is_square_mod(field, _integral(el), place, 2 * _two_valuation(place))
 
 
 def sign_at_real(field: BaseField, el: FE, key: str) -> int:
@@ -318,45 +306,26 @@ def sign_at_real(field: BaseField, el: FE, key: str) -> int:
     if key not in field.real_place_keys():
         raise ValueError(f"{key!r} is not a real place of this field")
     x, y = el
-    if field.is_rational:
-        return 1 if x > 0 else -1
     if key == "inf2":
         y = -y
-    m = field.m
-    if y == 0:
-        return 1 if x > 0 else -1
-    if x == 0:
-        return 1 if y > 0 else -1
-    if x > 0 and y > 0:
-        return 1
-    if x < 0 and y < 0:
-        return -1
-    n = x * x - m * y * y  # compare |x| against |y|*sqrt(m)
-    if x > 0:  # y < 0: positive iff x outweighs
-        return 1 if n > 0 else -1
-    return 1 if n < 0 else -1
+    # x + y sqrt(m) has the sign of the larger of |x| and |y| sqrt(m)
+    big = x if field.is_rational or x * x > field.m * y * y else y
+    return 1 if big > 0 else -1
 
 
 def fe_is_square(field: BaseField, el: FE) -> bool:
-    """Is el a square already in the base field (globally)?"""
-    x, y = el
-    if field.is_rational:
-        return is_rational_square(x)
-    m = field.m
+    """Is el a square already in the base field (globally)?  Read on x + y
+    sqrt(m) integral: for y != 0, (s + t sqrt(m))^2 exactly when its norm is
+    r^2 and 2(x + r) or 2(x - r), that is 4 s^2, is a nonzero square."""
+    x, y = _integral(el)
     if y == 0:
-        return is_rational_square(x) or is_rational_square(x / m)
-    n = fe_norm(el, m)
-    if not is_rational_square(n):
+        return _is_square(x) or not field.is_rational and _is_square(x * field.m)
+    m = field.m
+    n = x * x - m * y * y
+    if not _is_square(n):
         return False
-    r = _fraction_sqrt(n)
-    for rr in (r, -r):
-        cand = (x + rr) / 2
-        if cand != 0 and is_rational_square(cand):
-            s = _fraction_sqrt(cand)
-            t = y / (2 * s)
-            if s * s + m * t * t == x and 2 * s * t == y:
-                return True
-    return False
+    r = isqrt(n)
+    return any(c != 0 and _is_square(c) for c in (2 * (x + r), 2 * (x - r)))
 
 
 # ---------------------------------------------------------------------------
@@ -583,18 +552,22 @@ def selectivity_ratio(rep: RepField) -> Fraction:
 
 
 def _quadratic_in_sigma(
-    field: BaseField, algebra: QuatAlgebra, sigma: SigmaField, delta: FE
+    field: BaseField, algebra: QuatAlgebra, sigma: SigmaField, delta: FE, dens
 ) -> bool:
-    """Is K(sqrt(delta)) contained in the spinor class field?"""
-    # (a) unramified at every finite place.  Any place where delta has a
-    # nonzero valuation divides the norm or a coordinate denominator, so
-    # this candidate set is exhaustive (dyadic places always included).
+    """Is K(sqrt(delta)) contained in the spinor class field?  delta is
+    integral: the given element times d^2, d = lcm of its denominators dens."""
+    # (a) unramified at every finite place.  Any place where the given
+    # element has a nonzero valuation divides its norm's numerator or
+    # denominator or a coordinate denominator, so this candidate set is
+    # exhaustive (dyadic places always included); d itself is not factored.
+    d = lcm(*dens)
     if field.is_rational:
-        n = delta[0]
+        n, q = delta[0], d * d
     else:
-        n = fe_norm(delta, field.m)
+        n, q = fe_norm(delta, field.m), d**4
+    g = gcd(n, q)
     cand = {2, *prime_divisors(field.discriminant)}
-    for k in (n.numerator, n.denominator, delta[0].denominator, delta[1].denominator):
+    for k in (n // g, q // g, *dens):
         cand.update(prime_divisors(k))
     for p in sorted(cand):
         for place in field.places_over(p):
@@ -629,11 +602,12 @@ def rep_field_comm_quadratic(
     """
     field = algebra.field
     validate_genus(algebra, genus)
-    delta = fe(*delta)
     if fe_is_zero(delta):
         raise ValueError("delta must be nonzero")
     if field.is_rational and delta[1] != 0:
         raise ValueError("delta must be rational over Q")
+    dens = (delta[0].denominator, delta[1].denominator)
+    delta = _integral(delta)
     cond = _normalize_ideal_map(conductor)
 
     # --- feasibility, checked before any class field computation ---
@@ -647,10 +621,12 @@ def rep_field_comm_quadratic(
             raise EmbeddingInfeasible(
                 place.key(), "the quadratic algebra splits at a division place"
             )
+    # one local kind per place: split, unramified or (failing sigma) ramified
     support = sorted(set(genus.support()) | {p for p, _ in cond})
+    unbalanced = []
     for place in support:
         if place in algebra.finite:
-            continue  # any integral quadratic order embeds in the division order
+            continue  # any integral quadratic order embeds; no distance condition
         t = _map_at(cond, place)
         r = genus.shift_at(place)
         d = genus.level_at(place)
@@ -658,28 +634,21 @@ def rep_field_comm_quadratic(
             raise EmbeddingInfeasible(
                 place.key(), "the conductor is shallower than the genus shift"
             )
-        if not is_local_square(field, delta, place):
-            core = 0 if is_unramified_or_split(field, delta, place) else 1
-            if core + 2 * (t - r) < d:
-                raise EmbeddingInfeasible(
-                    place.key(), "the suborder branch is smaller than the genus level"
-                )
+        if is_local_square(field, delta, place):
+            continue  # split in L
+        unramified = is_unramified_or_split(field, delta, place)
+        core = 0 if unramified else 1
+        if core + 2 * (t - r) < d:
+            raise EmbeddingInfeasible(
+                place.key(), "the suborder branch is smaller than the genus level"
+            )
+        if unramified and (d % 2 == 1 or t != r + d // 2):
+            unbalanced.append(place.key())
 
     sigma = spinor_class_field(algebra, genus)
     if fe_is_square(field, delta):
         return RepField(1, sigma, ())  # L is not a field: K x K collapses
-    in_sigma = _quadratic_in_sigma(field, algebra, sigma, delta)
-    unbalanced = []
-    for place in support:
-        if place in algebra.finite:
-            continue  # division places impose no distance condition
-        if is_local_square(field, delta, place):
-            continue  # split in L
-        if not is_unramified_or_split(field, delta, place):
-            continue  # ramified in L: containment in sigma already failed
-        d = genus.level_at(place)
-        if d % 2 == 1 or _map_at(cond, place) != genus.shift_at(place) + d // 2:
-            unbalanced.append(place.key())
+    in_sigma = _quadratic_in_sigma(field, algebra, sigma, delta, dens)
     degree = 2 if in_sigma and not unbalanced else 1
     return RepField(degree, sigma, tuple(unbalanced))
 

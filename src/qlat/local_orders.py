@@ -251,7 +251,8 @@ def three_maximal_orders(order: ShiftedEichler) -> tuple[Vertex, Vertex, Vertex]
     The first two hang `shift` steps beyond the endpoints (pointing away
     from the path), the third hangs `shift` steps off the middle of the path
     in a fresh direction.  The construction is certified by module
-    equality; a failed certificate raises QlatError.
+    equality with the one intersection of the Eichler order of the first
+    two and the third maximal order; a failed certificate raises QlatError.
     """
     v1, v2 = order.endpoints
     d, r = order.level, order.shift
@@ -270,11 +271,9 @@ def three_maximal_orders(order: ShiftedEichler) -> tuple[Vertex, Vertex, Vertex]
     if anchor == d4 or (anchor == v2 and f4 is not None):
         banned.add(f4 if f4 is not None else d4)
     d5, _ = _extend_away(anchor, banned, r)
-    inter = module_intersect(
-        module_intersect(maximal_order_module(d3), maximal_order_module(d4)),
-        maximal_order_module(d5),
-    )
-    if inter != order.module():
+    # D_d3 and D_d4 meet in the Eichler order of (d3, d4), a closed form
+    eichler = shifted_eichler_module(d3, d4, 0)
+    if module_intersect(eichler, maximal_order_module(d5)) != order.module():
         raise QlatError("the three maximal orders do not intersect in the order")
     return d3, d4, d5
 

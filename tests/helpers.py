@@ -7,6 +7,7 @@ test run samples the identical instances.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from math import gcd
 
 from qlat.bt_tree import End, Vertex, neighbors, standard_vertex, step_toward_end
@@ -18,7 +19,7 @@ from qlat.exact_padic import (
     is_squarefree,
     module_hnf,
 )
-from qlat.global_classfield import FE, fe, fe_mul, fe_norm
+from qlat.global_classfield import FE, fe_mul, fe_norm
 from qlat.local_orders import LocalOrder, order_closure
 from qlat.quadforms import ClassGroup, QForm, class_rep, fundamental_unit
 
@@ -181,6 +182,11 @@ def ray_vertices(base: Vertex, end: End, count: int) -> tuple[Vertex, ...]:
         cur = step_toward_end(cur, end)
         out.append(cur)
     return tuple(out)
+
+
+def fe(x, y=0) -> FE:
+    """The field element x + y sqrt(m) as a pair of Fractions."""
+    return (Fraction(x), Fraction(y))
 
 
 def fe_sub(a: FE, b: FE) -> FE:

@@ -38,10 +38,13 @@ The section after it keeps the classification of a single matrix on
 `qlat.bt_tree` replaced: `canonical_vertex` and `end_from_vector` on
 rationals, the p-adic square class of a rational, the classification's
 head on `Fraction` trace, determinant and discriminant, and
-`branch_of_order` over `Module4.basis`; and the shifted
+`branch_of_order` over `Module4.basis`; the shifted
 Eichler module as an intersection of two maximal orders, which the closed
-form of `qlat.local_orders` replaced.  The classification resolves
-`mu_margin`, `order_closure` and `sqrt_mod` to the slow versions above.
+form of `qlat.local_orders` replaced; and the certificate of
+`three_maximal_orders` as two intersections of three maximal orders, of
+which the closed-form Eichler order of the first two leaves one.  The
+classification resolves `mu_margin`, `order_closure` and `sqrt_mod` to
+the slow versions above.
 
 The section after it keeps `FractionMat2`, the matrix of four `Fraction`
 entries that the integer `qlat.exact_padic.Mat2` replaced, with its
@@ -57,10 +60,17 @@ tuples replaced across `qlat` (matrices, modules, ends, orders, the six
 shapes, forms and class groups, places, fields and class-field records),
 renamed with the prefix "Dataclass".
 
-The last section keeps the local square and unramified tests of
+The section after it keeps the local square and unramified tests of
 `qlat.global_classfield` as one body per kind of place each, with the
 residue-field power, the dyadic unit and the dyadic square searches that
 the one square-class rule replaced.
+
+The last section keeps the `Fraction` global layer that the integral
+representatives of `qlat.global_classfield` replaced: the valuation at a
+place, the split-place embedding that clears denominators, the global
+square test and the sign at a real place, with the Fraction residues
+modulo powers of p and the rational square test of `qlat.exact_padic`
+that only they and the routines above still called.
 """
 
 from __future__ import annotations
@@ -77,6 +87,7 @@ from helpers import (
     apply,
     conjugate,
     discriminant,
+    fe,
     fe_pow,
     fe_sub,
     is_primitive,
@@ -105,9 +116,7 @@ from qlat.exact_padic import (
     Mat2,
     commute,
     int_valuation,
-    is_rational_square,
     legendre,
-    reduce_mod_ppow,
     unit_part,
     valuation,
 )
@@ -119,11 +128,10 @@ from qlat.global_classfield import (
     QuatAlgebra,
     RepField,
     _normalize_ideal_map,
-    _split_embed,
-    fe,
     fe_is_zero,
     fe_mul,
-    val_at_place,
+    fe_norm,
+    hensel_sqrt,
     validate_genus,
 )
 from qlat.local_orders import _DIVERGENCE_WINDOW, CLOSURE_MAX_ROUNDS, LocalOrder
@@ -1136,6 +1144,14 @@ def shifted_eichler_module_by_intersection(v1: Vertex, v2: Vertex, r: int):
     return _plus_scalars(inner, r)
 
 
+def three_maximal_intersection(d3: Vertex, d4: Vertex, d5: Vertex):
+    """Canonical module of D_d3 intersect D_d4 intersect D_d5 by two
+    Zassenhaus intersections, the certificate of `three_maximal_orders`."""
+    maximal = local_orders.maximal_order_module
+    inner = exact_padic.module_intersect(maximal(d3), maximal(d4))
+    return exact_padic.module_intersect(inner, maximal(d5))
+
+
 # ---------------------------------------------------------------------------
 # The Fraction matrix
 
@@ -1919,8 +1935,10 @@ class DataclassRepField:
 # `is_local_square` and `is_unramified_or_split` as they were before the one
 # square-class rule of `qlat.global_classfield` replaced them, with their
 # residue and dyadic helpers, verbatim.  `is_local_square_rat` resolves to
-# the Fraction version above; `fe_pow` and `fe_sub` come from
-# `tests/helpers.py`, and the rest from `qlat.global_classfield`.
+# the Fraction version above, and `val_at_place`, `_split_embed` and
+# `reduce_mod_ppow` to the Fraction versions below; `fe`, `fe_pow` and
+# `fe_sub` come from `tests/helpers.py`, and the rest from
+# `qlat.global_classfield`.
 
 
 def _fp2_pow(a0: int, a1: int, e: int, p: int, mbar: int) -> tuple[int, int]:
@@ -2038,3 +2056,144 @@ def is_unramified_or_split(field: BaseField, el: FE, place: PrimeIdeal) -> bool:
         return _inert_dyadic_square_search(field, u, 2)
     u = _dyadic_ram_unit(field, el, v)
     return _ram_dyadic_square_search(field, u, place, 4)
+
+
+# ---------------------------------------------------------------------------
+# The Fraction global layer
+#
+# `val_at_place`, `_split_embed`, `fe_is_square` and `_fraction_sqrt` of
+# `qlat.global_classfield` as they were before each entry point took its
+# element to one integral representative of its square class, with the
+# case analysis of `sign_at_real` that one comparison replaced, and
+# `reduce_mod_ppow` and `is_rational_square` of `qlat.exact_padic`,
+# verbatim; `valuation` is still `exact_padic.valuation`.
+
+
+def reduce_mod_ppow(x, p: int, e: int) -> Fraction:
+    """Canonical representative of x modulo p^e * Z_(p).
+
+    The representative lies in Z[1/p] and in [0, p^e); it is 0 exactly when
+    v_p(x) >= e.  Denominators prime to p are inverted modulo the relevant
+    power of p, so the result differs from x by an element of p^e * Z_(p).
+    """
+    x = Fraction(x)
+    if valuation(x, p) >= e:
+        return Fraction(0)
+    n, d = x.numerator, x.denominator
+    s = 0
+    while d % p == 0:
+        d //= p
+        s += 1
+    mod = p ** (e + s)  # e + s >= 1 whenever v_p(x) < e
+    r = n * pow(d, -1, mod) % mod
+    return Fraction(r, p**s)
+
+
+def is_rational_square(x) -> bool:
+    x = Fraction(x)
+    if x < 0:
+        return False
+    n, d = x.numerator, x.denominator
+    rn, rd = isqrt(n), isqrt(d)
+    return rn * rn == n and rd * rd == d
+
+
+def _fraction_sqrt(x: Fraction) -> Fraction:
+    from math import isqrt
+
+    return Fraction(isqrt(x.numerator), isqrt(x.denominator))
+
+
+def _split_embed(field: BaseField, el: FE, place: PrimeIdeal) -> tuple[int, int, int]:
+    """Image of p^k * el in Z/p^prec under the split-place embedding.
+
+    Returns (w, prec, k) with w nonzero mod p^prec and k the power of p
+    used to clear denominators, so v_place(el) = v_p(w) - k.
+    """
+    p, m = place.p, field.m
+    x, y = el
+    k = max(0, -min(valuation(x, p), valuation(y, p)))
+    if k:
+        x, y = x * p**k, y * p**k
+    n = x * x - m * y * y
+    prec = int(valuation(n, p)) + 5
+    rho = hensel_sqrt(m, p, prec)
+    mod = p**prec
+    if place.selector == 2:
+        rho = (-rho) % mod
+    w = (int(reduce_mod_ppow(x, p, prec)) + int(reduce_mod_ppow(y, p, prec)) * rho) % mod
+    assert w != 0, "split embedding lost all precision"
+    return w, prec, k
+
+
+def val_at_place(field: BaseField, el: FE, place: PrimeIdeal):
+    """Normalized valuation of el at the place (uniformizer has value 1);
+    +infinity for zero."""
+    if fe_is_zero(el):
+        return inf
+    p = place.p
+    x, y = el
+    if place.tag == "rational":
+        return valuation(x, p)
+    m = field.m
+    if place.tag == "inert":
+        v = valuation(fe_norm(el, m), p)
+        assert v % 2 == 0
+        return v // 2
+    if place.tag == "ramified":
+        if p != 2:
+            return valuation(fe_norm(el, m), p)
+        if m % 4 == 2:
+            return min(2 * valuation(x, 2), 2 * valuation(y, 2) + 1)
+        # m = 3 mod 4: write el = (x - y) + y * (1 + sqrt(m))
+        return min(2 * valuation(x - y, 2), 2 * valuation(y, 2) + 1)
+    w, _, k = _split_embed(field, el, place)
+    return valuation(w, p) - k
+
+
+def fe_is_square(field: BaseField, el: FE) -> bool:
+    """Is el a square already in the base field (globally)?"""
+    x, y = el
+    if field.is_rational:
+        return is_rational_square(x)
+    m = field.m
+    if y == 0:
+        return is_rational_square(x) or is_rational_square(x / m)
+    n = fe_norm(el, m)
+    if not is_rational_square(n):
+        return False
+    r = _fraction_sqrt(n)
+    for rr in (r, -r):
+        cand = (x + rr) / 2
+        if cand != 0 and is_rational_square(cand):
+            s = _fraction_sqrt(cand)
+            t = y / (2 * s)
+            if s * s + m * t * t == x and 2 * s * t == y:
+                return True
+    return False
+
+
+def sign_at_real(field: BaseField, el: FE, key: str) -> int:
+    """Sign of el under the real embedding named by key (exact)."""
+    if fe_is_zero(el):
+        raise ZeroDivisionError("sign of zero")
+    if key not in field.real_place_keys():
+        raise ValueError(f"{key!r} is not a real place of this field")
+    x, y = el
+    if field.is_rational:
+        return 1 if x > 0 else -1
+    if key == "inf2":
+        y = -y
+    m = field.m
+    if y == 0:
+        return 1 if x > 0 else -1
+    if x == 0:
+        return 1 if y > 0 else -1
+    if x > 0 and y > 0:
+        return 1
+    if x < 0 and y < 0:
+        return -1
+    n = x * x - m * y * y  # compare |x| against |y|*sqrt(m)
+    if x > 0:  # y < 0: positive iff x outweighs
+        return 1 if n > 0 else -1
+    return 1 if n < 0 else -1

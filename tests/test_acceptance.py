@@ -15,6 +15,7 @@ from math import gcd, isqrt
 
 from helpers import (
     connected_members,
+    fe,
     is_scalar,
     make_rng,
     order_from_module,
@@ -49,7 +50,6 @@ from qlat.global_classfield import (
     BaseField,
     Genus,
     QuatAlgebra,
-    fe,
     parse_place_key,
     rep_field_comm_quadratic,
     rep_field_rank4,

@@ -478,6 +478,29 @@ def test_huge_matrix_entry_exits_3(generators, message):
     assert err["error"] == "ResourceLimit" and message in err["message"]
 
 
+# A branch within the thickness cap may still lie on vertices past the
+# exponent cap: the stem of a^2 = 2^2001 reaches exponent 1001, and the
+# eigenline (2^1500, -2) of [[1, 2^1500], [0, -1]] has its anchor at 1499.
+@pytest.mark.parametrize(
+    "generator,message",
+    [
+        ([[0, 2**2001], [1, 0]], "vertex exponent 1001 is above 1000"),
+        ([[1, 2**1500], [0, -1]], "vertex exponent 1499 is above 1000"),
+    ],
+    ids=["thick-path", "thick-apartment"],
+)
+def test_shape_past_the_exponent_cap_exits_3(generator, message):
+    request = {"p": 2, "generators": [generator]}
+    err = run_json(["local", "classify"], request, expect=3, timeout=30)
+    assert err["error"] == "ResourceLimit" and message in err["message"]
+
+
+def test_shape_at_the_exponent_cap_answers():
+    request = {"p": 2, "generators": [[[1, 2**1000], [0, -1]]]}
+    shape = run_json(["local", "classify"], request, timeout=10)["shape"]
+    assert shape["kind"] == "thick_apartment" and shape["anchor"]["a"] == 999
+
+
 def test_long_eichler_path_answers_quickly():
     # a thick path's margin reads two distances, however long the path
     request = {"p": 2, "generators": [[[0, 2**400], [1, 0]], [[1, 0], [0, 0]]]}

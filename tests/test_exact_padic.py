@@ -18,17 +18,18 @@ from helpers import (
     random_matrix,
     trace,
 )
+from oracles import is_rational_square, reduce_mod_ppow
 from qlat.errors import SingularMatrix
 from qlat.exact_padic import (
     Mat2,
     commute,
+    int_valuation,
     is_local_square_rat,
     is_prime,
-    is_rational_square,
+    is_square_mod,
     legendre,
     module_hnf,
     module_intersect,
-    reduce_mod_ppow,
     smith_local,
     unit_part,
     valuation,
@@ -103,6 +104,22 @@ def test_is_rational_square():
     assert is_rational_square(Fraction(0))
     assert not is_rational_square(Fraction(-4, 9))
     assert not is_rational_square(Fraction(8, 9))
+
+
+def test_is_square_mod_matches_a_residue_search():
+    """n = p^v u with v even and u a square mod p^k, searched directly."""
+    for p in (2, 3, 5, 7):
+        for k in range(6):
+            mod = p**k
+            squares = {x * x % mod for x in range(mod)}
+            for n in range(-300, 301):
+                if n == 0:
+                    continue
+                v = int_valuation(n, p)
+                want = v % 2 == 0 and n // p**v % mod in squares
+                assert is_square_mod(n, p, k) == want, (n, p, k)
+    with pytest.raises(ZeroDivisionError):
+        is_square_mod(0, 3, 1)
 
 
 def test_is_local_square_rat():

@@ -7,7 +7,8 @@ from math import gcd, inf, prod
 
 import pytest
 
-from helpers import fe_conj, fe_inv, fe_pow, fundamental_discriminant, make_rng
+import oracles
+from helpers import fe, fe_conj, fe_inv, fe_pow, fundamental_discriminant, make_rng
 from qlat.branches import ThickPath, classify_single
 from qlat.errors import AlgebraNotSplit, EmbeddingInfeasible, SchemaError
 from qlat.exact_padic import Mat2, is_prime, is_squarefree
@@ -16,7 +17,6 @@ from qlat.global_classfield import (
     Genus,
     QuatAlgebra,
     _prime_discriminants,
-    fe,
     fe_is_square,
     fe_mul,
     fe_norm,
@@ -143,9 +143,12 @@ def test_hensel_sqrt_dyadic():
 
 def test_val_rational():
     pl = place(Q, "2")
-    assert val_at_place(Q, fe(Fraction(12), Fraction(0)), pl) == 2
-    assert val_at_place(Q, fe(Fraction(1, 2), Fraction(0)), pl) == -1
-    assert val_at_place(Q, fe(0, 0), pl) == inf
+    assert val_at_place(Q, (12, 0), pl) == 2
+    assert val_at_place(Q, (3, 0), pl) == 0
+    assert val_at_place(Q, (0, 0), pl) == inf
+    # below the entry points elements are integral; the Fraction oracle
+    # still reads 1/2
+    assert oracles.val_at_place(Q, fe(Fraction(1, 2), Fraction(0)), pl) == -1
 
 
 def test_val_split():
@@ -190,7 +193,7 @@ def test_val_is_multiplicative():
         fe(Fraction(2), Fraction(0)),
         fe(Fraction(0), Fraction(1)),
         fe(Fraction(7), Fraction(1)),
-        fe(Fraction(1, 3), Fraction(5)),
+        fe(Fraction(3), Fraction(45)),  # 9 (1/3 + 5 sqrt(10)), integral
     ]
     for key in ("2", "5", "7", "3.1", "3.2"):
         pl = place(K10, key)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from helpers import (
     make_rng,
     module_contains,
@@ -190,7 +191,10 @@ def test_three_maximal_orders_hand_instance():
 @pytest.mark.parametrize("p,radius", [(2, 3), (3, 2), (5, 2), (7, 1)])
 def test_first_tripod_realizes_every_shifted_eichler_order(p, radius):
     """The pinned tripod is certified for every ordered endpoint pair of a
-    ball and every shift r <= 3: no other triple is ever needed."""
+    ball and every shift r <= 3: no other triple is ever needed.  The
+    certificate's one intersection, with the Eichler order of the first two
+    vertices in closed form, agrees with the two intersections of the three
+    maximal orders."""
     vertices = sorted(ball(standard_vertex(p), radius))
     for v1 in vertices:
         for v2 in vertices:
@@ -198,6 +202,7 @@ def test_first_tripod_realizes_every_shifted_eichler_order(p, radius):
                 se = ShiftedEichler((v1, v2), distance(v1, v2), r)
                 a, b, c = three_maximal_orders(se)
                 assert distance(a, v1) == r and distance(b, v2) == r
+                assert oracles.three_maximal_intersection(a, b, c) == se.module()
 
 
 def test_failed_tripod_certificate_raises_a_qlat_error(monkeypatch):

@@ -92,6 +92,8 @@ from qlat.global_classfield import (
     RepField,
     _prime_discriminants,
     narrow_ray_class_group,
+    parse_place_key,
+    rep_field_comm_quadratic,
     rep_field_rank3,
     rep_field_rank4,
     spinor_class_field,
@@ -1440,3 +1442,123 @@ def test_square_class_rule_matches_per_place_bodies(p):
     for new, _ in predicates:
         with pytest.raises(ZeroDivisionError):
             new(field, (Fraction(0), Fraction(0)), field.places_over(p)[0])
+
+
+def _integral_elements(rng, p: int, rational: bool):
+    """Seeded integral x + y sqrt(m) with powers of p in both coordinates."""
+
+    def coord():
+        return rng.choice((-1, 1)) * rng.randrange(1, 60) * p ** rng.randrange(0, 6)
+
+    out = [(coord(), 0) for _ in range(3)]
+    if not rational:
+        out += [(0, coord()), (coord(), coord()), (coord(), coord())]
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_integral_valuation_matches_fraction_oracle(p):
+    """`val_at_place` on integers agrees with the Fraction body it replaced."""
+    rng = make_rng(1400 + p)
+    for field in SQUARE_CLASS_FIELDS:
+        for place in field.places_over(p):
+            for x, y in _integral_elements(rng, p, field.is_rational):
+                old = oracles.val_at_place(field, (Fraction(x), Fraction(y)), place)
+                assert global_classfield.val_at_place(field, (x, y), place) == old
+
+
+def test_fe_is_square_matches_fraction_oracle():
+    """On Q and every squarefree |m| <= 200: seeded squares (a + b sqrt(m))^2
+    / c^2, and non-squares from multiplying them by small rationals and by
+    sqrt(m), agree with the Fraction body, which takes square roots."""
+    rng = make_rng(1414)
+    seen = {True: 0, False: 0}
+    for field in SQUARE_CLASS_FIELDS:
+        m = 0 if field.is_rational else field.m
+        for _ in range(12):
+            a = Fraction(rng.randrange(-40, 41), rng.randrange(1, 30))
+            b = Fraction(0) if not m or rng.random() < 0.2 else Fraction(
+                rng.randrange(-40, 41), rng.randrange(1, 30)
+            )
+            if a == 0 and b == 0:
+                continue
+            square = (a * a + m * b * b, 2 * a * b)
+            q = Fraction(rng.choice((-1, 1)) * rng.randrange(1, 12))
+            q /= rng.randrange(1, 12)
+            cases = [square, (square[0] * q, square[1] * q)]
+            if m:
+                cases.append((m * square[1], square[0]))  # times sqrt(m)
+            for el in cases:
+                want = oracles.fe_is_square(field, el)
+                assert global_classfield.fe_is_square(field, el) == want, (field, el)
+                seen[want] += 1
+            assert global_classfield.fe_is_square(field, square)
+    assert min(seen.values()) > 1000
+
+
+def test_sign_at_real_matches_case_analysis():
+    """One comparison of |x| with |y| sqrt(m) gives the sign at each real
+    place, as the case analysis it replaced did, also where x^2 and m y^2
+    are one apart."""
+    rng = make_rng(1415)
+    for field in SQUARE_CLASS_FIELDS:
+        keys = field.real_place_keys()
+        m = 0 if field.is_rational else field.m
+        els = []
+        for _ in range(10):
+            x = Fraction(rng.randrange(-50, 51), rng.randrange(1, 9))
+            y = Fraction(rng.randrange(-50, 51), rng.randrange(1, 9)) if m else 0
+            els.append((x, Fraction(y)))
+        if m > 0:
+            for y in range(1, 20):
+                r = isqrt(m * y * y)
+                els += [(Fraction(s * x), Fraction(t * y)) for x in (r, r + 1)
+                        for s in (1, -1) for t in (1, -1)]
+        for el in els:
+            if el == (0, 0):
+                continue
+            for key in keys:
+                want = oracles.sign_at_real(field, el, key)
+                assert global_classfield.sign_at_real(field, el, key) == want
+
+
+def test_rep_field_builds_no_fraction_below_its_entry(monkeypatch):
+    """A commutative-quadratic rep-field request takes delta to its integral
+    representative on entry: every place test, the global square test and
+    the containment in sigma run on ints."""
+    k10, k5, k3 = (BaseField.quadratic(m) for m in (10, 5, 3))
+    half = Fraction(1, 2)
+    requests = []
+    for field, keys, delta in [
+        (BaseField.rationals(), ("2", "3", "7"), (Fraction(2, 9), Fraction(0))),
+        (BaseField.rationals(), ("2", "5"), (Fraction(-7, 4), Fraction(0))),
+        (k10, ("2", "3.1", "3.2", "5", "7"), (Fraction(2), Fraction(0))),
+        (k10, ("3.1", "13.2"), (Fraction(7, 3), Fraction(1, 6))),
+        (k5, ("2", "3", "5", "11.1"), (Fraction(9, 4), half)),
+        (k3, ("2", "3", "11.2"), (half, Fraction(3, 8))),
+    ]:
+        places = [parse_place_key(field, key) for key in keys]
+        level = {place: i % 3 for i, place in enumerate(places)}
+        shift = {place: i % 2 for i, place in enumerate(places)}
+        conductor = {place: 2 for place in places}
+        genus = Genus.of(level=level, shift=shift)
+        requests.append((QuatAlgebra.of(field), genus, delta, conductor))
+    # L = K(sqrt 2) lies in sigma, and 3.1 is inert in L and balanced
+    p31 = parse_place_key(k10, "3.1")
+    delta = (Fraction(2, 9), Fraction(0))
+    requests.append((QuatAlgebra.of(k10), Genus.of(), delta, {}))
+    requests.append((QuatAlgebra.of(k10), Genus.of(level={p31: 2}), delta, {p31: 1}))
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    degrees = [rep_field_comm_quadratic(*request).degree for request in requests]
+    monkeypatch.undo()
+    # The Fraction global layer (tests/oracles.py) made 960 here on Python
+    # 3.11: Fraction valuations, residues, norms and square roots.
+    assert len(made) == 0
+    assert degrees == [1, 1, 1, 1, 1, 1, 2, 2]
