@@ -137,6 +137,8 @@ def canonical_vertex(g, p: int) -> Vertex:
 
 def _capped_valuation(n: int, p: int, cap: int) -> int:
     """min(v_p(n), cap) for an integer n (cap for n = 0)."""
+    if p == 2:
+        return min(int_valuation(n, 2), cap)
     k = 0
     while k < cap and n % p == 0:
         n //= p

@@ -54,6 +54,8 @@ def int_valuation(n: int, p: int):
     """p-adic valuation of an integer; +infinity for zero."""
     if n == 0:
         return inf
+    if p == 2:
+        return (n & -n).bit_length() - 1
     v = 0
     while n % p == 0:
         n //= p

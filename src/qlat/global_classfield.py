@@ -13,7 +13,8 @@ Global arithmetic over Q and over quadratic fields Q(sqrt(m)):
   and forced split places), representation fields of suborder genera
   (commutative quadratic suborders with a conductor, rank-3 suborders,
   rank-4 Eichler-type suborders), and the resulting selectivity ratios,
-  with degrees read off the F_2 rank of genus characters.
+  with degrees read off the F_2 rank of genus characters, and K(sqrt(delta))
+  in the spinor class field read off the same characters.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, inf, isqrt, lcm, prod
+from math import inf, isqrt, lcm, prod
 
 from .errors import AlgebraNotSplit, EmbeddingInfeasible, SchemaError
 from .exact_padic import (
@@ -404,20 +405,27 @@ def _f2_rank(rows) -> int:
     return len(basis)
 
 
+def _genus_rows(ray: RayClassGroup, places) -> tuple[tuple[int, ...], list[int]]:
+    """The prime discriminants q_i of the field, and the genus characters at
+    the places' classes; a wide modulus adds the row of the norm -1 class,
+    bit i set when q_i < 0."""
+    qs = _prime_discriminants(ray.field.discriminant)
+    rows = [_genus_row(qs, place) for place in places]
+    if ray.wide:
+        rows.append(sum(1 << i for i, q in enumerate(qs) if q < 0))
+    return qs, rows
+
+
 def _genus_degree(ray: RayClassGroup, places) -> int:
     """Index in the ray class group of the squares and the places' classes.
 
     Genus theory maps the narrow class group onto the sum-zero rows of
     F_2^t with kernel the squares (Cox, *Primes of the form x^2 + ny^2*,
-    §§3, 6), so the index is 2^(t - 1 - rank); a wide modulus adds the row
-    of the norm -1 class, bit i set when q_i < 0.
+    §§3, 6), so the index is 2^(t - 1 - rank) over the rows of `_genus_rows`.
     """
     if ray.field.is_rational:
         return 1
-    qs = _prime_discriminants(ray.field.discriminant)
-    rows = [_genus_row(qs, place) for place in places]
-    if ray.wide:
-        rows.append(sum(1 << i for i, q in enumerate(qs) if q < 0))
+    qs, rows = _genus_rows(ray, places)
     return 2 ** (len(qs) - 1 - _f2_rank(rows))
 
 
@@ -551,39 +559,26 @@ def selectivity_ratio(rep: RepField) -> Fraction:
     return Fraction(1, rep.degree)
 
 
-def _quadratic_in_sigma(
-    field: BaseField, algebra: QuatAlgebra, sigma: SigmaField, delta: FE, dens
-) -> bool:
-    """Is K(sqrt(delta)) contained in the spinor class field?  delta is
-    integral: the given element times d^2, d = lcm of its denominators dens."""
-    # (a) unramified at every finite place.  Any place where the given
-    # element has a nonzero valuation divides its norm's numerator or
-    # denominator or a coordinate denominator, so this candidate set is
-    # exhaustive (dyadic places always included); d itself is not factored.
-    d = lcm(*dens)
-    if field.is_rational:
-        n, q = delta[0], d * d
-    else:
-        n, q = fe_norm(delta, field.m), d**4
-    g = gcd(n, q)
-    cand = {2, *prime_divisors(field.discriminant)}
-    for k in (n // g, q // g, *dens):
-        cand.update(prime_divisors(k))
-    for p in sorted(cand):
-        for place in field.places_over(p):
-            if not is_unramified_or_split(field, delta, place):
-                return False
-    # (b) split at every real place where the algebra is split.
-    for key in field.real_place_keys():
-        if key not in algebra.real and sign_at_real(field, delta, key) < 0:
-            return False
-    # (c) the forced classes must split in K(sqrt(delta)).  After (a) the
-    # extension is unramified at these places, so splitting is exactly the
-    # local square condition.
-    for place in sigma.forced:
-        if not is_local_square(field, delta, place):
-            return False
-    return True
+def _quadratic_in_sigma(sigma: SigmaField, delta: tuple[int, int]) -> bool:
+    """Is K(sqrt(delta)) in the spinor class field?  delta is integral and
+    not a square of K.
+
+    The quadratic extensions unramified at all finite places are the
+    K(sqrt(d_S)) in the genus field, d_S the product of the q_i over a
+    nonempty S (S and its complement give one field, D being a square of K).
+    One lies in sigma when S meets every row of `_genus_rows` evenly: each
+    forced place splits, and for a wide modulus d_S, of the sign of delta at
+    both real places, is positive.  Over Q there is none.
+    """
+    ray = sigma.ray
+    if ray.field.is_rational:
+        return False
+    qs, rows = _genus_rows(ray, sigma.forced)
+    for s in range(1, 2 ** (len(qs) - 1)):
+        d = prod(q for i, q in enumerate(qs) if s >> i & 1)
+        if fe_is_square(ray.field, (delta[0] * d, delta[1] * d)):
+            return all((row & s).bit_count() % 2 == 0 for row in rows)
+    return False
 
 
 def _map_at(entries: tuple[tuple[PrimeIdeal, int], ...], place: PrimeIdeal) -> int:
@@ -606,7 +601,6 @@ def rep_field_comm_quadratic(
         raise ValueError("delta must be nonzero")
     if field.is_rational and delta[1] != 0:
         raise ValueError("delta must be rational over Q")
-    dens = (delta[0].denominator, delta[1].denominator)
     delta = _integral(delta)
     cond = _normalize_ideal_map(conductor)
 
@@ -648,7 +642,7 @@ def rep_field_comm_quadratic(
     sigma = spinor_class_field(algebra, genus)
     if fe_is_square(field, delta):
         return RepField(1, sigma, ())  # L is not a field: K x K collapses
-    in_sigma = _quadratic_in_sigma(field, algebra, sigma, delta, dens)
+    in_sigma = _quadratic_in_sigma(sigma, delta)
     degree = 2 if in_sigma and not unbalanced else 1
     return RepField(degree, sigma, tuple(unbalanced))
 

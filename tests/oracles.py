@@ -65,12 +65,17 @@ The section after it keeps the local square and unramified tests of
 residue-field power, the dyadic unit and the dyadic square searches that
 the one square-class rule replaced.
 
-The last section keeps the `Fraction` global layer that the integral
+The section after it keeps the `Fraction` global layer that the integral
 representatives of `qlat.global_classfield` replaced: the valuation at a
 place, the split-place embedding that clears denominators, the global
 square test and the sign at a real place, with the Fraction residues
 modulo powers of p and the rational square test of `qlat.exact_padic`
 that only they and the routines above still called.
+
+The last section keeps the test of K(sqrt(delta)) in the spinor class field
+that the genus characters of `qlat.global_classfield` replaced: it factors
+the norm and the coordinate denominators of delta and tests every place
+above them, the real places and the forced places one by one.
 """
 
 from __future__ import annotations
@@ -81,7 +86,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import gcd, inf, isqrt
+from math import gcd, inf, isqrt, lcm
 
 from helpers import (
     apply,
@@ -117,6 +122,7 @@ from qlat.exact_padic import (
     commute,
     int_valuation,
     legendre,
+    prime_divisors,
     unit_part,
     valuation,
 )
@@ -2197,3 +2203,47 @@ def sign_at_real(field: BaseField, el: FE, key: str) -> int:
     if x > 0:  # y < 0: positive iff x outweighs
         return 1 if n > 0 else -1
     return 1 if n < 0 else -1
+
+
+# ---------------------------------------------------------------------------
+# Containment in the spinor class field, place by place
+#
+# `_quadratic_in_sigma` of `qlat.global_classfield` as it was before the
+# genus characters replaced it, verbatim.  `is_unramified_or_split`,
+# `is_local_square` and `sign_at_real` resolve to the per-place and case
+# analysis versions above, which the tests check against the package.
+
+
+def _quadratic_in_sigma(
+    field: BaseField, algebra: QuatAlgebra, sigma: SigmaField, delta: FE, dens
+) -> bool:
+    """Is K(sqrt(delta)) contained in the spinor class field?  delta is
+    integral: the given element times d^2, d = lcm of its denominators dens."""
+    # (a) unramified at every finite place.  Any place where the given
+    # element has a nonzero valuation divides its norm's numerator or
+    # denominator or a coordinate denominator, so this candidate set is
+    # exhaustive (dyadic places always included); d itself is not factored.
+    d = lcm(*dens)
+    if field.is_rational:
+        n, q = delta[0], d * d
+    else:
+        n, q = fe_norm(delta, field.m), d**4
+    g = gcd(n, q)
+    cand = {2, *prime_divisors(field.discriminant)}
+    for k in (n // g, q // g, *dens):
+        cand.update(prime_divisors(k))
+    for p in sorted(cand):
+        for place in field.places_over(p):
+            if not is_unramified_or_split(field, delta, place):
+                return False
+    # (b) split at every real place where the algebra is split.
+    for key in field.real_place_keys():
+        if key not in algebra.real and sign_at_real(field, delta, key) < 0:
+            return False
+    # (c) the forced classes must split in K(sqrt(delta)).  After (a) the
+    # extension is unramified at these places, so splitting is exactly the
+    # local square condition.
+    for place in sigma.forced:
+        if not is_local_square(field, delta, place):
+            return False
+    return True

@@ -348,29 +348,42 @@ FACTOR_CAP_REQUESTS = [
         ["global", "sigma"],
         {"field": {"kind": "Q"}, "algebra": {"ramified": [str(P18)]}, "genus": {}},
     ),
-    (
-        ["global", "rep-field"],
-        {
-            "field": {"kind": "Q"},
-            "algebra": {},
-            "genus": {},
-            "suborder": {
-                "kind": "commutative-quadratic",
-                "delta": P18 * (10**18 + 31),
-            },
-        },
-    ),
 ]
 
 
 @pytest.mark.parametrize(
     "args,request_doc",
     FACTOR_CAP_REQUESTS,
-    ids=["classify-p", "sigma-field", "sigma-ramified-place", "rep-field-delta"],
+    ids=["classify-p", "sigma-field", "sigma-ramified-place"],
 )
 def test_factor_cap_exits_3(args, request_doc):
     err = run_json(args, request_doc, expect=3, timeout=5)
     assert err["error"] == "ResourceLimit"
+
+
+# delta is never factored: K(sqrt(delta)) in sigma is read off the genus
+# characters of the field, so a delta whose norm or denominators have prime
+# factors past the factorizer's cap still answers.
+@pytest.mark.parametrize(
+    "field,delta,sigma_degree",
+    [
+        ({"kind": "Q"}, P18 * (10**18 + 31), 1),
+        ({"kind": "quadratic", "d": 10}, "1/10000019", 2),
+    ],
+    ids=["rep-field-delta", "rep-field-delta-denominator"],
+)
+def test_rep_field_delta_past_the_factor_cap_answers(field, delta, sigma_degree):
+    request_doc = {
+        "field": field,
+        "algebra": {},
+        "genus": {},
+        "suborder": {"kind": "commutative-quadratic", "delta": delta},
+    }
+    proc = run(["global", "rep-field"], request_doc, timeout=5)
+    assert proc.stdout.decode() == (
+        '{"forced_split":[],"ratio":"1","rep_field_degree":1,'
+        f'"sigma_degree":{sigma_degree},"strict_places":[]}}\n'
+    )
 
 
 # Each ball is far past the vertex budget, and its size p^radius far past

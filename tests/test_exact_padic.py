@@ -19,6 +19,7 @@ from helpers import (
     trace,
 )
 from oracles import is_rational_square, reduce_mod_ppow
+from qlat.bt_tree import _capped_valuation
 from qlat.errors import SingularMatrix
 from qlat.exact_padic import (
     Mat2,
@@ -58,6 +59,34 @@ def test_valuation_additive_in_products():
             continue
         assert valuation(x * y, p) == valuation(x, p) + valuation(y, p)
         assert valuation(x + y, p) >= min(valuation(x, p), valuation(y, p))
+
+
+def _valuation_by_division(n: int, p: int, cap=inf):
+    """min(v_p(n), cap) by repeated division, as odd p still takes it."""
+    if n == 0:
+        return cap
+    v = 0
+    while v < cap and n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def test_dyadic_valuations_read_the_lowest_set_bit():
+    """At p = 2, `int_valuation` and `bt_tree._capped_valuation` read the
+    lowest set bit; on +-2^k u (u odd, k <= 3000) and on 0 they agree with
+    repeated division."""
+    rng = make_rng(102)
+    assert int_valuation(0, 2) == inf
+    for cap in (0, 1, 5, 3001):
+        assert _capped_valuation(0, 2, cap) == cap
+    for k in [*range(70), 999, 1000, 1001, 2001, 2999, 3000]:
+        for u in (1, 3, rng.randrange(1, 2**64, 2), rng.randrange(1, 2**4000, 2)):
+            for n in (u << k, -(u << k)):
+                assert int_valuation(n, 2) == _valuation_by_division(n, 2) == k
+                for cap in (0, k // 2, k, k + 1, 3001):
+                    want = _valuation_by_division(n, 2, cap)
+                    assert _capped_valuation(n, 2, cap) == want == min(k, cap)
 
 
 def test_unit_part():

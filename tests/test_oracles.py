@@ -16,7 +16,7 @@ import itertools
 import pickle
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from sympy import factorint
@@ -1562,3 +1562,65 @@ def test_rep_field_builds_no_fraction_below_its_entry(monkeypatch):
     # 3.11: Fraction valuations, residues, norms and square roots.
     assert len(made) == 0
     assert degrees == [1, 1, 1, 1, 1, 1, 2, 2]
+
+
+def _sigma_cases(rng, field):
+    """Seeded (algebra, genus) pairs over the field: split everywhere, or
+    ramified at two places among the real ones and those over 3 and 5, with
+    levels 0..3 at places over p <= 13, so some are forced (odd level)."""
+    finite = [place for p in (2, 3, 5, 7, 11, 13) for place in field.places_over(p)]
+    ramifiable = [place for place in finite if place.p in (3, 5)]
+    ramifiable += list(field.real_place_keys())
+    out = []
+    for _ in range(3):
+        ram = rng.sample(ramifiable, 2) if rng.random() < 0.4 else []
+        fin = [x for x in ram if not isinstance(x, str)]
+        algebra = QuatAlgebra.of(field, fin, [x for x in ram if isinstance(x, str)])
+        free = [place for place in finite if place not in fin]
+        level = {place: rng.randrange(4) for place in rng.sample(free, 2)}
+        out.append((algebra, Genus.of(level=level)))
+    return out
+
+
+def _genus_field_deltas(rng, field):
+    """Seeded delta = d_S (a + b sqrt(m))^2 / c for c a square or not, with
+    d_S the product of a random subset S of the prime discriminants, also
+    times -1, 3 or sqrt(m), and a few random elements."""
+    m = 0 if field.is_rational else field.m
+    qs = _prime_discriminants(field.discriminant) if m else ()
+
+    def coord():
+        return Fraction(rng.randrange(-8, 9), rng.randrange(1, 6))
+
+    out = []
+    for _ in range(6):
+        a, b = coord(), coord() if m else Fraction(0)
+        d = prod(q for q in qs if rng.random() < 0.5)
+        c = rng.choice((1, 4, 9, rng.randrange(1, 10)))
+        x, y = (a * a + m * b * b) * d / c, 2 * a * b * d / c
+        out.append((x, y))
+        twist = rng.choice((-1, 3, 0))
+        out.append((m * y, x) if twist == 0 and m else (twist * x, twist * y))
+    out += [(coord(), coord() if m else Fraction(0)) for _ in range(2)]
+    return [el for el in out if el[0] or el[1]]
+
+
+def test_quadratic_in_sigma_matches_place_by_place_oracle():
+    """The genus-character test of K(sqrt(delta)) in sigma agrees with the
+    place-by-place test it replaced on Q and every squarefree |m| <= 200,
+    over seeded algebras, levels and delta = d_S times squares."""
+    rng = make_rng(1500)
+    seen = {True: 0, False: 0}
+    for field in SQUARE_CLASS_FIELDS:
+        for algebra, genus in _sigma_cases(rng, field):
+            sigma = spinor_class_field(algebra, genus)
+            for delta in _genus_field_deltas(rng, field):
+                el = global_classfield._integral(delta)
+                if global_classfield.fe_is_square(field, el):
+                    continue
+                dens = (delta[0].denominator, delta[1].denominator)
+                want = oracles._quadratic_in_sigma(field, algebra, sigma, el, dens)
+                got = global_classfield._quadratic_in_sigma(sigma, el)
+                assert got == want, (field, algebra, genus, delta)
+                seen[want] += 1
+    assert seen[True] >= 500 and seen[False] >= 500, seen

@@ -138,14 +138,19 @@ REQUESTS = [
         {"p": 3, "generators": [[[0, 9], [18, 0]]], "level": 2, "shift": 1},
         {"spinor_image"},
     ),
-    # delta = 2 is a square at 7 (3^2 = 2 mod 7), the place of odd level
+    # delta = 2 is not a square at 5, the conductor's place, and 5 is
+    # unramified in Q(sqrt 2): one local square and one unramified test
     (
         ["global", "rep-field"],
         {
             "field": {"kind": "Q"},
             "algebra": {},
-            "genus": {"level": {"7": 1}},
-            "suborder": {"kind": "commutative-quadratic", "delta": 2},
+            "genus": {},
+            "suborder": {
+                "kind": "commutative-quadratic",
+                "delta": 2,
+                "conductor": {"5": 1},
+            },
         },
         {"is_local_square", "is_unramified_or_split"},
     ),
