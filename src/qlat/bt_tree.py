@@ -48,7 +48,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ResourceLimit, SchemaError, SingularMatrix
-from .exact_padic import Mat2, int_valuation
+from .exact_padic import Mat2, int_valuation, valuation_by_squares
 
 DEFAULT_MAX_VERTICES = 200_000
 MAX_SIZE_BITS = 1 << 16  # ball sizes surely past 2^65536 are never formed
@@ -137,10 +137,12 @@ def canonical_vertex(g, p: int) -> Vertex:
 
 def _capped_valuation(n: int, p: int, cap: int) -> int:
     """min(v_p(n), cap) for an integer n (cap for n = 0)."""
-    if p == 2:
-        return min(int_valuation(n, 2), cap)
+    if p == 2 or n == 0:
+        return min(int_valuation(n, p), cap)
     k = 0
     while k < cap and n % p == 0:
+        if k == 32:  # a large valuation: O(log v) divisions from here
+            return min(k + valuation_by_squares(n, p), cap)
         n //= p
         k += 1
     return k

@@ -19,6 +19,9 @@ canonical order, and no floating point is ever emitted.  Exit codes:
 0 success, 2 malformed request, 3 resource limit, 4 mathematical
 infeasibility.  Diagnostics go to stderr as a single JSON object.
 
+An argv of two bare words naming a subcommand is read by a table lookup;
+any other argv (an option, help, a usage error) is handled by argparse.
+
 JSON conventions
 ----------------
 - rational: an integer, or a string ``"a/b"`` (or ``"a"``); never a float.
@@ -39,12 +42,12 @@ variable.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
 from functools import cache
 from math import inf
+from types import SimpleNamespace
 
 from .branches import branch_of_order, enumerate_branch
 from .bt_tree import (
@@ -459,7 +462,11 @@ _HELP = {
 
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of the whole grammar, built on the first argv
+    that is not two bare words naming a subcommand."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="qlat",
         description="exact lattice-class engines: JSON in, JSON out",
@@ -538,7 +545,14 @@ def _write_error(exc: QlatError) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    if len(argv) == 2 and tuple(argv) in _HANDLERS:
+        # The bare two-word argv, every request the bench pools send.
+        args = SimpleNamespace(domain=argv[0], op=argv[1], infile=None,
+                               outfile=None, pretty=False, dot=None)
+    else:
+        args = build_parser().parse_args(argv)
     # Looked up per call, not kept in the cached parser: a handler rebound
     # in _HANDLERS (by a tracer, say) is the one that runs.
     handler = _HANDLERS[args.domain, args.op]

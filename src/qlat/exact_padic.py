@@ -58,8 +58,26 @@ def int_valuation(n: int, p: int):
         return (n & -n).bit_length() - 1
     v = 0
     while n % p == 0:
+        if v == 32:  # below about 32, one division at a time is cheaper
+            return v + valuation_by_squares(n, p)
         n //= p
         v += 1
+    return v
+
+
+def valuation_by_squares(n: int, p: int) -> int:
+    """v_p(n) for n != 0, dividing by p, p^2, p^4, ... while they divide and
+    then by the same powers in falling order: O(log v) divisions, not v."""
+    powers, q, v = [], p, 0
+    while n % q == 0:
+        n //= q
+        v += 1 << len(powers)
+        powers.append(q)
+        q *= q
+    for k in reversed(range(len(powers))):
+        if n % powers[k] == 0:
+            n //= powers[k]
+            v += 1 << k
     return v
 
 

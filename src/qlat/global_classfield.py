@@ -167,15 +167,14 @@ def hensel_sqrt(m: int, p: int, prec: int) -> int:
     if p == 2:
         if m % 8 != 1:
             raise ValueError("dyadic square root requires m = 1 mod 8")
-        # refine one step past prec: the adjustment at stage k touches bit
-        # k - 1, so stopping at k = prec would leave bit prec - 1 unsettled
-        # and truncations would disagree with higher-precision calls
-        r, k = 1, 3
-        while k <= prec:
-            if (r * r - m) % (1 << (k + 1)):
-                r += 1 << (k - 1)
-            k += 1
-        return r % (1 << prec)
+        # Newton steps r -> (r^2 + m) / (2r): if r = s mod 2^k for the root
+        # s = 1 mod 4, the step gives s mod 2^(2k - 1); r^2 + m is even.
+        r, k = 1, 2
+        while k < prec:
+            k = min(2 * k - 1, prec)
+            mod = 1 << k
+            r = ((r * r + m) >> 1) * pow(r, -1, mod) % mod
+        return r
     r0 = sqrt_mod(m % p, p)
     if r0 is None or r0 == 0:
         raise ValueError(f"{m} is not a unit square modulo {p}")

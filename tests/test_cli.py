@@ -386,6 +386,36 @@ def test_rep_field_delta_past_the_factor_cap_answers(field, delta, sigma_degree)
     )
 
 
+# A valuation of v costs O(log v) big divisions at odd p, and the dyadic
+# square root of a split place lifts by Newton steps, so an entry or a delta
+# with a valuation in the thousands answers well inside the timeout.
+def test_local_classify_odd_valuation_in_the_thousands():
+    request_doc = {"p": 3, "generators": [[[0, 3**1999], [1, 0]]]}
+    proc = run(["local", "classify"], request_doc, timeout=5)
+    assert proc.stdout.decode() == (
+        '{"p":3,"rank":2,"shape":{"kind":"thick_path","level":1,"p":3,'
+        '"path":[{"a":999,"b":0,"c":0},{"a":1000,"b":0,"c":0}],"thickness":999}}\n'
+    )
+
+
+def test_rep_field_dyadic_valuation_in_the_thousands():
+    request_doc = {
+        "field": {"kind": "quadratic", "d": 17},
+        "algebra": {},
+        "genus": {},
+        "suborder": {
+            "kind": "commutative-quadratic",
+            "delta": 3 * 2**6000,
+            "conductor": {"2.1": 1},
+        },
+    }
+    proc = run(["global", "rep-field"], request_doc, timeout=5)
+    assert proc.stdout.decode() == (
+        '{"forced_split":[],"ratio":"1","rep_field_degree":1,'
+        '"sigma_degree":1,"strict_places":[]}\n'
+    )
+
+
 # Each ball is far past the vertex budget, and its size p^radius far past
 # what Python prints (or computes in reasonable time): refused unformed.
 HUGE_BALL_REQUESTS = [
@@ -750,8 +780,8 @@ def test_no_qlat_class_is_a_dataclass():
     assert [cls for cls in classes if dataclasses.is_dataclass(cls)] == []
 
 
-def _imports_dataclasses(statement: str) -> bool:
-    code = f"import sys; {statement}; print('dataclasses' in sys.modules)"
+def _imports(module: str, statement: str) -> bool:
+    code = f"import sys; {statement}; print({module!r} in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, timeout=30, check=True
     )
@@ -759,9 +789,23 @@ def _imports_dataclasses(statement: str) -> bool:
 
 
 def test_import_leaves_dataclasses_unloaded():
-    if _imports_dataclasses("pass"):
+    if _imports("dataclasses", "pass"):
         pytest.skip("this interpreter imports dataclasses at start-up")
-    assert not _imports_dataclasses("import qlat.cli")
+    assert not _imports("dataclasses", "import qlat.cli")
+
+
+def test_import_leaves_argparse_unloaded_until_help():
+    # A bare two-word argv is read without argparse, which is imported
+    # only for an argv with an option, help or a usage error.
+    for module in ("argparse", "gettext"):
+        if _imports(module, "pass"):
+            pytest.skip(f"this interpreter imports {module} at start-up")
+        assert not _imports(module, "import qlat.cli"), module
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlat", "--help"], capture_output=True, timeout=30
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.decode().startswith("usage: qlat [-h] {local,tree,global} ...\n")
 
 
 # ---------------------------------------------------------------------------

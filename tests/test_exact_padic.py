@@ -34,6 +34,7 @@ from qlat.exact_padic import (
     smith_local,
     unit_part,
     valuation,
+    valuation_by_squares,
 )
 
 
@@ -62,7 +63,7 @@ def test_valuation_additive_in_products():
 
 
 def _valuation_by_division(n: int, p: int, cap=inf):
-    """min(v_p(n), cap) by repeated division, as odd p still takes it."""
+    """min(v_p(n), cap) by repeated division, the loop both valuations ran."""
     if n == 0:
         return cap
     v = 0
@@ -87,6 +88,29 @@ def test_dyadic_valuations_read_the_lowest_set_bit():
                 for cap in (0, k // 2, k, k + 1, 3001):
                     want = _valuation_by_division(n, 2, cap)
                     assert _capped_valuation(n, 2, cap) == want == min(k, cap)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_odd_valuations_divide_by_squared_powers(p):
+    """At odd p, `int_valuation` and `bt_tree._capped_valuation` divide by
+    p up to 32 times, then by p, p^2, p^4, ... and back down; on +-p^k u
+    (u prime to p, k <= 3000) and on 0 they, and `valuation_by_squares` on
+    its own, agree with repeated division."""
+    rng = make_rng(103 + p)
+    assert int_valuation(0, p) == inf
+    for cap in (0, 1, 5, 3001):
+        assert _capped_valuation(0, p, cap) == cap
+    ks = [*range(40), 63, 64, 65, 127, 128, 999, 1000, 1001, 2047, 2048, 2999, 3000]
+    ks += rng.sample(range(40, 3000), 8)
+    for k in ks:
+        pk = p**k
+        for u in (1, p - 1, p + 1, rng.randrange(1, 2**64), rng.randrange(1, 2**1000)):
+            u += u % p == 0
+            assert _valuation_by_division(pk * u, p) == k
+            for n in (pk * u, -pk * u):
+                assert int_valuation(n, p) == valuation_by_squares(n, p) == k
+                for cap in (0, k // 2, k, k + 1, 3001):
+                    assert _capped_valuation(n, p, cap) == min(k, cap)
 
 
 def test_unit_part():

@@ -9,7 +9,10 @@ class-group closure on genera, the capped factorizer on integers, the
 branch-based residue-field test on seeded and structured orders, the
 tuple-backed vertex against the frozen dataclass on whole balls, and the
 one square-class rule against the per-place local square and unramified
-tests on every field Q(sqrt m), |m| <= 200, at every place over p <= 13."""
+tests on every field Q(sqrt m), |m| <= 200, at every place over p <= 13,
+and the Newton-step dyadic square root against the bit-by-bit lift at
+every precision up to 2,048 bits.  The in-process argv differential of
+`qlat.cli.main` against its argparse-only oracle is `test_cli_argv.py`."""
 
 import copy
 import itertools
@@ -91,6 +94,7 @@ from qlat.global_classfield import (
     QuatAlgebra,
     RepField,
     _prime_discriminants,
+    hensel_sqrt,
     narrow_ray_class_group,
     parse_place_key,
     rep_field_comm_quadratic,
@@ -1624,3 +1628,23 @@ def test_quadratic_in_sigma_matches_place_by_place_oracle():
                 assert got == want, (field, algebra, genus, delta)
                 seen[want] += 1
     assert seen[True] >= 500 and seen[False] >= 500, seen
+
+
+def test_dyadic_hensel_sqrt_matches_bitwise_lift():
+    """Newton steps give the bit-by-bit root at every precision up to
+    2,048 bits, for seeded m = 1 mod 8 of both signs and sizes: the root
+    = 1 mod 4, so every truncation is that of one 2-adic root."""
+    rng = make_rng(1600)
+    ms = [1, -7, 2**64 + 1]
+    ms += [8 * rng.randrange(-(10**6), 10**6) + 1 for _ in range(2)]
+    ms.append(8 * rng.randrange(2**400) + 1)
+    top = 2048
+    for m in ms:
+        root = oracles.bitwise_hensel_sqrt(m, 2, top)
+        for prec in range(top + 1):
+            assert hensel_sqrt(m, 2, prec) == root % 2 ** max(prec, 1), (m, prec)
+        for prec in (*range(12), 64, 65, 1000, 1001):
+            assert hensel_sqrt(m, 2, prec) == oracles.bitwise_hensel_sqrt(m, 2, prec)
+    for m, p in ((10, 3), (2, 7), (-1, 5), (5, 101)):
+        for prec in range(40):
+            assert hensel_sqrt(m, p, prec) == oracles.bitwise_hensel_sqrt(m, p, prec)
