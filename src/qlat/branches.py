@@ -28,18 +28,21 @@ form; only the pair rules of `intersect_shapes` match on two kinds.
 
 Thick rays use the same Busemann function: the distance from v to the ray
 from base toward z is (d(v, base) + beta_z(v) - beta_z(base)) / 2, so no
-membership test walks along a ray.  The margin ascent that finds the summit
-of a single matrix reads its direction off the residue mod p: a neighbor can
-keep or raise the margin only along an eigenline of that residue, so each
-step looks at two neighbors at most, whatever p is.
+membership test walks along a ray.
 
-Intersections of these shapes are computed exactly: margins are concave and
-1-Lipschitz, so a bounded intersection is the lower level set of its summit
-plateau (a path), and shapes sharing one boundary line resolve to a
-`ThickRay`.  Every neighbor scan of the engine is charged to the vertex
-budget, so a large p exits with BudgetExceeded instead of hanging.  The
-branch of a whole order is the fold of intersections over its basis;
-deepening by r erodes every margin by r.
+Margins are concave and 1-Lipschitz, so every walk here is one of two:
+`_climb` steps to the least candidate neighbor that raises a margin until
+none does, and `_level_walk` follows a level set of a margin without
+stepping back.  Classifying a single matrix climbs along the eigenlines of
+its residue mod p (a neighbor can keep or raise the margin only there, so
+each step looks at two neighbors at most, whatever p is); enumeration
+climbs to its first member; and intersection climbs min of two margins to
+its summit, then walks the summit plateau, a path, to both sides for a
+bounded intersection, or the level t* away from a shared boundary line to
+the base of a `ThickRay`.  Every neighbor scan of the intersection engine
+is charged to the vertex budget, so a large p exits with BudgetExceeded
+instead of hanging.  The branch of a whole order is the fold of
+intersections over its basis; deepening by r erodes every margin by r.
 """
 
 from __future__ import annotations
@@ -386,6 +389,45 @@ def canonical_fan(p: int, end: End, slack_at) -> Fan:
 
 
 # ---------------------------------------------------------------------------
+# Walks on a concave margin
+#
+# sigma is concave and 1-Lipschitz on the tree (Serre, Trees, ch. II.1), so
+# greedy ascent reaches its summit and a level set at the summit is a path.
+# `steps(v, m)` gives the candidate neighbors of v at margin m in canonical
+# order: all p + 1 of them, or only those that can keep or raise the margin.
+
+
+def _climb(sigma, steps, v: Vertex, ceiling) -> tuple[Vertex, int]:
+    """Greedy ascent from v: (summit, margin).  Each step moves to the least
+    candidate that raises sigma, until none does or sigma reaches ceiling."""
+    m = sigma(v)
+    while m < ceiling:
+        up = next(((n, k) for n in steps(v, m) if (k := sigma(n)) > m), None)
+        if up is None:
+            break
+        v, m = up
+    return v, m
+
+
+def _level_walk(sigma, steps, v: Vertex, level, back, shapes, most=inf):
+    """The walk along {sigma == level} from v that never steps back to the
+    vertex it came from (`back` at v): [v, ...] up to the vertex with no way
+    on.  A second way on (the level set is not a path) or a walk past `most`
+    steps raises InfiniteUnsupported for the two intersected shapes."""
+    walk = [v]
+    while True:
+        on = [n for n in steps(v, level) if n != back and sigma(n) == level]
+        if not on:
+            return walk
+        if len(on) > 1:
+            raise InfiniteUnsupported(*shapes, "level set is not a path")
+        back, v = v, on[0]
+        walk.append(v)
+        if len(walk) > most + 1:
+            raise InfiniteUnsupported(*shapes, "level walk failed to end")
+
+
+# ---------------------------------------------------------------------------
 # Classification of a single matrix
 
 
@@ -426,21 +468,7 @@ def _level_neighbors(a, v: Vertex, m: int) -> list[Vertex]:
         else:
             s, t = r11 - lam, -r10
         out.append(child(v, s * pow(t, -1, p) % p) if t % p else parent(v))
-    return out
-
-
-def _climb(a, start: Vertex, ceiling=None) -> tuple[Vertex, int]:
-    """Greedy margin ascent of a from start: (summit, margin)."""
-    cur = start
-    m = mu_margin(a, cur)
-    while ceiling is None or m < ceiling:
-        better = [n for n in _level_neighbors(a, cur, m) if mu_margin(a, n) > m]
-        if not better:
-            break
-        cur = min(better)
-        m += 1
-        assert mu_margin(a, cur) == m
-    return cur, m
+    return sorted(out)
 
 
 def _refuse_past_cap(vertices) -> None:
@@ -518,14 +546,18 @@ def classify_single(a, p: int) -> Shape:
             _refuse_past_cap([anchor])
             assert mu_margin(a, anchor) == t
             return ThickApartment(p, ends, t, a, t, anchor)
-        anchor, reached = _climb(a, _stable_start(a, p), ceiling=t)
-        assert reached == t
-        _refuse_past_cap([anchor])
-        return ThickApartment(p, None, t, a, t, anchor)
 
-    # Field case: the margin summit is a single vertex or a single edge.
-    summit, reached = _climb(a, _stable_start(a, p), ceiling=t)
+    summit, reached = _climb(
+        lambda v: mu_margin(a, v),
+        lambda v, m: _level_neighbors(a, v, m),
+        _stable_start(a, p),
+        t,
+    )
     assert reached == t
+    if split:  # irrational eigenvalues: the witness carries the axis
+        _refuse_past_cap([summit])
+        return ThickApartment(p, None, t, a, t, summit)
+    # Field case: the margin summit is a single vertex or a single edge.
     stem = [summit] + [
         n for n in _level_neighbors(a, summit, t) if mu_margin(a, n) == t
     ]
@@ -540,11 +572,12 @@ def classify_single(a, p: int) -> Shape:
 
 def _neighbor_scanner(max_vertices=None):
     """`neighbors`, charging each scan's p+1 vertices to the vertex budget;
-    a scan that would pass the budget raises BudgetExceeded instead."""
+    a scan that would pass the budget raises BudgetExceeded instead.  As the
+    steps of a walk it ignores the margin: every neighbor is a candidate."""
     budget = vertex_budget(max_vertices)
     spent = 0
 
-    def scan(v: Vertex) -> tuple[Vertex, ...]:
+    def scan(v: Vertex, level=None) -> tuple[Vertex, ...]:
         nonlocal spent
         spent += v.p + 1
         if spent > budget:
@@ -566,10 +599,9 @@ def _resolve_shared_end(s1: Shape, s2: Shape, end: End, max_vertices=None) -> Sh
 
     Asymptotically toward the shared line the joint margin stabilizes at
     t* = min of the non-horoball thicknesses; the result is the thick ray of
-    thickness t* based at the farthest-back spine vertex still attaining t*.
+    thickness t* based where the level walk at t* away from the line ends.
     """
     t_star = min(s.t for s in (s1, s2) if not isinstance(s, Fan))
-    scan = _neighbor_scanner(max_vertices)
 
     def sigma(v: Vertex):
         return min(shape_margin(s1, v), shape_margin(s2, v))
@@ -580,17 +612,10 @@ def _resolve_shared_end(s1: Shape, s2: Shape, end: End, max_vertices=None) -> Sh
         cur = walk_toward_end(cur, end, far)
         if sigma(cur) != t_star:
             raise InfiniteUnsupported(s1, s2, "shared-line margin failed to settle")
-    steps = 0
-    while True:
-        toward = step_toward_end(cur, end)
-        back = [n for n in scan(cur) if n != toward and sigma(n) == t_star]
-        if not back:
-            break
-        cur = min(back)
-        steps += 1
-        if steps > 2 * far + 8:
-            raise InfiniteUnsupported(s1, s2, "shared-line spine failed to terminate")
-    return ThickRay(cur, end, t_star)
+    scan = _neighbor_scanner(max_vertices)
+    toward = step_toward_end(cur, end)
+    spine = _level_walk(sigma, scan, cur, t_star, toward, (s1, s2), 2 * far + 8)
+    return ThickRay(spine[-1], end, t_star)
 
 
 def _bounded_intersection(s1: Shape, s2: Shape, max_vertices=None) -> Shape:
@@ -600,53 +625,26 @@ def _bounded_intersection(s1: Shape, s2: Shape, max_vertices=None) -> Shape:
     1-Lipschitz, so (a) greedy ascent reaches the global summit, and (b) the
     distance from any vertex to the summit plateau is exactly the margin
     drop, which makes the intersection the thick path around the plateau.
+    The plateau is walked from the summit to both sides.
     """
     scan = _neighbor_scanner(max_vertices)
 
     def sigma(v: Vertex):
         return min(shape_margin(s1, v), shape_margin(s2, v))
 
-    cap = _reach(s1, s2) + 64
-    cur = s1.anchor
-    val = sigma(cur)
-    steps = 0
-    while True:
-        better = [n for n in scan(cur) if sigma(n) > val]
-        if not better:
-            break
-        cur = min(better)
-        val += 1
-        assert sigma(cur) == val
-        steps += 1
-        if steps > cap:
-            raise InfiniteUnsupported(s1, s2, "margin ascent failed to terminate")
+    ceiling = sigma(s1.anchor) + _reach(s1, s2) + 65
+    summit, val = _climb(sigma, scan, s1.anchor, ceiling)
+    if val >= ceiling:
+        raise InfiniteUnsupported(s1, s2, "margin ascent failed to terminate")
     if val < 0:
         return Empty(s1.p)
-
-    plateau = {cur}
-    frontier = [cur]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for n in scan(u):
-                if n not in plateau and sigma(n) == val:
-                    plateau.add(n)
-                    nxt.append(n)
-        frontier = nxt
-
-    if len(plateau) == 1:
-        return ThickPath((cur,), val)
-    deg = {u: sum(1 for n in scan(u) if n in plateau) for u in plateau}
-    tips = sorted(u for u, k in deg.items() if k == 1)
-    if any(k > 2 for k in deg.values()) or len(tips) != 2:
+    sides = [n for n in scan(summit) if sigma(n) == val]
+    if len(sides) > 2:
         raise InfiniteUnsupported(s1, s2, "summit plateau is not a path")
-    path = [tips[0]]
-    prev = None
-    while path[-1] != tips[1]:
-        nxt = next(n for n in scan(path[-1]) if n in plateau and n != prev)
-        prev = path[-1]
-        path.append(nxt)
-    return ThickPath(tuple(path), val)
+    path = (summit,)
+    for n in sides:  # extend the far end by one side, then turn the path round
+        path = (*path, *_level_walk(sigma, scan, n, val, summit, (s1, s2)))[::-1]
+    return ThickPath(path, val)
 
 
 def intersect_shapes(s1: Shape, s2: Shape, max_vertices=None) -> Shape:
@@ -729,8 +727,8 @@ def enumerate_branch(
     {mu(b, .) >= r} is a subtree whose distance from v outside it is
     r - mu(b, v), and on a tree the distance to an intersection of subtrees
     is the largest distance to one of them.  So sigma(center) is minus the
-    distance to the branch, each greedy step raises it by exactly 1, and a
-    branch within `radius` is met in at most `radius` steps.  An order of
+    distance to the branch: below -radius the branch misses the ball, and
+    otherwise the climb to 0 meets it in at most `radius` steps.  An order of
     scalars only has a full (or empty) branch and keeps the ball filter.
     The basis is the integer `Mat2`s of the order's module rows.
     """
@@ -751,15 +749,10 @@ def enumerate_branch(
     def sigma(v: Vertex):
         return min(mu_margin(b, v) for b in margins) - r
 
-    seed, s = center, sigma(center)
-    for _ in range(radius):
-        if s >= 0:
-            break
-        seed = next((n for n in iter_neighbors(seed) if sigma(n) > s), None)
-        if seed is None:  # a summit below 0: the branch is empty
-            return frozenset()
-        s += 1
-    if s < 0:
+    if sigma(center) < -radius:  # the branch is farther than radius
+        return frozenset()
+    seed, s = _climb(sigma, lambda v, m: iter_neighbors(v), center, 0)
+    if s < 0:  # a summit below 0: the branch is empty
         return frozenset()
     if not member(seed):  # sigma >= 0 certifies membership; stay exact anyway
         return filtered()

@@ -60,13 +60,11 @@ from .bt_tree import (
     standard_vertex,
 )
 from .errors import (
-    EXIT_OK,
     EmptyShape,
     QlatError,
     ResourceLimit,
     SchemaError,
     UnsupportedField,
-    exit_code_for,
 )
 from .exact_padic import Mat2, is_prime
 from .global_classfield import (
@@ -561,8 +559,8 @@ def main(argv=None) -> int:
         _write_response(response, args)
     except QlatError as exc:
         _write_error(exc)
-        return exit_code_for(exc)
-    return EXIT_OK
+        return exc.exit_code
+    return 0
 
 
 if __name__ == "__main__":

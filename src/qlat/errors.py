@@ -1,8 +1,9 @@
 """Exception taxonomy for qlat.
 
-Every failure mode that callers are expected to handle gets its own class.
-The CLI maps these onto process exit codes: schema problems exit 2,
-resource/engine limits exit 3, mathematical infeasibility exits 4.
+Every failure mode that callers are expected to handle gets its own class,
+and each class carries the CLI's process exit code as `exit_code`: schema
+problems exit 2, resource/engine limits exit 3, mathematical infeasibility
+exits 4.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 class QlatError(Exception):
     """Base class for all qlat-specific errors."""
 
+    exit_code = 4
+
 
 # ---------------------------------------------------------------------------
 # Input / schema problems (CLI exit 2)
@@ -18,6 +21,8 @@ class QlatError(Exception):
 
 class SchemaError(QlatError):
     """Malformed request document (bad JSON shape, missing/extra keys)."""
+
+    exit_code = 2
 
     def __init__(self, path: str, message: str):
         self.path = path
@@ -35,6 +40,8 @@ class ResourceLimit(QlatError):
     ``path`` points into the request when one field alone is over its cap.
     """
 
+    exit_code = 3
+
     def __init__(self, message: str, path: str | None = None):
         self.path = path
         super().__init__(message)
@@ -51,6 +58,8 @@ class InfiniteUnsupported(QlatError):
     error: the symbolic rules cover every case the resolver can produce, so
     seeing this means an internal invariant failed validation.
     """
+
+    exit_code = 3
 
     def __init__(self, shape_a, shape_b, detail: str = ""):
         self.shape_a = shape_a
@@ -121,19 +130,3 @@ class EmbeddingInfeasible(QlatError):
             msg += f" ({detail})"
         super().__init__(msg)
 
-
-EXIT_OK = 0
-EXIT_SCHEMA = 2
-EXIT_RESOURCE = 3
-EXIT_INFEASIBLE = 4
-
-
-def exit_code_for(exc: BaseException) -> int:
-    """Map an exception to the CLI exit code contract."""
-    if isinstance(exc, SchemaError):
-        return EXIT_SCHEMA
-    if isinstance(exc, (ResourceLimit, InfiniteUnsupported)):
-        return EXIT_RESOURCE
-    if isinstance(exc, QlatError):
-        return EXIT_INFEASIBLE
-    raise exc

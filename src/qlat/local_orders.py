@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .bt_tree import Vertex, distance, geodesic, iter_neighbors
-from .errors import NotShiftedEichler, QlatError, Unbounded
+from .errors import EmptyShape, NotFinite, NotShiftedEichler, QlatError, Unbounded
 from .exact_padic import (
     Mat2,
     Module4,
@@ -219,14 +219,16 @@ def decompose_shifted_eichler(order: LocalOrder, max_vertices=None) -> ShiftedEi
     exact module equality.  `max_vertices` bounds the branch computation as
     in `branch_of_order`.
     """
-    from .branches import ThickPath, branch_of_order, eichler_envelope
+    from .branches import branch_of_order, eichler_envelope
 
     if order.rank != 4:
         raise NotShiftedEichler(f"rank is {order.rank}, need 4")
     shape = branch_of_order(order, max_vertices)
-    if not isinstance(shape, ThickPath):
-        raise NotShiftedEichler(f"branch is {type(shape).__name__}, not a thick path")
-    v1, v2, level, shift = eichler_envelope(shape)
+    try:
+        v1, v2, level, shift = eichler_envelope(shape)
+    except (NotFinite, EmptyShape):
+        kind = type(shape).__name__
+        raise NotShiftedEichler(f"branch is {kind}, not a thick path") from None
     if shifted_eichler_module(v1, v2, shift) != order.closure:
         raise NotShiftedEichler("module differs from its branch envelope order")
     return ShiftedEichler((v1, v2), level, shift)

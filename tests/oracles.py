@@ -80,9 +80,17 @@ place above them, the real places and the forced places one by one.
 The section after it keeps `hensel_sqrt` of `qlat.global_classfield` with
 the dyadic lift that settles one bit per step, which Newton steps replaced.
 
+The section after it keeps the branch engine of `qlat.branches` as it was
+before one margin climb and one level walk replaced its loops: the
+eigenline climb of a single matrix, the budgeted neighbor scans, the
+shared-line spine loop, the bounded intersection with its plateau search,
+degree map and tip sort, the dispatch over them, and the branch
+enumeration with its radius loop.
+
 The last section keeps `qlat.cli.main` as it was when every argv went
 through argparse, which the plain-grammar loop now serves but for help
-and usage errors.
+and usage errors, with the exit-code map that each error class's
+`exit_code` replaced.
 """
 
 from __future__ import annotations
@@ -107,11 +115,14 @@ from helpers import (
     trace,
     zero_matrix,
 )
-from qlat import bt_tree, exact_padic, local_orders
+from qlat import branches, bt_tree, exact_padic, local_orders
 from qlat.branches import (
+    Empty,
+    Fan,
     Full,
     ThickApartment,
     ThickPath,
+    ThickRay,
     canonical_fan,
     intersect_shapes,
 )
@@ -124,14 +135,15 @@ from qlat.cli import (
     build_parser,
 )
 from qlat.errors import (
-    EXIT_OK,
+    BudgetExceeded,
     EmbeddingInfeasible,
     EmptyShape,
+    InfiniteUnsupported,
     QlatError,
     ResourceLimit,
+    SchemaError,
     SingularMatrix,
     Unbounded,
-    exit_code_for,
 )
 from qlat.exact_padic import (
     Frozen,
@@ -2307,9 +2319,261 @@ def bitwise_hensel_sqrt(m: int, p: int, prec: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# The branch engine on neighbor scans
+#
+# `_climb`, `_neighbor_scanner`, `_resolve_shared_end`, `_bounded_intersection`,
+# `intersect_shapes` and `enumerate_branch` of `qlat.branches` before one
+# margin climb and one level walk replaced their loops, verbatim, renamed:
+# `eigenline_climb`, `neighbor_scanner` and the prefixes "scanned_" and
+# "climbed_".  Several qlat helpers share their names with the slow oracles
+# above, so every qlat function they call is read through its module.
+
+
+def eigenline_climb(a, start: Vertex, ceiling=None) -> tuple[Vertex, int]:
+    """Greedy margin ascent of a from start: (summit, margin)."""
+    cur = start
+    m = branches.mu_margin(a, cur)
+    while ceiling is None or m < ceiling:
+        better = [
+            n for n in branches._level_neighbors(a, cur, m)
+            if branches.mu_margin(a, n) > m
+        ]
+        if not better:
+            break
+        cur = min(better)
+        m += 1
+        assert branches.mu_margin(a, cur) == m
+    return cur, m
+
+
+def neighbor_scanner(max_vertices=None):
+    """`neighbors`, charging each scan's p+1 vertices to the vertex budget;
+    a scan that would pass the budget raises BudgetExceeded instead."""
+    budget = bt_tree.vertex_budget(max_vertices)
+    spent = 0
+
+    def scan(v: Vertex) -> tuple[Vertex, ...]:
+        nonlocal spent
+        spent += v.p + 1
+        if spent > budget:
+            raise BudgetExceeded(
+                f"neighbor scans exceeded budget of {budget} vertices"
+            )
+        return bt_tree.neighbors(v)
+
+    return scan
+
+
+def scanned_resolve_shared_end(
+    s1: Shape, s2: Shape, end: End, max_vertices=None
+) -> Shape:
+    """Intersection of two shapes sharing exactly one boundary line.
+
+    Asymptotically toward the shared line the joint margin stabilizes at
+    t* = min of the non-horoball thicknesses; the result is the thick ray of
+    thickness t* based at the farthest-back spine vertex still attaining t*.
+    """
+    t_star = min(s.t for s in (s1, s2) if not isinstance(s, Fan))
+    scan = neighbor_scanner(max_vertices)
+
+    def sigma(v: Vertex):
+        return min(branches.shape_margin(s1, v), branches.shape_margin(s2, v))
+
+    far = branches._reach(s1, s2) + 8
+    cur = bt_tree.walk_toward_end(s1.anchor, end, far)
+    if sigma(cur) != t_star:
+        cur = bt_tree.walk_toward_end(cur, end, far)
+        if sigma(cur) != t_star:
+            raise InfiniteUnsupported(s1, s2, "shared-line margin failed to settle")
+    steps = 0
+    while True:
+        toward = bt_tree.step_toward_end(cur, end)
+        back = [n for n in scan(cur) if n != toward and sigma(n) == t_star]
+        if not back:
+            break
+        cur = min(back)
+        steps += 1
+        if steps > 2 * far + 8:
+            raise InfiniteUnsupported(s1, s2, "shared-line spine failed to terminate")
+    return ThickRay(cur, end, t_star)
+
+
+def scanned_bounded_intersection(s1: Shape, s2: Shape, max_vertices=None) -> Shape:
+    """Intersection when no boundary line is shared, hence a bounded set.
+
+    The joint margin sigma = min of the two margins is concave and
+    1-Lipschitz, so (a) greedy ascent reaches the global summit, and (b) the
+    distance from any vertex to the summit plateau is exactly the margin
+    drop, which makes the intersection the thick path around the plateau.
+    """
+    scan = neighbor_scanner(max_vertices)
+
+    def sigma(v: Vertex):
+        return min(branches.shape_margin(s1, v), branches.shape_margin(s2, v))
+
+    cap = branches._reach(s1, s2) + 64
+    cur = s1.anchor
+    val = sigma(cur)
+    steps = 0
+    while True:
+        better = [n for n in scan(cur) if sigma(n) > val]
+        if not better:
+            break
+        cur = min(better)
+        val += 1
+        assert sigma(cur) == val
+        steps += 1
+        if steps > cap:
+            raise InfiniteUnsupported(s1, s2, "margin ascent failed to terminate")
+    if val < 0:
+        return Empty(s1.p)
+
+    plateau = {cur}
+    frontier = [cur]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for n in scan(u):
+                if n not in plateau and sigma(n) == val:
+                    plateau.add(n)
+                    nxt.append(n)
+        frontier = nxt
+
+    if len(plateau) == 1:
+        return ThickPath((cur,), val)
+    deg = {u: sum(1 for n in scan(u) if n in plateau) for u in plateau}
+    tips = sorted(u for u, k in deg.items() if k == 1)
+    if any(k > 2 for k in deg.values()) or len(tips) != 2:
+        raise InfiniteUnsupported(s1, s2, "summit plateau is not a path")
+    path = [tips[0]]
+    prev = None
+    while path[-1] != tips[1]:
+        nxt = next(n for n in scan(path[-1]) if n in plateau and n != prev)
+        prev = path[-1]
+        path.append(nxt)
+    return ThickPath(tuple(path), val)
+
+
+def scanned_intersect_shapes(s1: Shape, s2: Shape, max_vertices=None) -> Shape:
+    """Exact intersection of two branch shapes, again a branch shape."""
+    if s1.p != s2.p:
+        raise ValueError("shapes live on trees of different primes")
+    p = s1.p
+    if isinstance(s1, Empty) or isinstance(s2, Empty):
+        return Empty(p)
+    if isinstance(s1, Full):
+        return s2
+    if isinstance(s2, Full):
+        return s1
+
+    if (
+        isinstance(s1, ThickApartment)
+        and isinstance(s2, ThickApartment)
+        and commute(s1.witness, s2.witness)
+    ):
+        return s1 if s1.t <= s2.t else s2
+
+    shared = s1.rational_ends & s2.rational_ends
+    if shared:
+        assert len(shared) == 1, "two shared lines imply a common axis"
+        end = next(iter(shared))
+        if isinstance(s1, Fan) and isinstance(s2, Fan):
+            # Horoballs around the same line are nested.
+            return s1 if s2.margin(s1.base) >= 0 else s2
+        return scanned_resolve_shared_end(s1, s2, end, max_vertices)
+
+    return scanned_bounded_intersection(s1, s2, max_vertices)
+
+
+def climbed_enumerate_branch(
+    order: LocalOrder, r: int, center: Vertex, radius: int, max_vertices=None
+) -> frozenset[Vertex]:
+    """The depth-r branch vertices within `radius` of `center` (exact there).
+
+    The branch and the ball are subtrees, so their intersection is connected
+    and a breadth-first search from one member, expanding members inside
+    the ball, finds all of it.  The member is found by climbing sigma(v) =
+    min over the non-scalar basis of mu_margin(b, v) - r: each set
+    {mu(b, .) >= r} is a subtree whose distance from v outside it is
+    r - mu(b, v), and on a tree the distance to an intersection of subtrees
+    is the largest distance to one of them.  So sigma(center) is minus the
+    distance to the branch, each greedy step raises it by exactly 1, and a
+    branch within `radius` is met in at most `radius` steps.  An order of
+    scalars only has a full (or empty) branch and keeps the ball filter.
+    The basis is the integer `Mat2`s of the order's module rows.
+    """
+    bt_tree.check_ball_budget(center.p, radius, max_vertices)
+    r = max(r, 0)
+    basis = order.closure.basis
+    margins = [b for b in basis if not branches._is_scalar(b)]
+
+    def member(v: Vertex) -> bool:
+        return all(local_orders.contains_shifted(v, b, r) for b in basis)
+
+    def filtered() -> frozenset[Vertex]:
+        return frozenset(filter(member, bt_tree.ball(center, radius, max_vertices)))
+
+    if not margins:
+        return filtered()
+
+    def sigma(v: Vertex):
+        return min(branches.mu_margin(b, v) for b in margins) - r
+
+    seed, s = center, sigma(center)
+    for _ in range(radius):
+        if s >= 0:
+            break
+        seed = next(
+            (n for n in bt_tree.iter_neighbors(seed) if sigma(n) > s), None
+        )
+        if seed is None:  # a summit below 0: the branch is empty
+            return frozenset()
+        s += 1
+    if s < 0:
+        return frozenset()
+    if not member(seed):  # sigma >= 0 certifies membership; stay exact anyway
+        return filtered()
+    # Along a geodesic between two vertices of the ball the distance to the
+    # centre is convex and changes by 1 per step, so only its ends can sit
+    # on the ball's edge: members there, but the seed, are not expanded.
+    found = {seed}
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for n in bt_tree.neighbors(u):
+                if n in found or (d := bt_tree.distance(center, n)) > radius:
+                    continue
+                if member(n):
+                    found.add(n)
+                    if d < radius:
+                        nxt.append(n)
+        frontier = nxt
+    return frozenset(found)
+
+
+# ---------------------------------------------------------------------------
 # The CLI entry point with every argv through argparse
 #
-# `qlat.cli.main` before a bare two-word argv skipped argparse, verbatim.
+# `qlat.cli.main` before a bare two-word argv skipped argparse, verbatim, with
+# the exit-code map of `qlat.errors` that each error class's `exit_code`
+# replaced.
+
+EXIT_OK = 0
+EXIT_SCHEMA = 2
+EXIT_RESOURCE = 3
+EXIT_INFEASIBLE = 4
+
+
+def exit_code_for(exc: BaseException) -> int:
+    """Map an exception to the CLI exit code contract."""
+    if isinstance(exc, SchemaError):
+        return EXIT_SCHEMA
+    if isinstance(exc, (ResourceLimit, InfiniteUnsupported)):
+        return EXIT_RESOURCE
+    if isinstance(exc, QlatError):
+        return EXIT_INFEASIBLE
+    raise exc
 
 
 def cli_main(argv=None) -> int:

@@ -113,6 +113,25 @@ def test_local_classify_pair_at_large_prime_exceeds_budget():
     assert doc["error"] == "BudgetExceeded"
 
 
+def test_local_classify_walks_the_summit_plateau_once():
+    # The branch is the thick path of level 40 from the standard vertex
+    # toward the line of e1.  The walk over its summit plateau scans each of
+    # its 41 vertices once (42 scans of 102 vertices), so the walk along the
+    # shared line before it binds (89 scans, 9,078 vertices): a budget of
+    # 10,000 answers and one of 9,000 does not.
+    p = 101
+    req = {"p": p, "generators": [[[1, 0], [0, 0]], [[0, p**40], [1, 0]]]}
+    doc = run_json(["local", "classify"], {**req, "max_vertices": 10_000})
+    assert doc["shape"] == {
+        "kind": "thick_path",
+        "level": 40,
+        "p": p,
+        "path": [{"a": a, "b": 0, "c": 0} for a in range(41)],
+        "thickness": 0,
+    }
+    err = run_json(["local", "classify"], {**req, "max_vertices": 9_000}, expect=3)
+    assert err["error"] == "BudgetExceeded"
+
 def test_local_branch_enum_eichler():
     doc = run_json(
         ["local", "branch-enum"],

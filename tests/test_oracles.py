@@ -7,16 +7,20 @@ coset-extension closure against the breadth-first one) on discriminants
 and generator sets, the genus-character class-field degrees against the
 class-group closure on genera, the capped factorizer on integers, the
 branch-based residue-field test on seeded and structured orders, the
-tuple-backed vertex against the frozen dataclass on whole balls, and the
+tuple-backed vertex against the frozen dataclass on whole balls, the
 one square-class rule against the per-place local square and unramified
 tests on every field Q(sqrt m), |m| <= 200, at every place over p <= 13,
-and the Newton-step dyadic square root against the bit-by-bit lift at
-every precision up to 2,048 bits.  The in-process argv differential of
+the Newton-step dyadic square root against the bit-by-bit lift at
+every precision up to 2,048 bits, the branch engine's one climb and one
+level walk against its neighbor-scan loops on seeded shape pairs, budgets
+and guard-tripping fakes, and the exit codes carried by the error classes
+against the old map.  The in-process argv differential of
 `qlat.cli.main` against its argparse-only oracle is `test_cli_argv.py`."""
 
 import copy
 import itertools
 import pickle
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, prod
@@ -42,7 +46,9 @@ from helpers import (
 )
 from qlat.branches import (
     Empty,
+    Fan,
     Full,
+    Shape,
     ThickApartment,
     ThickPath,
     ThickRay,
@@ -52,6 +58,7 @@ from qlat.branches import (
     classify_single,
     enumerate_branch,
     fan_slack,
+    intersect_shapes,
     mu_margin,
 )
 from qlat.bt_tree import (
@@ -73,7 +80,15 @@ from qlat.bt_tree import (
     step_toward_end,
     walk_toward_end,
 )
-from qlat.errors import NotShiftedEichler, ResourceLimit, SingularMatrix, Unbounded
+from qlat.errors import (
+    BudgetExceeded,
+    InfiniteUnsupported,
+    NotShiftedEichler,
+    QlatError,
+    ResourceLimit,
+    SingularMatrix,
+    Unbounded,
+)
 from qlat.exact_padic import (
     MAX_TRIAL_DIVISOR,
     Mat2,
@@ -219,8 +234,14 @@ def test_eigenline_ascent_matches_full_scan(p):
             m = mu_margin(a, v)
             full = [n for n in oracles.neighbors(v) if oracles.mu_margin(a, n) >= m]
             assert sorted(_level_neighbors(a, v, m)) == full, (a, v)
-            got = _climb(a, v, ceiling=m + 6)
+            got = _climb(
+                lambda w: mu_margin(a, w),
+                lambda w, k: _level_neighbors(a, w, k),
+                v,
+                m + 6,
+            )
             assert got == oracles.climb(a, v, ceiling=m + 6)
+            assert got == oracles.eigenline_climb(a, v, ceiling=m + 6)
 
 
 def test_sqrt_mod_matches_linear_search_and_sympy():
@@ -835,6 +856,168 @@ def test_branch_walk_scans_only_the_inside_of_the_ball(monkeypatch):
     got = enumerate_branch(order, 0, standard_vertex(p), 2)
     assert got == oracles.enumerate_branch(order, 0, standard_vertex(p), 2)
     assert len(got) == 10405 and len(scanned) == 1 + (p + 1)
+
+
+# ---------------------------------------------------------------------------
+# The branch engine against its neighbor-scan loops
+
+
+def _outcome(fn, *args):
+    """("ok", shape, its JSON) or ("raise", exception class) of one call."""
+    try:
+        got = fn(*args)
+    except QlatError as exc:
+        return "raise", type(exc)
+    return "ok", got, got.to_json()
+
+
+def _engine_shapes(p: int, rng) -> list:
+    """Shapes of every kind: apartments on one axis (commuting), fans toward
+    one line at two depths (nested), an apartment and a fan sharing one line
+    with them, field branches, an irrational axis, seeded matrices and
+    orders, thick paths and rays placed at random, Full, Empty and
+    deepenings."""
+    q = next(q for q in range(2, 200) if is_local_square_rat(Fraction(q), p)
+             and isqrt(q) ** 2 != q)
+    mats = [
+        [[1, 0], [0, 0]], [[1, 0], [0, 1 + p]], [[1, 0], [0, 1 + p * p]],
+        [[0, 1], [0, 0]], [[0, p * p], [0, 0]], [[0, 0], [1, 0]],
+        [[1, 1], [0, 0]], [[0, p], [1, 0]], [[0, q], [1, 0]],
+    ]
+    shapes = [classify_single(Mat2.of(m), p) for m in mats]
+    shapes += [classify_single(_nonresidue_generator(p), p), Full(p), Empty(p)]
+    for _ in range(3):
+        a = random_matrix(rng, p)
+        if not is_scalar(a):
+            shapes.append(classify_single(a, p))
+        shapes.append(branch_of_order(random_order(rng, p, 2)))
+    ends = seeded_ends(p, rng.randrange(1000))
+    for _ in range(3):
+        v = random_vertex(rng, p, 3)
+        w = random_vertex_at(rng, v, rng.randrange(4))
+        shapes.append(ThickPath(geodesic(v, w), rng.randrange(3)))
+        shapes.append(ThickRay(v, rng.choice(ends), rng.randrange(3)))
+    shapes += [s.deepen(1) for s in shapes[:8]]
+    return shapes
+
+
+def _engine_case(s1, s2) -> str:
+    """Which rule of `intersect_shapes` decides the pair."""
+    if "empty" in (s1.kind, s2.kind):
+        return "empty"
+    if "full" in (s1.kind, s2.kind):
+        return "full"
+    if (s1.kind == s2.kind == "thick_apartment"
+            and commute(s1.witness, s2.witness)):
+        return "commuting"
+    if s1.rational_ends & s2.rational_ends:
+        return "nested-fan" if s1.kind == s2.kind == "fan" else "shared-end"
+    return "bounded"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_intersection_engine_matches_neighbor_scans(p):
+    rng = make_rng(1800 + p)
+    shapes = _engine_shapes(p, rng)
+    pairs = list(itertools.product(shapes, repeat=2))
+    if p == 101:  # each scan there makes 102 vertices and 204 margins
+        pairs = rng.sample(pairs, 300)
+    cases = Counter()
+    for s1, s2 in pairs:
+        want = _outcome(oracles.scanned_intersect_shapes, s1, s2)
+        assert _outcome(intersect_shapes, s1, s2) == want, (s1, s2)
+        case = _engine_case(s1, s2)
+        cases[case, want[0] == "ok" and want[1].kind] += 1
+        if case not in ("shared-end", "bounded"):
+            continue
+        # The new walks scan each plateau vertex once, not three times: a
+        # budget the scans fit in answers alike, and one they pass may now
+        # answer, with the unbudgeted shape.
+        for budget in (2 * (p + 1), 5 * (p + 1), 20 * (p + 1)):
+            old = _outcome(oracles.scanned_intersect_shapes, s1, s2, budget)
+            new = _outcome(intersect_shapes, s1, s2, budget)
+            if old == ("raise", BudgetExceeded):
+                assert new in (old, want), (s1, s2, budget)
+            else:
+                assert new == old, (s1, s2, budget)
+    kinds = {case: {k for c, k in cases if c == case} for case, _ in cases}
+    assert {"empty", "commuting", "nested-fan"} <= set(kinds)
+    assert "thick_ray" in kinds["shared-end"]
+    assert {"empty", "thick_path"} <= kinds["bounded"]
+
+
+class _Star(Shape, namedtuple("_Star", "centre anchor")):
+    """Margin 0 on the closed 1-ball around the centre: a summit plateau
+    that is a star, not a path, climbed to from the anchor."""
+
+    __slots__ = ()
+    kind = "star"
+
+    @property
+    def p(self) -> int:
+        return self.centre.p
+
+    def margin(self, v):
+        return min(0, 1 - distance(v, self.centre))
+
+
+class _HiddenFan(Fan):
+    """A fan that hides its line, so the engine climbs toward it forever."""
+
+    __slots__ = ()
+    rational_ends = frozenset()
+
+
+class _LongRay(ThickRay):
+    """A thick ray whose margin is that of the whole axis of diag(1, 1 + p)
+    through it: the walk away from its line never ends."""
+
+    __slots__ = ()
+
+    def margin(self, v):
+        p = self.p
+        return self.t - 1 + mu_margin((1, 1, 0, 0, 1 + p), v)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_engine_guards_match_neighbor_scans(p):
+    o = standard_vertex(p)
+    e1, e3 = End(1, 0), End(1, 1)
+    axis = classify_single(Mat2.of([[1, 0], [0, 1 + p]]), p)
+    fan = classify_single(Mat2.of([[0, 1], [0, 0]]), p)
+    fan3 = classify_single(Mat2.of([[1, -1], [1, -1]]), p)
+    assert fan.end == e1 and fan3.end == e3
+    # an apartment that claims two lines off its axis
+    off_axis = ThickApartment(p, (e3, End(1, 2)), 1, axis.witness, 1, o)
+    pairs = [
+        (off_axis, fan3),  # the shared-line margin never settles
+        (_HiddenFan(fan.base, fan.end), fan),  # the ascent never ends
+        (_Star(o, o), ThickPath((o,), 3)),  # a star at the summit
+        (_Star(o, child(o, 0)), ThickPath((o,), 3)),  # a star past it
+        (_LongRay(o, e1, 1), axis._replace(t=1)),  # the spine never ends
+    ]
+    for s1, s2 in pairs:
+        want = _outcome(oracles.scanned_intersect_shapes, s1, s2)
+        assert want == ("raise", InfiniteUnsupported), (s1, s2)
+        assert _outcome(intersect_shapes, s1, s2) == want, (s1, s2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_climbed_enumeration_matches_radius_loop(p):
+    rng = make_rng(1900 + p)
+    orders = _branch_orders(p, rng)
+    if p == 101:
+        orders = rng.sample(orders, 6)
+    for order in orders:
+        shape = branch_of_order(order)
+        on = spine_vertex(shape) if shape.kind != "empty" else standard_vertex(p)
+        for depth in (0, 1):
+            for dist in (0, 2, 5):
+                centre = random_vertex_at(rng, on, dist)
+                for radius in (0, 1, 3) if p < 101 else (0, 1):
+                    args = (order, depth, centre, radius)
+                    want = oracles.climbed_enumerate_branch(*args)
+                    assert enumerate_branch(*args) == want, args
 
 
 # ---------------------------------------------------------------------------
@@ -1648,3 +1831,15 @@ def test_dyadic_hensel_sqrt_matches_bitwise_lift():
     for m, p in ((10, 3), (2, 7), (-1, 5), (5, 101)):
         for prec in range(40):
             assert hensel_sqrt(m, p, prec) == oracles.bitwise_hensel_sqrt(m, p, prec)
+
+
+def test_error_classes_carry_the_exit_code_map():
+    from qlat import errors
+
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.QlatError)]
+    assert len(classes) == 14
+    for cls in classes:
+        exc = cls.__new__(cls)  # isinstance is all the map reads
+        assert exc.exit_code == oracles.exit_code_for(exc), cls
+    assert {c.exit_code for c in classes} == {2, 3, 4}

@@ -95,6 +95,8 @@ def test_every_package_function_is_reached_or_exported():
 SPANNED = [
     (branches, "classify_single"),
     (branches, "mu_margin"),
+    (branches, "shape_margin"),
+    (branches, "intersect_shapes"),
     (bt_tree, "canonical_vertex"),
     (local_orders, "contains_shifted"),
     (spinor_local, "spinor_image"),
@@ -128,6 +130,20 @@ REQUESTS = [
         {"p": 7, "generators": [[[0, 2], [1, 0]]]},
         {"classify_single", "mu_margin", "canonical_vertex"},
     ),
+    # the Eichler order of level 2 at 3: an apartment meets a fan on their
+    # shared line, and the thick ray that gives meets a fan toward 0 in a
+    # bounded path
+    (
+        ["local", "classify"],
+        {"p": 3, "generators": [[[1, 0], [0, 0]], [[0, 9], [1, 0]]]},
+        {"intersect_shapes", "shape_margin", "mu_margin"},
+    ),
+    # the Borel order: an apartment and a fan share the line of e1 only
+    (
+        ["local", "classify"],
+        {"p": 2, "generators": [[[1, 0], [0, 0]], [[0, 1], [0, 0]]]},
+        {"intersect_shapes", "shape_margin"},
+    ),
     (
         ["local", "branch-enum"],
         {"p": 3, "generators": [[[1, 0], [0, 0]]], "radius": 2},
@@ -160,7 +176,7 @@ REQUESTS = [
 @pytest.mark.parametrize(
     "argv,request_doc,reached",
     REQUESTS,
-    ids=["classify", "enum", "spinor", "rep-field"],
+    ids=["classify", "bounded", "shared-end", "enum", "spinor", "rep-field"],
 )
 def test_requests_reach_the_spanned_functions(
     monkeypatch, capsys, argv, request_doc, reached
