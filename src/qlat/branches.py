@@ -758,9 +758,11 @@ def enumerate_branch(
         return filtered()
     # Along a geodesic between two vertices of the ball the distance to the
     # centre is convex and changes by 1 per step, so only its ends can sit
-    # on the ball's edge: members there, but the seed, are not expanded.
+    # on the ball's edge: members there, but the seed, are not expanded.  A
+    # ball of radius 0 is its centre, the seed: its p + 1 neighbors are not
+    # built.
     found = {seed}
-    frontier = [seed]
+    frontier = [seed] if radius else []
     while frontier:
         nxt = []
         for u in frontier:

@@ -121,12 +121,13 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def parse_rational(value, path: str) -> Fraction:
-    """An exact rational: an int, or a string 'a/b' (or 'a')."""
+def parse_rational(value, path: str) -> int | Fraction:
+    """An exact rational: an int, or a string 'a/b' (or 'a').  Integers stay
+    ints; only an 'a/b' string makes a Fraction."""
     if isinstance(value, bool):
         raise SchemaError(path, f"expected a rational, got {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, float):
         raise SchemaError(
             path, f"floats are not exact; write {value!r} as an 'a/b' string"
@@ -140,7 +141,7 @@ def parse_rational(value, path: str) -> Fraction:
                 if d == 0:
                     raise SchemaError(path, f"zero denominator in {value!r}")
                 return Fraction(n, d)
-            return Fraction(int(text))
+            return int(text)
         except ValueError:
             raise SchemaError(path, f"malformed rational {value!r}") from None
     raise SchemaError(path, f"expected a rational, got {type(value).__name__}")
@@ -277,7 +278,7 @@ def parse_field_element(field: BaseField, value, path: str):
         x = parse_rational(_require(value, "x", path), f"{path}.x")
         y = parse_rational(_require(value, "y", path), f"{path}.y")
     else:
-        x, y = parse_rational(value, path), Fraction(0)
+        x, y = parse_rational(value, path), 0
     if field.is_rational and y != 0:
         raise SchemaError(f"{path}.y", "the rational field has no irrational part")
     return (x, y)
@@ -513,10 +514,13 @@ def _read_request(args) -> dict:
 
 
 def _write_response(doc: dict, args) -> None:
-    if args.pretty:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    else:
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    try:
+        if args.pretty:
+            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        else:
+            text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    except ValueError as exc:  # an int past Python's int-to-str digit limit
+        raise ResourceLimit(f"the response cannot be written: {exc}") from None
     if args.outfile:
         _write_file(args.outfile, text, "--out")
     else:

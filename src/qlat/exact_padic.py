@@ -12,7 +12,9 @@ denominator, and so is each row of a module.
 - `is_square_mod`: the one square-class rule, on integers, behind every
   local square and unramified test; `is_local_square_int` / `_rat`.
 - `prime_divisors`: the one trial-division factorizer, capped at
-  `MAX_TRIAL_DIVISOR`; `is_prime` and `is_squarefree` read it lazily.
+  `MAX_TRIAL_DIVISOR`.  `is_prime` divides by the numbers below 64 and
+  then runs a strong-pseudoprime test, proven below `SPRP_BOUND`;
+  `is_squarefree` divides up to the cube root of the cofactor.
 - `Mat2`: immutable exact 2x2 matrices, the integer tuple (den, a, b, c, d)
   in lowest terms; `commute` compares two of them on those integers.
 - `smith_local`: elementary-divisor exponents of an invertible 2x2 matrix.
@@ -30,13 +32,20 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, pairwise
-from math import gcd, inf, lcm
+from math import gcd, inf, isqrt, lcm
 
 from .errors import ResourceLimit, SingularMatrix
 
 # Trial division stops here: every prime below 10^12 is still decided, and
 # factoring one integer costs at most about half a million divisions.
 MAX_TRIAL_DIVISOR = 10**6
+
+# Strong-pseudoprime tests to the first 13 prime bases decide primality
+# below this bound (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 86, 2017): no composite below it passes all 13.
+SPRP_BOUND = 3317044064679887385961981
+SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_DIVISORS = (2, *range(3, 64, 2))
 
 Rat = Fraction
 
@@ -152,11 +161,61 @@ def prime_divisors(n: int):
 
 
 def is_prime(n: int) -> bool:
-    return n > 1 and next(prime_divisors(n)) == n
+    """Is n prime?  Trial division by 2 and the odd d below 64 decides n as
+    soon as d divides it or d^2 > n; any other n below `SPRP_BOUND` is
+    decided by the strong-pseudoprime test to `SPRP_BASES`.  At or above
+    the bound, `prime_divisors` runs to its cap."""
+    if n >= SPRP_BOUND:
+        return next(prime_divisors(n)) == n
+    if n < 2:
+        return False
+    for d in _SMALL_DIVISORS:
+        if d * d > n:
+            return True
+        if n % d == 0:
+            return False
+    return all(_is_strong_probable_prime(n, a) for a in SPRP_BASES)
+
+
+def _is_strong_probable_prime(n: int, a: int) -> bool:
+    """Does the odd n > a pass the strong-pseudoprime test to base a: with
+    n - 1 = 2^s q and q odd, a^q = 1 or a^(2^i q) = -1 mod n for some i < s?"""
+    q = n - 1
+    s = (q & -q).bit_length() - 1
+    x = pow(a, q >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
 
 
 def is_squarefree(m: int) -> bool:
-    return m != 0 and all(a != b for a, b in pairwise(prime_divisors(m)))
+    """Is m nonzero and free of square factors?
+
+    Below MAX_TRIAL_DIVISOR^2, divide by d while d^3 <= the cofactor n: the
+    n left then has no prime factor up to its cube root, so it is 1, a
+    prime, a product of two primes or the square of one, and is squarefree
+    unless it is a square above 1.  At or above it, `prime_divisors` runs
+    to its cap.
+    """
+    n = abs(m)
+    if n >= MAX_TRIAL_DIVISOR**2:
+        return all(a != b for a, b in pairwise(prime_divisors(n)))
+    if n % 4 == 0:  # 0 too
+        return False
+    if n % 2 == 0:
+        n //= 2
+    d = 3
+    while d * d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return False
+        d += 2
+    return n == 1 or isqrt(n) ** 2 != n
 
 
 def is_local_square_rat(x, p: int) -> bool:

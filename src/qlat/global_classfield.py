@@ -119,35 +119,41 @@ class BaseField(namedtuple("BaseField", "m")):
             return ("inf",)
         return ("inf1", "inf2") if self.m > 0 else ()
 
-    def places_over(self, p: int) -> tuple[PrimeIdeal, ...]:
+    def splitting(self, p: int) -> str:
+        """The tag of the places over the prime p: "rational" over Q, else
+        "ramified", "split" or "inert" by the Kronecker symbol (D/p)."""
         if not is_prime(p):
             raise ValueError(f"{p} is not a prime")
         if self.m is None:
-            return (PrimeIdeal(p, 0, "rational"),)
-        sym = kronecker_at(self.discriminant, p)
-        if sym == 0:
-            return (PrimeIdeal(p, 0, "ramified"),)
-        if sym == -1:
-            return (PrimeIdeal(p, 0, "inert"),)
-        return (PrimeIdeal(p, 1, "split"), PrimeIdeal(p, 2, "split"))
+            return "rational"
+        return _SPLITTING[kronecker_at(self.discriminant, p)]
+
+    def places_over(self, p: int) -> tuple[PrimeIdeal, ...]:
+        tag = self.splitting(p)
+        if tag == "split":
+            return (PrimeIdeal(p, 1, tag), PrimeIdeal(p, 2, tag))
+        return (PrimeIdeal(p, 0, tag),)
+
+
+_SPLITTING = {0: "ramified", 1: "split", -1: "inert"}
 
 
 def parse_place_key(field: BaseField, key: str) -> PrimeIdeal:
     """Parse a finite place key: "p" or, at split primes, "p.1" / "p.2"."""
-    parts = str(key).strip().split(".")
+    head, dot, tail = str(key).strip().partition(".")
     try:
-        p = int(parts[0])
+        p = int(head)
     except ValueError:
         raise ValueError(f"bad place key {key!r}") from None
-    places = field.places_over(p)
-    if len(parts) == 1:
-        if len(places) == 2:
+    tag = field.splitting(p)
+    if not dot:
+        if tag == "split":
             raise ValueError(f"prime {p} splits: use '{p}.1' or '{p}.2'")
-        return places[0]
-    if len(parts) == 2 and parts[1] in ("1", "2"):
-        if len(places) != 2:
+        return PrimeIdeal(p, 0, tag)
+    if tail in ("1", "2"):
+        if tag != "split":
             raise ValueError(f"prime {p} does not split in this field")
-        return places[int(parts[1]) - 1]
+        return PrimeIdeal(p, int(tail), tag)
     raise ValueError(f"bad place key {key!r}")
 
 

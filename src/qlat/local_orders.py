@@ -19,7 +19,14 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .bt_tree import Vertex, distance, geodesic, iter_neighbors
-from .errors import EmptyShape, NotFinite, NotShiftedEichler, QlatError, Unbounded
+from .errors import (
+    EmptyShape,
+    NotFinite,
+    NotShiftedEichler,
+    QlatError,
+    ResourceLimit,
+    Unbounded,
+)
 from .exact_padic import (
     Mat2,
     Module4,
@@ -31,6 +38,13 @@ from .exact_padic import (
 
 CLOSURE_MAX_ROUNDS = 64
 _DIVERGENCE_WINDOW = 8
+# A round's cost grows with the square of the module's size, and a closure
+# whose valuations fall every other round escapes the divergence window:
+# one whose common denominator passes this many bits stops with
+# ResourceLimit.  At p < 2^32 that denominator is p^k with k > 1024, and a
+# bounded order that large lies only in maximal orders at vertices whose
+# exponents pass the engine's cap of 1000.
+CLOSURE_MAX_BITS = 1 << 15
 
 
 class LocalOrder(namedtuple("LocalOrder", "p generators closure")):
@@ -76,13 +90,26 @@ def order_closure(gens, p: int, max_rounds: int = CLOSURE_MAX_ROUNDS) -> LocalOr
         ):
             reason = "entry valuations strictly decreasing"
             break
+        if span.den.bit_length() > CLOSURE_MAX_BITS:
+            raise ResourceLimit(
+                f"order closure denominators past {CLOSURE_MAX_BITS} bits"
+            )
     raise Unbounded(
         {
             "reason": reason,
             "min_valuations": minvals,
-            "basis": [[str(x) for x in b.entries] for b in span.basis],
+            "basis": [[_exact_text(x) for x in b.entries] for b in span.basis],
         }
     )
+
+
+def _exact_text(x) -> str:
+    """The rational x as 'a/b' in decimal or, past Python's limit on the
+    digits of an int-to-str conversion, in hexadecimal, which has none."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"{x.numerator:#x}/{x.denominator:#x}"
 
 
 def maximal_order_module(v: Vertex) -> Module4:

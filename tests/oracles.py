@@ -87,10 +87,16 @@ shared-line spine loop, the bounded intersection with its plateau search,
 degree map and tip sort, the dispatch over them, and the branch
 enumeration with its radius loop.
 
-The last section keeps `qlat.cli.main` as it was when every argv went
+The section after it keeps `qlat.cli.main` as it was when every argv went
 through argparse, which the plain-grammar loop now serves but for help
 and usage errors, with the exit-code map that each error class's
 `exit_code` replaced.
+
+The last section keeps the request decoder as it was when `is_prime` and
+`is_squarefree` read the factorizer: those two, `places_over` and
+`parse_place_key` above them, which the cube-root squarefree test, the
+strong-pseudoprime test and the one-pass place key replaced, and the
+rational parsing that made every JSON integer a `Fraction`.
 """
 
 from __future__ import annotations
@@ -130,6 +136,7 @@ from qlat.bt_tree import End, child, parent, standard_vertex
 from qlat.cli import (
     _HANDLERS,
     _read_request,
+    _require,
     _write_error,
     _write_response,
     build_parser,
@@ -2588,3 +2595,89 @@ def cli_main(argv=None) -> int:
         _write_error(exc)
         return exit_code_for(exc)
     return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# The decoder that reads every prime through the factorizer
+#
+# `is_prime` and `is_squarefree` of `qlat.exact_padic` as they were when
+# both read `prime_divisors`, `BaseField.places_over` and `parse_place_key`
+# of `qlat.global_classfield` on top of them, and `parse_rational` and
+# `parse_field_element` of `qlat.cli` when every rational became a
+# `Fraction`, verbatim; the method is a function of the field here.
+
+
+def factorizer_is_prime(n: int) -> bool:
+    return n > 1 and next(prime_divisors(n)) == n
+
+
+def factorizer_is_squarefree(m: int) -> bool:
+    return m != 0 and all(a != b for a, b in itertools.pairwise(prime_divisors(m)))
+
+
+def factorizer_places_over(self: BaseField, p: int) -> tuple[PrimeIdeal, ...]:
+    if not factorizer_is_prime(p):
+        raise ValueError(f"{p} is not a prime")
+    if self.m is None:
+        return (PrimeIdeal(p, 0, "rational"),)
+    sym = kronecker_at(self.discriminant, p)
+    if sym == 0:
+        return (PrimeIdeal(p, 0, "ramified"),)
+    if sym == -1:
+        return (PrimeIdeal(p, 0, "inert"),)
+    return (PrimeIdeal(p, 1, "split"), PrimeIdeal(p, 2, "split"))
+
+
+def factorizer_parse_place_key(field: BaseField, key: str) -> PrimeIdeal:
+    """Parse a finite place key: "p" or, at split primes, "p.1" / "p.2"."""
+    parts = str(key).strip().split(".")
+    try:
+        p = int(parts[0])
+    except ValueError:
+        raise ValueError(f"bad place key {key!r}") from None
+    places = factorizer_places_over(field, p)
+    if len(parts) == 1:
+        if len(places) == 2:
+            raise ValueError(f"prime {p} splits: use '{p}.1' or '{p}.2'")
+        return places[0]
+    if len(parts) == 2 and parts[1] in ("1", "2"):
+        if len(places) != 2:
+            raise ValueError(f"prime {p} does not split in this field")
+        return places[int(parts[1]) - 1]
+    raise ValueError(f"bad place key {key!r}")
+
+
+def fraction_parse_rational(value, path: str) -> Fraction:
+    """An exact rational: an int, or a string 'a/b' (or 'a')."""
+    if isinstance(value, bool):
+        raise SchemaError(path, f"expected a rational, got {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        raise SchemaError(
+            path, f"floats are not exact; write {value!r} as an 'a/b' string"
+        )
+    if isinstance(value, str):
+        text = value.strip()
+        num, sep, den = text.partition("/")
+        try:
+            if sep:
+                n, d = int(num), int(den)
+                if d == 0:
+                    raise SchemaError(path, f"zero denominator in {value!r}")
+                return Fraction(n, d)
+            return Fraction(int(text))
+        except ValueError:
+            raise SchemaError(path, f"malformed rational {value!r}") from None
+    raise SchemaError(path, f"expected a rational, got {type(value).__name__}")
+
+
+def fraction_parse_field_element(field: BaseField, value, path: str):
+    if isinstance(value, dict):
+        x = fraction_parse_rational(_require(value, "x", path), f"{path}.x")
+        y = fraction_parse_rational(_require(value, "y", path), f"{path}.y")
+    else:
+        x, y = fraction_parse_rational(value, path), Fraction(0)
+    if field.is_rational and y != 0:
+        raise SchemaError(f"{path}.y", "the rational field has no irrational part")
+    return (x, y)

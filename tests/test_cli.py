@@ -355,17 +355,20 @@ def test_global_sigma_class_group_cap():
 
 
 # Each request needs a trial divisor past the factorizer's cap of 10^6, so
-# it exits with ResourceLimit instead of dividing for hours.
+# it exits with ResourceLimit instead of dividing for hours: a squarefree
+# test of a radicand of 10^12 or more, or a primality test past the bound
+# below which the strong-pseudoprime test is proven (about 3.3 * 10^24).
 P18 = 10**18 + 9
+P25 = 10**25 + 13  # the least prime above 10^25
 FACTOR_CAP_REQUESTS = [
-    (["local", "classify"], {"p": P18, "generators": [[[0, 1], [1, 0]]]}),
+    (["local", "classify"], {"p": P25, "generators": [[[0, 1], [1, 0]]]}),
     (
         ["global", "sigma"],
         {"field": {"kind": "quadratic", "d": P18}, "algebra": {}, "genus": {}},
     ),
     (
         ["global", "sigma"],
-        {"field": {"kind": "Q"}, "algebra": {"ramified": [str(P18)]}, "genus": {}},
+        {"field": {"kind": "Q"}, "algebra": {"ramified": [str(P25)]}, "genus": {}},
     ),
 ]
 
@@ -378,6 +381,31 @@ FACTOR_CAP_REQUESTS = [
 def test_factor_cap_exits_3(args, request_doc):
     err = run_json(args, request_doc, expect=3, timeout=5)
     assert err["error"] == "ResourceLimit"
+
+
+# Primes between the factorizer's cap and the strong-pseudoprime bound are
+# decided by that test, so these requests answer.
+def test_local_classify_past_the_trial_division_cap_answers():
+    p = 10**12 + 39
+    proc = run(["local", "classify"], {"p": p, "generators": [[[0, 1], [1, 0]]]},
+               timeout=5)
+    assert proc.stdout.decode() == (
+        f'{{"p":{p},"rank":2,"shape":{{"anchor":{{"a":0,"b":0,"c":0}},'
+        f'"ends":[[1,-1],[1,1]],"kind":"thick_apartment","p":{p},"thickness":0}}}}\n'
+    )
+
+
+def test_global_sigma_at_a_place_past_the_trial_division_cap_answers():
+    p = str(10**12 + 39)
+    request_doc = {
+        "field": {"kind": "Q"},
+        "algebra": {"ramified": ["inf", p]},
+        "genus": {"level": {"3": 1}},
+    }
+    proc = run(["global", "sigma"], request_doc, timeout=5)
+    assert proc.stdout.decode() == (
+        f'{{"forced_split":["3","{p}"],"group_order":1,"sigma_degree":1}}\n'
+    )
 
 
 # delta is never factored: K(sqrt(delta)) in sigma is read off the genus
@@ -568,6 +596,41 @@ def test_long_eichler_path_answers_quickly():
     request = {"p": 2, "generators": [[[0, 2**400], [1, 0]], [[1, 0], [0, 0]]]}
     shape = run_json(["local", "classify"], request, timeout=5)["shape"]
     assert shape["kind"] == "thick_path" and shape["level"] == 400
+
+
+def test_local_branch_enum_at_radius_0_builds_no_neighbors():
+    # the ball is its centre alone, so the p + 1 neighbours of the seed are
+    # never built: at this p building them would not end
+    p = 10**12 + 39
+    request_doc = {"p": p, "generators": [[[0, 9], [-1, -9]]], "radius": 0}
+    doc = run_json(["local", "branch-enum"], request_doc, timeout=5)
+    assert doc == {"count": 1, "p": p, "vertices": [{"a": 0, "b": 0, "c": 0}]}
+
+
+def test_order_closure_past_the_denominator_cap_exits_3():
+    # the valuations fall every other round, which the divergence window
+    # misses; the closure stops once its denominator passes 2^15 bits
+    request_doc = {"p": 5, "generators": [[[0, f"1/{5**3000}"], [1, 0]]]}
+    err = run_json(["local", "classify"], request_doc, expect=3, timeout=5)
+    assert err == {
+        "error": "ResourceLimit",
+        "message": "order closure denominators past 32768 bits",
+    }
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no int-to-str digit limit",
+)
+def test_a_response_past_the_int_to_str_limit_is_a_resource_limit():
+    from types import SimpleNamespace
+
+    from qlat.cli import _write_response
+    from qlat.errors import ResourceLimit
+
+    args = SimpleNamespace(pretty=False, outfile=None)
+    with pytest.raises(ResourceLimit, match="the response cannot be written"):
+        _write_response({"c": 10 ** (sys.get_int_max_str_digits() + 1)}, args)
 
 
 def test_composite_prime_with_small_factor_is_a_schema_error():

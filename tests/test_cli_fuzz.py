@@ -8,6 +8,7 @@ shift, and three-maximals on a decomposition must give back its level."""
 
 import io
 import json
+import math
 import signal
 import sys
 from fractions import Fraction
@@ -431,3 +432,127 @@ def test_local_three_maximals_fuzz(ends, shift):
     doc = check(["local", "three-maximals"], request)
     if doc is not None:
         assert len(doc["vertices"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# Large valuations and primes past the trial-division cap
+
+# a local request with entries of thousands of digits takes up to seconds
+BIG_LOCAL_FUZZ = settings(FUZZ, max_examples=40)
+BIG_GLOBAL_FUZZ = settings(FUZZ, max_examples=100)
+
+# primes past the factorizer's cap of 10^6 (decided by the strong-pseudoprime
+# test) and one past the bound where that test is proven (exit 3)
+BIG_PRIMES = [10**12 + 39, 10**18 + 9, 10**25 + 13]
+# JSON integers stay below 4300 digits, Python's default int-to-str limit
+MAX_DIGITS = 4000
+
+
+@st.composite
+def valuations(draw, p: int, most: int) -> int:
+    """A valuation up to `most`, or as far as p^v stays under MAX_DIGITS."""
+    top = min(most, int(MAX_DIGITS / math.log10(p)))
+    edges = [v for v in (0, 1, 999, 1000, 1001, top) if v <= top]
+    return draw(st.sampled_from(edges) | st.integers(0, top))
+
+
+@st.composite
+def big_rationals(draw, p: int, most=10**4, integral=st.booleans()):
+    """u p^v or u / p^v for a small u != 0, as JSON: an int or an "a/b" string."""
+    u, v = draw(st.integers(-9, 9).filter(bool)), draw(valuations(p, most))
+    if draw(integral):
+        return u * p**v
+    return f"{u}/{p**v}"
+
+
+@st.composite
+def big_local_requests(draw) -> dict:
+    """Generators with entries of valuation up to 1000, at small primes and
+    past the trial-division cap; levels, shifts, depths and centre exponents
+    up to 10^4, at and past the exponent cap of 1000.
+
+    Entries of larger valuation, or at p = 101, are left out: the shape
+    intersection walks the branch's thick path one vertex at a time, scanning
+    all p + 1 neighbours, so its cost grows with the valuation (the path's
+    length) times p + 1 times the cost of one margin on integers of that many
+    digits.  At p = 7, entries of valuation near 4700 take 12 s; at p = 101,
+    a path of level 999 takes a minute (ROADMAP items 2 and 6)."""
+    p = draw(st.sampled_from([2, 3, 5, 7] + BIG_PRIMES))
+    integral = st.sampled_from([True] * 7 + [False])  # else most orders diverge
+    gens = [
+        [[draw(big_rationals(p, 1000, integral)) for _ in range(2)] for _ in range(2)]
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    exponent = st.sampled_from([0, 1, 2, 999, 1000, 1001, 10**4]) | st.integers(0, 9)
+    doc = {
+        "p": p,
+        "generators": gens,
+        "level": draw(exponent),
+        "shift": draw(exponent),
+        "depth": draw(exponent),
+        "radius": draw(st.integers(0, 2)),
+    }
+    if draw(st.booleans()):
+        a, b = draw(exponent), draw(exponent)
+        doc["center"] = {"a": a, "b": b, "c": 1 if a else 0}
+    return doc
+
+
+LOCAL_COMMANDS = [
+    ["local", "classify"], ["local", "branch-enum"], ["local", "spinor-image"],
+    ["local", "decompose"], ["local", "three-maximals"], ["tree", "ball"],
+    ["tree", "dot"],
+]
+
+
+@BIG_LOCAL_FUZZ
+@given(big_local_requests(), st.sampled_from(LOCAL_COMMANDS))
+def test_local_commands_at_large_valuations(request, argv):
+    if argv[1] == "three-maximals":
+        ends = [request.get("center", {"a": 0, "b": 0, "c": 0}), {"a": 0, "b": 0, "c": 0}]
+        request = {"p": request["p"], "endpoints": ends, "shift": request["shift"]}
+    check(argv, request)
+
+
+@st.composite
+def big_global_requests(draw) -> dict:
+    """Levels, shifts and conductors with exponents up to 10^4 at places over
+    small primes and primes past the trial-division cap, and a delta of
+    large valuation at 2, 3, 5 or 10^12 + 39."""
+    m = draw(st.one_of(st.none(), st.sampled_from([-1, 2, -5, 17, 10, -15833])))
+    field = BaseField.rationals() if m is None else BaseField.quadratic(m)
+    primes = [2, 3, 5] + BIG_PRIMES[:2]
+    places = [pl.key() for p in primes for pl in field.places_over(p)]
+    ramified = draw(st.lists(st.sampled_from(places), unique=True, max_size=2))
+    ramified += list(field.real_place_keys())[: len(ramified) % 2]
+    # levels vanish at division places; now and then a key past the proven
+    # bound (exit 3)
+    split = [key for key in places if key not in ramified]
+    keys = st.sampled_from(split * 4 + [str(BIG_PRIMES[2])])
+    exponent = st.sampled_from([0, 1, 2, 999, 1000, 10**4]) | st.integers(0, 10**4)
+
+    def ideal_map():
+        return {key: draw(exponent) for key in draw(st.lists(keys, max_size=3))}
+
+    doc = {
+        "field": {"kind": "Q"} if m is None else {"kind": "quadratic", "d": m},
+        "algebra": {"ramified": ramified},
+        "genus": {"level": ideal_map(), "I": ideal_map()},
+    }
+    kind = draw(st.sampled_from(["commutative-quadratic", "rank4"]))
+    if kind == "rank4":
+        doc["suborder"] = {"kind": kind, "level": ideal_map(), "I": ideal_map()}
+    else:
+        q = draw(st.sampled_from([2, 3, 5, BIG_PRIMES[0]]))
+        delta = draw(big_rationals(q))
+        if m is not None and draw(st.booleans()):
+            delta = {"x": delta, "y": draw(big_rationals(q))}
+        doc["suborder"] = {"kind": kind, "delta": delta, "conductor": ideal_map()}
+    return doc
+
+
+@BIG_GLOBAL_FUZZ
+@given(big_global_requests())
+def test_global_commands_at_large_valuations(request):
+    check(["global", "sigma"], request)
+    check(["global", "rep-field"], request)

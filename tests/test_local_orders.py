@@ -1,5 +1,6 @@
 """Orders in the 2x2 matrix algebra: closures, shifts, Eichler structure."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,10 @@ from helpers import (
 )
 from qlat import local_orders
 from qlat.bt_tree import Vertex, ball, distance, standard_vertex
-from qlat.errors import NotShiftedEichler, QlatError, Unbounded
-from qlat.exact_padic import Mat2, module_hnf, module_intersect
+from qlat.errors import NotShiftedEichler, QlatError, ResourceLimit, Unbounded
+from qlat.exact_padic import Mat2, module_hnf, module_intersect, valuation
 from qlat.local_orders import (
+    CLOSURE_MAX_BITS,
     ShiftedEichler,
     contains_shifted,
     decompose_shifted_eichler,
@@ -54,6 +56,42 @@ def test_order_closure_unbounded_certificate():
     cert = exc.value.certificate
     vals = cert["min_valuations"]
     assert len(vals) >= 2 and vals[-1] < vals[0]
+
+
+def test_order_closure_stops_at_the_denominator_cap():
+    # g^2 = p^-k: the least valuation falls every other round, so the
+    # divergence window never fills and only the round cap or the size cap
+    # ends the closure
+    small = Mat2.of([[0, Fraction(1, 5**3)], [1, 0]])
+    with pytest.raises(Unbounded) as exc:
+        order_closure([small], 5)
+    assert exc.value.certificate["reason"] == "no stabilization within 64 rounds"
+    big = Mat2.of([[0, Fraction(1, 5**3000)], [1, 0]])
+    with pytest.raises(ResourceLimit, match=f"past {CLOSURE_MAX_BITS} bits"):
+        order_closure([big], 5)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no int-to-str digit limit",
+)
+def test_unbounded_certificate_past_the_int_to_str_limit():
+    # after eight rounds the denominator has 16,000 bits, more digits than
+    # str() writes by default: those entries are written in hexadecimal
+    gen = Mat2.of([[Fraction(1, 2**2000), 1], [0, 0]])
+    with pytest.raises(Unbounded) as exc:
+        order_closure([gen], 2)
+    cert = exc.value.certificate
+    assert cert["reason"] == "entry valuations strictly decreasing"
+    texts = [text for row in cert["basis"] for text in row]
+    assert any("0x" in text for text in texts)
+    # exact either way: the entries read back give the last least valuation
+    entries = []
+    for text in texts:
+        num, _, den = text.partition("/")
+        entries.append(Fraction(int(num, 0), int(den or "1", 0)))
+    least = min(valuation(x, 2) for x in entries if x)
+    assert least == cert["min_valuations"][-1]
 
 
 def test_maximal_order_module_standard():

@@ -26,7 +26,8 @@ from functools import lru_cache
 from math import isqrt, prod
 
 import pytest
-from sympy import factorint
+from sympy import factorint, nextprime
+from sympy import isprime as sympy_isprime
 from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 from sympy.solvers.diophantine.diophantine import diop_DN
 
@@ -89,8 +90,10 @@ from qlat.errors import (
     SingularMatrix,
     Unbounded,
 )
+from qlat.cli import parse_field_element
 from qlat.exact_padic import (
     MAX_TRIAL_DIVISOR,
+    SPRP_BOUND,
     Mat2,
     commute,
     is_local_square_int,
@@ -558,14 +561,142 @@ def test_factorizer_cap_edges():
     assert list(prime_divisors(999983**2)) == [999983, 999983]
     assert is_prime(10**12 - 11)  # the largest prime below 10^12
     big = 10**12 + 39  # the least prime above 10^12
-    with pytest.raises(ResourceLimit):
-        is_prime(big)
+    assert is_prime(big)  # by the strong-pseudoprime test, past the cap
     with pytest.raises(ResourceLimit):
         list(prime_divisors(3 * big))
     # a small factor still decides without reaching the cap
     assert not is_prime(2 * big)
     assert not is_squarefree(4 * big)
     assert next(prime_divisors(3 * big)) == 3
+
+
+# ---------------------------------------------------------------------------
+# The request decoder against the factorizer-based one
+
+
+def _result(f, *args):
+    """f(*args), or the class and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # compared, class and message, to the oracle's
+        return type(exc), str(exc)
+
+
+def test_cube_root_squarefree_test_matches_the_factorizer():
+    for m in range(-(2 * 10**5), 2 * 10**5 + 1):
+        assert is_squarefree(m) == oracles.factorizer_is_squarefree(m), m
+    rng = make_rng(1901)
+    below = [p for p in range(999_900, 10**6) if oracles.is_prime(p)][-4:]
+    above = [p for p in range(10**6, 1_000_100) if oracles.is_prime(p)][:4]
+    cases = [rng.randrange(1, 10**12) for _ in range(40)]
+    cases += [rng.randrange(1, 10**6) ** 2 * rng.randrange(1, 10**4) for _ in range(40)]
+    cases += [p * p for p in below + above]  # squares on both sides of the cap
+    cases += [3 * below[0] ** 2, below[0] * below[1], below[-1] * above[0]]
+    cases += [10**12 + k for k in range(-3, 4)] + [2 * (10**12 + 39)]
+    cases += [(10**12 + 39) * (10**12 + 61), 4 * (10**12 + 39), 10**12 + 39]
+    for m in cases:
+        want = _result(oracles.factorizer_is_squarefree, m)
+        assert _result(is_squarefree, m) == want, m
+    assert _result(is_squarefree, -(10**12 + 39)) == (
+        ResourceLimit, f"factoring {10**12 + 39} needs trial divisors past 1000000"
+    )
+
+
+def test_strong_pseudoprime_test_matches_trial_division():
+    for n in range(-5, 10**6):
+        assert is_prime(n) == oracles.factorizer_is_prime(n), n
+    rng = make_rng(1902)
+    cases = [rng.randrange(10**6, 10**12) for _ in range(120)]
+    cases += [rng.randrange(10**3, 10**6) * rng.randrange(10**3, 10**6) for _ in range(20)]
+    cases += [999979 * 999983, 10**12 - 11, 561, 3215031751, 2152302898747]
+    for n in cases:
+        assert is_prime(n) == oracles.factorizer_is_prime(n) == sympy_isprime(n), n
+
+
+def test_strong_pseudoprime_test_past_the_cap():
+    rng = make_rng(1903)
+    cases = [rng.randrange(10**12, SPRP_BOUND) for _ in range(300)]
+    cases += [nextprime(rng.randrange(10**12, SPRP_BOUND)) for _ in range(30)]
+    # strong pseudoprimes to the first 9, 11 and 12 prime bases
+    cases += [3825123056546413051, 3474749660383, 318665857834031151167461]
+    cases += [10**12 + 39, 10**18 + 9, SPRP_BOUND - 1, 1000003 * 1000033]
+    for n in cases:
+        assert is_prime(n) == sympy_isprime(n), n
+    assert SPRP_BOUND == 1287836182261 * 2575672364521  # the least psi_13
+    for n in (SPRP_BOUND, nextprime(10**25)):
+        with pytest.raises(ResourceLimit, match="needs trial divisors past 1000000"):
+            is_prime(n)
+    assert not is_prime(3 * nextprime(10**25))  # a small factor still decides
+
+
+PLACE_KEYS = [
+    " 7 ", " 7.1 ", "\t13.2\n", "07", "7.3", "7.1.2", "7.", ".1", "x", "", "0",
+    "1", "4", "-3", "+5", "1_1", "13.01",
+]
+# each costs the factorizer half a million trial divisions
+PAST_THE_CAP = [str(10**12 + 39), f"{10**12 + 39}.1", f"{10**12 + 39}.2", str(10**25 + 13)]
+
+
+def _place_key_fields():
+    yield BaseField.rationals()
+    rng = make_rng(1904)
+    seen = 0
+    while seen < 40:
+        m = rng.choice((-1, 1)) * rng.randrange(2, 10**5)
+        if m != 1 and oracles.is_squarefree(m):
+            seen += 1
+            yield BaseField.quadratic(m)
+    for m in (-1, 2, -3, 5, 17, -7, 10):
+        yield BaseField.quadratic(m)
+
+
+def test_place_keys_match_the_factorizer_decoder():
+    past_cap = 10**12 + 39
+    for i, field in enumerate(_place_key_fields()):
+        keys = PLACE_KEYS + (PAST_THE_CAP if i % 8 == 0 else [])
+        for p in (2, 3, 5, 7, 11, 13, 101, 10007):
+            keys += [str(p), f"{p}.1", f"{p}.2"]
+        for key in keys:
+            got = _result(parse_place_key, field, key)
+            want = _result(oracles.factorizer_parse_place_key, field, key)
+            if key.partition(".")[0].strip() != str(past_cap):
+                assert got == want, (field, key)
+                continue
+            # the one change: primality past the factorizer's cap is decided
+            assert want == (
+                ResourceLimit, f"factoring {past_cap} needs trial divisors past 1000000"
+            )
+            places = field.places_over(past_cap)
+            _, dot, tail = key.partition(".")
+            if dot and len(places) == 2:
+                assert got == places[int(tail) - 1], (field, key)
+            elif not dot and len(places) == 1:
+                assert got == places[0], (field, key)
+            else:
+                assert got[0] is ValueError, (field, key, got)
+        for p in (2, 3, 5, 7, 11, 13, 101, 10007):
+            assert field.places_over(p) == oracles.factorizer_places_over(field, p)
+        for p in (-3, 0, 1, 4, 91):
+            assert _result(field.places_over, p) == _result(
+                oracles.factorizer_places_over, field, p
+            )
+
+
+def test_field_elements_parse_to_the_same_values():
+    values = [
+        0, 1, -7, 30, 10**40, "3", " 3 ", "-4/6", "4/2", "1/10000019", "0/5",
+        {"x": 3, "y": "1/2"}, {"x": "2/4", "y": 0}, {"x": 0, "y": 5},
+        "x", "", "1/0", "1/x", "1.5", 1.5, True, None, [], {"x": 1}, {"y": 1},
+    ]
+    for field in (BaseField.rationals(), BaseField.quadratic(10)):
+        for value in values:
+            got = _result(parse_field_element, field, value, "suborder.delta")
+            want = _result(
+                oracles.fraction_parse_field_element, field, value, "suborder.delta"
+            )
+            assert got == want, (field, value)
+            if isinstance(value, int) and not isinstance(value, bool):
+                assert type(got[0]) is int and type(got[1]) is int
 
 
 # ---------------------------------------------------------------------------

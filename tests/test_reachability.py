@@ -26,6 +26,7 @@ ALLOWED = {
         for name in (
             *(f"Mat2.{m}" for m in ("m00", "m01", "m10", "m11", "scalar", "inverse")),
             "is_local_square_rat",
+            "BaseField.places_over",
         )
     },
 }
