@@ -41,8 +41,10 @@ its summit, then walks the summit plateau, a path, to both sides for a
 bounded intersection, or the level t* away from a shared boundary line to
 the base of a `ThickRay`.  Every neighbor scan of the intersection engine
 is charged to the vertex budget, so a large p exits with BudgetExceeded
-instead of hanging.  The branch of a whole order is the fold of
-intersections over its basis; deepening by r erodes every margin by r.
+instead of hanging.  The branch of a whole order is {sigma >= 0}, sigma =
+min over its basis of mu: `branch_of_order` classifies every row, then folds
+the intersections, and `enumerate_branch` tests membership by the sign of
+the sigma it climbs.  Deepening by r erodes every margin by r.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .bt_tree import (
     MAX_VERTEX_EXPONENT,
     End,
     Vertex,
-    ball,
     busemann,
     canonical_vertex,
     check_ball_budget,
@@ -78,7 +79,7 @@ from .errors import (
     ResourceLimit,
 )
 from .exact_padic import commute, int_valuation, is_square_mod, sqrt_mod
-from .local_orders import LocalOrder, contains_shifted, order_closure
+from .local_orders import LocalOrder, order_closure
 
 # ---------------------------------------------------------------------------
 # Shapes
@@ -570,31 +571,7 @@ def classify_single(a, p: int) -> Shape:
 # Intersection engine
 
 
-def _neighbor_scanner(max_vertices=None):
-    """`neighbors`, charging each scan's p+1 vertices to the vertex budget;
-    a scan that would pass the budget raises BudgetExceeded instead.  As the
-    steps of a walk it ignores the margin: every neighbor is a candidate."""
-    budget = vertex_budget(max_vertices)
-    spent = 0
-
-    def scan(v: Vertex, level=None) -> tuple[Vertex, ...]:
-        nonlocal spent
-        spent += v.p + 1
-        if spent > budget:
-            raise BudgetExceeded(
-                f"neighbor scans exceeded budget of {budget} vertices"
-            )
-        return neighbors(v)
-
-    return scan
-
-
-def _reach(s1: Shape, s2: Shape) -> int:
-    """Anchor distance plus both thicknesses: a scale for the engine's walks."""
-    return distance(s1.anchor, s2.anchor) + s1.thickness + s2.thickness
-
-
-def _resolve_shared_end(s1: Shape, s2: Shape, end: End, max_vertices=None) -> Shape:
+def _resolve_shared_end(s1: Shape, s2: Shape, end: End, sigma, scan, reach) -> Shape:
     """Intersection of two shapes sharing exactly one boundary line.
 
     Asymptotically toward the shared line the joint margin stabilizes at
@@ -602,23 +579,18 @@ def _resolve_shared_end(s1: Shape, s2: Shape, end: End, max_vertices=None) -> Sh
     thickness t* based where the level walk at t* away from the line ends.
     """
     t_star = min(s.t for s in (s1, s2) if not isinstance(s, Fan))
-
-    def sigma(v: Vertex):
-        return min(shape_margin(s1, v), shape_margin(s2, v))
-
-    far = _reach(s1, s2) + 8
+    far = reach + 8
     cur = walk_toward_end(s1.anchor, end, far)
     if sigma(cur) != t_star:
         cur = walk_toward_end(cur, end, far)
         if sigma(cur) != t_star:
             raise InfiniteUnsupported(s1, s2, "shared-line margin failed to settle")
-    scan = _neighbor_scanner(max_vertices)
     toward = step_toward_end(cur, end)
     spine = _level_walk(sigma, scan, cur, t_star, toward, (s1, s2), 2 * far + 8)
     return ThickRay(spine[-1], end, t_star)
 
 
-def _bounded_intersection(s1: Shape, s2: Shape, max_vertices=None) -> Shape:
+def _bounded_intersection(s1: Shape, s2: Shape, sigma, scan, reach) -> Shape:
     """Intersection when no boundary line is shared, hence a bounded set.
 
     The joint margin sigma = min of the two margins is concave and
@@ -627,12 +599,7 @@ def _bounded_intersection(s1: Shape, s2: Shape, max_vertices=None) -> Shape:
     drop, which makes the intersection the thick path around the plateau.
     The plateau is walked from the summit to both sides.
     """
-    scan = _neighbor_scanner(max_vertices)
-
-    def sigma(v: Vertex):
-        return min(shape_margin(s1, v), shape_margin(s2, v))
-
-    ceiling = sigma(s1.anchor) + _reach(s1, s2) + 65
+    ceiling = sigma(s1.anchor) + reach + 65
     summit, val = _climb(sigma, scan, s1.anchor, ceiling)
     if val >= ceiling:
         raise InfiniteUnsupported(s1, s2, "margin ascent failed to terminate")
@@ -651,9 +618,8 @@ def intersect_shapes(s1: Shape, s2: Shape, max_vertices=None) -> Shape:
     """Exact intersection of two branch shapes, again a branch shape."""
     if s1.p != s2.p:
         raise ValueError("shapes live on trees of different primes")
-    p = s1.p
     if isinstance(s1, Empty) or isinstance(s2, Empty):
-        return Empty(p)
+        return Empty(s1.p)
     if isinstance(s1, Full):
         return s2
     if isinstance(s2, Full):
@@ -667,15 +633,28 @@ def intersect_shapes(s1: Shape, s2: Shape, max_vertices=None) -> Shape:
         return s1 if s1.t <= s2.t else s2
 
     shared = s1.rational_ends & s2.rational_ends
-    if shared:
-        assert len(shared) == 1, "two shared lines imply a common axis"
-        end = next(iter(shared))
-        if isinstance(s1, Fan) and isinstance(s2, Fan):
-            # Horoballs around the same line are nested.
-            return s1 if s2.margin(s1.base) >= 0 else s2
-        return _resolve_shared_end(s1, s2, end, max_vertices)
+    assert len(shared) <= 1, "two shared lines imply a common axis"
+    if shared and isinstance(s1, Fan) and isinstance(s2, Fan):
+        # Horoballs around the same line are nested.
+        return s1 if s2.margin(s1.base) >= 0 else s2
 
-    return _bounded_intersection(s1, s2, max_vertices)
+    # both walks step by `scan`: every neighbor, charged before it is made
+    budget, spent = vertex_budget(max_vertices), 0
+
+    def sigma(v: Vertex):
+        return min(shape_margin(s1, v), shape_margin(s2, v))
+
+    def scan(v: Vertex, level=None) -> tuple[Vertex, ...]:
+        nonlocal spent
+        spent += v.p + 1
+        if spent > budget:
+            raise BudgetExceeded(f"neighbor scans exceeded budget of {budget} vertices")
+        return neighbors(v)
+
+    reach = distance(s1.anchor, s2.anchor) + s1.thickness + s2.thickness
+    if shared:
+        return _resolve_shared_end(s1, s2, next(iter(shared)), sigma, scan, reach)
+    return _bounded_intersection(s1, s2, sigma, scan, reach)
 
 
 # ---------------------------------------------------------------------------
@@ -700,18 +679,13 @@ def embeds_in_level(s: Shape, d: int, r: int) -> bool:
         return False
 
 
-def _is_scalar(a) -> bool:
-    _, al, be, ga, de = a
-    return be == 0 and ga == 0 and al == de
-
-
 def branch_of_order(order: LocalOrder, max_vertices=None) -> Shape:
-    """Shape of {v : order contained in D_v}: fold intersections over the
-    basis, the integer `Mat2`s of the order's module rows."""
+    """Shape of {v : order contained in D_v}: classify every row of the
+    basis, the integer `Mat2`s of the order's module rows, then fold
+    intersections over their shapes (a refused row stops before any walk)."""
     shape: Shape = Full(order.p)
-    for b in order.closure.basis:
-        if not _is_scalar(b):
-            shape = intersect_shapes(shape, classify_single(b, order.p), max_vertices)
+    for s in [classify_single(b, order.p) for b in order.closure.basis]:
+        shape = intersect_shapes(shape, s, max_vertices)
     return shape
 
 
@@ -722,40 +696,30 @@ def enumerate_branch(
 
     The branch and the ball are subtrees, so their intersection is connected
     and a breadth-first search from one member, expanding members inside
-    the ball, finds all of it.  The member is found by climbing sigma(v) =
-    min over the non-scalar basis of mu_margin(b, v) - r: each set
-    {mu(b, .) >= r} is a subtree whose distance from v outside it is
-    r - mu(b, v), and on a tree the distance to an intersection of subtrees
-    is the largest distance to one of them.  So sigma(center) is minus the
-    distance to the branch: below -radius the branch misses the ball, and
-    otherwise the climb to 0 meets it in at most `radius` steps.  An order of
-    scalars only has a full (or empty) branch and keeps the ball filter.
+    the ball, finds all of it.  Membership is sigma(v) >= 0 for sigma(v) =
+    min over the basis of mu_margin(b, v) - r, a scalar row giving +inf.
+    Every row of a closed order is integral, and then mu(b, v) >= r is
+    `contains_shifted(v, b, r)`: the margin makes m00 - m11 integral, the
+    trace then 2 m00, and at p = 2 the determinant rules out m00 in 1/2 + Z.
+    Each set {mu(b, .) >= r} is a subtree whose distance from v outside it
+    is r - mu(b, v), and on a tree the distance to an intersection of
+    subtrees is the largest distance to one of them.  So sigma(center) is
+    minus the distance to the branch: below -radius the branch misses the
+    ball, and otherwise the climb to 0 meets it in at most `radius` steps.
     The basis is the integer `Mat2`s of the order's module rows.
     """
     check_ball_budget(center.p, radius, max_vertices)
     r = max(r, 0)
     basis = order.closure.basis
-    margins = [b for b in basis if not _is_scalar(b)]
-
-    def member(v: Vertex) -> bool:
-        return all(contains_shifted(v, b, r) for b in basis)
-
-    def filtered() -> frozenset[Vertex]:
-        return frozenset(filter(member, ball(center, radius, max_vertices)))
-
-    if not margins:
-        return filtered()
 
     def sigma(v: Vertex):
-        return min(mu_margin(b, v) for b in margins) - r
+        return min(mu_margin(b, v) for b in basis) - r
 
     if sigma(center) < -radius:  # the branch is farther than radius
         return frozenset()
     seed, s = _climb(sigma, lambda v, m: iter_neighbors(v), center, 0)
     if s < 0:  # a summit below 0: the branch is empty
         return frozenset()
-    if not member(seed):  # sigma >= 0 certifies membership; stay exact anyway
-        return filtered()
     # Along a geodesic between two vertices of the ball the distance to the
     # centre is convex and changes by 1 per step, so only its ends can sit
     # on the ball's edge: members there, but the seed, are not expanded.  A
@@ -769,7 +733,7 @@ def enumerate_branch(
             for n in neighbors(u):
                 if n in found or (d := distance(center, n)) > radius:
                     continue
-                if member(n):
+                if sigma(n) >= 0:
                     found.add(n)
                     if d < radius:
                         nxt.append(n)

@@ -48,7 +48,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ResourceLimit, SchemaError, SingularMatrix
-from .exact_padic import Mat2, int_valuation, valuation_by_squares
+from .exact_padic import Mat2, int_valuation
 
 DEFAULT_MAX_VERTICES = 200_000
 MAX_SIZE_BITS = 1 << 16  # ball sizes surely past 2^65536 are never formed
@@ -135,19 +135,6 @@ def canonical_vertex(g, p: int) -> Vertex:
     return Vertex(p, alpha - shift, beta - shift, c // p**shift)
 
 
-def _capped_valuation(n: int, p: int, cap: int) -> int:
-    """min(v_p(n), cap) for an integer n (cap for n = 0)."""
-    if p == 2 or n == 0:
-        return min(int_valuation(n, p), cap)
-    k = 0
-    while k < cap and n % p == 0:
-        if k == 32:  # a large valuation: O(log v) divisions from here
-            return min(k + valuation_by_squares(n, p), cap)
-        n //= p
-        k += 1
-    return k
-
-
 def parent(v: Vertex) -> Vertex:
     """D(x, n - 1)."""
     p, a, b, c = v
@@ -169,8 +156,7 @@ def _meet(v: Vertex, w: Vertex) -> int:
     p = v.p
     # x - y = (c_v p^b_w - c_w p^b_v) / p^(b_v + b_w)
     num = v.c * p**w.b - w.c * p**v.b
-    cap = min(v.a + w.b, w.a + v.b)
-    return _capped_valuation(num, p, cap) - v.b - w.b
+    return min(int_valuation(num, p), v.a + w.b, w.a + v.b) - v.b - w.b
 
 
 def distance(v: Vertex, w: Vertex) -> int:
@@ -341,7 +327,7 @@ def busemann(v: Vertex, end: End) -> int:
     e = int_valuation(end.y, p)
     # x - z = -num / (end.y p^b), so min(n, v(x - z)) = min(a + e, v(num)) - b - e
     num = end.x * p**v.b - v.c * end.y
-    return n - 2 * (_capped_valuation(num, p, v.a + e) - v.b - e)
+    return n - 2 * (min(int_valuation(num, p), v.a + e) - v.b - e)
 
 
 def dist_to_ray(v: Vertex, base: Vertex, end: End) -> int:

@@ -318,10 +318,10 @@ def has_unramified_residue_field(order: LocalOrder) -> bool:
     For the order inside D_v, this says its image in D_v / p D_v is F_{p^2}
     or all of M2(F_p), i.e. it fixes no line mod p.  A fixed line is a
     neighbor of v whose maximal order also contains the order, so the test
-    holds exactly when the branch is the single vertex v.  At large p the
-    branch computation may raise BudgetExceeded.
+    holds exactly when the branch, never empty, is the single vertex v: the
+    one shape of diameter 0.  At large p the branch computation may raise
+    BudgetExceeded.
     """
-    from .branches import ThickPath, branch_of_order
+    from .branches import branch_of_order
 
-    s = branch_of_order(order)
-    return isinstance(s, ThickPath) and len(s.path) == 1 and s.t == 0
+    return branch_of_order(order).diameter() == 0

@@ -87,6 +87,12 @@ shared-line spine loop, the bounded intersection with its plateau search,
 degree map and tip sort, the dispatch over them, and the branch
 enumeration with its radius loop.
 
+The section after it keeps `branch_of_order` and `enumerate_branch` of
+`qlat.branches` as they were before the branch was read as the one set
+{sigma >= 0}: the fold that classifies each row after intersecting the
+rows before it, and the enumeration that tests membership with
+`contains_shifted` and filters the whole ball for orders of scalars only.
+
 The section after it keeps `qlat.cli.main` as it was when every argv went
 through argparse, which the plain-grammar loop now serves but for help
 and usage errors, with the exit-code map that each error class's
@@ -2353,6 +2359,16 @@ def eigenline_climb(a, start: Vertex, ceiling=None) -> tuple[Vertex, int]:
     return cur, m
 
 
+def _reach(s1: Shape, s2: Shape) -> int:
+    """Anchor distance plus both thicknesses: a scale for the engine's walks."""
+    return bt_tree.distance(s1.anchor, s2.anchor) + s1.thickness + s2.thickness
+
+
+def _is_scalar(a) -> bool:
+    _, al, be, ga, de = a
+    return be == 0 and ga == 0 and al == de
+
+
 def neighbor_scanner(max_vertices=None):
     """`neighbors`, charging each scan's p+1 vertices to the vertex budget;
     a scan that would pass the budget raises BudgetExceeded instead."""
@@ -2386,7 +2402,7 @@ def scanned_resolve_shared_end(
     def sigma(v: Vertex):
         return min(branches.shape_margin(s1, v), branches.shape_margin(s2, v))
 
-    far = branches._reach(s1, s2) + 8
+    far = _reach(s1, s2) + 8
     cur = bt_tree.walk_toward_end(s1.anchor, end, far)
     if sigma(cur) != t_star:
         cur = bt_tree.walk_toward_end(cur, end, far)
@@ -2418,7 +2434,7 @@ def scanned_bounded_intersection(s1: Shape, s2: Shape, max_vertices=None) -> Sha
     def sigma(v: Vertex):
         return min(branches.shape_margin(s1, v), branches.shape_margin(s2, v))
 
-    cap = branches._reach(s1, s2) + 64
+    cap = _reach(s1, s2) + 64
     cur = s1.anchor
     val = sigma(cur)
     steps = 0
@@ -2512,7 +2528,7 @@ def climbed_enumerate_branch(
     bt_tree.check_ball_budget(center.p, radius, max_vertices)
     r = max(r, 0)
     basis = order.closure.basis
-    margins = [b for b in basis if not branches._is_scalar(b)]
+    margins = [b for b in basis if not _is_scalar(b)]
 
     def member(v: Vertex) -> bool:
         return all(local_orders.contains_shifted(v, b, r) for b in basis)
@@ -2545,6 +2561,91 @@ def climbed_enumerate_branch(
     # on the ball's edge: members there, but the seed, are not expanded.
     found = {seed}
     frontier = [seed]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for n in bt_tree.neighbors(u):
+                if n in found or (d := bt_tree.distance(center, n)) > radius:
+                    continue
+                if member(n):
+                    found.add(n)
+                    if d < radius:
+                        nxt.append(n)
+        frontier = nxt
+    return frozenset(found)
+
+
+# ---------------------------------------------------------------------------
+# The branch engine with two membership tests
+#
+# `branch_of_order` and `enumerate_branch` of `qlat.branches` before the
+# branch was read as {sigma >= 0} alone, verbatim, renamed with the prefixes
+# "interleaved_" (each row is classified after the rows before it are
+# intersected, scalars skipped) and "shifted_" (membership by
+# `contains_shifted`, the ball filter for orders of scalars only and as a
+# fallback).  Every qlat function they call is read through its module.
+
+
+def interleaved_branch_of_order(order: LocalOrder, max_vertices=None) -> Shape:
+    """Shape of {v : order contained in D_v}: fold intersections over the
+    basis, the integer `Mat2`s of the order's module rows."""
+    shape: Shape = Full(order.p)
+    for b in order.closure.basis:
+        if not _is_scalar(b):
+            shape = branches.intersect_shapes(
+                shape, branches.classify_single(b, order.p), max_vertices
+            )
+    return shape
+
+
+def shifted_enumerate_branch(
+    order: LocalOrder, r: int, center: Vertex, radius: int, max_vertices=None
+) -> frozenset[Vertex]:
+    """The depth-r branch vertices within `radius` of `center` (exact there).
+
+    The branch and the ball are subtrees, so their intersection is connected
+    and a breadth-first search from one member, expanding members inside
+    the ball, finds all of it.  The member is found by climbing sigma(v) =
+    min over the non-scalar basis of mu_margin(b, v) - r: each set
+    {mu(b, .) >= r} is a subtree whose distance from v outside it is
+    r - mu(b, v), and on a tree the distance to an intersection of subtrees
+    is the largest distance to one of them.  So sigma(center) is minus the
+    distance to the branch: below -radius the branch misses the ball, and
+    otherwise the climb to 0 meets it in at most `radius` steps.  An order of
+    scalars only has a full (or empty) branch and keeps the ball filter.
+    The basis is the integer `Mat2`s of the order's module rows.
+    """
+    bt_tree.check_ball_budget(center.p, radius, max_vertices)
+    r = max(r, 0)
+    basis = order.closure.basis
+    margins = [b for b in basis if not _is_scalar(b)]
+
+    def member(v: Vertex) -> bool:
+        return all(local_orders.contains_shifted(v, b, r) for b in basis)
+
+    def filtered() -> frozenset[Vertex]:
+        return frozenset(filter(member, bt_tree.ball(center, radius, max_vertices)))
+
+    if not margins:
+        return filtered()
+
+    def sigma(v: Vertex):
+        return min(branches.mu_margin(b, v) for b in margins) - r
+
+    if sigma(center) < -radius:  # the branch is farther than radius
+        return frozenset()
+    seed, s = branches._climb(sigma, lambda v, m: bt_tree.iter_neighbors(v), center, 0)
+    if s < 0:  # a summit below 0: the branch is empty
+        return frozenset()
+    if not member(seed):  # sigma >= 0 certifies membership; stay exact anyway
+        return filtered()
+    # Along a geodesic between two vertices of the ball the distance to the
+    # centre is convex and changes by 1 per step, so only its ends can sit
+    # on the ball's edge: members there, but the seed, are not expanded.  A
+    # ball of radius 0 is its centre, the seed: its p + 1 neighbors are not
+    # built.
+    found = {seed}
+    frontier = [seed] if radius else []
     while frontier:
         nxt = []
         for u in frontier:

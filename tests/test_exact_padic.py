@@ -19,7 +19,6 @@ from helpers import (
     trace,
 )
 from oracles import is_rational_square, reduce_mod_ppow
-from qlat.bt_tree import _capped_valuation
 from qlat.errors import SingularMatrix
 from qlat.exact_padic import (
     Mat2,
@@ -62,44 +61,34 @@ def test_valuation_additive_in_products():
         assert valuation(x + y, p) >= min(valuation(x, p), valuation(y, p))
 
 
-def _valuation_by_division(n: int, p: int, cap=inf):
-    """min(v_p(n), cap) by repeated division, the loop both valuations ran."""
-    if n == 0:
-        return cap
+def _valuation_by_division(n: int, p: int):
+    """v_p(n) for n != 0 by repeated division."""
     v = 0
-    while v < cap and n % p == 0:
+    while n % p == 0:
         n //= p
         v += 1
     return v
 
 
 def test_dyadic_valuations_read_the_lowest_set_bit():
-    """At p = 2, `int_valuation` and `bt_tree._capped_valuation` read the
-    lowest set bit; on +-2^k u (u odd, k <= 3000) and on 0 they agree with
-    repeated division."""
+    """At p = 2, `int_valuation` reads the lowest set bit; on +-2^k u (u odd,
+    k <= 3000) it agrees with repeated division, and it is inf on 0."""
     rng = make_rng(102)
     assert int_valuation(0, 2) == inf
-    for cap in (0, 1, 5, 3001):
-        assert _capped_valuation(0, 2, cap) == cap
     for k in [*range(70), 999, 1000, 1001, 2001, 2999, 3000]:
         for u in (1, 3, rng.randrange(1, 2**64, 2), rng.randrange(1, 2**4000, 2)):
             for n in (u << k, -(u << k)):
                 assert int_valuation(n, 2) == _valuation_by_division(n, 2) == k
-                for cap in (0, k // 2, k, k + 1, 3001):
-                    want = _valuation_by_division(n, 2, cap)
-                    assert _capped_valuation(n, 2, cap) == want == min(k, cap)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 101])
 def test_odd_valuations_divide_by_squared_powers(p):
-    """At odd p, `int_valuation` and `bt_tree._capped_valuation` divide by
-    p up to 32 times, then by p, p^2, p^4, ... and back down; on +-p^k u
-    (u prime to p, k <= 3000) and on 0 they, and `valuation_by_squares` on
-    its own, agree with repeated division."""
+    """At odd p, `int_valuation` divides by p up to 32 times, then by p,
+    p^2, p^4, ... and back down; on +-p^k u (u prime to p, k <= 3000) it,
+    and `valuation_by_squares` on its own, agree with repeated division,
+    and it is inf on 0."""
     rng = make_rng(103 + p)
     assert int_valuation(0, p) == inf
-    for cap in (0, 1, 5, 3001):
-        assert _capped_valuation(0, p, cap) == cap
     ks = [*range(40), 63, 64, 65, 127, 128, 999, 1000, 1001, 2047, 2048, 2999, 3000]
     ks += rng.sample(range(40, 3000), 8)
     for k in ks:
@@ -109,8 +98,6 @@ def test_odd_valuations_divide_by_squared_powers(p):
             assert _valuation_by_division(pk * u, p) == k
             for n in (pk * u, -pk * u):
                 assert int_valuation(n, p) == valuation_by_squares(n, p) == k
-                for cap in (0, k // 2, k, k + 1, 3001):
-                    assert _capped_valuation(n, p, cap) == min(k, cap)
 
 
 def test_unit_part():

@@ -13,8 +13,10 @@ tests on every field Q(sqrt m), |m| <= 200, at every place over p <= 13,
 the Newton-step dyadic square root against the bit-by-bit lift at
 every precision up to 2,048 bits, the branch engine's one climb and one
 level walk against its neighbor-scan loops on seeded shape pairs, budgets
-and guard-tripping fakes, and the exit codes carried by the error classes
-against the old map.  The in-process argv differential of
+and guard-tripping fakes, the branch of an order read from one margin
+against the fold that classifies between intersections and the
+enumeration that tests `contains_shifted`, and the exit codes carried by
+the error classes against the old map.  The in-process argv differential of
 `qlat.cli.main` against its argparse-only oracle is `test_cli_argv.py`."""
 
 import copy
@@ -1149,6 +1151,68 @@ def test_climbed_enumeration_matches_radius_loop(p):
                     args = (order, depth, centre, radius)
                     want = oracles.climbed_enumerate_branch(*args)
                     assert enumerate_branch(*args) == want, args
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_one_margin_branch_matches_two_membership_tests(p):
+    """`branch_of_order` and `enumerate_branch`, which read the branch as
+    {sigma >= 0}, against the fold that classifies between intersections
+    and the enumeration that tests `contains_shifted`: on every branch kind,
+    orders of scalars only, radius 0, centres off the branch, depths past
+    it and budgets that the walks pass."""
+    rng = make_rng(2000 + p)
+    orders = _branch_orders(p, rng)
+    if p == 101:
+        orders = rng.sample(orders, 6)
+    orders += [order_closure([Mat2.scalar(s)], p) for s in (1, p, 6)]
+    radii = (0, 1, 3) if p < 101 else (0, 1)
+    kinds, sizes, folds = set(), set(), set()
+    for order in orders:
+        for budget in (None, 2 * (p + 1)):
+            want = _outcome(oracles.interleaved_branch_of_order, order, budget)
+            assert _outcome(branch_of_order, order, budget) == want, (order, budget)
+            folds.add(want[:2])
+        shape = branch_of_order(order)
+        kinds.add(shape.kind)
+        on = spine_vertex(shape) if shape.kind != "empty" else standard_vertex(p)
+        centres = (on, random_vertex_at(rng, on, 2), random_vertex_at(rng, on, 5))
+        for depth in (0, 1, shape.thickness + 1):
+            for centre in centres:
+                for radius in radii:
+                    args = (order, depth, centre, radius)
+                    want = _result(oracles.shifted_enumerate_branch, *args)
+                    assert _result(enumerate_branch, *args) == want, args
+                    sizes.add(min(len(want), 2))
+                args = (order, depth, centre, 2, 2 * (p + 1))  # past the ball budget
+                want = _result(oracles.shifted_enumerate_branch, *args)
+                assert want[0] is ResourceLimit
+                assert _result(enumerate_branch, *args) == want, args
+    assert "full" in kinds and sizes == {0, 1, 2}
+    assert ("raise", BudgetExceeded) in folds
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_margin_sign_is_shifted_containment(p):
+    """On every vertex of seeded balls, around a branch vertex and around a
+    random one, mu(b, v) >= r holds for a row b of a closed order exactly
+    when `contains_shifted(v, b, r)` does, so sigma >= 0 is membership."""
+    rng = make_rng(2100 + p)
+    radius = {2: 4, 3: 3, 5: 2, 7: 2, 101: 1}[p]
+    orders = _branch_orders(p, rng)
+    seen = set()
+    for order in orders:
+        basis = order.closure.basis
+        shape = branch_of_order(order)
+        on = spine_vertex(shape) if shape.kind != "empty" else standard_vertex(p)
+        for centre in (on, random_vertex(rng, p, 3)):
+            for v in ball(centre, radius):
+                for r in (0, 1, 2):
+                    rows = [contains_shifted(v, b, r) for b in basis]
+                    assert rows == [mu_margin(b, v) >= r for b in basis], (order, v, r)
+                    sigma = min(mu_margin(b, v) for b in basis) - r
+                    seen.add((sigma >= 0) == all(rows))
+                    seen.add(sigma >= 0)
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Every function and method in `src/qlat` is named somewhere else in the
 package or exported in `qlat.__all__`; helpers only the tests use live in
 `tests/helpers.py` and `tests/oracles.py`.  The public entry points that the
-benchmark spans wrap are the ones a request runs through."""
+benchmark spans wrap are the ones a request runs through, and a request
+whose later basis row is over a cap reaches no shape intersection."""
 
 import ast
 import io
@@ -148,7 +149,7 @@ REQUESTS = [
     (
         ["local", "branch-enum"],
         {"p": 3, "generators": [[[1, 0], [0, 0]]], "radius": 2},
-        {"contains_shifted"},
+        {"mu_margin"},
     ),
     (
         ["local", "spinor-image"],
@@ -187,3 +188,22 @@ def test_requests_reach_the_spanned_functions(
     assert cli.main(argv) == 0
     json.loads(capsys.readouterr().out)
     assert {name for name in reached if calls[name] == 0} == set()
+
+
+def test_a_later_row_over_the_thickness_cap_is_refused_before_any_walk(
+    monkeypatch, capsys
+):
+    # The closed basis is a scalar, a fan toward the line of e1, an
+    # apartment whose axis misses that line and a row of thickness 2005.
+    # Every row is classified before any two shapes are intersected, so the
+    # last row is refused at once, where folding row by row would first walk
+    # the bounded intersection of the fan and the apartment (about 10 s).
+    p = 3
+    calls = count_calls(monkeypatch, [(branches, "intersect_shapes")])
+    request = {"p": p, "generators": [[[0, 0], [2 * p**2005, -1]], [[-3, 1], [0, -3]]]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(request)))
+    assert cli.main(["local", "classify"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ResourceLimit"
+    assert err["message"] == "branch thickness 2005 is above 1000"
+    assert calls["intersect_shapes"] == 0
