@@ -79,7 +79,7 @@ from .errors import (
     ResourceLimit,
 )
 from .exact_padic import commute, int_valuation, is_square_mod, sqrt_mod
-from .local_orders import LocalOrder, order_closure
+from .local_orders import LocalOrder, certify_integral
 
 # ---------------------------------------------------------------------------
 # Shapes
@@ -506,10 +506,8 @@ def classify_single(a, p: int) -> Shape:
     """
     den, al, be, ga, de = a
     k = int_valuation(den, p)
-    # Z_(p)[a] is bounded exactly when the characteristic polynomial is
-    # integral; the closure then only runs to certify Unbounded.
-    if int_valuation(al + de, p) < k or int_valuation(al * de - be * ga, p) < 2 * k:
-        order_closure([a], p)
+    # Z_(p)[a] is bounded exactly when its characteristic polynomial is integral
+    certify_integral([(al, be, ga, de)], p**k, p)
     if be == 0 and ga == 0 and al == de:
         return Full(p)
     d = al - de

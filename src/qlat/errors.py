@@ -81,8 +81,10 @@ class SingularMatrix(QlatError):
 class Unbounded(QlatError):
     """Ring closure failed to stabilize: the generators are not integrable.
 
-    ``certificate`` holds the witness with strictly decreasing minimal entry
-    valuation (the coordinate rows observed across the diverging rounds).
+    ``certificate`` holds the witness: for one or two generators, the element
+    ("0", "1" or "0*1") whose trace or determinant is not integral, with that
+    valuation; for more, why the closure rounds stopped, their minimal entry
+    valuations and the last basis.
     """
 
     def __init__(self, certificate):

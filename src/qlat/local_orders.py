@@ -2,7 +2,8 @@
 
 An order is a unital subring that is finitely generated as a Z_(p)-module.
 `order_closure` saturates a generating set into the canonical module basis
-of the generated order, detecting unbounded (non-integral) input.  The
+of the generated order, detecting unbounded (non-integral) input: one or
+two generators in closed form, more in rounds of products.  The
 maximal orders are the lattice stabilizers: one per tree vertex.  A shifted
 Eichler order is Z_(p) + p^r * E for E the intersection of the two maximal
 orders at the endpoints of a path of length d, whose module is one Hermite
@@ -60,15 +61,25 @@ class LocalOrder(namedtuple("LocalOrder", "p generators closure")):
 def order_closure(gens, p: int, max_rounds: int = CLOSURE_MAX_ROUNDS) -> LocalOrder:
     """Saturate {1} + gens into the order they generate.
 
-    Raises `Unbounded` (with a growth certificate) if the module keeps
+    The generators are read as integer matrices over one power of p (see
+    `integer_rows`).  One or two, a and b, generate span{1, a, b, ab} once
+    tr a, det a, tr b, det b and tr ab are integral, as a^2 = tr(a) a -
+    det(a) and ba = tr(a) b + tr(b) a + tr(ab) - tr(a) tr(b) - ab; else
+    `certify_integral` raises `Unbounded`.  More close in rounds of products
+    that raise `Unbounded` (with a growth certificate) if the module keeps
     growing: the minimum entry valuation strictly decreasing over a window
-    of rounds, or no stabilization within the round cap.  For bounded input
-    the iteration stabilizes and the result is multiplicatively closed.
-    Each round multiplies integer matrices (the generators over one power
-    of p, see `integer_rows`) and compares integer canonical forms.
+    of rounds, or no stabilization within the round cap.
     """
     gens = tuple(gens)
     mats, q = integer_rows(gens, p)
+    if len(mats) <= 2:  # a and b, then ab, all over q^2
+        qq = q * q
+        rows = [(a * q, b * q, c * q, d * q) for a, b, c, d in mats]
+        if len(mats) == 2:
+            (a, b, c, d), (e, f, g, h) = mats
+            rows.append((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
+        certify_integral(rows, qq, p)
+        return LocalOrder(p, gens, module_hnf([(qq, 0, 0, qq), *rows], p, qq))
     span = module_hnf([(q, 0, 0, q), *mats], p, q)
     minvals = []
     reason = f"no stabilization within {max_rounds} rounds"
@@ -101,6 +112,21 @@ def order_closure(gens, p: int, max_rounds: int = CLOSURE_MAX_ROUNDS) -> LocalOr
             "basis": [[_exact_text(x) for x in b.entries] for b in span.basis],
         }
     )
+
+
+def certify_integral(rows, m: int, p: int) -> None:
+    """Raise `Unbounded` unless the matrices `rows` / m, m a power of p,
+    have p-integral traces and determinants, as every element of an order
+    has.  The certificate names the first that fails, in the order of the
+    rows ("0", "1", then the product "0*1"), the trace before the
+    determinant, with that invariant's negative valuation."""
+    for element, (a, b, c, d) in zip(("0", "1", "0*1"), rows):
+        invariants = ("trace", a + d, m), ("determinant", a * d - b * c, m * m)
+        for invariant, x, n in invariants:
+            if x % n:
+                v = int_valuation(x, p) - int_valuation(n, p)
+                raise Unbounded({"reason": "non-integral invariant", "element": element,
+                                 "invariant": invariant, "valuation": v})
 
 
 def _exact_text(x) -> str:

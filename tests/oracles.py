@@ -25,7 +25,11 @@ The section after it keeps the Fraction module layer that the integer
 a tuple of exact matrices, the Hermite form by rational elimination, the
 intersection through an integer row echelon with transform, the maximal
 orders as conjugated matrix units, the shifted Eichler modules built on
-them, and the order closure over exact matrix products.
+them, and the order closure over exact matrix products.  After them comes
+the integer order closure in rounds of products, with its divergence
+window and denominator cap, as it was before the closed form span{1, a,
+b, ab} of `qlat.local_orders` replaced it for one or two generators; it
+reads the integer `module_hnf` and `integer_rows` through `exact_padic.`.
 
 The section after it keeps the searches that the generated balls of
 `qlat.bt_tree` and the climb-and-walk of `qlat.branches.enumerate_branch`
@@ -182,7 +186,13 @@ from qlat.global_classfield import (
     hensel_sqrt,
     validate_genus,
 )
-from qlat.local_orders import _DIVERGENCE_WINDOW, CLOSURE_MAX_ROUNDS, LocalOrder
+from qlat.local_orders import (
+    _DIVERGENCE_WINDOW,
+    CLOSURE_MAX_BITS,
+    CLOSURE_MAX_ROUNDS,
+    LocalOrder,
+    _exact_text,
+)
 from qlat.quadforms import (
     ClassGroup,
     QForm,
@@ -880,6 +890,54 @@ def order_closure(gens, p: int, max_rounds: int = CLOSURE_MAX_ROUNDS) -> LocalOr
             "reason": f"no stabilization within {max_rounds} rounds",
             "min_valuations": minvals,
             "basis": [[str(x) for x in b.entries] for b in span.basis],
+        }
+    )
+
+
+def rounds_order_closure(
+    gens, p: int, max_rounds: int = CLOSURE_MAX_ROUNDS
+) -> LocalOrder:
+    """Saturate {1} + gens into the order they generate.
+
+    Raises `Unbounded` (with a growth certificate) if the module keeps
+    growing: the minimum entry valuation strictly decreasing over a window
+    of rounds, or no stabilization within the round cap.  For bounded input
+    the iteration stabilizes and the result is multiplicatively closed.
+    Each round multiplies integer matrices (the generators over one power
+    of p, see `integer_rows`) and compares integer canonical forms.
+    """
+    gens = tuple(gens)
+    mats, q = exact_padic.integer_rows(gens, p)
+    span = exact_padic.module_hnf([(q, 0, 0, q), *mats], p, q)
+    minvals = []
+    reason = f"no stabilization within {max_rounds} rounds"
+    for _ in range(max_rounds):
+        rows = [[x * q for x in r] for r in span.rows]
+        rows += [
+            (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            for a, b, c, d in mats
+            for e, f, g, h in span.rows
+        ]
+        grown = exact_padic.module_hnf(rows, p, q * span.den)
+        if grown == span:
+            return LocalOrder(p, gens, span)
+        span = grown
+        minvals.append(span.min_valuation())
+        window = minvals[-_DIVERGENCE_WINDOW:]
+        if len(window) == _DIVERGENCE_WINDOW and all(
+            x > y for x, y in zip(window, window[1:])
+        ):
+            reason = "entry valuations strictly decreasing"
+            break
+        if span.den.bit_length() > CLOSURE_MAX_BITS:
+            raise ResourceLimit(
+                f"order closure denominators past {CLOSURE_MAX_BITS} bits"
+            )
+    raise Unbounded(
+        {
+            "reason": reason,
+            "min_valuations": minvals,
+            "basis": [[_exact_text(x) for x in b.entries] for b in span.basis],
         }
     )
 

@@ -608,13 +608,27 @@ def test_local_branch_enum_at_radius_0_builds_no_neighbors():
 
 
 def test_order_closure_past_the_denominator_cap_exits_3():
-    # the valuations fall every other round, which the divergence window
-    # misses; the closure stops once its denominator passes 2^15 bits
-    request_doc = {"p": 5, "generators": [[[0, f"1/{5**3000}"], [1, 0]]]}
+    # three generators close in rounds: the valuations fall every other
+    # round, which the divergence window misses, and the closure stops once
+    # its denominator passes 2^15 bits
+    gen, one = [[0, f"1/{5**3000}"], [1, 0]], [[1, 0], [0, 1]]
+    request_doc = {"p": 5, "generators": [gen, one, one]}
     err = run_json(["local", "classify"], request_doc, expect=3, timeout=5)
     assert err == {
         "error": "ResourceLimit",
         "message": "order closure denominators past 32768 bits",
+    }
+
+
+def test_one_generator_past_the_denominator_cap_is_unbounded():
+    # one generator closes in closed form: det = -5^-3000 is not integral,
+    # so the request exits 4 before any Hermite form
+    request_doc = {"p": 5, "generators": [[[0, f"1/{5**3000}"], [1, 0]]]}
+    err = run_json(["local", "classify"], request_doc, expect=4, timeout=5)
+    assert err == {
+        "error": "Unbounded",
+        "message": "module closure does not stabilize; minimal entry "
+        "valuation decreases without bound",
     }
 
 

@@ -50,9 +50,15 @@ def test_order_closure_contains_one_and_generators_and_is_closed():
         assert again.closure == mod
 
 
+def _rounds(gen: Mat2) -> list[Mat2]:
+    """gen and the identity twice: three generators, so the closure runs in
+    rounds, and the identity adds nothing to any of them."""
+    return [gen, Mat2.identity(), Mat2.identity()]
+
+
 def test_order_closure_unbounded_certificate():
     with pytest.raises(Unbounded) as exc:
-        order_closure([Mat2.of([[Fraction(1, 3), 0], [0, 0]])], 3)
+        order_closure(_rounds(Mat2.of([[Fraction(1, 3), 0], [0, 0]])), 3)
     cert = exc.value.certificate
     vals = cert["min_valuations"]
     assert len(vals) >= 2 and vals[-1] < vals[0]
@@ -64,11 +70,11 @@ def test_order_closure_stops_at_the_denominator_cap():
     # ends the closure
     small = Mat2.of([[0, Fraction(1, 5**3)], [1, 0]])
     with pytest.raises(Unbounded) as exc:
-        order_closure([small], 5)
+        order_closure(_rounds(small), 5)
     assert exc.value.certificate["reason"] == "no stabilization within 64 rounds"
     big = Mat2.of([[0, Fraction(1, 5**3000)], [1, 0]])
     with pytest.raises(ResourceLimit, match=f"past {CLOSURE_MAX_BITS} bits"):
-        order_closure([big], 5)
+        order_closure(_rounds(big), 5)
 
 
 @pytest.mark.skipif(
@@ -80,7 +86,7 @@ def test_unbounded_certificate_past_the_int_to_str_limit():
     # str() writes by default: those entries are written in hexadecimal
     gen = Mat2.of([[Fraction(1, 2**2000), 1], [0, 0]])
     with pytest.raises(Unbounded) as exc:
-        order_closure([gen], 2)
+        order_closure(_rounds(gen), 2)
     cert = exc.value.certificate
     assert cert["reason"] == "entry valuations strictly decreasing"
     texts = [text for row in cert["basis"] for text in row]

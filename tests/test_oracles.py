@@ -2,7 +2,8 @@
 integer disc-coordinate local layer on whole balls and seeded ends and
 matrices, the integer module layer (Hermite forms, intersections, maximal
 and shifted Eichler modules, order closure) on seeded generator sets and
-vertex pairs, the class-group layer (reduced-form enumeration, and the
+vertex pairs, the closed-form closure of one or two generators against the
+integer closure rounds, the class-group layer (reduced-form enumeration, and the
 coset-extension closure against the breadth-first one) on discriminants
 and generator sets, the genus-character class-field degrees against the
 class-group closure on genera, the capped factorizer on integers, the
@@ -65,6 +66,7 @@ from qlat.branches import (
     mu_margin,
 )
 from qlat.bt_tree import (
+    MAX_VERTEX_EXPONENT,
     End,
     Vertex,
     ball,
@@ -106,6 +108,7 @@ from qlat.exact_padic import (
     prime_divisors,
     smith_local,
     sqrt_mod,
+    valuation,
 )
 from qlat import branches, bt_tree, global_classfield
 from qlat.global_classfield import (
@@ -842,7 +845,12 @@ def test_order_closure_matches_fraction_layer(p):
 
 @pytest.mark.parametrize("p", [2, 3, 101])
 def test_unbounded_certificate_matches_fraction_layer(p):
-    gens = [Mat2.of([[Fraction(1, p), 1], [0, 0]]), Mat2.of([[0, 0], [Fraction(3, 7), 1]])]
+    # three generators, the identity adding nothing, so the closure runs in rounds
+    gens = [
+        Mat2.of([[Fraction(1, p), 1], [0, 0]]),
+        Mat2.of([[0, 0], [Fraction(3, 7), 1]]),
+        Mat2.identity(),
+    ]
     reasons = {64: "entry valuations strictly decreasing", 5: "no stabilization within 5 rounds"}
     for rounds, reason in reasons.items():
         with pytest.raises(Unbounded) as new:
@@ -851,6 +859,121 @@ def test_unbounded_certificate_matches_fraction_layer(p):
             oracles.order_closure(gens, p, rounds)
         assert new.value.certificate == old.value.certificate
         assert new.value.certificate["reason"] == reason
+
+
+def _check_invariant_certificate(gens, p: int, cert) -> None:
+    """`cert` names the first of tr g0, det g0, tr g1, det g1 and tr g0 g1
+    that is not p-integral, with its valuation, all read off `Fraction`
+    entries."""
+    named = [(name, g.entries) for name, g in zip(("0", "1"), gens)]
+    if len(gens) == 2:
+        (a, b, c, d), (e, f, g, h) = named[0][1], named[1][1]
+        named.append(("0*1", (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)))
+    values = []
+    for name, (a, b, c, d) in named:
+        values.append((name, "trace", a + d))
+        if name != "0*1":
+            values.append((name, "determinant", a * d - b * c))
+    for name, invariant, x in values:
+        if x and valuation(x, p) < 0:
+            assert cert == {
+                "reason": "non-integral invariant",
+                "element": name,
+                "invariant": invariant,
+                "valuation": valuation(x, p),
+            }, (gens, cert)
+            return
+    raise AssertionError(f"every invariant of {gens} is integral: {cert}")
+
+
+def _sweep_entry(rng, p: int, q: int) -> Fraction:
+    """A small rational, now and then with p or p^2 in its denominator,
+    now and then with a prime-to-p factor there or a p-power on top."""
+    den = p ** rng.choice((0,) * 10 + (1, 2)) * rng.choice((1, 1, 1, q))
+    return Fraction(rng.randrange(-12, 13) * p ** rng.choice((0, 0, 1, 3)), den)
+
+
+def _deep_generator(rng, p: int, k: int, j: int) -> Mat2:
+    """[[t, u / p^k], [p^j, 0]], conjugated by a unimodular matrix half
+    the time: det = -u p^(j - k), bounded exactly when j >= k."""
+    unit = rng.choice([x for x in (1, 2, 3, 5, 7, 11) if x % p])
+    m = Mat2.of([[rng.choice((0, 1, p)), Fraction(unit, p**k)], [p**j, 0]])
+    if rng.random() < 0.5:
+        return m
+    g = _unimodular(rng, p)
+    return g * m * g.inverse()
+
+
+def _sweep_generator(rng, p: int, q: int) -> Mat2:
+    """Entries from `_sweep_entry`, a scalar, or a nilpotent plus a scalar."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Mat2.of([[_sweep_entry(rng, p, q) for _ in range(2)] for _ in range(2)])
+    if kind == 1:
+        return Mat2.scalar(_sweep_entry(rng, p, q))
+    x, y, c = (_sweep_entry(rng, p, q) for _ in range(3))
+    s = rng.choice((0, 1, _sweep_entry(rng, p, q)))
+    return Mat2.of([[c * x * y + s, -c * x * x], [c * y * y, s - c * x * y]])
+
+
+def _closure_generators(rng, p: int, q: int) -> list[Mat2]:
+    """One generator, two independent ones, two commuting ones (the second
+    a polynomial in the first), a deep generator with valuations up to the
+    vertex-exponent cap, alone or with a polynomial in it, or a pair of
+    idempotents whose product's trace x / p^k diverges when k > 0."""
+    kind = rng.randrange(5)
+    if kind == 3:
+        # below the cap some are unbounded; at it, where the rounds are slow,
+        # a few, all bounded
+        k = MAX_VERTEX_EXPONENT if rng.random() < 0.1 else rng.randrange(4, 40)
+        j = k + rng.randrange(-1 if k < MAX_VERTEX_EXPONENT else 0, 3)
+        a = _deep_generator(rng, p, k, j)
+        return [a] if rng.random() < 0.5 else [a, Mat2.scalar(rng.randrange(-3, 4)) + a * a]
+    if kind == 4:
+        x = rng.choice([x for x in range(1, 12) if x % p])
+        x = Fraction(x, p ** rng.choice((0,) * 8 + (1, 2)))
+        b = Fraction(rng.choice((1, -2, 3)), rng.choice((1, p, q)))
+        e, f = Mat2.of([[1, 0], [0, 0]]), Mat2.of([[x, b], [x * (1 - x) / b, 1 - x]])
+        g = _unimodular(rng, p)
+        return [g * e * g.inverse(), g * f * g.inverse()]
+    a = _sweep_generator(rng, p, q)
+    if kind == 0:
+        return [a]
+    if kind == 1:
+        return [a, _sweep_generator(rng, p, q)]
+    s, t = _sweep_entry(rng, p, q), _sweep_entry(rng, p, q)
+    return [a, Mat2.scalar(s) + a.scale(t)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_closed_form_closure_matches_rounds(p):
+    """1,500 seeded sets of one or two generators per prime, and one
+    unbounded generator past the rounds' denominator cap: the
+    closed form gives the rounds' `LocalOrder`, or `Unbounded` with a
+    certificate checked on `Fraction` invariants where the rounds raise
+    `Unbounded` or, past their denominator cap, `ResourceLimit`."""
+    rng = make_rng(2100 + p)
+    q = next(x for x in (3, 5, 7) if x != p)
+    # a square of valuation -2000 falls every other round, so the rounds
+    # stop at their denominator cap
+    sets = [[Mat2.of([[0, Fraction(1, p ** (2 * MAX_VERTEX_EXPONENT))], [1, 0]])]]
+    sets += [_closure_generators(rng, p, q) for _ in range(1500)]
+    outcomes = Counter()
+    for gens in sets:
+        try:
+            new = order_closure(gens, p)
+        except Unbounded as exc:
+            _check_invariant_certificate(gens, p, exc.certificate)
+            with pytest.raises((Unbounded, ResourceLimit)) as old:
+                oracles.rounds_order_closure(gens, p)
+            if old.type is ResourceLimit:
+                assert "denominators past" in str(old.value), gens
+            outcomes[old.type.__name__] += 1
+            continue
+        assert new == oracles.rounds_order_closure(gens, p), gens
+        outcomes[len(gens), new.rank] += 1
+    assert outcomes["Unbounded"] > 100 and outcomes["ResourceLimit"] > 0, outcomes
+    assert {(1, 1), (1, 2), (2, 2), (2, 3), (2, 4)} <= set(outcomes), outcomes
 
 
 def test_order_closure_calls_module_hnf_once_per_round(monkeypatch):
@@ -877,7 +1000,10 @@ def test_order_closure_calls_module_hnf_once_per_round(monkeypatch):
             counts.clear()
             order_closure(gens, p)
             oracles.order_closure(gens, p)
-            assert counts["new"] == counts["old"] >= 2
+            if n < 3:  # span{1, a, b, ab} in closed form: one Hermite form
+                assert counts["new"] == 1
+            else:
+                assert counts["new"] == counts["old"] >= 2
 
 
 def test_module_layer_builds_no_fractions(monkeypatch):
@@ -1628,12 +1754,12 @@ def test_end_from_vector_matches_fraction_path():
 
 
 def _classify_outcome(classify, a: Mat2, p: int):
-    """(kind, JSON, shape) of a classification, or the Unbounded certificate;
-    an apartment also gives its witness, ends or not."""
+    """(kind, JSON, shape) of a classification, or ("unbounded", None,
+    certificate); an apartment also gives its witness, ends or not."""
     try:
         shape = classify(a, p)
     except Unbounded as exc:
-        return ("unbounded", exc.certificate, None)
+        return ("unbounded", None, exc.certificate)
     extra = None
     if isinstance(shape, ThickApartment):
         extra = (shape.witness, shape.axis_margin, shape.ends is None)
@@ -1704,7 +1830,13 @@ def test_classify_single_matches_fraction_path(p):
     kinds = set()
     for a in mats:
         got = _classify_outcome(classify_single, a, p)
-        assert got == _classify_outcome(oracles.classify_single, a, p), a
+        want = _classify_outcome(oracles.classify_single, a, p)
+        if got[0] == "unbounded":
+            # the oracle certifies by closure rounds, the engine by the
+            # first non-integral invariant
+            _check_invariant_certificate([a], p, got[2])
+            got, want = got[:2], want[:2]
+        assert got == want, a
         if got[0] == "ThickApartment":
             kinds.add("irrational" if got[2][2] else "rational")
         else:
