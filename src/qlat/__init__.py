@@ -3,85 +3,81 @@ matrix algebras, their branches and spinor images, and — over Q and
 quadratic fields — spinor class fields and selectivity of suborder genera.
 
 Everything is computed over exact rationals; no floating point anywhere.
+
+Each submodule loads on first use.  ``import qlat`` binds every submodule
+without running it, and a module's body runs the first time one of its
+attributes is read, whether as ``qlat.ball``, ``qlat.bt_tree.ball`` or
+``from qlat.bt_tree import ball``.  So a CLI request runs only the layers
+it needs.  That first use is thread-safe only where the lazy loader takes
+a lock, as it does from Python 3.13 and 3.12.3 (3.10, 3.11 and earlier
+3.12 releases take none); qlat itself starts no thread.
 """
 
-from .branches import (
-    Empty,
-    Fan,
-    Full,
-    Shape,
-    ThickApartment,
-    ThickPath,
-    ThickRay,
-    branch_of_order,
-    classify_single,
-    deepen,
-    diameter,
-    eichler_envelope,
-    embeds_in_level,
-    enumerate_branch,
-    intersect_shapes,
-    mu_margin,
-    shape_margin,
-    shape_member,
-)
-from .bt_tree import (
-    End,
-    Vertex,
-    ball,
-    canonical_vertex,
-    distance,
-    end_from_vector,
-    export_dot,
-    geodesic,
-    neighbors,
-    standard_vertex,
-)
-from .errors import (
-    AlgebraNotSplit,
-    BudgetExceeded,
-    EmbeddingInfeasible,
-    EmptyShape,
-    InfiniteUnsupported,
-    NotFinite,
-    NotShiftedEichler,
-    QlatError,
-    ResourceLimit,
-    SchemaError,
-    SingularMatrix,
-    Unbounded,
-    UnsupportedField,
-)
-from .exact_padic import Mat2, legendre, unit_part, valuation
-from .global_classfield import (
-    BaseField,
-    Genus,
-    PrimeIdeal,
-    QuatAlgebra,
-    RepField,
-    SigmaField,
-    is_local_square,
-    is_unramified_or_split,
-    narrow_ray_class_group,
-    parse_place_key,
-    rep_field_comm_quadratic,
-    rep_field_rank3,
-    rep_field_rank4,
-    selectivity_ratio,
-    spinor_class_field,
-)
-from .local_orders import (
-    LocalOrder,
-    ShiftedEichler,
-    contains_shifted,
-    decompose_shifted_eichler,
-    has_unramified_residue_field,
-    order_closure,
-    shift_order,
-    three_maximal_orders,
-)
-from .quadforms import ClassGroup, QForm, class_group, fundamental_unit, prime_form
-from .spinor_local import SpinorImage, odd_pair_oracle, spinor_image
+import importlib.util
+import sys
+
+# The public names, by home module.
+_EXPORTS = {
+    "branches": (
+        "Empty", "Fan", "Full", "Shape", "ThickApartment", "ThickPath", "ThickRay",
+        "branch_of_order", "classify_single", "deepen", "diameter", "eichler_envelope",
+        "embeds_in_level", "enumerate_branch", "intersect_shapes", "mu_margin",
+        "shape_margin", "shape_member",
+    ),
+    "bt_tree": (
+        "End", "Vertex", "ball", "canonical_vertex", "distance", "end_from_vector",
+        "export_dot", "geodesic", "neighbors", "standard_vertex",
+    ),
+    "errors": (
+        "AlgebraNotSplit", "BudgetExceeded", "EmbeddingInfeasible", "EmptyShape",
+        "InfiniteUnsupported", "NotFinite", "NotShiftedEichler", "QlatError",
+        "ResourceLimit", "SchemaError", "SingularMatrix", "Unbounded", "UnsupportedField",
+    ),
+    "exact_padic": ("Mat2", "legendre", "unit_part", "valuation"),
+    "global_classfield": (
+        "BaseField", "Genus", "PrimeIdeal", "QuatAlgebra", "RepField", "SigmaField",
+        "is_local_square", "is_unramified_or_split", "narrow_ray_class_group",
+        "parse_place_key", "rep_field_comm_quadratic", "rep_field_rank3",
+        "rep_field_rank4", "selectivity_ratio", "spinor_class_field",
+    ),
+    "local_orders": (
+        "LocalOrder", "ShiftedEichler", "contains_shifted", "decompose_shifted_eichler",
+        "has_unramified_residue_field", "order_closure", "shift_order",
+        "three_maximal_orders",
+    ),
+    "quadforms": ("ClassGroup", "QForm", "class_group", "prime_form"),
+    "spinor_local": ("SpinorImage", "spinor_image"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def _lazy_module(name):
+    """The submodule `name`, put in sys.modules but not yet run.
+
+    Its body runs on its first attribute access (the lazy-import recipe of
+    the importlib documentation).  getattr() and vars() both count as
+    access, so code that rebinds functions module by module, as the span
+    tracer of bench/ does, runs each module before it looks inside and
+    reaches every binding."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+globals().update({name: _lazy_module(name) for name in _EXPORTS})
+
+
+def __getattr__(name):
+    if name in _HOME:
+        return getattr(globals()[_HOME[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
 
 __version__ = "0.1.0"
 
@@ -135,7 +131,6 @@ __all__ = [
     "end_from_vector",
     "enumerate_branch",
     "export_dot",
-    "fundamental_unit",
     "geodesic",
     "has_unramified_residue_field",
     "intersect_shapes",
@@ -145,7 +140,6 @@ __all__ = [
     "mu_margin",
     "narrow_ray_class_group",
     "neighbors",
-    "odd_pair_oracle",
     "order_closure",
     "parse_place_key",
     "prime_form",

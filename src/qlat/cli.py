@@ -49,16 +49,7 @@ from functools import cache
 from math import inf
 from types import SimpleNamespace
 
-from .branches import branch_of_order, enumerate_branch
-from .bt_tree import (
-    MAX_VERTEX_EXPONENT,
-    Vertex,
-    ball,
-    canonical_order,
-    distance,
-    export_dot,
-    standard_vertex,
-)
+from . import branches, bt_tree, global_classfield, local_orders, spinor_local
 from .errors import (
     EmptyShape,
     QlatError,
@@ -67,25 +58,6 @@ from .errors import (
     UnsupportedField,
 )
 from .exact_padic import Mat2, is_prime
-from .global_classfield import (
-    BaseField,
-    Genus,
-    QuatAlgebra,
-    fe_is_zero,
-    parse_place_key,
-    rep_field_comm_quadratic,
-    rep_field_rank3,
-    rep_field_rank4,
-    selectivity_ratio,
-    spinor_class_field,
-)
-from .local_orders import (
-    ShiftedEichler,
-    decompose_shifted_eichler,
-    order_closure,
-    three_maximal_orders,
-)
-from .spinor_local import spinor_image
 
 # ---------------------------------------------------------------------------
 # Request parsing (every failure is a SchemaError carrying the JSON path)
@@ -174,19 +146,19 @@ def parse_generators(doc: dict, path: str = "generators") -> list[Mat2]:
     return [parse_matrix(m, f"{path}[{i}]") for i, m in enumerate(value)]
 
 
-def parse_vertex(value, p: int, path: str) -> Vertex:
+def parse_vertex(value, p: int, path: str) -> bt_tree.Vertex:
     obj = _expect_obj(value, path)
     a = _expect_int(_require(obj, "a", path), f"{path}.a")
     b = _expect_int(_require(obj, "b", path), f"{path}.b")
     c = _expect_int(_require(obj, "c", path), f"{path}.c")
     for key, e in (("a", a), ("b", b)):
-        if e > MAX_VERTEX_EXPONENT:
+        if e > bt_tree.MAX_VERTEX_EXPONENT:
             raise ResourceLimit(
-                f"vertex exponent {key} = {e} is above {MAX_VERTEX_EXPONENT}",
+                f"vertex exponent {key} = {e} is above {bt_tree.MAX_VERTEX_EXPONENT}",
                 path=f"{path}.{key}",
             )
     try:
-        return Vertex(p, a, b, c)
+        return bt_tree.Vertex(p, a, b, c)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from None
 
@@ -214,21 +186,23 @@ def parse_max_vertices(doc: dict):
 # --- global-layer parsing ---------------------------------------------------
 
 
-def parse_field(doc: dict, path: str = "field") -> BaseField:
+def parse_field(doc: dict, path: str = "field") -> global_classfield.BaseField:
     obj = _expect_obj(_require(doc, "field", ""), path)
     kind = _expect_str(_require(obj, "kind", path), f"{path}.kind")
     if kind == "Q":
-        return BaseField.rationals()
+        return global_classfield.BaseField.rationals()
     if kind == "quadratic":
         d = _expect_int(_require(obj, "d", path), f"{path}.d")
         try:
-            return BaseField.quadratic(d)
+            return global_classfield.BaseField.quadratic(d)
         except ValueError as exc:
             raise SchemaError(f"{path}.d", str(exc)) from None
     raise UnsupportedField(f"unknown field kind {kind!r}")
 
 
-def parse_algebra(field: BaseField, doc: dict, path: str = "algebra") -> QuatAlgebra:
+def parse_algebra(
+    field: global_classfield.BaseField, doc: dict, path: str = "algebra"
+) -> global_classfield.QuatAlgebra:
     obj = _expect_obj(_require(doc, "algebra", ""), path)
     keys = _expect_list(obj.get("ramified", []), f"{path}.ramified")
     finite, real = [], []
@@ -239,16 +213,16 @@ def parse_algebra(field: BaseField, doc: dict, path: str = "algebra") -> QuatAlg
             real.append(key)
             continue
         try:
-            finite.append(parse_place_key(field, key))
+            finite.append(global_classfield.parse_place_key(field, key))
         except ValueError as exc:
             raise SchemaError(kpath, str(exc)) from None
     try:
-        return QuatAlgebra.of(field, finite, real)
+        return global_classfield.QuatAlgebra.of(field, finite, real)
     except ValueError as exc:
         raise SchemaError(f"{path}.ramified", str(exc)) from None
 
 
-def parse_ideal_map(field: BaseField, value, path: str) -> dict:
+def parse_ideal_map(field: global_classfield.BaseField, value, path: str) -> dict:
     if value is None:
         return {}
     obj = _expect_obj(value, path)
@@ -256,7 +230,7 @@ def parse_ideal_map(field: BaseField, value, path: str) -> dict:
     for key, exp in obj.items():
         kpath = f"{path}.{key}"
         try:
-            place = parse_place_key(field, key)
+            place = global_classfield.parse_place_key(field, key)
         except ValueError as exc:
             raise SchemaError(kpath, str(exc)) from None
         e = _expect_int(exp, kpath)
@@ -266,14 +240,16 @@ def parse_ideal_map(field: BaseField, value, path: str) -> dict:
     return out
 
 
-def parse_genus(field: BaseField, doc: dict, path: str = "genus") -> Genus:
+def parse_genus(
+    field: global_classfield.BaseField, doc: dict, path: str = "genus"
+) -> global_classfield.Genus:
     obj = _expect_obj(_require(doc, "genus", ""), path)
     level = parse_ideal_map(field, obj.get("level"), f"{path}.level")
     shift = parse_ideal_map(field, obj.get("I"), f"{path}.I")
-    return Genus.of(level=level, shift=shift)
+    return global_classfield.Genus.of(level=level, shift=shift)
 
 
-def parse_field_element(field: BaseField, value, path: str):
+def parse_field_element(field: global_classfield.BaseField, value, path: str):
     if isinstance(value, dict):
         x = parse_rational(_require(value, "x", path), f"{path}.x")
         y = parse_rational(_require(value, "y", path), f"{path}.y")
@@ -291,12 +267,12 @@ def parse_field_element(field: BaseField, value, path: str):
 def _closed_order(doc: dict):
     p = parse_prime(doc, "")
     gens = parse_generators(doc)
-    return p, order_closure(gens, p)
+    return p, local_orders.order_closure(gens, p)
 
 
 def cmd_local_classify(doc: dict, args) -> dict:
     p, order = _closed_order(doc)
-    shape = branch_of_order(order, parse_max_vertices(doc))
+    shape = branches.branch_of_order(order, parse_max_vertices(doc))
     return {"p": p, "rank": order.rank, "shape": shape.to_json()}
 
 
@@ -307,13 +283,15 @@ def cmd_local_branch_enum(doc: dict, args) -> dict:
     center = (
         parse_vertex(doc["center"], p, "center")
         if "center" in doc
-        else standard_vertex(p)
+        else bt_tree.standard_vertex(p)
     )
-    found = enumerate_branch(order, depth, center, radius, parse_max_vertices(doc))
+    found = branches.enumerate_branch(
+        order, depth, center, radius, parse_max_vertices(doc)
+    )
     return {
         "p": p,
         "count": len(found),
-        "vertices": [v.to_json() for v in canonical_order(found)],
+        "vertices": [v.to_json() for v in bt_tree.canonical_order(found)],
     }
 
 
@@ -321,8 +299,8 @@ def cmd_local_spinor_image(doc: dict, args) -> dict:
     p, order = _closed_order(doc)
     d = parse_nonneg(doc, "level", "level")
     r = parse_nonneg(doc, "shift", "shift", default=0)
-    deep = branch_of_order(order, parse_max_vertices(doc)).deepen(r)
-    image = spinor_image(deep, d, 0)
+    deep = branches.branch_of_order(order, parse_max_vertices(doc)).deepen(r)
+    image = spinor_local.spinor_image(deep, d, 0)
     try:
         dia = deep.diameter()
     except EmptyShape:
@@ -334,7 +312,7 @@ def cmd_local_spinor_image(doc: dict, args) -> dict:
 
 def cmd_local_decompose(doc: dict, args) -> dict:
     _, order = _closed_order(doc)
-    se = decompose_shifted_eichler(order, parse_max_vertices(doc))
+    se = local_orders.decompose_shifted_eichler(order, parse_max_vertices(doc))
     return {
         "endpoints": [v.to_json() for v in se.endpoints],
         "level": se.level,
@@ -350,14 +328,16 @@ def cmd_local_three_maximals(doc: dict, args) -> dict:
     v1 = parse_vertex(ends[0], p, "endpoints[0]")
     v2 = parse_vertex(ends[1], p, "endpoints[1]")
     shift = parse_nonneg(doc, "shift", "shift", default=0)
-    if shift > MAX_VERTEX_EXPONENT:  # the vertices found lie about `shift` away
+    if shift > bt_tree.MAX_VERTEX_EXPONENT:  # the vertices found lie about `shift` away
         raise ResourceLimit(
-            f"shift = {shift} is above {MAX_VERTEX_EXPONENT}", path="shift"
+            f"shift = {shift} is above {bt_tree.MAX_VERTEX_EXPONENT}", path="shift"
         )
-    level = distance(v1, v2)
+    level = bt_tree.distance(v1, v2)
     if "level" in doc and _expect_int(doc["level"], "level") != level:
         raise SchemaError("level", f"endpoints are at distance {level}")
-    witnesses = three_maximal_orders(ShiftedEichler((v1, v2), level, shift))
+    witnesses = local_orders.three_maximal_orders(
+        local_orders.ShiftedEichler((v1, v2), level, shift)
+    )
     return {"level": level, "vertices": [v.to_json() for v in witnesses]}
 
 
@@ -367,20 +347,20 @@ def _parse_ball(doc: dict):
     center = (
         parse_vertex(doc["center"], p, "center")
         if "center" in doc
-        else standard_vertex(p)
+        else bt_tree.standard_vertex(p)
     )
-    return ball(center, radius, parse_max_vertices(doc))
+    return bt_tree.ball(center, radius, parse_max_vertices(doc))
 
 
 def cmd_tree_ball(doc: dict, args) -> dict:
     found = _parse_ball(doc)
-    vertices = [v.to_json() for v in canonical_order(found)]
+    vertices = [v.to_json() for v in bt_tree.canonical_order(found)]
     return {"count": len(found), "vertices": vertices}
 
 
 def cmd_tree_dot(doc: dict, args) -> dict:
     found = _parse_ball(doc)
-    dot = export_dot(found)
+    dot = bt_tree.export_dot(found)
     if args.dot:
         _write_file(args.dot, dot, "--dot")
         return {"dot_file": args.dot, "vertices": len(found)}
@@ -391,7 +371,7 @@ def cmd_global_sigma(doc: dict, args) -> dict:
     field = parse_field(doc)
     algebra = parse_algebra(field, doc)
     genus = parse_genus(field, doc)
-    sigma = spinor_class_field(algebra, genus)
+    sigma = global_classfield.spinor_class_field(algebra, genus)
     return {
         "sigma_degree": sigma.degree,
         "group_order": sigma.group_order,
@@ -409,24 +389,28 @@ def cmd_global_rep_field(doc: dict, args) -> dict:
         delta = parse_field_element(
             field, _require(sub, "delta", "suborder"), "suborder.delta"
         )
-        if fe_is_zero(delta):
+        if global_classfield.fe_is_zero(delta):
             raise SchemaError("suborder.delta", "delta must be nonzero")
         conductor = parse_ideal_map(
             field, sub.get("conductor"), "suborder.conductor"
         )
-        rep = rep_field_comm_quadratic(algebra, genus, delta, conductor)
+        rep = global_classfield.rep_field_comm_quadratic(
+            algebra, genus, delta, conductor
+        )
     elif kind == "rank3":
-        rep = rep_field_rank3(algebra, genus)
+        rep = global_classfield.rep_field_rank3(algebra, genus)
     elif kind == "rank4":
         level = parse_ideal_map(field, sub.get("level"), "suborder.level")
         shift = parse_ideal_map(field, sub.get("I"), "suborder.I")
-        rep = rep_field_rank4(algebra, genus, Genus.of(level=level, shift=shift))
+        rep = global_classfield.rep_field_rank4(
+            algebra, genus, global_classfield.Genus.of(level=level, shift=shift)
+        )
     else:
         raise SchemaError("suborder.kind", f"unknown suborder kind {kind!r}")
     return {
         "sigma_degree": rep.sigma.degree,
         "rep_field_degree": rep.degree,
-        "ratio": str(selectivity_ratio(rep)),
+        "ratio": str(global_classfield.selectivity_ratio(rep)),
         "forced_split": list(rep.sigma.forced_split),
         "strict_places": list(rep.strict_places),
     }

@@ -1,12 +1,11 @@
-"""Binary quadratic forms: reduction, composition, class groups, Pell units.
+"""Binary quadratic forms: reduction, composition, class groups.
 
 Class groups of quadratic orders are computed through primitive integral
 binary quadratic forms of the field discriminant: reduced-form enumeration
 for negative discriminants, reduction-cycle enumeration for positive ones
 (proper equivalence = same cycle, so the narrow class group is exactly the
 cycle set).  Composition uses concordant forms, and ideals enter through
-the classical prime-form correspondence.  Fundamental units of real
-quadratic fields come from the continued fraction of the square root.
+the classical prime-form correspondence.
 """
 
 from __future__ import annotations
@@ -16,7 +15,8 @@ from functools import total_ordering
 from math import gcd, isqrt
 
 from .errors import ResourceLimit
-from .exact_padic import Frozen, is_squarefree, legendre, sqrt_mod
+# is_squarefree is unused here; bench/make_corpus.py imports it from this module.
+from .exact_padic import Frozen, is_squarefree, legendre, sqrt_mod  # noqa: F401
 
 # Largest |discriminant| whose class group is computed: reduced-form
 # enumeration takes O(|disc|) steps, so larger requests exit with
@@ -371,49 +371,3 @@ def prime_form(disc: int, p: int, selector: int = 1) -> QForm:
         b += p
     return QForm(p, b, (b * b - disc) // (4 * p))
 
-
-# ---------------------------------------------------------------------------
-# Units of real quadratic fields
-
-
-def pell_minimal(m: int) -> tuple[int, int, int]:
-    """Minimal (x, y, x^2 - m*y^2) with x, y > 0 solving x^2 - m*y^2 = +-1."""
-    a0 = isqrt(m)
-    if a0 * a0 == m:
-        raise ValueError("m must not be a square")
-    pp, qq, a = 0, 1, a0
-    h_prev, h = 1, a0
-    k_prev, k = 0, 1
-    while h * h - m * k * k not in (1, -1):
-        pp = a * qq - pp
-        qq = (m - pp * pp) // qq
-        a = (a0 + pp) // qq
-        h, h_prev = a * h + h_prev, h
-        k, k_prev = a * k + k_prev, k
-    return h, k, h * h - m * k * k
-
-
-def fundamental_unit(m: int) -> tuple[int, int, int, int]:
-    """Fundamental unit (x + y*sqrt(m))/den of the maximal order, m > 1
-    squarefree; returns (x, y, den, norm) with norm in {1, -1}."""
-    if m <= 1 or not is_squarefree(m):
-        raise ValueError("m must be a squarefree integer > 1")
-    if m % 4 != 1:
-        x, y, n = pell_minimal(m)
-        return x, y, 1, n
-    # Half-integer units allowed: (x + y*sqrt(m))/2 = h - k*(1 - sqrt(m))/2
-    # for the first convergent h/k of (1 + sqrt(m))/2 whose norm
-    # h^2 - h*k - k^2*(m - 1)/4 is +-1.
-    r, c = isqrt(m), (m - 1) // 4
-    pp, qq = 1, 2  # complete quotient (pp + sqrt(m)) / qq
-    h_prev, h = 0, 1
-    k_prev, k = 1, 0
-    while True:
-        a = (pp + r) // qq
-        h, h_prev = a * h + h_prev, h
-        k, k_prev = a * k + k_prev, k
-        norm = h * h - h * k - c * k * k
-        if norm in (1, -1):
-            return 2 * h - k, k, 2, norm
-        pp = a * qq - pp
-        qq = (m - pp * pp) // qq

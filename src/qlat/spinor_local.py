@@ -13,8 +13,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .branches import Shape
-from .bt_tree import Vertex, distance
-from .errors import AnchorInvalid, EmptyShape
+from .errors import EmptyShape
 
 
 class SpinorImage(Enum):
@@ -45,22 +44,3 @@ def spinor_image(branch: Shape, d: int, r: int) -> SpinorImage:
         return SpinorImage.FULL
     return SpinorImage.UNIT_SQUARES
 
-
-def odd_pair_oracle(vertices, d: int, anchor: tuple[Vertex, Vertex]) -> bool:
-    """Reference decision on an enumerated branch: is there a vertex pair at
-    distance d displaced oddly from the anchor pair?
-
-    The anchor must itself be a pair of branch vertices at distance d
-    (otherwise AnchorInvalid).  Spinor images beyond the unit squares exist
-    exactly when some realizing pair sits at odd distance from the anchor.
-    """
-    vs = sorted(set(vertices))
-    a0, a1 = anchor
-    if a0 not in set(vs) or a1 not in set(vs) or distance(a0, a1) != d:
-        raise AnchorInvalid(f"anchor pair is not a distance-{d} pair of the set")
-    for x in vs:
-        dx = distance(a0, x)
-        for y in vs:
-            if distance(x, y) == d and dx % 2 == 1:
-                return True
-    return False

@@ -8,9 +8,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
-from qlat.bt_tree import End, Vertex, neighbors, standard_vertex, step_toward_end
+from qlat.bt_tree import (
+    End,
+    Vertex,
+    distance,
+    neighbors,
+    standard_vertex,
+    step_toward_end,
+)
+from qlat.errors import AnchorInvalid
 from qlat.exact_padic import (
     Mat2,
     Module4,
@@ -21,7 +29,7 @@ from qlat.exact_padic import (
 )
 from qlat.global_classfield import FE, fe_mul, fe_norm
 from qlat.local_orders import LocalOrder, order_closure
-from qlat.quadforms import ClassGroup, QForm, class_rep, fundamental_unit
+from qlat.quadforms import ClassGroup, QForm, class_rep
 
 
 def make_rng(seed: int) -> random.Random:
@@ -237,3 +245,66 @@ def class_inverse(group: ClassGroup, f: QForm) -> QForm:
 
 def unit_norm_is_minus_one(m: int) -> bool:
     return fundamental_unit(m)[3] == -1
+
+
+def pell_minimal(m: int) -> tuple[int, int, int]:
+    """Minimal (x, y, x^2 - m*y^2) with x, y > 0 solving x^2 - m*y^2 = +-1."""
+    a0 = isqrt(m)
+    if a0 * a0 == m:
+        raise ValueError("m must not be a square")
+    pp, qq, a = 0, 1, a0
+    h_prev, h = 1, a0
+    k_prev, k = 0, 1
+    while h * h - m * k * k not in (1, -1):
+        pp = a * qq - pp
+        qq = (m - pp * pp) // qq
+        a = (a0 + pp) // qq
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+    return h, k, h * h - m * k * k
+
+
+def fundamental_unit(m: int) -> tuple[int, int, int, int]:
+    """Fundamental unit (x + y*sqrt(m))/den of the maximal order, m > 1
+    squarefree; returns (x, y, den, norm) with norm in {1, -1}."""
+    if m <= 1 or not is_squarefree(m):
+        raise ValueError("m must be a squarefree integer > 1")
+    if m % 4 != 1:
+        x, y, n = pell_minimal(m)
+        return x, y, 1, n
+    # Half-integer units allowed: (x + y*sqrt(m))/2 = h - k*(1 - sqrt(m))/2
+    # for the first convergent h/k of (1 + sqrt(m))/2 whose norm
+    # h^2 - h*k - k^2*(m - 1)/4 is +-1.
+    r, c = isqrt(m), (m - 1) // 4
+    pp, qq = 1, 2  # complete quotient (pp + sqrt(m)) / qq
+    h_prev, h = 0, 1
+    k_prev, k = 1, 0
+    while True:
+        a = (pp + r) // qq
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+        norm = h * h - h * k - c * k * k
+        if norm in (1, -1):
+            return 2 * h - k, k, 2, norm
+        pp = a * qq - pp
+        qq = (m - pp * pp) // qq
+
+
+def odd_pair_oracle(vertices, d: int, anchor: tuple[Vertex, Vertex]) -> bool:
+    """Reference decision on an enumerated branch: is there a vertex pair at
+    distance d displaced oddly from the anchor pair?
+
+    The anchor must itself be a pair of branch vertices at distance d
+    (otherwise AnchorInvalid).  Spinor images beyond the unit squares exist
+    exactly when some realizing pair sits at odd distance from the anchor.
+    """
+    vs = sorted(set(vertices))
+    a0, a1 = anchor
+    if a0 not in set(vs) or a1 not in set(vs) or distance(a0, a1) != d:
+        raise AnchorInvalid(f"anchor pair is not a distance-{d} pair of the set")
+    for x in vs:
+        dx = distance(a0, x)
+        for y in vs:
+            if distance(x, y) == d and dx % 2 == 1:
+                return True
+    return False

@@ -16,9 +16,12 @@ from math import gcd, isqrt
 from helpers import (
     connected_members,
     fe,
+    fundamental_unit,
     is_scalar,
     make_rng,
+    odd_pair_oracle,
     order_from_module,
+    pell_minimal,
     random_matrix,
     random_order,
     random_vertex_at,
@@ -71,11 +74,9 @@ from qlat.quadforms import (
     class_group,
     class_rep,
     form_cycle,
-    fundamental_unit,
-    pell_minimal,
     prime_form,
 )
-from qlat.spinor_local import SpinorImage, odd_pair_oracle, spinor_image
+from qlat.spinor_local import SpinorImage, spinor_image
 
 Q = BaseField.rationals()
 K10 = BaseField.quadratic(10)

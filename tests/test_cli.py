@@ -861,7 +861,14 @@ def test_bad_vertex_exit_2():
 
 
 def test_no_qlat_class_is_a_dataclass():
-    import qlat.cli  # noqa: F401  (imports every engine module)
+    # The package runs each engine module on first use: import them all.
+    import qlat.branches  # noqa: F401
+    import qlat.bt_tree  # noqa: F401
+    import qlat.cli  # noqa: F401
+    import qlat.global_classfield  # noqa: F401
+    import qlat.local_orders  # noqa: F401
+    import qlat.quadforms  # noqa: F401
+    import qlat.spinor_local  # noqa: F401
 
     classes = {
         cls
@@ -884,10 +891,15 @@ def _imports(module: str, statement: str) -> bool:
     return proc.stdout.decode().strip() == "True"
 
 
+# The package runs each engine module on first use; the star import reads a
+# public name of every one of them, so all run.
+_EVERY_MODULE = "import qlat.cli; from qlat import *"
+
+
 def test_import_leaves_dataclasses_unloaded():
     if _imports("dataclasses", "pass"):
         pytest.skip("this interpreter imports dataclasses at start-up")
-    assert not _imports("dataclasses", "import qlat.cli")
+    assert not _imports("dataclasses", _EVERY_MODULE)
 
 
 def test_import_leaves_argparse_unloaded_until_help():
@@ -896,12 +908,83 @@ def test_import_leaves_argparse_unloaded_until_help():
     for module in ("argparse", "gettext"):
         if _imports(module, "pass"):
             pytest.skip(f"this interpreter imports {module} at start-up")
-        assert not _imports(module, "import qlat.cli"), module
+        assert not _imports(module, _EVERY_MODULE), module
     proc = subprocess.run(
         [sys.executable, "-m", "qlat", "--help"], capture_output=True, timeout=30
     )
     assert proc.returncode == 0
     assert proc.stdout.decode().startswith("usage: qlat [-h] {local,tree,global} ...\n")
+
+
+# Which source files of the package a process executes: an audit hook sees
+# every module body run, including the deferred ones.
+_EXECUTED = """
+import io, json, os, sys
+
+ran = []
+
+
+def hook(event, args):
+    if event == "exec":
+        ran.append(getattr(args[0], "co_filename", ""))
+
+
+sys.addaudithook(hook)
+import qlat.cli
+
+if sys.argv[1:]:
+    sys.stdout = io.StringIO()
+    code = qlat.cli.main(sys.argv[1:])
+    sys.stdout = sys.__stdout__
+    assert code == 0, code
+here = os.path.dirname(qlat.__file__)
+print(json.dumps(sorted(os.path.basename(f) for f in ran if os.path.dirname(f) == here)))
+"""
+_FRONT_END = {"__init__.py", "cli.py", "errors.py", "exact_padic.py"}
+_Q = {"field": {"kind": "Q"}, "algebra": {"ramified": ["inf", "7"]}, "genus": {}}
+_ORDER = {"p": 3, "generators": [[[0, 0], [9, 0]], [[0, 27], [0, 0]]]}
+
+
+@pytest.mark.parametrize(
+    "args,request_doc,layers",
+    [
+        ([], None, set()),
+        (["global", "sigma"], _Q, {"quadforms.py", "global_classfield.py"}),
+        (["tree", "ball"], {"p": 2, "radius": 1}, {"bt_tree.py"}),
+        (["local", "classify"], _ORDER, {"bt_tree.py", "local_orders.py", "branches.py"}),
+        (
+            ["local", "spinor-image"],
+            {**_ORDER, "level": 1},
+            {"bt_tree.py", "local_orders.py", "branches.py", "spinor_local.py"},
+        ),
+    ],
+    ids=["import", "global", "tree", "local", "spinor-image"],
+)
+def test_a_request_runs_only_the_layers_it_needs(args, request_doc, layers):
+    data = None if request_doc is None else json.dumps(request_doc).encode()
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXECUTED, *args],
+        input=data,
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert set(json.loads(proc.stdout)) == _FRONT_END | layers
+
+
+def test_public_names_are_their_home_modules_objects():
+    import qlat
+
+    assert set(qlat.__all__) == set(qlat._HOME)
+    for name in qlat.__all__:
+        value = getattr(qlat, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    namespace = {}
+    exec("from qlat import *", namespace)
+    assert set(qlat.__all__) <= set(namespace)
+    assert set(qlat.__all__) <= set(dir(qlat))
+    with pytest.raises(AttributeError):
+        qlat.no_such_name  # noqa: B018
 
 
 # ---------------------------------------------------------------------------

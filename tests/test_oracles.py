@@ -38,6 +38,7 @@ import oracles
 from helpers import (
     class_inverse,
     fundamental_discriminant,
+    fundamental_unit,
     is_scalar,
     make_rng,
     order_from_module,
@@ -103,6 +104,7 @@ from qlat.exact_padic import (
     is_local_square_int,
     is_local_square_rat,
     is_prime,
+    is_squarefree,
     module_hnf,
     module_intersect,
     prime_divisors,
@@ -142,8 +144,6 @@ from qlat.quadforms import (
     _enumerate_indefinite_reduced,
     class_group,
     class_rep,
-    fundamental_unit,
-    is_squarefree,
     kronecker_at,
     negative_identity_class,
     prime_form,

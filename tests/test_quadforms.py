@@ -6,11 +6,14 @@ import oracles
 from helpers import (
     class_inverse,
     fundamental_discriminant,
+    fundamental_unit,
     is_primitive,
     make_rng,
+    pell_minimal,
     unit_norm_is_minus_one,
 )
 from qlat.errors import ResourceLimit
+from qlat.exact_padic import is_squarefree
 from qlat.quadforms import (
     MAX_CLASS_GROUP_DISC,
     ClassGroup,
@@ -19,12 +22,9 @@ from qlat.quadforms import (
     class_rep,
     compose,
     form_cycle,
-    fundamental_unit,
     is_reduced_indefinite,
-    is_squarefree,
     kronecker_at,
     negative_identity_class,
-    pell_minimal,
     prime_form,
     principal_form,
     reduce_definite,

@@ -108,7 +108,10 @@ SPANNED = [
 
 
 def count_calls(monkeypatch, spanned) -> Counter:
-    """Rebind each function wherever the package holds it, counting calls."""
+    """Rebind each function wherever the package holds it, counting calls.
+
+    vars() runs a module the package has not loaded yet, so the search
+    reaches every engine module."""
     calls = Counter()
     for module, name in spanned:
         fn = getattr(module, name)

@@ -7,6 +7,7 @@ from helpers import (
     connected_members,
     is_scalar,
     make_rng,
+    odd_pair_oracle,
     order_from_module,
     random_matrix,
     random_vertex_at,
@@ -33,7 +34,7 @@ from qlat.bt_tree import (
 from qlat.errors import AnchorInvalid, Unbounded
 from qlat.exact_padic import Mat2
 from qlat.local_orders import shifted_eichler_module
-from qlat.spinor_local import SpinorImage, odd_pair_oracle, spinor_image
+from qlat.spinor_local import SpinorImage, spinor_image
 
 
 # ---------------------------------------------------------------------------
