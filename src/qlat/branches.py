@@ -24,7 +24,14 @@ changes by at most 1 along edges and is concave along geodesics:
 - `Full` / `Empty`.
 
 Each shape class carries its own margin, deepening, diameter and JSON
-form; only the pair rules of `intersect_shapes` match on two kinds.
+form; only the pair rules of `intersect_shapes` match on two kinds.  A
+walk evaluates a shape's bound margin, a closure built once per walk over
+the shape's fixed integers, and `margin(v)` runs the same kernel at one
+vertex.  A `ThickApartment` holds al - de, be, ga, v_p(ga) and v_p(den),
+with t - axis_margin folded in, so per vertex it reads two valuations; a
+`Fan` and a `ThickRay` hold beta_z(base) and v_p of their line's y; a
+`ThickPath` holds its endpoints.  `classify_single` climbs on the bound
+mu of the matrix it classifies.
 
 Thick rays use the same Busemann function: the distance from v to the ray
 from base toward z is (d(v, base) + beta_z(v) - beta_z(base)) / 2, so no
@@ -36,15 +43,16 @@ none does, and `_level_walk` follows a level set of a margin without
 stepping back.  Classifying a single matrix climbs along the eigenlines of
 its residue mod p (a neighbor can keep or raise the margin only there, so
 each step looks at two neighbors at most, whatever p is); enumeration
-climbs to its first member; and intersection climbs min of two margins to
-its summit, then walks the summit plateau, a path, to both sides for a
-bounded intersection, or the level t* away from a shared boundary line to
-the base of a `ThickRay`.  Every neighbor scan of the intersection engine
-is charged to the vertex budget, so a large p exits with BudgetExceeded
-instead of hanging.  The branch of a whole order is {sigma >= 0}, sigma =
-min over its basis of mu: `branch_of_order` classifies every row, then folds
-the intersections, and `enumerate_branch` tests membership by the sign of
-the sigma it climbs.  Deepening by r erodes every margin by r.
+climbs to its first member; and intersection climbs sigma, the min of
+two bound margins, to its summit, then walks the summit plateau, a path,
+to both sides for a bounded intersection, or the level t* away from a
+shared boundary line to the base of a `ThickRay`.  Every neighbor scan of
+the intersection engine is charged to the vertex budget, so a large p
+exits with BudgetExceeded instead of hanging.  The branch of a whole order
+is {sigma >= 0}, sigma = min over its basis of mu: `branch_of_order`
+classifies every row, then folds the intersections, and `enumerate_branch`
+tests membership by the sign of the sigma it climbs, built from each row's
+bound mu.  Deepening by r erodes every margin by r.
 """
 
 from __future__ import annotations
@@ -56,16 +64,17 @@ from .bt_tree import (
     MAX_VERTEX_EXPONENT,
     End,
     Vertex,
-    busemann,
     canonical_vertex,
     check_ball_budget,
     child,
     dist_to_ray,
     distance,
     end_of,
+    horoball_slack,
     iter_neighbors,
     neighbors,
     parent,
+    ray_distance,
     standard_vertex,
     step_toward_end,
     vertex_budget,
@@ -111,7 +120,13 @@ class Shape:
 
     def margin(self, v: Vertex):
         """How far v sits inside the shape; membership is margin >= 0."""
-        raise NotImplementedError
+        return self.bound_margin()(v)
+
+    def bound_margin(self):
+        """The margin as a function of a vertex, the shape's fixed data read
+        once: what a walk evaluates vertex by vertex.  A kind defines this,
+        `margin`, or both, each defined through the same kernel."""
+        return self.margin
 
     def deepen(self, r: int) -> Shape:
         """The depth-r branch {v : ball-depth r inside}: erode the margin by r."""
@@ -226,13 +241,13 @@ class ThickPath(_Thick, namedtuple("ThickPath", "path t")):
     def anchor(self) -> Vertex:
         return self.path[0]
 
-    def margin(self, v: Vertex):
+    def bound_margin(self):
         # in a tree the distance from v to the geodesic [x, y] is
         # (d(v, x) + d(v, y) - d(x, y)) / 2
-        x, y = self.path[0], self.path[-1]
-        if x is y:
-            return self.t - distance(v, x)
-        return self.t - (distance(v, x) + distance(v, y) - self.level) // 2
+        x, y, level, t = self.path[0], self.path[-1], self.level, self.t
+        if not level:
+            return lambda v: t - distance(v, x)
+        return lambda v: t - (distance(v, x) + distance(v, y) - level) // 2
 
     def diameter(self):
         return self.level + 2 * self.t
@@ -250,6 +265,10 @@ class ThickRay(_Thick, _Based, namedtuple("ThickRay", "base end t")):
 
     def margin(self, v: Vertex):
         return self.t - dist_to_ray(v, self.base, self.end)
+
+    def bound_margin(self):
+        t, dist = self.t, ray_distance(self.base, self.end)
+        return lambda v: t - dist(v)
 
 
 class ThickApartment(
@@ -294,8 +313,8 @@ class ThickApartment(
     def rational_ends(self) -> frozenset[End]:
         return frozenset(self.ends or ())
 
-    def margin(self, v: Vertex):
-        return self.t - (self.axis_margin - mu_margin(self.witness, v))
+    def bound_margin(self):
+        return _bound_mu(self.witness, self.p, self.t - self.axis_margin)
 
     def to_json(self) -> dict:
         ends = None if self.ends is None else [e.to_json() for e in self.ends]
@@ -314,6 +333,9 @@ class Fan(_Based, namedtuple("Fan", "base end")):
 
     def margin(self, v: Vertex):
         return fan_slack(self.base, self.end, v)
+
+    def bound_margin(self):
+        return horoball_slack(self.base, self.end)
 
     def deepen(self, r: int) -> Shape:
         if r <= 0:
@@ -339,22 +361,40 @@ def mu_margin(a, v: Vertex):
         m10 = ga p^(v.a - v.b) / den,
         m00 - m11 = ((al - de) q - 2 ga c) / (den q),
 
-    so the margin is a minimum of three integer valuations.
+    so the margin is a minimum of three integer valuations.  Only the
+    first and last depend on v: a walk binds the rest once with `_bound_mu`
+    and evaluates the closure, and this is the same kernel at one vertex.
     """
+    return _bound_mu(a, v.p)(v)
+
+
+def _bound_mu(a, p: int, shift=0):
+    """v -> mu(a, v) + shift on the tree of p, with a's fixed data read once:
+    al - de, be, ga, v_p(ga) and v_p(den).  Per vertex are left the
+    valuations of the numerators of m01 and m00 - m11, each read in full
+    only when p divides it."""
     den, al, be, ga, de = a
-    p, c = v.p, v.c
-    q = p**v.b
     d = al - de
-    return min(
-        int_valuation(be * q * q + d * c * q - ga * c * c, p) - v.a - v.b,
-        int_valuation(ga, p) + v.a - v.b,
-        int_valuation(d * q - 2 * ga * c, p) - v.b,
-    ) - int_valuation(den, p)
+    shift -= int_valuation(den, p)
+    v_ga = int_valuation(ga, p)
+
+    def mu(v: Vertex):
+        _, va, vb, c = v
+        q = p**vb
+        x = (be * q + d * c) * q - ga * c * c
+        y = d * q - 2 * ga * c
+        return shift + min(
+            (int_valuation(x, p) if x % p == 0 else 0) - va - vb,
+            v_ga + va - vb,
+            (int_valuation(y, p) if y % p == 0 else 0) - vb,
+        )
+
+    return mu
 
 
 def fan_slack(base: Vertex, end: End, v: Vertex) -> int:
     """Horoball slack of v relative to the zero level through base."""
-    return busemann(base, end) - busemann(v, end)
+    return horoball_slack(base, end)(v)
 
 
 def shape_margin(s: Shape, v: Vertex):
@@ -546,20 +586,16 @@ def classify_single(a, p: int) -> Shape:
             assert mu_margin(a, anchor) == t
             return ThickApartment(p, ends, t, a, t, anchor)
 
+    mu = _bound_mu(a, p)
     summit, reached = _climb(
-        lambda v: mu_margin(a, v),
-        lambda v, m: _level_neighbors(a, v, m),
-        _stable_start(a, p),
-        t,
+        mu, lambda v, m: _level_neighbors(a, v, m), _stable_start(a, p), t
     )
     assert reached == t
     if split:  # irrational eigenvalues: the witness carries the axis
         _refuse_past_cap([summit])
         return ThickApartment(p, None, t, a, t, summit)
     # Field case: the margin summit is a single vertex or a single edge.
-    stem = [summit] + [
-        n for n in _level_neighbors(a, summit, t) if mu_margin(a, n) == t
-    ]
+    stem = [summit] + [n for n in _level_neighbors(a, summit, t) if mu(n) == t]
     assert len(stem) <= 2
     _refuse_past_cap(stem)
     return ThickPath(tuple(sorted(stem)), t)
@@ -639,8 +675,10 @@ def intersect_shapes(s1: Shape, s2: Shape, max_vertices=None) -> Shape:
     # both walks step by `scan`: every neighbor, charged before it is made
     budget, spent = vertex_budget(max_vertices), 0
 
+    margin1, margin2 = s1.bound_margin(), s2.bound_margin()
+
     def sigma(v: Vertex):
-        return min(shape_margin(s1, v), shape_margin(s2, v))
+        return min(margin1(v), margin2(v))
 
     def scan(v: Vertex, level=None) -> tuple[Vertex, ...]:
         nonlocal spent
@@ -695,7 +733,8 @@ def enumerate_branch(
     The branch and the ball are subtrees, so their intersection is connected
     and a breadth-first search from one member, expanding members inside
     the ball, finds all of it.  Membership is sigma(v) >= 0 for sigma(v) =
-    min over the basis of mu_margin(b, v) - r, a scalar row giving +inf.
+    min over the basis of mu(b, v) - r, a scalar row giving +inf, each row's
+    margin bound once (`_bound_mu`).
     Every row of a closed order is integral, and then mu(b, v) >= r is
     `contains_shifted(v, b, r)`: the margin makes m00 - m11 integral, the
     trace then 2 m00, and at p = 2 the determinant rules out m00 in 1/2 + Z.
@@ -707,11 +746,10 @@ def enumerate_branch(
     The basis is the integer `Mat2`s of the order's module rows.
     """
     check_ball_budget(center.p, radius, max_vertices)
-    r = max(r, 0)
-    basis = order.closure.basis
+    margins = [_bound_mu(b, center.p, -max(r, 0)) for b in order.closure.basis]
 
     def sigma(v: Vertex):
-        return min(mu_margin(b, v) for b in basis) - r
+        return min(mu(v) for mu in margins)
 
     if sigma(center) < -radius:  # the branch is farther than radius
         return frozenset()

@@ -22,7 +22,9 @@ here works on these integer disc coordinates, with no matrices:
   toward z descends into the child holding z when z lies in the disc and
   climbs to the parent otherwise;
 - the Busemann function toward z is n - 2 min(n, v(x - z)), and n toward
-  oo, so horoball slacks and distances to rays are closed forms.
+  oo, so horoball slacks and distances to rays are closed forms, each
+  bound once to its base and end (`horoball_slack`, `ray_distance`) and
+  then evaluated vertex by vertex.
 
 `canonical_vertex` turns the integer columns of a lattice basis into its
 triple.
@@ -314,25 +316,43 @@ def walk_toward_end(v: Vertex, end: End, steps: int) -> Vertex:
     return v
 
 
-def busemann(v: Vertex, end: End) -> int:
-    """Busemann function toward end: n - 2 min(n, v(x - z)), or n toward oo.
+def horoball_slack(base: Vertex, end: End):
+    """v -> beta_z(base) - beta_z(v) on the tree of base, z = end: how far v
+    sits inside the horoball through base.
 
-    It drops by 1 along each step toward the end and rises by 1 along
-    every other edge.
+    The Busemann function beta_z(D(x, n)) = n - 2 min(n, v(x - z)), or n
+    toward oo, drops by 1 along each step toward the end and rises by 1
+    along every other edge.  v_p(end.y) and beta_z(base) are read once,
+    here; per vertex is left one valuation, read in full only when p
+    divides its argument.
     """
-    n = v.a - v.b
-    if not end.y:
-        return n
-    p = v.p
-    e = int_valuation(end.y, p)
-    # x - z = -num / (end.y p^b), so min(n, v(x - z)) = min(a + e, v(num)) - b - e
-    num = end.x * p**v.b - v.c * end.y
-    return n - 2 * (min(int_valuation(num, p), v.a + e) - v.b - e)
+    p, (x, y) = base.p, end
+    e = int_valuation(y, p) if y else 0
+    top = 0
+
+    def slack(v: Vertex) -> int:
+        _, a, b, c = v
+        if not y:
+            return top - a + b
+        # x - z = -num / (y p^b), so min(n, v(x - z)) = min(a + e, v(num)) - b - e
+        num = x * p**b - c * y
+        k = int_valuation(num, p) if num % p == 0 else 0
+        return top - a + b + 2 * (min(k, a + e) - b - e)
+
+    top = -slack(base)  # beta_z(base); slack reads top when it is called
+    return slack
+
+
+def ray_distance(base: Vertex, end: End):
+    """v -> the distance from v to the ray from base toward end, which is
+    (d(v, base) - slack(v)) / 2 for the horoball slack through base."""
+    slack = horoball_slack(base, end)
+    return lambda v: (distance(v, base) - slack(v)) // 2
 
 
 def dist_to_ray(v: Vertex, base: Vertex, end: End) -> int:
     """Distance from v to the ray from base toward end."""
-    return (distance(v, base) + busemann(v, end) - busemann(base, end)) // 2
+    return ray_distance(base, end)(v)
 
 
 # ---------------------------------------------------------------------------

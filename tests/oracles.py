@@ -97,6 +97,12 @@ The section after it keeps `branch_of_order` and `enumerate_branch` of
 rows before it, and the enumeration that tests membership with
 `contains_shifted` and filters the whole ball for orders of scalars only.
 
+The section after it keeps the margins of `qlat.branches` and
+`qlat.bt_tree` as they were before each shape bound its fixed data once
+per walk: `mu_margin`, which read all four valuations at every vertex,
+the Busemann function with the horoball slack and ray distance built on
+it, and the margin of each of the four shape kinds, one vertex at a time.
+
 The section after it keeps `qlat.cli.main` as it was when every argv went
 through argparse, which the plain-grammar loop now serves but for help
 and usage errors, with the exit-code map that each error class's
@@ -2716,6 +2722,88 @@ def shifted_enumerate_branch(
                         nxt.append(n)
         frontier = nxt
     return frozenset(found)
+
+
+# ---------------------------------------------------------------------------
+# Margins read vertex by vertex
+#
+# `mu_margin` of `qlat.branches`, `busemann` and `dist_to_ray` of
+# `qlat.bt_tree`, `fan_slack` of `qlat.branches`, and the `margin` bodies of
+# the four shape kinds, before each shape bound its margin once per walk,
+# verbatim, renamed with the prefix "valued_" (the shape margins as
+# functions of the shape).  Every qlat function they call is read through
+# its module.
+
+
+def valued_mu_margin(a, v: Vertex):
+    """Largest r with a in Z_(p) + p^r * D_v (may be negative or infinite).
+
+    a is a matrix or an integer 5-tuple (den, al, be, ga, de), that is
+    a = [[al, be], [ga, de]] / den; a factor common to all five leaves the
+    margin unchanged.  The conjugate m = g^-1 a g by the basis
+    g = [[p^(v.a), c], [0, q]] of v, q = p^(v.b), has
+
+        m01 = (be q^2 + (al - de) c q - ga c^2) / (den p^(v.a + v.b)),
+        m10 = ga p^(v.a - v.b) / den,
+        m00 - m11 = ((al - de) q - 2 ga c) / (den q),
+
+    so the margin is a minimum of three integer valuations.
+    """
+    den, al, be, ga, de = a
+    p, c = v.p, v.c
+    q = p**v.b
+    d = al - de
+    return min(
+        int_valuation(be * q * q + d * c * q - ga * c * c, p) - v.a - v.b,
+        int_valuation(ga, p) + v.a - v.b,
+        int_valuation(d * q - 2 * ga * c, p) - v.b,
+    ) - int_valuation(den, p)
+
+
+def valued_busemann(v: Vertex, end: End) -> int:
+    """Busemann function toward end: n - 2 min(n, v(x - z)), or n toward oo.
+
+    It drops by 1 along each step toward the end and rises by 1 along
+    every other edge.
+    """
+    n = v.a - v.b
+    if not end.y:
+        return n
+    p = v.p
+    e = int_valuation(end.y, p)
+    # x - z = -num / (end.y p^b), so min(n, v(x - z)) = min(a + e, v(num)) - b - e
+    num = end.x * p**v.b - v.c * end.y
+    return n - 2 * (min(int_valuation(num, p), v.a + e) - v.b - e)
+
+
+def valued_dist_to_ray(v: Vertex, base: Vertex, end: End) -> int:
+    """Distance from v to the ray from base toward end."""
+    return (
+        bt_tree.distance(v, base) + valued_busemann(v, end) - valued_busemann(base, end)
+    ) // 2
+
+
+def valued_fan_slack(base: Vertex, end: End, v: Vertex) -> int:
+    """Horoball slack of v relative to the zero level through base."""
+    return valued_busemann(base, end) - valued_busemann(v, end)
+
+
+def valued_margin(s: Shape, v: Vertex):
+    """The margin of each shape kind at v, as its `margin` method read it."""
+    if isinstance(s, ThickPath):
+        # in a tree the distance from v to the geodesic [x, y] is
+        # (d(v, x) + d(v, y) - d(x, y)) / 2
+        x, y = s.path[0], s.path[-1]
+        if x is y:
+            return s.t - bt_tree.distance(v, x)
+        return s.t - (bt_tree.distance(v, x) + bt_tree.distance(v, y) - s.level) // 2
+    if isinstance(s, ThickRay):
+        return s.t - valued_dist_to_ray(v, s.base, s.end)
+    if isinstance(s, ThickApartment):
+        return s.t - (s.axis_margin - valued_mu_margin(s.witness, v))
+    if isinstance(s, Fan):
+        return valued_fan_slack(s.base, s.end, v)
+    return inf if isinstance(s, Full) else -inf
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ tuple-backed vertex against the frozen dataclass on whole balls, the
 one square-class rule against the per-place local square and unramified
 tests on every field Q(sqrt m), |m| <= 200, at every place over p <= 13,
 the Newton-step dyadic square root against the bit-by-bit lift at
-every precision up to 2,048 bits, the branch engine's one climb and one
+every precision up to 2,048 bits, the bound margin of every shape kind
+against the margins read vertex by vertex (and a count of the valuations
+a bound margin reads per vertex), the branch engine's one climb and one
 level walk against its neighbor-scan loops on seeded shape pairs, budgets
 and guard-tripping fakes, the branch of an order read from one margin
 against the fold that classifies between intersections and the
@@ -225,6 +227,116 @@ def test_margins_and_shifted_membership_match_conjugation(p, radius):
             for r in (0, 1, 2):
                 got = contains_shifted(v, a, r)
                 assert got == oracles.contains_shifted(v, a, r), (a, v, r)
+
+
+def seeded_witnesses(rng, p: int) -> list[tuple]:
+    """5-tuples (den, al, be, ga, de) of every kind a margin kernel reads:
+    ga = 0, be = 0, scalars plus nilpotents, den with a p-power part and a
+    prime-to-p part, and tuples not in lowest terms (the five times a
+    common factor), with valuations up to MAX_VERTEX_EXPONENT."""
+    q = next(x for x in (7, 11, 13) if x != p)
+
+    def entry() -> int:
+        x = rng.randrange(-60, 61)
+        return x * p ** rng.choice((0, 0, 1, 2, rng.randrange(MAX_VERTEX_EXPONENT + 1)))
+
+    def den() -> int:
+        unit = rng.choice((1, q, 3 * q))
+        return unit * p ** rng.choice((0, 1, 3, MAX_VERTEX_EXPONENT))
+
+    out = []
+    for _ in range(8):
+        al, be, ga, de = entry(), entry(), entry(), entry()
+        out += [(den(), al, be, ga, de), (den(), al, be, 0, de), (den(), al, 0, ga, de)]
+        # lam + k [[x y, -x^2], [y^2, -x y]]: a scalar plus a nilpotent
+        lam, k, x, y = entry(), entry(), entry(), rng.randrange(1, 9)
+        out.append((den(), lam + k * x * y, -k * x * x, k * y * y, lam - k * x * y))
+        g = rng.choice((p, q * p**5, q))  # not in lowest terms
+        out.append(tuple(g * z for z in (den(), al, be, ga, de)))
+    out.append(tuple(random_matrix(rng, p)))  # a Mat2 reads as its 5-tuple
+    return out
+
+
+def seeded_vertices(rng, p: int) -> list[Vertex]:
+    """Vertices near the standard vertex and far out, with exponents a and b
+    up to MAX_VERTEX_EXPONENT."""
+    out = [random_vertex(rng, p, 6) for _ in range(10)]
+    for _ in range(10):
+        a, b = (rng.randrange(MAX_VERTEX_EXPONENT + 1) for _ in range(2))
+        if rng.random() < 0.3:
+            a, b = rng.choice(((a, 0), (0, b), (MAX_VERTEX_EXPONENT, 0)))
+        c = rng.randrange(p**a) if a else 0
+        if a and b and c % p == 0:
+            c += 1
+        out.append(Vertex(p, a, b, c))
+    return out + [random_vertex_at(rng, out[-1], 3) for _ in range(3)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_bound_margins_match_reference(p):
+    """Each shape kind's bound margin, its `margin`, and `mu_margin`,
+    `fan_slack` and `dist_to_ray`, against the margins as they were read
+    vertex by vertex before the shapes bound their fixed data once."""
+    rng = make_rng(2300 + p)
+    vs = seeded_vertices(rng, p)
+    shapes = [Full(p), Empty(p)]
+    for w in seeded_witnesses(rng, p):
+        t, axis = rng.randrange(4), rng.randrange(-3, 4)
+        shapes.append(ThickApartment(p, None, t, w, axis, rng.choice(vs)))
+        for v in vs:
+            assert mu_margin(w, v) == oracles.valued_mu_margin(w, v), (w, v)
+    for end in seeded_ends(p, 2400 + p) + [End(1, p**MAX_VERTEX_EXPONENT)]:
+        for base in rng.sample(vs, 4):
+            shapes += [Fan(base, end), ThickRay(base, end, rng.randrange(4))]
+            for v in vs:
+                want = oracles.valued_fan_slack(base, end, v)
+                assert fan_slack(base, end, v) == want, (base, end, v)
+                want = oracles.valued_dist_to_ray(v, base, end)
+                assert dist_to_ray(v, base, end) == want, (base, end, v)
+    for _ in range(8):
+        x = rng.choice(vs)
+        y = random_vertex_at(rng, x, rng.randrange(4))
+        shapes.append(ThickPath(geodesic(x, y), rng.randrange(4)))
+    for s in shapes:
+        margin = s.bound_margin()
+        for v in vs:
+            want = oracles.valued_margin(s, v)
+            assert margin(v) == s.margin(v) == want, (s, v)
+
+
+@pytest.mark.parametrize("p", [3, 101])
+def test_bound_margins_read_fixed_valuations_once(monkeypatch, p):
+    """The valuations of den and ga, and of an end's y, are read when the
+    margin is bound, not at each vertex: with den, ga and y of valuations in
+    the thousands, no read per vertex is given any of them."""
+    den, ga, y = 7 * p**3000, 5 * p**2000, p**2500
+    witness = (den, 1 + p**2100, 3, ga, 1)
+    shapes = [
+        ThickApartment(p, None, 1, witness, 0, standard_vertex(p)),
+        Fan(standard_vertex(p), End(1, y)),
+        ThickRay(standard_vertex(p), End(1, y), 2),
+    ]
+    rng = make_rng(2500 + p)
+    vs = seeded_vertices(rng, p)
+    read = []
+
+    def counted(n, q):
+        read.append(n)
+        return valuation_of(n, q)
+
+    valuation_of = branches.int_valuation
+    for s in shapes:
+        margin = s.bound_margin()
+        read.clear()
+        monkeypatch.setattr(branches, "int_valuation", counted)
+        monkeypatch.setattr(bt_tree, "int_valuation", counted)
+        values = [margin(v) for v in vs]
+        monkeypatch.undo()
+        assert values == [oracles.valued_margin(s, v) for v in vs], s
+        assert not {den, ga, y} & set(read), s
+        # at most the two valuations that depend on v, and for a ray the
+        # distance to its base and the slack
+        assert len(read) <= 2 * len(vs), (s, len(read))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
@@ -1236,6 +1348,9 @@ class _LongRay(ThickRay):
     def margin(self, v):
         p = self.p
         return self.t - 1 + mu_margin((1, 1, 0, 0, 1 + p), v)
+
+    def bound_margin(self):  # the walks evaluate this margin, not the ray's
+        return self.margin
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
