@@ -49,6 +49,7 @@ _EXPORTS = {
     "spinor_local": ("SpinorImage", "spinor_image"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
 
 
 def _lazy_module(name):
@@ -80,80 +81,3 @@ def __dir__():
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlgebraNotSplit",
-    "BaseField",
-    "BudgetExceeded",
-    "ClassGroup",
-    "EmbeddingInfeasible",
-    "Empty",
-    "EmptyShape",
-    "End",
-    "Fan",
-    "Full",
-    "Genus",
-    "InfiniteUnsupported",
-    "LocalOrder",
-    "Mat2",
-    "NotFinite",
-    "NotShiftedEichler",
-    "PrimeIdeal",
-    "QForm",
-    "QlatError",
-    "QuatAlgebra",
-    "RepField",
-    "ResourceLimit",
-    "SchemaError",
-    "Shape",
-    "ShiftedEichler",
-    "SigmaField",
-    "SingularMatrix",
-    "SpinorImage",
-    "ThickApartment",
-    "ThickPath",
-    "ThickRay",
-    "Unbounded",
-    "UnsupportedField",
-    "Vertex",
-    "ball",
-    "branch_of_order",
-    "canonical_vertex",
-    "class_group",
-    "classify_single",
-    "contains_shifted",
-    "decompose_shifted_eichler",
-    "deepen",
-    "diameter",
-    "distance",
-    "eichler_envelope",
-    "embeds_in_level",
-    "end_from_vector",
-    "enumerate_branch",
-    "export_dot",
-    "geodesic",
-    "has_unramified_residue_field",
-    "intersect_shapes",
-    "is_local_square",
-    "is_unramified_or_split",
-    "legendre",
-    "mu_margin",
-    "narrow_ray_class_group",
-    "neighbors",
-    "order_closure",
-    "parse_place_key",
-    "prime_form",
-    "rep_field_comm_quadratic",
-    "rep_field_rank3",
-    "rep_field_rank4",
-    "selectivity_ratio",
-    "shape_margin",
-    "shape_member",
-    "shift_order",
-    "spinor_class_field",
-    "spinor_image",
-    "standard_vertex",
-    "three_maximal_orders",
-    "unit_part",
-    "valuation",
-]

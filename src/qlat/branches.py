@@ -472,9 +472,10 @@ def _level_walk(sigma, steps, v: Vertex, level, back, shapes, most=inf):
 # Classification of a single matrix
 
 
-def _level_neighbors(a, v: Vertex, m: int) -> list[Vertex]:
-    """The at most two neighbors w of v with mu(a, w) >= m = mu(a, v), for
-    a = (den, al, be, ga, de).
+def _level_neighbors(a, p: int):
+    """(v, m) -> the at most two neighbors w of v with mu(a, w) >= m =
+    mu(a, v), for a = (den, al, be, ga, de) on the tree of p, with v_p(den)
+    read once.
 
     A neighbor of v is a line of L_v / p L_v, and mu(a, w) >= m holds
     exactly when that line is an eigenline of the residue mod p of
@@ -483,33 +484,37 @@ def _level_neighbors(a, v: Vertex, m: int) -> list[Vertex]:
     t = 0 mod p and otherwise the child with digit s / t.
     """
     den, al, be, ga, de = a
-    p, b, c = v.p, v.b, v.c
-    q = p**b
     d = al - de
-    k = int_valuation(den, p) + b + m
+    v_den = int_valuation(den, p)
 
     def residue(x: int, e: int) -> int:  # x / p^e mod p, given v_p(x) >= e
         return x // p**e % p if e >= 0 else 0
 
-    r01 = residue(be * q * q + d * c * q - ga * c * c, k + v.a)
-    r10 = residue(ga, k - v.a)
-    r11 = residue(2 * ga * c - d * q, k)
-    if p == 2:
-        roots = [x for x in (0, 1) if (x * x - r11 * x - r01 * r10) % 2 == 0]
-    else:
-        root = sqrt_mod(r11 * r11 + 4 * r01 * r10, p)
-        if root is None:
-            return []
-        half = (p + 1) // 2
-        roots = {(r11 + root) * half % p, (r11 - root) * half % p}
-    out = []
-    for lam in roots:
-        if lam or r01:
-            s, t = r01, lam
+    def steps(v: Vertex, m: int) -> list[Vertex]:
+        b, c = v.b, v.c
+        q = p**b
+        k = v_den + b + m
+        r01 = residue(be * q * q + d * c * q - ga * c * c, k + v.a)
+        r10 = residue(ga, k - v.a)
+        r11 = residue(2 * ga * c - d * q, k)
+        if p == 2:
+            roots = [x for x in (0, 1) if (x * x - r11 * x - r01 * r10) % 2 == 0]
         else:
-            s, t = r11 - lam, -r10
-        out.append(child(v, s * pow(t, -1, p) % p) if t % p else parent(v))
-    return sorted(out)
+            root = sqrt_mod(r11 * r11 + 4 * r01 * r10, p)
+            if root is None:
+                return []
+            half = (p + 1) // 2
+            roots = {(r11 + root) * half % p, (r11 - root) * half % p}
+        out = []
+        for lam in roots:
+            if lam or r01:
+                s, t = r01, lam
+            else:
+                s, t = r11 - lam, -r10
+            out.append(child(v, s * pow(t, -1, p) % p) if t % p else parent(v))
+        return sorted(out)
+
+    return steps
 
 
 def _refuse_past_cap(vertices) -> None:
@@ -547,7 +552,7 @@ def classify_single(a, p: int) -> Shape:
     den, al, be, ga, de = a
     k = int_valuation(den, p)
     # Z_(p)[a] is bounded exactly when its characteristic polynomial is integral
-    certify_integral([(al, be, ga, de)], p**k, p)
+    certify_integral([(al, be, ga, de)], 0, p**k, p)
     if be == 0 and ga == 0 and al == de:
         return Full(p)
     d = al - de
@@ -586,16 +591,14 @@ def classify_single(a, p: int) -> Shape:
             assert mu_margin(a, anchor) == t
             return ThickApartment(p, ends, t, a, t, anchor)
 
-    mu = _bound_mu(a, p)
-    summit, reached = _climb(
-        mu, lambda v, m: _level_neighbors(a, v, m), _stable_start(a, p), t
-    )
+    mu, steps = _bound_mu(a, p), _level_neighbors(a, p)
+    summit, reached = _climb(mu, steps, _stable_start(a, p), t)
     assert reached == t
     if split:  # irrational eigenvalues: the witness carries the axis
         _refuse_past_cap([summit])
         return ThickApartment(p, None, t, a, t, summit)
     # Field case: the margin summit is a single vertex or a single edge.
-    stem = [summit] + [n for n in _level_neighbors(a, summit, t) if mu(n) == t]
+    stem = [summit] + [n for n in steps(summit, t) if mu(n) == t]
     assert len(stem) <= 2
     _refuse_past_cap(stem)
     return ThickPath(tuple(sorted(stem)), t)

@@ -79,19 +79,19 @@ class SingularMatrix(QlatError):
 
 
 class Unbounded(QlatError):
-    """Ring closure failed to stabilize: the generators are not integrable.
+    """The generators lie in no order: an element of the ring they generate
+    has a trace or determinant that is not p-integral.
 
-    ``certificate`` holds the witness: for one or two generators, the element
-    ("0", "1" or "0*1") whose trace or determinant is not integral, with that
-    valuation; for more, why the closure rounds stopped, their minimal entry
-    valuations and the last basis.
+    ``certificate`` holds the witness: the element, generator "j" or the
+    product "i*j" of generators i < j, its invariant ("trace" or
+    "determinant") and that invariant's negative valuation.
     """
 
     def __init__(self, certificate):
         self.certificate = certificate
         super().__init__(
-            "module closure does not stabilize; minimal entry valuation "
-            "decreases without bound"
+            "element {element} has a {invariant} of valuation {valuation}, "
+            "not integral: the generators lie in no order".format_map(certificate)
         )
 
 

@@ -364,9 +364,6 @@ class Mat2(namedtuple("Mat2", "den a b c d")):
             raise SingularMatrix("matrix is not invertible")
         return Mat2(dt, n * d, -n * b, -n * c, n * a)
 
-    def min_valuation(self, p: int):
-        return min(int_valuation(x, p) for x in self[1:]) - int_valuation(self.den, p)
-
 
 def commute(a, b) -> bool:
     """ab = ba, for two matrices or integer 5-tuples: ab - ba has diagonal
@@ -435,12 +432,6 @@ class Module4(namedtuple("Module4", "p den rows")):
     @property
     def basis(self) -> tuple[Mat2, ...]:
         return tuple(Mat2(self.den, *r) for r in self.rows)
-
-    def min_valuation(self) -> int:
-        """Least valuation of a basis entry (the module must be nonzero)."""
-        p = self.p
-        least = min(int_valuation(x, p) for r in self.rows for x in r if x)
-        return least - int_valuation(self.den, p)
 
 
 def _over_ppow(parts, p: int):

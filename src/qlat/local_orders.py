@@ -2,8 +2,10 @@
 
 An order is a unital subring that is finitely generated as a Z_(p)-module.
 `order_closure` saturates a generating set into the canonical module basis
-of the generated order, detecting unbounded (non-integral) input: one or
-two generators in closed form, more in rounds of products.  The
+of the generated order in closed form: by Cayley-Hamilton the order of
+a_0, ..., a_(n-1) is spanned by their increasing square-free products once
+every tr a_j, det a_j and tr a_i a_j is p-integral, and the first of these
+that is not certifies unbounded (non-integral) input.  The
 maximal orders are the lattice stabilizers: one per tree vertex.  A shifted
 Eichler order is Z_(p) + p^r * E for E the intersection of the two maximal
 orders at the endpoints of a path of length d, whose module is one Hermite
@@ -25,7 +27,6 @@ from .errors import (
     NotFinite,
     NotShiftedEichler,
     QlatError,
-    ResourceLimit,
     Unbounded,
 )
 from .exact_padic import (
@@ -36,16 +37,6 @@ from .exact_padic import (
     module_hnf,
     module_intersect,
 )
-
-CLOSURE_MAX_ROUNDS = 64
-_DIVERGENCE_WINDOW = 8
-# A round's cost grows with the square of the module's size, and a closure
-# whose valuations fall every other round escapes the divergence window:
-# one whose common denominator passes this many bits stops with
-# ResourceLimit.  At p < 2^32 that denominator is p^k with k > 1024, and a
-# bounded order that large lies only in maximal orders at vertices whose
-# exponents pass the engine's cap of 1000.
-CLOSURE_MAX_BITS = 1 << 15
 
 
 class LocalOrder(namedtuple("LocalOrder", "p generators closure")):
@@ -58,84 +49,61 @@ class LocalOrder(namedtuple("LocalOrder", "p generators closure")):
         return self.closure.rank
 
 
-def order_closure(gens, p: int, max_rounds: int = CLOSURE_MAX_ROUNDS) -> LocalOrder:
+def order_closure(gens, p: int) -> LocalOrder:
     """Saturate {1} + gens into the order they generate.
 
-    The generators are read as integer matrices over one power of p (see
-    `integer_rows`).  One or two, a and b, generate span{1, a, b, ab} once
-    tr a, det a, tr b, det b and tr ab are integral, as a^2 = tr(a) a -
-    det(a) and ba = tr(a) b + tr(b) a + tr(ab) - tr(a) tr(b) - ab; else
-    `certify_integral` raises `Unbounded`.  More close in rounds of products
-    that raise `Unbounded` (with a growth certificate) if the module keeps
-    growing: the minimum entry valuation strictly decreasing over a window
-    of rounds, or no stabilization within the round cap.
+    The generators a_0, ..., a_(n-1) are read as integer matrices over one
+    power q of p (see `integer_rows`).  For 2x2 matrices x^2 = tr(x) x -
+    det(x) and yx = -xy + tr(x) y + tr(y) x + tr(xy) - tr(x) tr(y)
+    (Cayley-Hamilton and its polarisation; Voight, Quaternion Algebras,
+    GTM 288).  So every word in the generators is a combination of their
+    increasing square-free products, with coefficients that are
+    polynomials in the tr a_j, det a_j and tr a_i a_j.  When these are
+    p-integral the order is S_n, for S_0 = Z_(p) and S_j = S_(j-1) +
+    S_(j-1) a_j; when one is not, `certify_integral` raises `Unbounded`,
+    as every element of an order has an integral trace and determinant.
+    The span is kept as integer rows over one denominator, put in Hermite
+    form before a step whenever it has more than four rows, and once at
+    the end: for up to three generators that is one Hermite form, of
+    span{1, a, b, ab} over q^2 for two.
     """
     gens = tuple(gens)
     mats, q = integer_rows(gens, p)
-    if len(mats) <= 2:  # a and b, then ab, all over q^2
-        qq = q * q
-        rows = [(a * q, b * q, c * q, d * q) for a, b, c, d in mats]
-        if len(mats) == 2:
-            (a, b, c, d), (e, f, g, h) = mats
-            rows.append((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
-        certify_integral(rows, qq, p)
-        return LocalOrder(p, gens, module_hnf([(qq, 0, 0, qq), *rows], p, qq))
-    span = module_hnf([(q, 0, 0, q), *mats], p, q)
-    minvals = []
-    reason = f"no stabilization within {max_rounds} rounds"
-    for _ in range(max_rounds):
-        rows = [[x * q for x in r] for r in span.rows]
-        rows += [
+    den, rows = 1, [(1, 0, 0, 1)]
+    for j, (e, f, g, h) in enumerate(mats):
+        certify_integral(mats, j, q, p)
+        if len(rows) > 4:
+            span = module_hnf(rows, p, den)
+            den, rows = span.den, span.rows
+        rows = [(a * q, b * q, c * q, d * q) for a, b, c, d in rows] + [
             (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-            for a, b, c, d in mats
-            for e, f, g, h in span.rows
+            for a, b, c, d in rows
         ]
-        grown = module_hnf(rows, p, q * span.den)
-        if grown == span:
-            return LocalOrder(p, gens, span)
-        span = grown
-        minvals.append(span.min_valuation())
-        window = minvals[-_DIVERGENCE_WINDOW:]
-        if len(window) == _DIVERGENCE_WINDOW and all(
-            x > y for x, y in zip(window, window[1:])
-        ):
-            reason = "entry valuations strictly decreasing"
-            break
-        if span.den.bit_length() > CLOSURE_MAX_BITS:
-            raise ResourceLimit(
-                f"order closure denominators past {CLOSURE_MAX_BITS} bits"
-            )
-    raise Unbounded(
-        {
-            "reason": reason,
-            "min_valuations": minvals,
-            "basis": [[_exact_text(x) for x in b.entries] for b in span.basis],
-        }
-    )
+        den *= q
+    return LocalOrder(p, gens, module_hnf(rows, p, den))
 
 
-def certify_integral(rows, m: int, p: int) -> None:
-    """Raise `Unbounded` unless the matrices `rows` / m, m a power of p,
-    have p-integral traces and determinants, as every element of an order
-    has.  The certificate names the first that fails, in the order of the
-    rows ("0", "1", then the product "0*1"), the trace before the
-    determinant, with that invariant's negative valuation."""
-    for element, (a, b, c, d) in zip(("0", "1", "0*1"), rows):
-        invariants = ("trace", a + d, m), ("determinant", a * d - b * c, m * m)
-        for invariant, x, n in invariants:
-            if x % n:
-                v = int_valuation(x, p) - int_valuation(n, p)
-                raise Unbounded({"reason": "non-integral invariant", "element": element,
-                                 "invariant": invariant, "valuation": v})
-
-
-def _exact_text(x) -> str:
-    """The rational x as 'a/b' in decimal or, past Python's limit on the
-    digits of an int-to-str conversion, in hexadecimal, which has none."""
-    try:
-        return str(x)
-    except ValueError:
-        return f"{x.numerator:#x}/{x.denominator:#x}"
+def certify_integral(mats, j: int, q: int, p: int) -> None:
+    """Raise `Unbounded` unless mats[j] / q has a p-integral trace and
+    determinant and each product mats[i] mats[j] / q^2, i < j, a p-integral
+    trace, as every element of an order has; the mats are integer rows and
+    q a power of p.  The certificate names the first that fails, in that
+    order: the element ("j" or "i*j"), the invariant and its negative
+    valuation."""
+    a, b, c, d = mats[j]
+    invariants = [
+        (f"{j}", "trace", a + d, q),
+        (f"{j}", "determinant", a * d - b * c, q * q),
+    ]
+    invariants += [
+        (f"{i}*{j}", "trace", e * a + f * c + g * b + h * d, q * q)
+        for i, (e, f, g, h) in enumerate(mats[:j])
+    ]
+    for element, invariant, x, n in invariants:
+        if x % n:
+            v = int_valuation(x, p) - int_valuation(n, p)
+            raise Unbounded({"reason": "non-integral invariant", "element": element,
+                             "invariant": invariant, "valuation": v})
 
 
 def maximal_order_module(v: Vertex) -> Module4:

@@ -15,6 +15,11 @@ Mutant = namedtuple("Mutant", "name file old new tests")
 _BOUND = "tests/test_oracles.py::test_bound_margins_match_reference"
 _ONCE = "tests/test_oracles.py::test_bound_margins_read_fixed_valuations_once"
 _PRIMES = (2, 3, 5, 7, 101)
+_SWEEP = "tests/test_oracles.py::test_closed_form_closure_matches_rounds"
+_PAIRS = (
+    "tests/test_local_orders.py"
+    "::test_order_closure_certifies_every_pair_of_generators"
+)
 
 MUTANTS = [
     # -- margin kernels --------------------------------------------------------
@@ -101,6 +106,56 @@ MUTANTS = [
         "(distance(v, base) - slack(v)) // 2",
         "(distance(v, base) + slack(v)) // 2",
         [f"{_BOUND}[{p}]" for p in _PRIMES],
+    ),
+    Mutant(
+        "level neighbors read v_p(den) at every step",
+        "qlat/branches.py",
+        "        k = v_den + b + m\n",
+        "        k = int_valuation(den, p) + b + m\n",
+        ["tests/test_oracles.py::test_classify_single_reads_v_den_once_per_walk"],
+    ),
+    # -- order closure ---------------------------------------------------------
+    Mutant(
+        "closure drops the pair traces",
+        "qlat/local_orders.py",
+        "        for i, (e, f, g, h) in enumerate(mats[:j])\n",
+        "        for i, (e, f, g, h) in enumerate(mats[:0])\n",
+        [_PAIRS, f"{_SWEEP}[2]", f"{_SWEEP}[101]"],
+    ),
+    Mutant(
+        "closure checks only the adjacent pair",
+        "qlat/local_orders.py",
+        "        for i, (e, f, g, h) in enumerate(mats[:j])\n",
+        "        for i, (e, f, g, h) in enumerate(mats[max(j - 1, 0) : j], j - 1)\n",
+        [_PAIRS, "tests/test_cli.py::test_three_generators_are_certified_pair_by_pair"],
+    ),
+    Mutant(
+        "closure names a pair j*i",
+        "qlat/local_orders.py",
+        '(f"{i}*{j}", "trace"',
+        '(f"{j}*{i}", "trace"',
+        [_PAIRS, f"{_SWEEP}[2]", f"{_SWEEP}[101]"],
+    ),
+    Mutant(
+        "closure appends a_j in place of the span times a_j",
+        "qlat/local_orders.py",
+        "            for a, b, c, d in rows\n        ]",
+        "            for a, b, c, d in rows[:1]\n        ]",
+        [
+            "tests/test_local_orders.py"
+            "::test_order_closure_contains_one_and_generators_and_is_closed",
+            *(f"{_SWEEP}[{p}]" for p in _PRIMES),
+        ],
+    ),
+    Mutant(
+        "closure puts four rows in Hermite form",
+        "qlat/local_orders.py",
+        "        if len(rows) > 4:\n",
+        "        if len(rows) >= 4:\n",
+        [
+            "tests/test_oracles.py"
+            "::test_order_closure_takes_one_hermite_form_up_to_three_generators"
+        ],
     ),
     # -- earlier fast paths ----------------------------------------------------
     Mutant(

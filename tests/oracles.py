@@ -26,10 +26,13 @@ a tuple of exact matrices, the Hermite form by rational elimination, the
 intersection through an integer row echelon with transform, the maximal
 orders as conjugated matrix units, the shifted Eichler modules built on
 them, and the order closure over exact matrix products.  After them comes
-the integer order closure in rounds of products, with its divergence
-window and denominator cap, as it was before the closed form span{1, a,
-b, ab} of `qlat.local_orders` replaced it for one or two generators; it
-reads the integer `module_hnf` and `integer_rows` through `exact_padic.`.
+the integer order closure in rounds of products, with its round cap,
+divergence window and denominator cap, as it was before the one closure
+rule of `qlat.local_orders` (span{1, a, b, ab} for two generators, S_j =
+S_(j-1) + S_(j-1) a_j for any number) replaced it; it reads the integer
+`module_hnf` and `integer_rows` through `exact_padic.`.  Both closures
+raise `RoundsUnbounded`, an `Unbounded` that carries their growth
+certificate.
 
 The section after it keeps the searches that the generated balls of
 `qlat.bt_tree` and the climb-and-walk of `qlat.branches.enumerate_branch`
@@ -192,13 +195,7 @@ from qlat.global_classfield import (
     hensel_sqrt,
     validate_genus,
 )
-from qlat.local_orders import (
-    _DIVERGENCE_WINDOW,
-    CLOSURE_MAX_BITS,
-    CLOSURE_MAX_ROUNDS,
-    LocalOrder,
-    _exact_text,
-)
+from qlat.local_orders import LocalOrder
 from qlat.quadforms import (
     ClassGroup,
     QForm,
@@ -702,6 +699,11 @@ def _unflatten(row) -> Mat2:
     return Mat2.of([row[:2], row[2:]])
 
 
+def _min_valuation(m: Mat2, p: int):
+    """Least valuation of an entry of m; +infinity for zero."""
+    return min(valuation(x, p) for x in m.entries)
+
+
 @dataclass(frozen=True)
 class Module4:
     """A finitely generated Z_(p)-submodule of the 2x2 matrices.
@@ -838,7 +840,7 @@ def module_intersect(a: Module4, b: Module4) -> Module4:
         return Module4(p, ())
     k = 0
     for m in list(a.basis) + list(b.basis):
-        v = m.min_valuation(p)
+        v = _min_valuation(m, p)
         if v < -k:
             k = -v
     k = max(0, k)
@@ -861,6 +863,38 @@ def module_intersect(a: Module4, b: Module4) -> Module4:
     return module_hnf(gens, p)
 
 
+# The closure rounds' cap, divergence window and denominator cap, as
+# `qlat.local_orders` had them before one closure rule replaced the rounds.
+CLOSURE_MAX_ROUNDS = 64
+_DIVERGENCE_WINDOW = 8
+CLOSURE_MAX_BITS = 1 << 15
+
+
+class RoundsUnbounded(Unbounded):
+    """`Unbounded` with the rounds' growth certificate: why they stopped,
+    their minimal entry valuations and the last basis."""
+
+    def __init__(self, certificate):
+        self.certificate = certificate
+        QlatError.__init__(self, f"module closure: {certificate['reason']}")
+
+
+def _exact_text(x) -> str:
+    """The rational x as 'a/b' in decimal or, past Python's limit on the
+    digits of an int-to-str conversion, in hexadecimal, which has none."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"{x.numerator:#x}/{x.denominator:#x}"
+
+
+def _module_min_valuation(span) -> int:
+    """Least valuation of a basis entry of an integer `Module4` (nonzero)."""
+    p = span.p
+    least = min(int_valuation(x, p) for r in span.rows for x in r if x)
+    return least - int_valuation(span.den, p)
+
+
 def order_closure(gens, p: int, max_rounds: int = CLOSURE_MAX_ROUNDS) -> LocalOrder:
     """Saturate {1} + gens into the order they generate.
 
@@ -879,19 +913,19 @@ def order_closure(gens, p: int, max_rounds: int = CLOSURE_MAX_ROUNDS) -> LocalOr
         if grown == span:
             return LocalOrder(p, gens, span)
         span = grown
-        minvals.append(min(b.min_valuation(p) for b in span.basis))
+        minvals.append(min(_min_valuation(b, p) for b in span.basis))
         window = minvals[-_DIVERGENCE_WINDOW:]
         if len(window) == _DIVERGENCE_WINDOW and all(
             x > y for x, y in zip(window, window[1:])
         ):
-            raise Unbounded(
+            raise RoundsUnbounded(
                 {
                     "reason": "entry valuations strictly decreasing",
                     "min_valuations": minvals,
                     "basis": [[str(x) for x in b.entries] for b in span.basis],
                 }
             )
-    raise Unbounded(
+    raise RoundsUnbounded(
         {
             "reason": f"no stabilization within {max_rounds} rounds",
             "min_valuations": minvals,
@@ -928,7 +962,7 @@ def rounds_order_closure(
         if grown == span:
             return LocalOrder(p, gens, span)
         span = grown
-        minvals.append(span.min_valuation())
+        minvals.append(_module_min_valuation(span))
         window = minvals[-_DIVERGENCE_WINDOW:]
         if len(window) == _DIVERGENCE_WINDOW and all(
             x > y for x, y in zip(window, window[1:])
@@ -939,7 +973,7 @@ def rounds_order_closure(
             raise ResourceLimit(
                 f"order closure denominators past {CLOSURE_MAX_BITS} bits"
             )
-    raise Unbounded(
+    raise RoundsUnbounded(
         {
             "reason": reason,
             "min_valuations": minvals,
@@ -2412,7 +2446,7 @@ def eigenline_climb(a, start: Vertex, ceiling=None) -> tuple[Vertex, int]:
     m = branches.mu_margin(a, cur)
     while ceiling is None or m < ceiling:
         better = [
-            n for n in branches._level_neighbors(a, cur, m)
+            n for n in branches._level_neighbors(a, cur.p)(cur, m)
             if branches.mu_margin(a, n) > m
         ]
         if not better:

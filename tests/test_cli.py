@@ -607,28 +607,41 @@ def test_local_branch_enum_at_radius_0_builds_no_neighbors():
     assert doc == {"count": 1, "p": p, "vertices": [{"a": 0, "b": 0, "c": 0}]}
 
 
-def test_order_closure_past_the_denominator_cap_exits_3():
-    # three generators close in rounds: the valuations fall every other
-    # round, which the divergence window misses, and the closure stops once
-    # its denominator passes 2^15 bits
+def test_order_closure_past_the_old_denominator_cap_exits_4():
+    # three generators once closed in rounds, which stopped with exit 3 when
+    # the denominator passed 2^15 bits; det = -5^-3000 is not integral, so
+    # the request exits 4 before any Hermite form
     gen, one = [[0, f"1/{5**3000}"], [1, 0]], [[1, 0], [0, 1]]
     request_doc = {"p": 5, "generators": [gen, one, one]}
-    err = run_json(["local", "classify"], request_doc, expect=3, timeout=5)
+    err = run_json(["local", "classify"], request_doc, expect=4, timeout=5)
     assert err == {
-        "error": "ResourceLimit",
-        "message": "order closure denominators past 32768 bits",
+        "error": "Unbounded",
+        "message": "element 0 has a determinant of valuation -3000, not "
+        "integral: the generators lie in no order",
+    }
+
+
+def test_three_generators_are_certified_pair_by_pair():
+    # every generator and adjacent pair is integral, but tr g0 g2 = 1/3
+    one = [[1, 0], [0, 1]]
+    request_doc = {"p": 3, "generators": [[[0, "1/3"], [0, 0]], one, [[0, 0], [1, 0]]]}
+    err = run_json(["local", "classify"], request_doc, expect=4, timeout=5)
+    assert err == {
+        "error": "Unbounded",
+        "message": "element 0*2 has a trace of valuation -1, not integral: "
+        "the generators lie in no order",
     }
 
 
 def test_one_generator_past_the_denominator_cap_is_unbounded():
-    # one generator closes in closed form: det = -5^-3000 is not integral,
-    # so the request exits 4 before any Hermite form
+    # one generator: det = -5^-3000 is not integral, so the request exits 4
+    # before any Hermite form
     request_doc = {"p": 5, "generators": [[[0, f"1/{5**3000}"], [1, 0]]]}
     err = run_json(["local", "classify"], request_doc, expect=4, timeout=5)
     assert err == {
         "error": "Unbounded",
-        "message": "module closure does not stabilize; minimal entry "
-        "valuation decreases without bound",
+        "message": "element 0 has a determinant of valuation -3000, not "
+        "integral: the generators lie in no order",
     }
 
 

@@ -1,6 +1,5 @@
 """Orders in the 2x2 matrix algebra: closures, shifts, Eichler structure."""
 
-import sys
 from fractions import Fraction
 
 import pytest
@@ -17,10 +16,9 @@ from helpers import (
 )
 from qlat import local_orders
 from qlat.bt_tree import Vertex, ball, distance, standard_vertex
-from qlat.errors import NotShiftedEichler, QlatError, ResourceLimit, Unbounded
-from qlat.exact_padic import Mat2, module_hnf, module_intersect, valuation
+from qlat.errors import NotShiftedEichler, QlatError, Unbounded
+from qlat.exact_padic import Mat2, module_hnf, module_intersect
 from qlat.local_orders import (
-    CLOSURE_MAX_BITS,
     ShiftedEichler,
     contains_shifted,
     decompose_shifted_eichler,
@@ -50,54 +48,63 @@ def test_order_closure_contains_one_and_generators_and_is_closed():
         assert again.closure == mod
 
 
-def _rounds(gen: Mat2) -> list[Mat2]:
-    """gen and the identity twice: three generators, so the closure runs in
-    rounds, and the identity adds nothing to any of them."""
+def _three(gen: Mat2) -> list[Mat2]:
+    """gen and the identity twice: three generators, the identity adding
+    nothing to the order."""
     return [gen, Mat2.identity(), Mat2.identity()]
+
+
+def _certificate(element: str, invariant: str, v: int) -> dict:
+    return {"reason": "non-integral invariant", "element": element,
+            "invariant": invariant, "valuation": v}
 
 
 def test_order_closure_unbounded_certificate():
     with pytest.raises(Unbounded) as exc:
-        order_closure(_rounds(Mat2.of([[Fraction(1, 3), 0], [0, 0]])), 3)
-    cert = exc.value.certificate
-    vals = cert["min_valuations"]
-    assert len(vals) >= 2 and vals[-1] < vals[0]
+        order_closure(_three(Mat2.of([[Fraction(1, 3), 0], [0, 0]])), 3)
+    assert exc.value.certificate == _certificate("0", "trace", -1)
+    assert str(exc.value) == (
+        "element 0 has a trace of valuation -1, not integral: "
+        "the generators lie in no order"
+    )
 
 
-def test_order_closure_stops_at_the_denominator_cap():
-    # g^2 = p^-k: the least valuation falls every other round, so the
-    # divergence window never fills and only the round cap or the size cap
-    # ends the closure
-    small = Mat2.of([[0, Fraction(1, 5**3)], [1, 0]])
-    with pytest.raises(Unbounded) as exc:
-        order_closure(_rounds(small), 5)
-    assert exc.value.certificate["reason"] == "no stabilization within 64 rounds"
-    big = Mat2.of([[0, Fraction(1, 5**3000)], [1, 0]])
-    with pytest.raises(ResourceLimit, match=f"past {CLOSURE_MAX_BITS} bits"):
-        order_closure(_rounds(big), 5)
+def test_order_closure_refuses_past_the_old_denominator_cap(monkeypatch):
+    # g^2 = p^-k: the rounds' least valuation fell every other round, so
+    # only their round cap or denominator cap ended them; det g = -p^-k
+    # refuses g at once, before any Hermite form
+    monkeypatch.setattr(local_orders, "module_hnf", None)
+    for k in (3, 3000):
+        gen = Mat2.of([[0, Fraction(1, 5**k)], [1, 0]])
+        with pytest.raises(Unbounded) as exc:
+            order_closure(_three(gen), 5)
+        assert exc.value.certificate == _certificate("0", "determinant", -k)
 
 
-@pytest.mark.skipif(
-    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-    reason="no int-to-str digit limit",
-)
 def test_unbounded_certificate_past_the_int_to_str_limit():
-    # after eight rounds the denominator has 16,000 bits, more digits than
-    # str() writes by default: those entries are written in hexadecimal
-    gen = Mat2.of([[Fraction(1, 2**2000), 1], [0, 0]])
+    # the rounds' certificate wrote a basis whose denominator passed the
+    # digits str() writes; the invariant certificate holds one valuation,
+    # even for a generator whose own denominator passes them
+    for k in (2000, 20000):
+        gen = Mat2.of([[Fraction(1, 2**k), 1], [0, 0]])
+        with pytest.raises(Unbounded) as exc:
+            order_closure(_three(gen), 2)
+        assert exc.value.certificate == _certificate("0", "trace", -k)
+        assert len(str(exc.value)) < 100
+
+
+def test_order_closure_certifies_every_pair_of_generators():
+    # a, 1 and b: a, b and each adjacent product have integral invariants,
+    # but tr ab = 1/3 certifies the pair "0*2"
+    a, b = Mat2.of([[0, Fraction(1, 3)], [0, 0]]), Mat2.of([[0, 0], [1, 0]])
     with pytest.raises(Unbounded) as exc:
-        order_closure(_rounds(gen), 2)
-    cert = exc.value.certificate
-    assert cert["reason"] == "entry valuations strictly decreasing"
-    texts = [text for row in cert["basis"] for text in row]
-    assert any("0x" in text for text in texts)
-    # exact either way: the entries read back give the last least valuation
-    entries = []
-    for text in texts:
-        num, _, den = text.partition("/")
-        entries.append(Fraction(int(num, 0), int(den or "1", 0)))
-    least = min(valuation(x, 2) for x in entries if x)
-    assert least == cert["min_valuations"][-1]
+        order_closure([a, Mat2.identity(), b], 3)
+    assert exc.value.certificate == _certificate("0*2", "trace", -1)
+    # with a 3 in b every pair is integral: the order is span{1, a, b, ab}
+    b3 = b.scale(3)
+    order = order_closure([a, Mat2.identity(), b3], 3)
+    assert order.closure == order_closure([a, b3], 3).closure
+    assert order.closure == module_hnf([Mat2.identity(), a, b3, a * b3], 3)
 
 
 def test_maximal_order_module_standard():

@@ -353,15 +353,32 @@ def test_eigenline_ascent_matches_full_scan(p):
         for v in rng.sample(starts, 3):
             m = mu_margin(a, v)
             full = [n for n in oracles.neighbors(v) if oracles.mu_margin(a, n) >= m]
-            assert sorted(_level_neighbors(a, v, m)) == full, (a, v)
-            got = _climb(
-                lambda w: mu_margin(a, w),
-                lambda w, k: _level_neighbors(a, w, k),
-                v,
-                m + 6,
-            )
+            assert sorted(_level_neighbors(a, p)(v, m)) == full, (a, v)
+            got = _climb(lambda w: mu_margin(a, w), _level_neighbors(a, p), v, m + 6)
             assert got == oracles.climb(a, v, ceiling=m + 6)
             assert got == oracles.eigenline_climb(a, v, ceiling=m + 6)
+
+
+def test_classify_single_reads_v_den_once_per_walk(monkeypatch):
+    """The climb and the stem of a thick path read v_p(den) when their
+    steps are bound, not at each step: with den = 7 * 3^3000, a climb of 20
+    steps reads it as often as one of 5, and never more than four times."""
+    p, den = 3, 7 * 3**3000
+    read = []
+
+    def counted(n, q):
+        read.append(n)
+        return valuation_of(n, q)
+
+    valuation_of = branches.int_valuation
+    monkeypatch.setattr(branches, "int_valuation", counted)
+    counts = []
+    for t in (5, 20):
+        read.clear()
+        shape = classify_single((den, 0, 2 * 3 ** (2 * t) * den, den, 0), p)
+        assert shape == ThickPath((Vertex(p, t, 0, 0),), t)
+        counts.append(read.count(den))
+    assert counts[0] == counts[1] <= 4, counts
 
 
 def test_sqrt_mod_matches_linear_search_and_sympy():
@@ -957,7 +974,8 @@ def test_order_closure_matches_fraction_layer(p):
 
 @pytest.mark.parametrize("p", [2, 3, 101])
 def test_unbounded_certificate_matches_fraction_layer(p):
-    # three generators, the identity adding nothing, so the closure runs in rounds
+    # three generators: the Fraction rounds stop on falling valuations, or at
+    # a cap of 5 rounds, and tr g0 = 1/p certifies the closure unbounded
     gens = [
         Mat2.of([[Fraction(1, p), 1], [0, 0]]),
         Mat2.of([[0, 0], [Fraction(3, 7), 1]]),
@@ -965,27 +983,26 @@ def test_unbounded_certificate_matches_fraction_layer(p):
     ]
     reasons = {64: "entry valuations strictly decreasing", 5: "no stabilization within 5 rounds"}
     for rounds, reason in reasons.items():
-        with pytest.raises(Unbounded) as new:
-            order_closure(gens, p, rounds)
         with pytest.raises(Unbounded) as old:
             oracles.order_closure(gens, p, rounds)
-        assert new.value.certificate == old.value.certificate
-        assert new.value.certificate["reason"] == reason
+        assert old.value.certificate["reason"] == reason
+    with pytest.raises(Unbounded) as new:
+        order_closure(gens, p)
+    _check_invariant_certificate(gens, p, new.value.certificate)
+    assert new.value.certificate["element"] == "0"
 
 
 def _check_invariant_certificate(gens, p: int, cert) -> None:
-    """`cert` names the first of tr g0, det g0, tr g1, det g1 and tr g0 g1
-    that is not p-integral, with its valuation, all read off `Fraction`
-    entries."""
-    named = [(name, g.entries) for name, g in zip(("0", "1"), gens)]
-    if len(gens) == 2:
-        (a, b, c, d), (e, f, g, h) = named[0][1], named[1][1]
-        named.append(("0*1", (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)))
+    """`cert` names the first of tr g_j, det g_j and then tr g_i g_j for
+    i < j, j = 0, 1, ..., that is not p-integral, with its valuation, all
+    read off `Fraction` entries."""
     values = []
-    for name, (a, b, c, d) in named:
-        values.append((name, "trace", a + d))
-        if name != "0*1":
-            values.append((name, "determinant", a * d - b * c))
+    for j, g in enumerate(gens):
+        values.append((f"{j}", "trace", g.m00 + g.m11))
+        values.append((f"{j}", "determinant", g.det()))
+        for i, f in enumerate(gens[:j]):
+            fg = f * g
+            values.append((f"{i}*{j}", "trace", fg.m00 + fg.m11))
     for name, invariant, x in values:
         if x and valuation(x, p) < 0:
             assert cert == {
@@ -1059,63 +1076,70 @@ def _closure_generators(rng, p: int, q: int) -> list[Mat2]:
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
 def test_closed_form_closure_matches_rounds(p):
-    """1,500 seeded sets of one or two generators per prime, and one
-    unbounded generator past the rounds' denominator cap: the
-    closed form gives the rounds' `LocalOrder`, or `Unbounded` with a
-    certificate checked on `Fraction` invariants where the rounds raise
-    `Unbounded` or, past their denominator cap, `ResourceLimit`."""
+    """1,500 seeded sets of one or two generators per prime, 400 of three
+    to five, and one unbounded generator past the rounds' denominator cap,
+    alone and with the identity twice.  Where the rounds answer, the
+    closure gives their `LocalOrder`; where they raise `Unbounded`, it
+    raises `Unbounded` with a certificate checked on `Fraction` invariants;
+    where they stop at their cap, its outcomes are counted."""
     rng = make_rng(2100 + p)
     q = next(x for x in (3, 5, 7) if x != p)
     # a square of valuation -2000 falls every other round, so the rounds
-    # stop at their denominator cap
-    sets = [[Mat2.of([[0, Fraction(1, p ** (2 * MAX_VERTEX_EXPONENT))], [1, 0]])]]
+    # stop at their denominator cap, alone and with the identity twice
+    deep = Mat2.of([[0, Fraction(1, p ** (2 * MAX_VERTEX_EXPONENT))], [1, 0]])
+    sets = [[deep], [deep, Mat2.identity(), Mat2.identity()]]
     sets += [_closure_generators(rng, p, q) for _ in range(1500)]
+    sets += [
+        [_sweep_generator(rng, p, q) for _ in range(rng.randrange(3, 6))]
+        for _ in range(400)
+    ]
     outcomes = Counter()
     for gens in sets:
         try:
             new = order_closure(gens, p)
         except Unbounded as exc:
             _check_invariant_certificate(gens, p, exc.certificate)
-            with pytest.raises((Unbounded, ResourceLimit)) as old:
-                oracles.rounds_order_closure(gens, p)
-            if old.type is ResourceLimit:
-                assert "denominators past" in str(old.value), gens
-            outcomes[old.type.__name__] += 1
+            new = exc
+        try:
+            old = oracles.rounds_order_closure(gens, p)
+        except ResourceLimit as exc:
+            assert "denominators past" in str(exc), gens
+            outcomes["cap", type(new).__name__] += 1
             continue
-        assert new == oracles.rounds_order_closure(gens, p), gens
-        outcomes[len(gens), new.rank] += 1
-    assert outcomes["Unbounded"] > 100 and outcomes["ResourceLimit"] > 0, outcomes
-    assert {(1, 1), (1, 2), (2, 2), (2, 3), (2, 4)} <= set(outcomes), outcomes
+        except Unbounded:
+            assert isinstance(new, Unbounded), gens
+            outcomes["Unbounded", min(len(gens), 3)] += 1
+            continue
+        assert new == old, gens
+        outcomes[min(len(gens), 3), new.rank] += 1
+    assert outcomes["Unbounded", 1] + outcomes["Unbounded", 2] > 100, outcomes
+    assert outcomes["Unbounded", 3] > 100 and outcomes["cap", "Unbounded"] == 2, outcomes
+    assert {(1, 1), (1, 2), (2, 2), (2, 3), (2, 4), (3, 4)} <= set(outcomes), outcomes
 
 
-def test_order_closure_calls_module_hnf_once_per_round(monkeypatch):
-    """The benchmark counts closure rounds as module_hnf calls minus one."""
+def test_order_closure_takes_one_hermite_form_up_to_three_generators(monkeypatch):
+    """The closure puts its span in Hermite form before a generator when it
+    has more than four rows, and once at the end: one form for up to three
+    generators, one more for each past three.  The benchmark counts closure
+    rounds as module_hnf calls minus one."""
     import qlat.local_orders as local_orders
 
-    counts = {}
+    calls = []
 
-    def counting(module, key):
-        fn = module.module_hnf
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return hnf(*args, **kwargs)
 
-        def wrapped(*args, **kwargs):
-            counts[key] = counts.get(key, 0) + 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, "module_hnf", wrapped)
-
-    counting(local_orders, "new")
-    counting(oracles, "old")
+    hnf = local_orders.module_hnf
+    monkeypatch.setattr(local_orders, "module_hnf", counting)
     rng = make_rng(77)
     for p in (2, 3, 5):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4, 5):
             gens = [random_matrix(rng, p) for _ in range(n)]
-            counts.clear()
-            order_closure(gens, p)
-            oracles.order_closure(gens, p)
-            if n < 3:  # span{1, a, b, ab} in closed form: one Hermite form
-                assert counts["new"] == 1
-            else:
-                assert counts["new"] == counts["old"] >= 2
+            calls.clear()
+            order = order_closure(gens, p)
+            assert len(calls) == max(1, n - 2)
+            assert order.closure.basis == oracles.order_closure(gens, p).closure.basis
 
 
 def test_module_layer_builds_no_fractions(monkeypatch):
@@ -1550,7 +1574,7 @@ def test_integer_mat2_matches_fraction_mat2(p):
         assert (m.entries, m.rows()) == (f.entries, f.rows())
         assert (m.m00, m.m01, m.m10, m.m11) == (f.m00, f.m01, f.m10, f.m11)
         assert tuple(m) == f.cleared and Mat2.of(f.rows()) == m  # lowest terms
-        assert m.det() == f.det() and m.min_valuation(p) == f.min_valuation(p)
+        assert m.det() == f.det()
         assert (-m).entries == (-f).entries
         for x in (0, 3, Fraction(1, p), Fraction(-2, 7)):
             assert (m * x).entries == (f * x).entries
