@@ -28,7 +28,8 @@ form; only the pair rules of `intersect_shapes` match on two kinds.  A
 walk evaluates a shape's bound margin, a closure built once per walk over
 the shape's fixed integers, and `margin(v)` runs the same kernel at one
 vertex.  A `ThickApartment` holds al - de, be, ga, v_p(ga) and v_p(den),
-with t - axis_margin folded in, so per vertex it reads two valuations; a
+with t - axis_margin folded in, so per vertex it reads two valuations,
+each only as deep as the margin's minimum can use; a
 `Fan` and a `ThickRay` hold beta_z(base) and v_p of their line's y; a
 `ThickPath` holds its endpoints.  `classify_single` climbs on the bound
 mu of the matrix it classifies.
@@ -370,9 +371,14 @@ def mu_margin(a, v: Vertex):
 
 def _bound_mu(a, p: int, shift=0):
     """v -> mu(a, v) + shift on the tree of p, with a's fixed data read once:
-    al - de, be, ga, v_p(ga) and v_p(den).  Per vertex are left the
-    valuations of the numerators of m01 and m00 - m11, each read in full
-    only when p divides it."""
+    al - de, be, ga, v_p(ga) and v_p(den).
+
+    With x and y the numerators of m01 and m00 - m11 (see `mu_margin`), the
+    margin is shift - va - vb + min(v_p(x), k) for k = va + min(v_p(y),
+    v_p(ga) + va).  So per vertex each valuation is read only as deep as
+    the minimum can use: v_p(y) up to v_p(ga) + va, then v_p(x) up to the
+    running minimum k, and x is not formed when k is 0.  A numerator that
+    p does not divide costs one residue."""
     den, al, be, ga, de = a
     d = al - de
     shift -= int_valuation(den, p)
@@ -381,13 +387,12 @@ def _bound_mu(a, p: int, shift=0):
     def mu(v: Vertex):
         _, va, vb, c = v
         q = p**vb
-        x = (be * q + d * c) * q - ga * c * c
         y = d * q - 2 * ga * c
-        return shift + min(
-            (int_valuation(x, p) if x % p == 0 else 0) - va - vb,
-            v_ga + va - vb,
-            (int_valuation(y, p) if y % p == 0 else 0) - vb,
-        )
+        k = va + (int_valuation(y, p, v_ga + va) if y % p == 0 else 0)
+        if k:
+            x = (be * q + d * c) * q - ga * c * c
+            k = int_valuation(x, p, k) if x % p == 0 else 0
+        return shift - va - vb + k
 
     return mu
 
@@ -438,16 +443,31 @@ def canonical_fan(p: int, end: End, slack_at) -> Fan:
 # order: all p + 1 of them, or only those that can keep or raise the margin.
 
 
-def _climb(sigma, steps, v: Vertex, ceiling) -> tuple[Vertex, int]:
-    """Greedy ascent from v: (summit, margin).  Each step moves to the least
-    candidate that raises sigma, until none does or sigma reaches ceiling."""
-    m = sigma(v)
+def _climb(sigma, steps, v: Vertex, m, ceiling):
+    """Greedy ascent from v, where sigma(v) = m: (summit, margin, sides).
+
+    Each step moves to the least candidate that raises sigma, until none
+    does or sigma reaches ceiling, and no step evaluates sigma again at the
+    vertex it came from, which sits one below.  `sides` are the summit's
+    candidates that keep its margin, read off the scan that found none to
+    raise it, so a walk on from the summit needs no second scan there; it
+    is None when the climb stopped at the ceiling.  The climb holds one
+    scan's sides at a time."""
+    back = None
     while m < ceiling:
-        up = next(((n, k) for n in steps(v, m) if (k := sigma(n)) > m), None)
-        if up is None:
-            break
-        v, m = up
-    return v, m
+        sides = []
+        for n in steps(v, m):
+            if n == back:
+                continue
+            k = sigma(n)
+            if k > m:
+                back, v, m = v, n, k
+                break
+            if k == m:
+                sides.append(n)
+        else:
+            return v, m, sides
+    return v, m, None
 
 
 def _level_walk(sigma, steps, v: Vertex, level, back, shapes, most=inf):
@@ -591,8 +611,8 @@ def classify_single(a, p: int) -> Shape:
             assert mu_margin(a, anchor) == t
             return ThickApartment(p, ends, t, a, t, anchor)
 
-    mu, steps = _bound_mu(a, p), _level_neighbors(a, p)
-    summit, reached = _climb(mu, steps, _stable_start(a, p), t)
+    mu, steps, start = _bound_mu(a, p), _level_neighbors(a, p), _stable_start(a, p)
+    summit, reached, _ = _climb(mu, steps, start, mu(start), t)
     assert reached == t
     if split:  # irrational eigenvalues: the witness carries the axis
         _refuse_past_cap([summit])
@@ -634,15 +654,17 @@ def _bounded_intersection(s1: Shape, s2: Shape, sigma, scan, reach) -> Shape:
     1-Lipschitz, so (a) greedy ascent reaches the global summit, and (b) the
     distance from any vertex to the summit plateau is exactly the margin
     drop, which makes the intersection the thick path around the plateau.
-    The plateau is walked from the summit to both sides.
+    The plateau is walked from the summit to both sides, which the climb's
+    last scan found: sigma is evaluated once at the anchor and at most once
+    at every vertex after it, and the summit is scanned once.
     """
-    ceiling = sigma(s1.anchor) + reach + 65
-    summit, val = _climb(sigma, scan, s1.anchor, ceiling)
+    m = sigma(s1.anchor)
+    ceiling = m + reach + 65
+    summit, val, sides = _climb(sigma, scan, s1.anchor, m, ceiling)
     if val >= ceiling:
         raise InfiniteUnsupported(s1, s2, "margin ascent failed to terminate")
     if val < 0:
         return Empty(s1.p)
-    sides = [n for n in scan(summit) if sigma(n) == val]
     if len(sides) > 2:
         raise InfiniteUnsupported(s1, s2, "summit plateau is not a path")
     path = (summit,)
@@ -754,9 +776,10 @@ def enumerate_branch(
     def sigma(v: Vertex):
         return min(mu(v) for mu in margins)
 
-    if sigma(center) < -radius:  # the branch is farther than radius
+    m = sigma(center)
+    if m < -radius:  # the branch is farther than radius
         return frozenset()
-    seed, s = _climb(sigma, lambda v, m: iter_neighbors(v), center, 0)
+    seed, s, _ = _climb(sigma, lambda v, m: iter_neighbors(v), center, m, 0)
     if s < 0:  # a summit below 0: the branch is empty
         return frozenset()
     # Along a geodesic between two vertices of the ball the distance to the

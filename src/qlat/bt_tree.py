@@ -154,11 +154,15 @@ def child(v: Vertex, j: int) -> Vertex:
 
 
 def _meet(v: Vertex, w: Vertex) -> int:
-    """min(n, m, v(x - y)): the level of the least disc holding both."""
+    """min(n, m, v(x - y)): the level of the least disc holding both.
+
+    x - y = num / p^(v.b + w.b) for num = v.c p^(w.b) - w.c p^(v.b), and
+    n, m are v.a - v.b and w.a - w.b, so the level is v_p(num) capped at
+    min(v.a + w.b, w.a + v.b), less v.b + w.b: the valuation is read only
+    that deep (`int_valuation` with a cap)."""
     p = v.p
-    # x - y = (c_v p^b_w - c_w p^b_v) / p^(b_v + b_w)
     num = v.c * p**w.b - w.c * p**v.b
-    return min(int_valuation(num, p), v.a + w.b, w.a + v.b) - v.b - w.b
+    return int_valuation(num, p, min(v.a + w.b, w.a + v.b)) - v.b - w.b
 
 
 def distance(v: Vertex, w: Vertex) -> int:

@@ -7,7 +7,8 @@ and no p-adic approximation is ever needed.  Scalars at the interface are
 exact rationals (`fractions.Fraction`); a matrix is integers over one
 denominator, and so is each row of a module.
 
-- `valuation` / `int_valuation`: valuations of rationals and of integers.
+- `valuation` / `int_valuation`: valuations of rationals and of integers,
+  the latter read only as deep as an optional cap.
 - `sqrt_mod`: the smallest square root modulo a prime (Tonelli-Shanks).
 - `is_square_mod`: the one square-class rule, on integers, behind every
   local square and unramified test; `is_local_square_int` / `_rat`.
@@ -59,16 +60,19 @@ def valuation(x, p: int):
     return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
 
 
-def int_valuation(n: int, p: int):
-    """p-adic valuation of an integer; +infinity for zero."""
+def int_valuation(n: int, p: int, cap=inf):
+    """min(v_p(n), cap) for an integer n and a cap >= 0, with v_p(0) =
+    +infinity: the p-adic valuation, read only as deep as a minimum it
+    feeds can use.  It takes at most cap divisions by p, and past 32 the
+    rest by `valuation_by_squares`."""
     if n == 0:
-        return inf
+        return cap
     if p == 2:
-        return (n & -n).bit_length() - 1
+        return min((n & -n).bit_length() - 1, cap)
     v = 0
-    while n % p == 0:
+    while v < cap and n % p == 0:
         if v == 32:  # below about 32, one division at a time is cheaper
-            return v + valuation_by_squares(n, p)
+            return min(v + valuation_by_squares(n, p), cap)
         n //= p
         v += 1
     return v

@@ -14,6 +14,7 @@ Mutant = namedtuple("Mutant", "name file old new tests")
 
 _BOUND = "tests/test_oracles.py::test_bound_margins_match_reference"
 _ONCE = "tests/test_oracles.py::test_bound_margins_read_fixed_valuations_once"
+_CAPPED = "tests/test_oracles.py::test_capped_margins_and_distances_match_conjugation"
 _PRIMES = (2, 3, 5, 7, 101)
 _SWEEP = "tests/test_oracles.py::test_closed_form_closure_matches_rounds"
 _PAIRS = (
@@ -33,30 +34,44 @@ MUTANTS = [
     Mutant(
         "mu reads 0 for a numerator of m01 divisible by p",
         "qlat/branches.py",
-        "(int_valuation(x, p) if x % p == 0 else 0) - va - vb",
-        "(int_valuation(x, p) if x % p else 0) - va - vb",
+        "k = int_valuation(x, p, k) if x % p == 0 else 0",
+        "k = int_valuation(x, p, k) if x % p else 0",
         [f"{_BOUND}[{p}]" for p in _PRIMES],
     ),
     Mutant(
         "mu reads 0 for a numerator of m00 - m11 divisible by p",
         "qlat/branches.py",
-        "(int_valuation(y, p) if y % p == 0 else 0) - vb",
-        "(int_valuation(y, p) if y % p else 0) - vb",
+        "(int_valuation(y, p, v_ga + va) if y % p == 0 else 0)",
+        "(int_valuation(y, p, v_ga + va) if y % p else 0)",
         [f"{_BOUND}[{p}]" for p in _PRIMES],
     ),
     Mutant(
         "mu takes ga for a unit",
         "qlat/branches.py",
-        "            v_ga + va - vb,\n",
-        "            va - vb,\n",
+        "int_valuation(y, p, v_ga + va)",
+        "int_valuation(y, p, va)",
         [f"{_BOUND}[{p}]" for p in _PRIMES],
     ),
     Mutant(
         "mu reads v_p(ga) at every vertex",
         "qlat/branches.py",
-        "            v_ga + va - vb,\n",
-        "            int_valuation(ga, p) + va - vb,\n",
+        "int_valuation(y, p, v_ga + va)",
+        "int_valuation(y, p, int_valuation(ga, p) + va)",
         [f"{_ONCE}[3]", f"{_ONCE}[101]"],
+    ),
+    Mutant(
+        "mu caps the m00 - m11 valuation one short",
+        "qlat/branches.py",
+        "int_valuation(y, p, v_ga + va)",
+        "int_valuation(y, p, v_ga + va - 1)",
+        [f"{_CAPPED}[{p}]" for p in _PRIMES],
+    ),
+    Mutant(
+        "meet caps its valuation with max",
+        "qlat/bt_tree.py",
+        "int_valuation(num, p, min(v.a + w.b, w.a + v.b))",
+        "int_valuation(num, p, max(v.a + w.b, w.a + v.b))",
+        [f"{_CAPPED}[{p}]" for p in _PRIMES],
     ),
     Mutant(
         "apartment margin adds the axis margin",
@@ -106,6 +121,16 @@ MUTANTS = [
         "(distance(v, base) - slack(v)) // 2",
         "(distance(v, base) + slack(v)) // 2",
         [f"{_BOUND}[{p}]" for p in _PRIMES],
+    ),
+    Mutant(
+        "intersection reads the plateau's sides from a stale scan",
+        "qlat/branches.py",
+        "    back = None\n    while m < ceiling:\n        sides = []\n",
+        "    back, sides = None, []\n    while m < ceiling:\n",
+        [
+            f"tests/test_oracles.py::test_plateau_sides_come_from_the_summit_scan[{p}]"
+            for p in _PRIMES
+        ],
     ),
     Mutant(
         "level neighbors read v_p(den) at every step",

@@ -115,16 +115,19 @@ The last section keeps the request decoder as it was when `is_prime` and
 `is_squarefree` read the factorizer: those two, `places_over` and
 `parse_place_key` above them, which the cube-root squarefree test, the
 strong-pseudoprime test and the one-pass place key replaced, and the
-rational parsing that made every JSON integer a `Fraction`.
+rational parsing that made every JSON integer a `Fraction`.  Below
+`SIEVE_BOUND` the two tests read a sieve of smallest prime factors
+instead, which decides the same and costs a lookup.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from math import gcd, inf, isqrt, lcm
 
@@ -2730,9 +2733,11 @@ def shifted_enumerate_branch(
     def sigma(v: Vertex):
         return min(branches.mu_margin(b, v) for b in margins) - r
 
-    if sigma(center) < -radius:  # the branch is farther than radius
+    m = sigma(center)
+    if m < -radius:  # the branch is farther than radius
         return frozenset()
-    seed, s = branches._climb(sigma, lambda v, m: bt_tree.iter_neighbors(v), center, 0)
+    steps = lambda v, m: bt_tree.iter_neighbors(v)  # noqa: E731
+    seed, s, _ = branches._climb(sigma, steps, center, m, 0)
     if s < 0:  # a summit below 0: the branch is empty
         return frozenset()
     if not member(seed):  # sigma >= 0 certifies membership; stay exact anyway
@@ -2888,12 +2893,38 @@ def cli_main(argv=None) -> int:
 # `Fraction`, verbatim; the method is a function of the field here.
 
 
+SIEVE_BOUND = 10**6
+
+
+@cache
+def smallest_prime_factors() -> array:
+    """spf[n] for 0 <= n < SIEVE_BOUND: the least prime factor of n >= 2,
+    and n itself for 0 and 1.  Each d from the square root down to 2 stamps
+    the multiples of d from d^2 on, so the least prime divisor stamps last;
+    a prime is stamped by nothing and keeps its own value."""
+    spf = array("i", range(SIEVE_BOUND))
+    for d in range(isqrt(SIEVE_BOUND - 1), 1, -1):
+        spf[d * d :: d] = array("i", [d]) * len(range(d * d, SIEVE_BOUND, d))
+    return spf
+
+
 def factorizer_is_prime(n: int) -> bool:
-    return n > 1 and next(prime_divisors(n)) == n
+    if n < SIEVE_BOUND:
+        return n > 1 and smallest_prime_factors()[n] == n
+    return next(prime_divisors(n)) == n
 
 
 def factorizer_is_squarefree(m: int) -> bool:
-    return m != 0 and all(a != b for a, b in itertools.pairwise(prime_divisors(m)))
+    n = abs(m)
+    if n < SIEVE_BOUND:
+        spf = smallest_prime_factors()
+        while n > 1:
+            q = spf[n]
+            n //= q
+            if n % q == 0:
+                return False
+        return m != 0
+    return all(a != b for a, b in itertools.pairwise(prime_divisors(m)))
 
 
 def factorizer_places_over(self: BaseField, p: int) -> tuple[PrimeIdeal, ...]:

@@ -116,9 +116,10 @@ def test_local_classify_pair_at_large_prime_exceeds_budget():
 def test_local_classify_walks_the_summit_plateau_once():
     # The branch is the thick path of level 40 from the standard vertex
     # toward the line of e1.  The walk over its summit plateau scans each of
-    # its 41 vertices once (42 scans of 102 vertices), so the walk along the
-    # shared line before it binds (89 scans, 9,078 vertices): a budget of
-    # 10,000 answers and one of 9,000 does not.
+    # its 41 vertices once (41 scans of 102 vertices, 4,182: the climb's
+    # last scan of the summit gives the plateau's sides), so the walk along
+    # the shared line before it binds (89 scans, 9,078 vertices): a budget
+    # of 10,000 answers and one of 9,000 does not.
     p = 101
     req = {"p": p, "generators": [[[1, 0], [0, 0]], [[0, p**40], [1, 0]]]}
     doc = run_json(["local", "classify"], {**req, "max_vertices": 10_000})
@@ -131,6 +132,46 @@ def test_local_classify_walks_the_summit_plateau_once():
     }
     err = run_json(["local", "classify"], {**req, "max_vertices": 9_000}, expect=3)
     assert err["error"] == "BudgetExceeded"
+
+
+def test_local_classify_scans_the_summit_once():
+    # The rank-4 order of the benchmark's p = 101 slice has the level-2
+    # path of thickness 1 for its branch, and each of its two bounded
+    # intersections scans the three plateau vertices once: 306 vertices.
+    # The summit is not scanned a second time for the plateau's sides (which
+    # would make 408), so a budget of 306 answers and one of 305 does not.
+    p = 101
+    gens = [[[1, 0], [0, 1]], [[0, 1], [100, 63062483]],
+            [[0, 0], [101, 101275427]], [[0, 0], [0, 104060401]]]
+    req = {"p": p, "generators": gens}
+    doc = run_json(["local", "classify"], {**req, "max_vertices": 306})
+    path = [(1, 1), (2, 7172), (3, 27574)]
+    assert doc["shape"] == {
+        "kind": "thick_path",
+        "level": 2,
+        "p": p,
+        "path": [{"a": a, "b": 0, "c": c} for a, c in path],
+        "thickness": 1,
+    }
+    err = run_json(["local", "classify"], {**req, "max_vertices": 305}, expect=3)
+    assert err["error"] == "BudgetExceeded"
+
+
+def test_local_classify_level_100_thick_path_at_p101():
+    # x = 101^100: the branch is the thick path of level 100 from the
+    # standard vertex up through its ancestors, reached through numerators
+    # of up to a few thousand bits, whose valuations the margins read only
+    # as deep as they use.
+    p = 101
+    x = p**100
+    req = {"p": p, "generators": [[[2, 1], [x, 1]], [[1, 1], [x, 1]]]}
+    path = ",".join(f'{{"a":0,"b":{b},"c":0}}' for b in range(101))
+    want = (
+        '{"p":101,"rank":4,"shape":{"kind":"thick_path","level":100,"p":101,'
+        f'"path":[{path}],"thickness":0}}}}\n'
+    )
+    assert run(["local", "classify"], req, timeout=30).stdout.decode() == want
+
 
 def test_local_branch_enum_eichler():
     doc = run_json(

@@ -70,15 +70,24 @@ def _valuation_by_division(n: int, p: int):
     return v
 
 
+def _caps(k: int) -> list:
+    """Caps around k and around the switch to squared powers at 32."""
+    return [0, 1, max(k - 1, 0), k, k + 1, 31, 32, 33, 64, inf]
+
+
 def test_dyadic_valuations_read_the_lowest_set_bit():
     """At p = 2, `int_valuation` reads the lowest set bit; on +-2^k u (u odd,
-    k <= 3000) it agrees with repeated division, and it is inf on 0."""
+    k <= 3000) it agrees with repeated division, and it is inf on 0.  With
+    a cap it is min(k, cap), and the cap itself on 0."""
     rng = make_rng(102)
     assert int_valuation(0, 2) == inf
     for k in [*range(70), 999, 1000, 1001, 2001, 2999, 3000]:
+        assert all(int_valuation(0, 2, cap) == cap for cap in _caps(k))
         for u in (1, 3, rng.randrange(1, 2**64, 2), rng.randrange(1, 2**4000, 2)):
             for n in (u << k, -(u << k)):
                 assert int_valuation(n, 2) == _valuation_by_division(n, 2) == k
+                for cap in _caps(k):
+                    assert int_valuation(n, 2, cap) == min(k, cap), (n, cap)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 101])
@@ -86,9 +95,11 @@ def test_odd_valuations_divide_by_squared_powers(p):
     """At odd p, `int_valuation` divides by p up to 32 times, then by p,
     p^2, p^4, ... and back down; on +-p^k u (u prime to p, k <= 3000) it,
     and `valuation_by_squares` on its own, agree with repeated division,
-    and it is inf on 0."""
+    and it is inf on 0.  With a cap it is min(k, cap), and the cap itself
+    on 0."""
     rng = make_rng(103 + p)
     assert int_valuation(0, p) == inf
+    assert all(int_valuation(0, p, cap) == cap for cap in _caps(40))
     ks = [*range(40), 63, 64, 65, 127, 128, 999, 1000, 1001, 2047, 2048, 2999, 3000]
     ks += rng.sample(range(40, 3000), 8)
     for k in ks:
@@ -98,6 +109,8 @@ def test_odd_valuations_divide_by_squared_powers(p):
             assert _valuation_by_division(pk * u, p) == k
             for n in (pk * u, -pk * u):
                 assert int_valuation(n, p) == valuation_by_squares(n, p) == k
+                for cap in _caps(k):
+                    assert int_valuation(n, p, cap) == min(k, cap), (n, cap)
 
 
 def test_unit_part():

@@ -308,7 +308,8 @@ def test_bound_margins_match_reference(p):
 def test_bound_margins_read_fixed_valuations_once(monkeypatch, p):
     """The valuations of den and ga, and of an end's y, are read when the
     margin is bound, not at each vertex: with den, ga and y of valuations in
-    the thousands, no read per vertex is given any of them."""
+    the thousands, no read per vertex is given any of them, in full or
+    capped."""
     den, ga, y = 7 * p**3000, 5 * p**2000, p**2500
     witness = (den, 1 + p**2100, 3, ga, 1)
     shapes = [
@@ -320,16 +321,18 @@ def test_bound_margins_read_fixed_valuations_once(monkeypatch, p):
     vs = seeded_vertices(rng, p)
     read = []
 
-    def counted(n, q):
-        read.append(n)
-        return valuation_of(n, q)
+    def counting(valuation_of):
+        def counted(n, q, *cap):
+            read.append(n)
+            return valuation_of(n, q, *cap)
 
-    valuation_of = branches.int_valuation
+        return counted
+
     for s in shapes:
         margin = s.bound_margin()
         read.clear()
-        monkeypatch.setattr(branches, "int_valuation", counted)
-        monkeypatch.setattr(bt_tree, "int_valuation", counted)
+        for module in (branches, bt_tree):
+            monkeypatch.setattr(module, "int_valuation", counting(module.int_valuation))
         values = [margin(v) for v in vs]
         monkeypatch.undo()
         assert values == [oracles.valued_margin(s, v) for v in vs], s
@@ -337,6 +340,105 @@ def test_bound_margins_read_fixed_valuations_once(monkeypatch, p):
         # at most the two valuations that depend on v, and for a ray the
         # distance to its base and the slack
         assert len(read) <= 2 * len(vs), (s, len(read))
+
+
+def _as_mat2(w: tuple) -> Mat2:
+    den, al, be, ga, de = w
+    rows = [[al, be], [ga, de]]
+    return Mat2.of([[Fraction(x, den) for x in row] for row in rows])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_capped_margins_and_distances_match_conjugation(p):
+    """mu, which reads each valuation only as deep as its minimum can use,
+    and `distance`, whose meet is capped the same way, against conjugation
+    and the Smith form.  Exponents and valuations reach MAX_VERTEX_EXPONENT,
+    and the cases include ga = 0, scalars, and vertices at which the
+    numerator of m00 - m11, of m01, or of the meet is 0."""
+    rng = make_rng(2600 + p)
+    top = MAX_VERTEX_EXPONENT
+    vs = seeded_vertices(rng, p)
+    vs += [Vertex(p, a, 0, 0) for a in (1, rng.randrange(2, top), top)]
+    vs += [Vertex(p, 0, b, 0) for b in (1, rng.randrange(2, top), top)]
+    pairs = [(w, v) for w in seeded_witnesses(rng, p) for v in rng.sample(vs, 6)]
+    for v in vs:
+        _, a, b, c = v
+        q, h, de = p**b, rng.randrange(1, 9), rng.randrange(-9, 10)
+        den = rng.choice((1, 3 * p, p**top))
+        be, d = rng.randrange(-9, 10), rng.randrange(1, 9) * p ** rng.randrange(4)
+        pairs += [
+            # ga = q^2 h, al - de = 2 q h c, be = -h c^2: y = x = 0 at v
+            ((den, de + 2 * q * h * c, -h * c * c, q * q * h, de), v),
+            # ga = q h, al - de = 2 h c: y = 0 at v
+            ((den, de + 2 * h * c, be, q * h, de), v),
+            # be = 0: x = 0 where c = 0
+            ((den, de + d, 0, h * p ** rng.randrange(top), de), v),
+            # ga = 0: no m10 term, and with al = de, y = 0 everywhere
+            ((den, de + d, be or 1, 0, de), v),
+            ((den, de, be or 1, 0, de), v),
+            ((den, de, 0, 0, de), v),  # a scalar: +inf
+        ]
+    for w, v in pairs:
+        assert mu_margin(w, v) == oracles.mu_margin(_as_mat2(w), v), (w, v)
+    others = rng.sample(vs, 6) + [standard_vertex(p), Vertex(p, top, 0, 0)]
+    for v in vs:
+        near = [v, parent(v), child(v, rng.randrange(p)), random_vertex_at(rng, v, 3)]
+        for w in others + near:
+            assert distance(v, w) == oracles.distance(v, w), (v, w)
+            assert distance(w, v) == oracles.distance(w, v), (w, v)
+
+
+def test_bounded_intersections_evaluate_each_vertex_once(monkeypatch):
+    """At p = 101 a bounded intersection evaluates each shape's margin at
+    most once at any vertex: the climb does not go back to the vertex it
+    came from, and the plateau's sides come from the climb's last scan of
+    the summit, not from a second one.  The orders: the level-40 path of
+    e11 and [[0, p^40], [1, 0]], the rank-4 order of the benchmark's
+    p = 101 slice, a pair, and two seeded orders of three generators."""
+    p = 101
+    rng = make_rng(2610)
+    orders = [
+        [[[1, 0], [0, 0]], [[0, p**40], [1, 0]]],
+        [[[1, 0], [0, 1]], [[0, 1], [100, 63062483]],
+         [[0, 0], [101, 101275427]], [[0, 0], [0, 104060401]]],
+        [[[0, 2], [1, 0]], [[1, 0], [0, -1]]],
+    ]
+    orders = [[Mat2.of(g) for g in gens] for gens in orders]
+    orders += [[random_matrix(rng, p) for _ in range(3)] for _ in range(2)]
+    counts = []
+
+    def counting(kind):
+        bind = kind.bound_margin
+
+        def bound_margin(self):
+            margin, seen = bind(self), Counter()
+            counts.append(seen)
+
+            def counted(v):
+                seen[v] += 1
+                return margin(v)
+
+            return counted
+
+        return bound_margin
+
+    for kind in (ThickApartment, ThickPath, ThickRay, Fan):
+        monkeypatch.setattr(kind, "bound_margin", counting(kind))
+    walks = 0
+    for gens in orders:
+        order = order_closure(gens, p)
+        shape = Full(p)
+        for s in [classify_single(b, p) for b in order.closure.basis]:
+            counts.clear()
+            out = intersect_shapes(shape, s)
+            if shape.kind != "full" and out.kind == "thick_path":
+                walks += 1
+                assert len(counts) == 2, (shape, s)
+                for seen in counts:
+                    v, most = seen.most_common(1)[0]
+                    assert most == 1, (shape, s, v)
+            shape = out
+    assert walks >= 5
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
@@ -354,7 +456,8 @@ def test_eigenline_ascent_matches_full_scan(p):
             m = mu_margin(a, v)
             full = [n for n in oracles.neighbors(v) if oracles.mu_margin(a, n) >= m]
             assert sorted(_level_neighbors(a, p)(v, m)) == full, (a, v)
-            got = _climb(lambda w: mu_margin(a, w), _level_neighbors(a, p), v, m + 6)
+            mu = lambda w: mu_margin(a, w)  # noqa: E731
+            got = _climb(mu, _level_neighbors(a, p), v, m, m + 6)[:2]
             assert got == oracles.climb(a, v, ceiling=m + 6)
             assert got == oracles.eigenline_climb(a, v, ceiling=m + 6)
 
@@ -366,9 +469,9 @@ def test_classify_single_reads_v_den_once_per_walk(monkeypatch):
     p, den = 3, 7 * 3**3000
     read = []
 
-    def counted(n, q):
+    def counted(n, q, *cap):
         read.append(n)
-        return valuation_of(n, q)
+        return valuation_of(n, q, *cap)
 
     valuation_of = branches.int_valuation
     monkeypatch.setattr(branches, "int_valuation", counted)
@@ -1375,6 +1478,37 @@ class _LongRay(ThickRay):
 
     def bound_margin(self):  # the walks evaluate this margin, not the ray's
         return self.margin
+
+
+class _Shoulder(Shape, namedtuple("_Shoulder", "peak anchor")):
+    """Margin 2 at the peak and 1 elsewhere.  Climbed from a neighbour of
+    the peak, it can show a neighbour on the climb's own level before the
+    step up: a shoulder, which no concave margin has."""
+
+    __slots__ = ()
+    kind = "shoulder"
+
+    @property
+    def p(self) -> int:
+        return self.peak.p
+
+    def margin(self, v):
+        return 2 if v == self.peak else 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_plateau_sides_come_from_the_summit_scan(p):
+    """The plateau's sides are read off the scan at the summit, whatever
+    the scans below it held.  From the standard vertex the climb meets its
+    parent on its own level, then steps up to child 0, the peak.  The peak
+    is a one-vertex plateau, which the scanning oracle finds too."""
+    o = standard_vertex(p)
+    peak = child(o, 0)
+    pair = (_Shoulder(peak, o), ThickPath((peak,), 3))
+    want = _outcome(oracles.scanned_intersect_shapes, *pair)
+    path = ThickPath((peak,), 2)
+    assert want == ("ok", path, path.to_json())
+    assert _outcome(intersect_shapes, *pair) == want
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
