@@ -31,10 +31,11 @@ triple.
 
 Ball enumeration checks its vertex budget (default 200,000, overridable via
 the QLAT_MAX_VERTICES environment variable or an explicit argument) before
-allocating anything, then generates the ball from parent and child links:
-up k steps from the centre, down into the other children.  The DOT export
-reads its edges off the same parent links, and both sort vertices on the
-integer triple (`canonical_order`).
+allocating anything, then reads the ball off the distance formula: on each
+level (a, b) its vertices are one arithmetic progression of c, so walking
+the levels in order yields the ball in canonical order, the order of the
+integer triple, with no hashing and no sort.  The DOT export reads its
+edges off the parent links and sorts its vertices (`canonical_order`).
 
 A vertex is the tuple (p, a, b, c), so hashing, equality, order and field
 access run in C.  The public constructor validates the triple; `parent`
@@ -231,29 +232,43 @@ def check_ball_budget(p: int, radius: int, max_vertices=None) -> None:
     )
 
 
-def ball(v: Vertex, radius: int, max_vertices=None) -> frozenset[Vertex]:
-    """All vertices within the given distance of v.
+def ball(v: Vertex, radius: int, max_vertices=None) -> tuple[Vertex, ...]:
+    """All vertices within the given distance of v, in canonical order.
 
-    Generated, not searched: a vertex at distance d from v is reached by
-    climbing k <= d parents and then descending d - k levels, into a child
-    off the climbed path when k > 0.  So for each k <= radius the ball holds
-    the k-th ancestor of v and its descendants down to radius - k levels,
-    less the branch of the ancestor below it, and each vertex is built once.
+    Read off the distance formula, not searched.  Each step along an edge
+    moves exactly one of a, b by 1, so the ball lies in the levels (a, b)
+    with |a - a0| + |b - b0| <= radius, v = (a0, b0, c0).  On level (a, b),
+    n = a - b, D(x, n) is within the radius of D(x0, n0) exactly when
+    min(n, n0, v(x - x0)) >= m = ceil((n + n0 - radius) / 2).  The range
+    of levels already gives min(n, n0) >= m, and v(x - x0) >= m reads
+    c p^b0 = c0 p^b (mod p^(m + b + b0)): one residue class of c modulo
+    p^(m + b), or every c, or none.  So each level is one increasing
+    progression of c in [0, p^a), units only when a, b > 0, and walking
+    the levels in (a, b) order yields the ball sorted, with no hashing.
     """
-    p = v.p
+    p, a0, b0, c0 = v
     check_ball_budget(p, radius, max_vertices)
     out = []
-    below, top = None, v
-    for k in range(radius + 1):
-        out.append(top)
-        if k < radius:
-            level = [w for j in range(p) if (w := child(top, j)) != below]
-            out += level
-            for _ in range(radius - k - 1):
-                level = [child(u, j) for u in level for j in range(p)]
-                out += level
-        below, top = top, parent(top)
-    return frozenset(out)
+    for a in range(max(0, a0 - radius), a0 + radius + 1):
+        width = radius - abs(a - a0)
+        q = p**a
+        for b in range(max(0, b0 - width), b0 + width + 1):
+            m = -((radius - a + b - a0 + b0) // 2)
+            k = m + b  # c p^b0 = c0 p^b modulo p^(k + b0)
+            if k > 0:  # c = c0 p^(b - b0) modulo p^k, a unit or never one
+                y, r = divmod(c0 * p**b, p**b0)
+                if r or a and b and y % p == 0:
+                    continue
+                step = p**k
+                cs = range(y % step, q, step)
+            elif k + b0 > 0 and c0 * p**b % p ** (k + b0):
+                continue
+            elif a and b:
+                cs = [c for c in range(1, q) if c % p]
+            else:
+                cs = range(q)
+            out += [_link(Vertex, (p, a, b, c)) for c in cs]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +342,8 @@ def horoball_slack(base: Vertex, end: End):
     The Busemann function beta_z(D(x, n)) = n - 2 min(n, v(x - z)), or n
     toward oo, drops by 1 along each step toward the end and rises by 1
     along every other edge.  v_p(end.y) and beta_z(base) are read once,
-    here; per vertex is left one valuation, read in full only when p
-    divides its argument.
+    here; per vertex is left one valuation, read only when p divides its
+    argument and only as deep as the cap a + v_p(end.y) of the minimum.
     """
     p, (x, y) = base.p, end
     e = int_valuation(y, p) if y else 0
@@ -340,8 +355,8 @@ def horoball_slack(base: Vertex, end: End):
             return top - a + b
         # x - z = -num / (y p^b), so min(n, v(x - z)) = min(a + e, v(num)) - b - e
         num = x * p**b - c * y
-        k = int_valuation(num, p) if num % p == 0 else 0
-        return top - a + b + 2 * (min(k, a + e) - b - e)
+        k = int_valuation(num, p, a + e) if num % p == 0 else 0
+        return top - a + b + 2 * (k - b - e)
 
     top = -slack(base)  # beta_z(base); slack reads top when it is called
     return slack

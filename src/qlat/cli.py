@@ -354,8 +354,7 @@ def _parse_ball(doc: dict):
 
 def cmd_tree_ball(doc: dict, args) -> dict:
     found = _parse_ball(doc)
-    vertices = [v.to_json() for v in bt_tree.canonical_order(found)]
-    return {"count": len(found), "vertices": vertices}
+    return {"count": len(found), "vertices": [v.to_json() for v in found]}
 
 
 def cmd_tree_dot(doc: dict, args) -> dict:

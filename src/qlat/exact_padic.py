@@ -64,7 +64,8 @@ def int_valuation(n: int, p: int, cap=inf):
     """min(v_p(n), cap) for an integer n and a cap >= 0, with v_p(0) =
     +infinity: the p-adic valuation, read only as deep as a minimum it
     feeds can use.  It takes at most cap divisions by p, and past 32 the
-    rest by `valuation_by_squares`."""
+    rest by `valuation_by_squares`, unless one division by p^(cap - 32)
+    shows the cap is reached."""
     if n == 0:
         return cap
     if p == 2:
@@ -72,7 +73,9 @@ def int_valuation(n: int, p: int, cap=inf):
     v = 0
     while v < cap and n % p == 0:
         if v == 32:  # below about 32, one division at a time is cheaper
-            return min(v + valuation_by_squares(n, p), cap)
+            if cap != inf and n % p ** (cap - v) == 0:
+                return cap
+            return v + valuation_by_squares(n, p)
         n //= p
         v += 1
     return v

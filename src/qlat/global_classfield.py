@@ -237,7 +237,9 @@ def val_at_place(field: BaseField, el: FE, place: PrimeIdeal):
     return int_valuation(_split_embed(field, el, place), p)
 
 
-def _is_square_mod(field: BaseField, el: FE, place: PrimeIdeal, k: int) -> bool:
+def _is_square_mod(
+    field: BaseField, el: FE, place: PrimeIdeal, k: int, embedded=None
+) -> bool:
     """Is the integral el = pi^v u with v even and the unit u a square
     modulo P^k?
 
@@ -257,12 +259,15 @@ def _is_square_mod(field: BaseField, el: FE, place: PrimeIdeal, k: int) -> bool:
     (m + s) / 2 + s sqrt(m), and el eps^(j mod 2) / 2^j (j = v / 2) is u
     times a unit square; X + Y pi lies in P^k exactly when 2^ceil(k/2)
     divides X and 2^floor(k/2) divides Y.
+
+    A split place reads `embedded`, el's image under `_split_embed`, when
+    the caller passes one.
     """
     if fe_is_zero(el):
         raise ZeroDivisionError("square class of zero")
     p, m, (x, y), tag = place.p, field.m, el, place.tag
     if tag == "split":
-        n = _split_embed(field, el, place)
+        n = _split_embed(field, el, place) if embedded is None else embedded
     elif tag == "rational":
         n = x
     else:
@@ -295,14 +300,23 @@ def _two_valuation(place: PrimeIdeal) -> int:
     return 0 if place.p != 2 else 2 if place.tag == "ramified" else 1
 
 
-def is_local_square(field: BaseField, el: FE, place: PrimeIdeal) -> bool:
-    """Is the nonzero element el a square in the completion at the place?"""
-    return _is_square_mod(field, _integral(el), place, 2 * _two_valuation(place) + 1)
+def is_local_square(
+    field: BaseField, el: FE, place: PrimeIdeal, *, embedded=None
+) -> bool:
+    """Is the nonzero element el a square in the completion at the place?
+    At a split place, `embedded` may give el's image under `_split_embed`,
+    for a caller that runs both this and the unramified test."""
+    k = 2 * _two_valuation(place) + 1
+    return _is_square_mod(field, _integral(el), place, k, embedded)
 
 
-def is_unramified_or_split(field: BaseField, el: FE, place: PrimeIdeal) -> bool:
-    """Is K_place(sqrt(el)) unramified (possibly split) over the completion?"""
-    return _is_square_mod(field, _integral(el), place, 2 * _two_valuation(place))
+def is_unramified_or_split(
+    field: BaseField, el: FE, place: PrimeIdeal, *, embedded=None
+) -> bool:
+    """Is K_place(sqrt(el)) unramified (possibly split) over the completion?
+    `embedded` is as for `is_local_square`."""
+    k = 2 * _two_valuation(place)
+    return _is_square_mod(field, _integral(el), place, k, embedded)
 
 
 def sign_at_real(field: BaseField, el: FE, key: str) -> int:
@@ -633,9 +647,11 @@ def rep_field_comm_quadratic(
             raise EmbeddingInfeasible(
                 place.key(), "the conductor is shallower than the genus shift"
             )
-        if is_local_square(field, delta, place):
+        # a split place is embedded once, for both tests
+        embedded = _split_embed(field, delta, place) if place.tag == "split" else None
+        if is_local_square(field, delta, place, embedded=embedded):
             continue  # split in L
-        unramified = is_unramified_or_split(field, delta, place)
+        unramified = is_unramified_or_split(field, delta, place, embedded=embedded)
         core = 0 if unramified else 1
         if core + 2 * (t - r) < d:
             raise EmbeddingInfeasible(

@@ -16,6 +16,7 @@ _BOUND = "tests/test_oracles.py::test_bound_margins_match_reference"
 _ONCE = "tests/test_oracles.py::test_bound_margins_read_fixed_valuations_once"
 _CAPPED = "tests/test_oracles.py::test_capped_margins_and_distances_match_conjugation"
 _PRIMES = (2, 3, 5, 7, 101)
+_BALL = "tests/test_oracles.py::test_ball_in_canonical_order_matches_link_generator"
 _SWEEP = "tests/test_oracles.py::test_closed_form_closure_matches_rounds"
 _PAIRS = (
     "tests/test_local_orders.py"
@@ -90,8 +91,8 @@ MUTANTS = [
     Mutant(
         "horoball slack reads 0 for a numerator divisible by p",
         "qlat/bt_tree.py",
-        "k = int_valuation(num, p) if num % p == 0 else 0",
-        "k = int_valuation(num, p) if num % p else 0",
+        "k = int_valuation(num, p, a + e) if num % p == 0 else 0",
+        "k = int_valuation(num, p, a + e) if num % p else 0",
         [f"{_BOUND}[{p}]" for p in _PRIMES],
     ),
     Mutant(
@@ -104,9 +105,26 @@ MUTANTS = [
     Mutant(
         "horoball slack reads v_p(end.y) at every vertex",
         "qlat/bt_tree.py",
-        "min(k, a + e)",
-        "min(k, a + int_valuation(y, p))",
+        "int_valuation(num, p, a + e)",
+        "int_valuation(num, p, a + int_valuation(y, p))",
         [f"{_ONCE}[3]", f"{_ONCE}[101]"],
+    ),
+    Mutant(
+        "horoball slack caps its valuation one short",
+        "qlat/bt_tree.py",
+        "int_valuation(num, p, a + e)",
+        "int_valuation(num, p, a + e - 1)",
+        [f"{_BOUND}[{p}]" for p in _PRIMES],
+    ),
+    Mutant(
+        "capped valuation hands off with the cap one short",
+        "qlat/exact_padic.py",
+        "n % p ** (cap - v) == 0",
+        "n % p ** (cap - v - 1) == 0",
+        [
+            f"tests/test_exact_padic.py::test_odd_valuations_divide_by_squared_powers[{p}]"
+            for p in (3, 5, 7, 101)
+        ],
     ),
     Mutant(
         "horoball slack loses the sign of its base level",
@@ -181,6 +199,35 @@ MUTANTS = [
             "tests/test_oracles.py"
             "::test_order_closure_takes_one_hermite_form_up_to_three_generators"
         ],
+    ),
+    # -- balls read off the distance formula ----------------------------------
+    Mutant(
+        "ball floors the least meet level",
+        "qlat/bt_tree.py",
+        "m = -((radius - a + b - a0 + b0) // 2)",
+        "m = (a - b + a0 - b0 - radius) // 2",
+        [f"{_BALL}[{p}]" for p in _PRIMES],
+    ),
+    Mutant(
+        "ball drops the unit filter on a whole level",
+        "qlat/bt_tree.py",
+        "cs = [c for c in range(1, q) if c % p]",
+        "cs = range(q)",
+        [f"{_BALL}[{p}]" for p in _PRIMES],
+    ),
+    Mutant(
+        "ball drops the unit filter on a residue class",
+        "qlat/bt_tree.py",
+        "if r or a and b and y % p == 0:",
+        "if r:",
+        [f"{_BALL}[{p}]" for p in _PRIMES],
+    ),
+    Mutant(
+        "ball stops its levels one short",
+        "qlat/bt_tree.py",
+        "range(max(0, a0 - radius), a0 + radius + 1)",
+        "range(max(0, a0 - radius), a0 + radius)",
+        [f"{_BALL}[{p}]" for p in _PRIMES],
     ),
     # -- earlier fast paths ----------------------------------------------------
     Mutant(

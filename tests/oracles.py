@@ -1033,6 +1033,32 @@ def ball(v: Vertex, radius: int, max_vertices=None) -> frozenset[Vertex]:
     return frozenset(seen)
 
 
+def link_ball(v: Vertex, radius: int, max_vertices=None) -> list[Vertex]:
+    """All vertices within the given distance of v, each built once from
+    parent and child links, in the order they are built.
+
+    A vertex at distance d from v is reached by climbing k <= d parents and
+    then descending d - k levels, into a child off the climbed path when
+    k > 0.  So for each k <= radius the ball holds the k-th ancestor of v
+    and its descendants down to radius - k levels, less the branch of the
+    ancestor below it.
+    """
+    p = v.p
+    bt_tree.check_ball_budget(p, radius, max_vertices)
+    out = []
+    below, top = None, v
+    for k in range(radius + 1):
+        out.append(top)
+        if k < radius:
+            level = [w for j in range(p) if (w := bt_tree.child(top, j)) != below]
+            out += level
+            for _ in range(radius - k - 1):
+                level = [bt_tree.child(u, j) for u in level for j in range(p)]
+                out += level
+        below, top = top, bt_tree.parent(top)
+    return out
+
+
 def export_dot(vertices, highlights=None) -> str:
     """Graphviz DOT source for the induced subgraph on the given vertices.
 

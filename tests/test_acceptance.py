@@ -262,7 +262,7 @@ def test_acceptance_06_neighborhood_and_deep_laws():
             order = random_order(rng, p)
             v0 = standard_vertex(p)
             base = enumerate_branch(order, 0, v0, radius)
-            inner = ball(v0, radius - 1)
+            inner = frozenset(ball(v0, radius - 1))
 
             grown = enumerate_branch(shift_order(order, 1), 0, v0, radius)
             one_hood = frozenset(

@@ -1,6 +1,7 @@
 """Global engine: local symbols at places, ray class data, spinor class
 fields, representation fields, and the local/global cross-check."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, inf, prod
@@ -9,6 +10,7 @@ import pytest
 
 import oracles
 from helpers import fe, fe_conj, fe_inv, fe_pow, fundamental_discriminant, make_rng
+from qlat import global_classfield
 from qlat.branches import ThickPath, classify_single
 from qlat.errors import AlgebraNotSplit, EmbeddingInfeasible, SchemaError
 from qlat.exact_padic import Mat2, is_prime, is_squarefree
@@ -481,6 +483,26 @@ def test_rep_field_conductor_at_inert_place_breaks_balance():
     assert rep.degree == 1
     assert rep.strict_places == ("3.1",)
     assert selectivity_ratio(rep) == 1
+
+
+def test_rep_field_embeds_each_split_place_once(monkeypatch):
+    # 3.1 splits in K10 and 2 is no square mod 3: both the square test and
+    # the unramified test read the place, from one embedding of delta
+    alg = QuatAlgebra.of(K10)
+    p3, delta2 = place(K10, "3.1"), fe(Fraction(2), Fraction(0))
+    embedded = Counter()
+    real = global_classfield._split_embed
+
+    def counted(field, el, at):
+        embedded[at, el] += 1
+        return real(field, el, at)
+
+    monkeypatch.setattr(global_classfield, "_split_embed", counted)
+    rep = rep_field_comm_quadratic(alg, Genus.of(), delta2, conductor={p3: 1})
+    assert rep.degree == 1 and rep.strict_places == ("3.1",)
+    assert embedded[p3, (2, 0)] == 1, embedded
+    assert not is_local_square(K10, delta2, p3)
+    assert is_unramified_or_split(K10, delta2, p3)
 
 
 def test_rep_field_conductor_at_split_place_is_harmless():

@@ -9,6 +9,8 @@ and generator sets, the genus-character class-field degrees against the
 class-group closure on genera, the capped factorizer on integers, the
 branch-based residue-field test on seeded and structured orders, the
 tuple-backed vertex against the frozen dataclass on whole balls, the
+ball read off the distance formula against the sorted link generator on
+seeded centres with exponents up to MAX_VERTEX_EXPONENT, the
 one square-class rule against the per-place local square and unramified
 tests on every field Q(sqrt m), |m| <= 200, at every place over p <= 13,
 the Newton-step dyadic square root against the bit-by-bit lift at
@@ -23,8 +25,10 @@ the error classes against the old map.  The in-process argv differential of
 `qlat.cli.main` against its argparse-only oracle is `test_cli_argv.py`."""
 
 import copy
+import gc
 import itertools
 import pickle
+import time
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -1288,9 +1292,62 @@ def test_generated_balls_and_dot_match_search(p):
         d = distance(centre, standard_vertex(p))
         for radius in range(5 if d <= ball_reach else 4):
             got = ball(centre, radius)
-            assert got == oracles.ball(centre, radius), (centre, radius)
+            assert frozenset(got) == oracles.ball(centre, radius), (centre, radius)
             if radius < 3 or d <= dot_reach:
                 assert export_dot(got) == oracles.export_dot(got), (centre, radius)
+
+
+# p: the largest radius checked around centres whose exponents are at most
+# 6; centres farther out take radius <= 2.
+NEAR_RADIUS = {2: 6, 3: 4, 5: 3, 7: 2, 101: 1}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_ball_in_canonical_order_matches_link_generator(p):
+    """`ball`, read off the distance formula level by level, against the
+    parent- and child-link generator sorted: seeded centres, centres with
+    a = 0 < b, b = 0 < a and both positive, exponents up to
+    MAX_VERTEX_EXPONENT, and radius 0."""
+    rng = make_rng(2700 + p)
+    top = MAX_VERTEX_EXPONENT
+    unit = rng.randrange(1, p**top) // p * p + 1  # a unit below p^top
+    centres = seeded_vertices(rng, p) + [
+        Vertex(p, 0, 2, 0), Vertex(p, 0, top, 0),
+        Vertex(p, 2, 0, p), Vertex(p, 3, 0, 0), Vertex(p, top, 0, p * unit % p**top),
+        Vertex(p, 2, 1, 1), Vertex(p, 1, 3, p - 1), Vertex(p, top, top, unit),
+        Vertex(p, top, 1, unit), Vertex(p, 1, top, 1),
+    ]
+    for v in centres:
+        far = max(v.a, v.b) > 6
+        for radius in range(3 if far else NEAR_RADIUS[p] + 1):
+            want = tuple(sorted(oracles.link_ball(v, radius)))
+            assert ball(v, radius) == want, (v, radius)
+    assert ball(centres[-1], 0) == (centres[-1],)
+
+
+def test_far_ball_at_p101_is_read_off_not_generated():
+    """A radius-2 ball around exponent-1000 centres at p = 101 (10,405
+    vertices of about 6,700 bits) takes at most half the time of the link
+    generator and its sort: best of three, with the collector paused."""
+    p, top = 101, MAX_VERTEX_EXPONENT
+    unit = p**top // 3 // p * p + 1
+
+    def best(f):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            f()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    gc.disable()
+    try:
+        for v in (Vertex(p, top, 0, unit), Vertex(p, top, top, unit)):
+            read_off = best(lambda: ball(v, 2))
+            linked = best(lambda: sorted(oracles.link_ball(v, 2)))
+            assert read_off < linked / 2, (v, read_off, linked)
+    finally:
+        gc.enable()
 
 
 def _branch_orders(p: int, rng):
@@ -1648,21 +1705,16 @@ def test_tuple_vertex_matches_dataclass(p, radius):
 
 
 @pytest.mark.parametrize("p,radius", VERTEX_BALLS)
-def test_unchecked_links_build_canonical_vertices(p, radius, monkeypatch):
+def test_unchecked_links_build_canonical_vertices(p, radius):
     vs = whole_ball(p, radius)
     for v in vs:
         assert_rebuilds([parent(v), *(child(v, j) for j in range(p))])
         assert_rebuilds(iter_neighbors(v))
-    built = []  # the vertex lists `ball` turns into frozensets
-    monkeypatch.setattr(
-        bt_tree, "frozenset", lambda out: built.append(out) or frozenset(out),
-        raising=False,
-    )
     for v in whole_ball(p, 1):
         region = ball(v, radius)
         assert_rebuilds(region)
-        as_dataclasses = frozenset(oracles.Vertex(*w) for w in built.pop())
-        assert [tuple(w) for w in region] == [
+        as_dataclasses = frozenset(oracles.Vertex(*w) for w in region)
+        assert [tuple(w) for w in frozenset(region)] == [
             (o.p, o.a, o.b, o.c) for o in as_dataclasses
         ]
     for v, w in itertools.combinations(vs[:: max(1, len(vs) // 12)], 2):

@@ -127,7 +127,7 @@ def test_oracle_worked_examples():
     p = 3
     v = standard_vertex(p)
     # swapped pair realizes odd displacement at d = 1
-    n = sorted(ball(v, 1) - {v})[0]
+    n = sorted(frozenset(ball(v, 1)) - {v})[0]
     assert odd_pair_oracle({v, n}, 1, (v, n)) is True
     # ball(v, 2), d = 4: every diametral pair sits at even displacements
     vs = ball(v, 2)
