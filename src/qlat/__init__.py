@@ -2,7 +2,9 @@
 matrix algebras, their branches and spinor images, and — over Q and
 quadratic fields — spinor class fields and selectivity of suborder genera.
 
-Everything is computed over exact rationals; no floating point anywhere.
+Everything is computed exactly on integers: a rational is an integer
+pair, a matrix is integers over one denominator, and no floating point
+or `fractions.Fraction` is formed on a request.
 
 Each submodule loads on first use.  ``import qlat`` binds every submodule
 without running it, and a module's body runs the first time one of its
@@ -20,30 +22,28 @@ import sys
 _EXPORTS = {
     "branches": (
         "Empty", "Fan", "Full", "Shape", "ThickApartment", "ThickPath", "ThickRay",
-        "branch_of_order", "classify_single", "deepen", "diameter", "eichler_envelope",
-        "embeds_in_level", "enumerate_branch", "intersect_shapes", "mu_margin",
-        "shape_margin", "shape_member",
+        "branch_of_order", "classify_single", "eichler_envelope", "enumerate_branch",
+        "intersect_shapes", "mu_margin", "shape_margin",
     ),
     "bt_tree": (
-        "End", "Vertex", "ball", "canonical_vertex", "distance", "end_from_vector",
-        "export_dot", "geodesic", "neighbors", "standard_vertex",
+        "End", "Vertex", "ball", "canonical_vertex", "distance", "export_dot",
+        "geodesic", "neighbors", "standard_vertex",
     ),
     "errors": (
         "AlgebraNotSplit", "BudgetExceeded", "EmbeddingInfeasible", "EmptyShape",
         "InfiniteUnsupported", "NotFinite", "NotShiftedEichler", "QlatError",
         "ResourceLimit", "SchemaError", "SingularMatrix", "Unbounded", "UnsupportedField",
     ),
-    "exact_padic": ("Mat2", "legendre", "unit_part", "valuation"),
+    "exact_padic": ("Mat2", "legendre", "valuation"),
     "global_classfield": (
         "BaseField", "Genus", "PrimeIdeal", "QuatAlgebra", "RepField", "SigmaField",
         "is_local_square", "is_unramified_or_split", "narrow_ray_class_group",
         "parse_place_key", "rep_field_comm_quadratic", "rep_field_rank3",
-        "rep_field_rank4", "selectivity_ratio", "spinor_class_field",
+        "rep_field_rank4", "spinor_class_field",
     ),
     "local_orders": (
         "LocalOrder", "ShiftedEichler", "contains_shifted", "decompose_shifted_eichler",
-        "has_unramified_residue_field", "order_closure", "shift_order",
-        "three_maximal_orders",
+        "order_closure", "three_maximal_orders",
     ),
     "quadforms": ("ClassGroup", "QForm", "class_group", "prime_form"),
     "spinor_local": ("SpinorImage", "spinor_image"),

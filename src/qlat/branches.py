@@ -23,14 +23,14 @@ changes by at most 1 along edges and is concave along geodesics:
   beta_z(base) - beta_z(v), with beta_z(D(x, n)) = n - 2 min(n, v(x - z)),
 - `Full` / `Empty`.
 
-Each shape class carries its own margin, deepening, diameter and JSON
-form; only the pair rules of `intersect_shapes` match on two kinds.  A
-walk evaluates a shape's bound margin, a closure built once per walk over
-the shape's fixed integers, and `margin(v)` runs the same kernel at one
-vertex.  A `ThickApartment` holds al - de, be, ga, v_p(ga) and v_p(den),
-with t - axis_margin folded in, so per vertex it reads two valuations,
-each only as deep as the margin's minimum can use; a
-`Fan` and a `ThickRay` hold beta_z(base) and v_p of their line's y; a
+Each shape class carries its own bound margin, deepening, diameter and
+JSON form; only the pair rules of `intersect_shapes` match on two kinds.
+A bound margin is a closure built once over the shape's fixed integers; a
+walk evaluates it vertex by vertex, and `Shape.margin(v)` builds it and
+evaluates it at one vertex.  A `ThickApartment` holds al - de, be, ga,
+v_p(ga) and v_p(den), with t - axis_margin folded in, so per vertex it
+reads two valuations, each only as deep as the margin's minimum can use;
+a `Fan` and a `ThickRay` hold beta_z(base) and v_p of their line's y; a
 `ThickPath` holds its endpoints.  `classify_single` climbs on the bound
 mu of the matrix it classifies.
 
@@ -68,7 +68,6 @@ from .bt_tree import (
     canonical_vertex,
     check_ball_budget,
     child,
-    dist_to_ray,
     distance,
     end_of,
     horoball_slack,
@@ -98,13 +97,13 @@ from .local_orders import LocalOrder, certify_integral
 class Shape:
     """A branch shape: the vertex set where its margin is >= 0.
 
-    Each kind carries its own margin, deepening, diameter and JSON form.
-    The defaults here are those of the unbounded kinds: infinite diameter,
-    no rational ends, thickness 0, no Eichler level, and deepening that
-    keeps the set (exact for Full and Empty).  `anchor` is a vertex on the
-    core of every kind but Full and Empty.  Shapes are value tuples whose
-    equality also compares the kind, since Full(p) and Empty(p) are both
-    the tuple (p,).
+    Each kind carries its own bound margin, deepening, diameter and JSON
+    form.  The defaults here are those of the unbounded kinds: infinite
+    diameter, no rational ends, thickness 0, no Eichler level, and
+    deepening that keeps the set (exact for Full and Empty).  `anchor` is
+    a vertex on the core of every kind but Full and Empty.  Shapes are
+    value tuples whose equality also compares the kind, since Full(p) and
+    Empty(p) are both the tuple (p,).
     """
 
     __slots__ = ()
@@ -120,14 +119,11 @@ class Shape:
     __hash__ = tuple.__hash__
 
     def margin(self, v: Vertex):
-        """How far v sits inside the shape; membership is margin >= 0."""
+        """How far v sits inside the shape; membership is margin >= 0.
+        Each kind defines `bound_margin`, the margin as a function of a
+        vertex with the shape's fixed data read once, which is what a walk
+        evaluates vertex by vertex."""
         return self.bound_margin()(v)
-
-    def bound_margin(self):
-        """The margin as a function of a vertex, the shape's fixed data read
-        once: what a walk evaluates vertex by vertex.  A kind defines this,
-        `margin`, or both, each defined through the same kernel."""
-        return self.margin
 
     def deepen(self, r: int) -> Shape:
         """The depth-r branch {v : ball-depth r inside}: erode the margin by r."""
@@ -147,16 +143,16 @@ class Full(Shape, namedtuple("Full", "p")):
     __slots__ = ()
     kind = "full"
 
-    def margin(self, v: Vertex):
-        return inf
+    def bound_margin(self):
+        return lambda v: inf
 
 
 class Empty(Shape, namedtuple("Empty", "p")):
     __slots__ = ()
     kind = "empty"
 
-    def margin(self, v: Vertex):
-        return -inf
+    def bound_margin(self):
+        return lambda v: -inf
 
     def diameter(self):
         raise EmptyShape("empty shape has no diameter")
@@ -264,9 +260,6 @@ class ThickRay(_Thick, _Based, namedtuple("ThickRay", "base end t")):
     __slots__ = ()
     kind = "thick_ray"
 
-    def margin(self, v: Vertex):
-        return self.t - dist_to_ray(v, self.base, self.end)
-
     def bound_margin(self):
         t, dist = self.t, ray_distance(self.base, self.end)
         return lambda v: t - dist(v)
@@ -332,9 +325,6 @@ class Fan(_Based, namedtuple("Fan", "base end")):
     __slots__ = ()
     kind = "fan"
 
-    def margin(self, v: Vertex):
-        return fan_slack(self.base, self.end, v)
-
     def bound_margin(self):
         return horoball_slack(self.base, self.end)
 
@@ -397,11 +387,6 @@ def _bound_mu(a, p: int, shift=0):
     return mu
 
 
-def fan_slack(base: Vertex, end: End, v: Vertex) -> int:
-    """Horoball slack of v relative to the zero level through base."""
-    return horoball_slack(base, end)(v)
-
-
 def shape_margin(s: Shape, v: Vertex):
     """How far v sits inside s; membership is margin >= 0.
 
@@ -409,10 +394,6 @@ def shape_margin(s: Shape, v: Vertex):
     geodesics, which is what the intersection engine relies on.
     """
     return s.margin(v)
-
-
-def shape_member(s: Shape, v: Vertex) -> bool:
-    return shape_margin(s, v) >= 0
 
 
 def canonical_fan(p: int, end: End, slack_at) -> Fan:
@@ -719,25 +700,7 @@ def intersect_shapes(s1: Shape, s2: Shape, max_vertices=None) -> Shape:
 
 
 # ---------------------------------------------------------------------------
-# Deepening, diameters, whole-order branches
-
-
-def deepen(s: Shape, r: int) -> Shape:
-    """The depth-r branch {v : ball-depth r inside s}: erode every margin by r."""
-    return s.deepen(r)
-
-
-def diameter(s: Shape):
-    """Vertex-set diameter: finite only for thick paths; raises on Empty."""
-    return s.diameter()
-
-
-def embeds_in_level(s: Shape, d: int, r: int) -> bool:
-    """Does the depth-r branch contain two vertices at distance d?"""
-    try:
-        return s.deepen(r).diameter() >= d
-    except EmptyShape:
-        return False
+# Whole-order branches
 
 
 def branch_of_order(order: LocalOrder, max_vertices=None) -> Shape:

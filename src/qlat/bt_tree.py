@@ -47,11 +47,10 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 from contextlib import suppress
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import ResourceLimit, SchemaError, SingularMatrix
-from .exact_padic import Mat2, int_valuation
+from .exact_padic import int_valuation
 
 DEFAULT_MAX_VERTICES = 200_000
 MAX_SIZE_BITS = 1 << 16  # ball sizes surely past 2^65536 are never formed
@@ -90,10 +89,6 @@ class Vertex(namedtuple("Vertex", "p a b c")):
         if a and b and c % p == 0:
             raise ValueError(f"vertex triple ({a}, {b}, {c}) is not primitive")
         return tuple.__new__(cls, (p, a, b, c))
-
-    def basis(self) -> Mat2:
-        """Column basis matrix of the canonical lattice representative."""
-        return Mat2(1, self.p**self.a, self.c, 0, self.p**self.b)
 
     def to_json(self) -> dict:
         return {"a": self.a, "b": self.b, "c": self.c}
@@ -294,14 +289,6 @@ class End(namedtuple("End", "x y")):
         return [self.x, self.y]
 
 
-def end_from_vector(vec) -> End:
-    """Normalize any nonzero rational vector to a canonical end."""
-    x, y = Fraction(vec[0]), Fraction(vec[1])
-    den = lcm(x.denominator, y.denominator)
-    xi, yi = (z.numerator * (den // z.denominator) for z in (x, y))
-    return end_of(xi, yi)
-
-
 def end_of(x: int, y: int) -> End:
     """The canonical end of the line through the nonzero integer vector (x, y)."""
     if x == 0 and y == 0:
@@ -367,11 +354,6 @@ def ray_distance(base: Vertex, end: End):
     (d(v, base) - slack(v)) / 2 for the horoball slack through base."""
     slack = horoball_slack(base, end)
     return lambda v: (distance(v, base) - slack(v)) // 2
-
-
-def dist_to_ray(v: Vertex, base: Vertex, end: End) -> int:
-    """Distance from v to the ray from base toward end."""
-    return ray_distance(base, end)(v)
 
 
 # ---------------------------------------------------------------------------

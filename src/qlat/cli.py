@@ -25,6 +25,10 @@ any other argv (an option, help, a usage error) is handled by argparse.
 JSON conventions
 ----------------
 - rational: an integer, or a string ``"a/b"`` (or ``"a"``); never a float.
+  It is read as the integer pair (a, b) in lowest terms with b > 0, and
+  no request forms a ``Fraction``: a matrix is put over the lcm of its
+  entries' denominators, and a field element likewise, scaled to an
+  integral element of its square class.
 - matrix: ``[[r, r], [r, r]]`` (row-major, rational entries).
 - vertex: ``{"a": int, "b": int, "c": int}`` -- the canonical triple of a
   lattice class, basis columns ``[[p^a, c], [0, p^b]]``.
@@ -44,9 +48,8 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 from functools import cache
-from math import inf
+from math import gcd, inf
 from types import SimpleNamespace
 
 from . import branches, bt_tree, global_classfield, local_orders, spinor_local
@@ -57,7 +60,7 @@ from .errors import (
     SchemaError,
     UnsupportedField,
 )
-from .exact_padic import Mat2, is_prime
+from .exact_padic import Mat2, is_prime, over_lcm
 
 # ---------------------------------------------------------------------------
 # Request parsing (every failure is a SchemaError carrying the JSON path)
@@ -93,13 +96,13 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def parse_rational(value, path: str) -> int | Fraction:
-    """An exact rational: an int, or a string 'a/b' (or 'a').  Integers stay
-    ints; only an 'a/b' string makes a Fraction."""
+def parse_rational(value, path: str) -> tuple[int, int]:
+    """An exact rational, an int or a string 'a/b' (or 'a'), as the integer
+    pair (n, d) in lowest terms with d > 0."""
     if isinstance(value, bool):
         raise SchemaError(path, f"expected a rational, got {value!r}")
     if isinstance(value, int):
-        return value
+        return value, 1
     if isinstance(value, float):
         raise SchemaError(
             path, f"floats are not exact; write {value!r} as an 'a/b' string"
@@ -112,8 +115,9 @@ def parse_rational(value, path: str) -> int | Fraction:
                 n, d = int(num), int(den)
                 if d == 0:
                     raise SchemaError(path, f"zero denominator in {value!r}")
-                return Fraction(n, d)
-            return int(text)
+                g = gcd(n, d) if d > 0 else -gcd(n, d)
+                return n // g, d // g
+            return int(text), 1
         except ValueError:
             raise SchemaError(path, f"malformed rational {value!r}") from None
     raise SchemaError(path, f"expected a rational, got {type(value).__name__}")
@@ -136,7 +140,7 @@ def parse_matrix(value, path: str) -> Mat2:
         if len(cells) != 2:
             raise SchemaError(f"{path}[{i}]", f"expected 2 entries, got {len(cells)}")
         parsed += (parse_rational(cells[j], f"{path}[{i}][{j}]") for j in range(2))
-    return Mat2.of([parsed[:2], parsed[2:]])
+    return Mat2(*over_lcm(parsed))
 
 
 def parse_generators(doc: dict, path: str = "generators") -> list[Mat2]:
@@ -250,14 +254,18 @@ def parse_genus(
 
 
 def parse_field_element(field: global_classfield.BaseField, value, path: str):
+    """delta = x + y sqrt(m) as the integral delta den^2, den the lcm of the
+    denominators of x and y: the element of its square class that
+    `global_classfield` reads."""
     if isinstance(value, dict):
         x = parse_rational(_require(value, "x", path), f"{path}.x")
         y = parse_rational(_require(value, "y", path), f"{path}.y")
     else:
-        x, y = parse_rational(value, path), 0
-    if field.is_rational and y != 0:
+        x, y = parse_rational(value, path), (0, 1)
+    if field.is_rational and y[0] != 0:
         raise SchemaError(f"{path}.y", "the rational field has no irrational part")
-    return (x, y)
+    den, x, y = over_lcm([x, y])
+    return (x * den, y * den)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +417,7 @@ def cmd_global_rep_field(doc: dict, args) -> dict:
     return {
         "sigma_degree": rep.sigma.degree,
         "rep_field_degree": rep.degree,
-        "ratio": str(global_classfield.selectivity_ratio(rep)),
+        "ratio": "1" if rep.degree == 1 else f"1/{rep.degree}",
         "forced_split": list(rep.sigma.forced_split),
         "strict_places": list(rep.strict_places),
     }

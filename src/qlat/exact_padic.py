@@ -3,9 +3,11 @@
 The local ring Z_(p) = {a/b : p does not divide b} enters only through
 p-adic valuations and residues modulo powers of p: an element is
 local-integral iff its valuation is >= 0, a prime-to-p integer is a unit,
-and no p-adic approximation is ever needed.  Scalars at the interface are
-exact rationals (`fractions.Fraction`); a matrix is integers over one
-denominator, and so is each row of a module.
+and no p-adic approximation is ever needed.  Everything is integers: a
+matrix is integers over one denominator, and so is each row of a module.
+The few functions that take a rational (`valuation`, `is_local_square_rat`,
+`Mat2.of` and `Mat2`'s scalar product) read its `numerator` and
+`denominator`, which ints and `fractions.Fraction`s both have.
 
 - `valuation` / `int_valuation`: valuations of rationals and of integers,
   the latter read only as deep as an optional cap.
@@ -31,7 +33,6 @@ All values are immutable and all functions are pure.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import chain, pairwise
 from math import gcd, inf, isqrt, lcm
 
@@ -48,15 +49,12 @@ SPRP_BOUND = 3317044064679887385961981
 SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _SMALL_DIVISORS = (2, *range(3, 64, 2))
 
-Rat = Fraction
-
 #: Flat coordinate order used for matrices throughout: row-major
 #: (m00, m01, m10, m11).
 
 
 def valuation(x, p: int):
     """p-adic valuation of a rational; +infinity for zero."""
-    x = Fraction(x)
     return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
 
 
@@ -95,14 +93,6 @@ def valuation_by_squares(n: int, p: int) -> int:
             n //= powers[k]
             v += 1 << k
     return v
-
-
-def unit_part(x, p: int) -> Rat:
-    """x / p^v(x), a p-adic unit (x must be nonzero)."""
-    x = Fraction(x)
-    if x == 0:
-        raise ZeroDivisionError("unit_part of zero")
-    return x / Fraction(p) ** valuation(x, p)
 
 
 def legendre(a: int, p: int) -> int:
@@ -227,7 +217,6 @@ def is_squarefree(m: int) -> bool:
 
 def is_local_square_rat(x, p: int) -> bool:
     """Is the nonzero rational x a square in the p-adic completion?"""
-    x = Fraction(x)
     # n / d and n d differ by the square d^2
     return is_local_square_int(x.numerator * x.denominator, p)
 
@@ -258,6 +247,14 @@ def is_square_mod(n: int, p: int, k: int) -> bool:
 # 2x2 matrices
 
 
+def over_lcm(pairs) -> tuple[int, ...]:
+    """(den, n_1 * den / d_1, ...) for rationals given as (numerator,
+    denominator) pairs with denominators > 0: the rationals as integers over
+    den, the lcm of their denominators."""
+    den = lcm(*(d for _, d in pairs))
+    return (den, *(n * (den // d) for n, d in pairs))
+
+
 class Frozen:
     """Base of the value types whose instances hold attributes besides
     tuple fields, and refuse every assignment: the slots of `QForm`, and
@@ -278,8 +275,8 @@ class Mat2(namedtuple("Mat2", "den a b c d")):
 
     The local algorithms read the fields, and take any integer 5-tuple
     (den, a, b, c, d) alike, in lowest terms or not, such as a `Module4`
-    row over its denominator.  `entries` and `m00`-`m11` are the entries
-    as rationals, row-major.
+    row over its denominator.  `m00`-`m11` are the entries as `Fraction`s,
+    row-major, for callers outside the package.
     """
 
     __slots__ = ()
@@ -292,10 +289,10 @@ class Mat2(namedtuple("Mat2", "den a b c d")):
 
     @staticmethod
     def of(rows) -> "Mat2":
+        """The matrix of rational rows [[a, b], [c, d]]: ints, `Fraction`s or
+        anything else with a numerator and a denominator."""
         (a, b), (c, d) = rows
-        xs = [Fraction(a), Fraction(b), Fraction(c), Fraction(d)]
-        den = lcm(*(x.denominator for x in xs))
-        return Mat2(den, *(x.numerator * (den // x.denominator) for x in xs))
+        return Mat2(*over_lcm([(x.numerator, x.denominator) for x in (a, b, c, d)]))
 
     @staticmethod
     def identity() -> "Mat2":
@@ -305,30 +302,16 @@ class Mat2(namedtuple("Mat2", "den a b c d")):
     def scalar(x) -> "Mat2":
         return Mat2.of([[x, 0], [0, x]])
 
-    @property
-    def entries(self) -> tuple[Rat, Rat, Rat, Rat]:
-        den = self.den
-        return tuple(Fraction(x, den) for x in self[1:])
+    def _entry(self, i: int):
+        # No request reads an entry as a rational, so `fractions` loads here.
+        from fractions import Fraction
 
-    @property
-    def m00(self) -> Rat:
-        return Fraction(self.a, self.den)
+        return Fraction(self[i], self.den)
 
-    @property
-    def m01(self) -> Rat:
-        return Fraction(self.b, self.den)
-
-    @property
-    def m10(self) -> Rat:
-        return Fraction(self.c, self.den)
-
-    @property
-    def m11(self) -> Rat:
-        return Fraction(self.d, self.den)
-
-    def rows(self) -> tuple[tuple[Rat, Rat], tuple[Rat, Rat]]:
-        a, b, c, d = self.entries
-        return ((a, b), (c, d))
+    m00 = property(lambda self: self._entry(1))
+    m01 = property(lambda self: self._entry(2))
+    m10 = property(lambda self: self._entry(3))
+    m11 = property(lambda self: self._entry(4))
 
     def __add__(self, other: "Mat2") -> "Mat2":
         n, a, b, c, d = self
@@ -349,19 +332,11 @@ class Mat2(namedtuple("Mat2", "den a b c d")):
             return Mat2(
                 n * m, a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
             )
-        x = Fraction(other)
-        k = x.numerator
-        return Mat2(n * x.denominator, a * k, b * k, c * k, d * k)
+        k = other.numerator  # a rational scalar
+        return Mat2(n * other.denominator, a * k, b * k, c * k, d * k)
 
     def __rmul__(self, other) -> "Mat2":
-        return self.scale(other)  # a scalar: Mat2 * Mat2 runs __mul__
-
-    def scale(self, x) -> "Mat2":
-        return self * Fraction(x)
-
-    def det(self) -> Rat:
-        n, a, b, c, d = self
-        return Fraction(a * d - b * c, n * n)
+        return self * other  # a scalar: Mat2 * Mat2 runs __mul__
 
     def inverse(self) -> "Mat2":
         """n adj(A) / det A for self = A / n."""

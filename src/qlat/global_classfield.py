@@ -12,7 +12,7 @@ Global arithmetic over Q and over quadratic fields Q(sqrt(m)):
 * the spinor class field of an Eichler-type quaternion genus (its degree
   and forced split places), representation fields of suborder genera
   (commutative quadratic suborders with a conductor, rank-3 suborders,
-  rank-4 Eichler-type suborders), and the resulting selectivity ratios,
+  rank-4 Eichler-type suborders), each of selectivity ratio 1/degree,
   with degrees read off the F_2 rank of genus characters, and K(sqrt(delta))
   in the spinor class field read off the same characters.
 """
@@ -20,9 +20,8 @@ Global arithmetic over Q and over quadratic fields Q(sqrt(m)):
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property
-from math import inf, isqrt, lcm, prod
+from math import inf, isqrt, prod
 
 from .errors import AlgebraNotSplit, EmbeddingInfeasible, SchemaError
 from .exact_padic import (
@@ -31,6 +30,7 @@ from .exact_padic import (
     is_prime,
     is_square_mod,
     is_squarefree,
+    over_lcm,
     prime_divisors,
     sqrt_mod,
 )
@@ -40,18 +40,17 @@ from .quadforms import (
     negative_identity_class,
 )
 
-#: Field element x + y*sqrt(m): a pair of ints or Fractions at the entry
-#: points, a pair of ints below them.
-FE = tuple[Fraction, Fraction]
+#: Field element x + y*sqrt(m): a pair of rationals at the entry points
+#: (ints, `Fraction`s or anything else with a numerator and a denominator),
+#: a pair of ints below them.
+FE = tuple
 
 
 def _integral(el: FE) -> tuple[int, int]:
     """el d^2 for d the lcm of the coordinate denominators: an integral
     element in the square class of el."""
-    x, y = el
-    dx, dy = x.denominator, y.denominator
-    d = lcm(dx, dy)
-    return x.numerator * (d // dx) * d, y.numerator * (d // dy) * d
+    d, x, y = over_lcm([(z.numerator, z.denominator) for z in el])
+    return x * d, y * d
 
 
 def _is_square(n: int) -> bool:
@@ -66,7 +65,7 @@ def fe_mul(a: FE, b: FE, m: int) -> FE:
     return (a[0] * b[0] + m * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def fe_norm(a: FE, m: int) -> Fraction:
+def fe_norm(a: FE, m: int):
     return a[0] * a[0] - m * a[1] * a[1]
 
 
@@ -571,11 +570,6 @@ class RepField(namedtuple("RepField", "degree sigma strict_places", defaults=(()
     push the field down (strict/unbalanced places)."""
 
     __slots__ = ()
-
-
-def selectivity_ratio(rep: RepField) -> Fraction:
-    """Fraction of the genus admitting the suborder: 1/[F : K]."""
-    return Fraction(1, rep.degree)
 
 
 def _quadratic_in_sigma(sigma: SigmaField, delta: tuple[int, int]) -> bool:

@@ -30,7 +30,6 @@ from .errors import (
     Unbounded,
 )
 from .exact_padic import (
-    Mat2,
     Module4,
     int_valuation,
     integer_rows,
@@ -132,16 +131,6 @@ def maximal_order_module(v: Vertex) -> Module4:
     return Module4.of(p, p**z, rows)
 
 
-def shift_order(order: LocalOrder, t: int) -> LocalOrder:
-    """Z_(p) + p^t * O for an order O; again an order, no resaturation needed."""
-    if t < 0:
-        raise ValueError("shift must be >= 0")
-    p, den, q = order.p, order.closure.den, order.p**t
-    rows = [[x * q for x in r] for r in order.closure.rows]
-    scaled = tuple(Mat2(den, *r) for r in rows)
-    return LocalOrder(p, scaled, module_hnf([(den, 0, 0, den), *rows], p, den))
-
-
 def shifted_eichler_module(v1: Vertex, v2: Vertex, r: int) -> Module4:
     """Canonical module of Z_(p) + p^r * (D_v1 intersect D_v2).
 
@@ -223,10 +212,6 @@ class ShiftedEichler(namedtuple("ShiftedEichler", "endpoints level shift")):
             raise ValueError("level must equal the distance between endpoints")
         return tuple.__new__(cls, (endpoints, level, shift))
 
-    @property
-    def p(self) -> int:
-        return self.endpoints[0].p
-
     def module(self) -> Module4:
         v1, v2 = self.endpoints
         return shifted_eichler_module(v1, v2, self.shift)
@@ -299,23 +284,3 @@ def three_maximal_orders(order: ShiftedEichler) -> tuple[Vertex, Vertex, Vertex]
     if module_intersect(eichler, maximal_order_module(d5)) != order.module():
         raise QlatError("the three maximal orders do not intersect in the order")
     return d3, d4, d5
-
-
-# ---------------------------------------------------------------------------
-# Residue field detection
-
-
-def has_unramified_residue_field(order: LocalOrder) -> bool:
-    """Does the order contain an element whose residue generates the
-    quadratic extension of the residue field?
-
-    For the order inside D_v, this says its image in D_v / p D_v is F_{p^2}
-    or all of M2(F_p), i.e. it fixes no line mod p.  A fixed line is a
-    neighbor of v whose maximal order also contains the order, so the test
-    holds exactly when the branch, never empty, is the single vertex v: the
-    one shape of diameter 0.  At large p the branch computation may raise
-    BudgetExceeded.
-    """
-    from .branches import branch_of_order
-
-    return branch_of_order(order).diameter() == 0

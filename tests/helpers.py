@@ -8,17 +8,19 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from qlat.bt_tree import (
     End,
     Vertex,
     distance,
+    end_of,
     neighbors,
     standard_vertex,
     step_toward_end,
 )
-from qlat.errors import AnchorInvalid
+from qlat.branches import Shape, branch_of_order
+from qlat.errors import AnchorInvalid, EmptyShape
 from qlat.exact_padic import (
     Mat2,
     Module4,
@@ -26,8 +28,9 @@ from qlat.exact_padic import (
     int_valuation,
     is_squarefree,
     module_hnf,
+    valuation,
 )
-from qlat.global_classfield import FE, fe_mul, fe_norm
+from qlat.global_classfield import FE, RepField, fe_mul, fe_norm
 from qlat.local_orders import LocalOrder, order_closure
 from qlat.quadforms import ClassGroup, QForm, class_rep
 
@@ -92,8 +95,6 @@ def connected_members(shape, seed: Vertex, radius: int) -> frozenset[Vertex]:
     what a membership-restricted BFS from the seed reaches; this avoids
     scanning the whole (exponentially large) ball.
     """
-    from qlat.branches import shape_member
-
     assert shape_member(shape, seed)
     seen = {seed}
     frontier = [(seed, 0)]
@@ -119,24 +120,107 @@ def zero_matrix() -> Mat2:
     return Mat2.of([[0, 0], [0, 0]])
 
 
+def entries(m: Mat2) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """The entries of m as Fractions, row-major."""
+    return tuple(Fraction(x, m.den) for x in m[1:])
+
+
+def rows(m: Mat2) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+    a, b, c, d = entries(m)
+    return ((a, b), (c, d))
+
+
+def det(m: Mat2) -> Fraction:
+    n, a, b, c, d = m
+    return Fraction(a * d - b * c, n * n)
+
+
+def scale(m: Mat2, x) -> Mat2:
+    """x m for a rational x: an int, a Fraction or a string such as "1/3"."""
+    return m * Fraction(x)
+
+
+def vertex_basis(v: Vertex) -> Mat2:
+    """Column basis matrix of the canonical lattice representative of v."""
+    return Mat2(1, v.p**v.a, v.c, 0, v.p**v.b)
+
+
+def unit_part(x, p: int) -> Fraction:
+    """x / p^v(x), a p-adic unit (x must be nonzero)."""
+    x = Fraction(x)
+    if x == 0:
+        raise ZeroDivisionError("unit_part of zero")
+    return x / Fraction(p) ** valuation(x, p)
+
+
+def end_from_vector(vec) -> End:
+    """Normalize any nonzero rational vector to a canonical end."""
+    x, y = Fraction(vec[0]), Fraction(vec[1])
+    den = lcm(x.denominator, y.denominator)
+    xi, yi = (z.numerator * (den // z.denominator) for z in (x, y))
+    return end_of(xi, yi)
+
+
+def shape_member(s: Shape, v: Vertex) -> bool:
+    return s.margin(v) >= 0
+
+
+def embeds_in_level(s: Shape, d: int, r: int) -> bool:
+    """Does the depth-r branch contain two vertices at distance d?"""
+    try:
+        return s.deepen(r).diameter() >= d
+    except EmptyShape:
+        return False
+
+
+def shift_order(order: LocalOrder, t: int) -> LocalOrder:
+    """Z_(p) + p^t * O for an order O; again an order, no resaturation needed."""
+    if t < 0:
+        raise ValueError("shift must be >= 0")
+    p, den, q = order.p, order.closure.den, order.p**t
+    rows = [[x * q for x in r] for r in order.closure.rows]
+    scaled = tuple(Mat2(den, *r) for r in rows)
+    return LocalOrder(p, scaled, module_hnf([(den, 0, 0, den), *rows], p, den))
+
+
+def has_unramified_residue_field(order: LocalOrder) -> bool:
+    """Does the order contain an element whose residue generates the
+    quadratic extension of the residue field?
+
+    For the order inside D_v, this says its image in D_v / p D_v is F_{p^2}
+    or all of M2(F_p), i.e. it fixes no line mod p.  A fixed line is a
+    neighbor of v whose maximal order also contains the order, so the test
+    holds exactly when the branch, never empty, is the single vertex v: the
+    one shape of diameter 0.  At large p the branch computation may raise
+    BudgetExceeded.
+    """
+    return branch_of_order(order).diameter() == 0
+
+
+def selectivity_ratio(rep: RepField) -> Fraction:
+    """Fraction of the genus admitting the suborder: 1/[F : K]."""
+    return Fraction(1, rep.degree)
+
+
 def is_scalar(m: Mat2) -> bool:
-    a, b, c, d = m.entries
+    a, b, c, d = entries(m)
     return b == 0 and c == 0 and a == d
 
 
 def trace(m: Mat2):
-    return m.entries[0] + m.entries[3]
+    a, _, _, d = entries(m)
+    return a + d
 
 
 def discriminant(m: Mat2):
     """Discriminant of the characteristic polynomial, trace^2 - 4 det."""
     t = trace(m)
-    return t * t - 4 * m.det()
+    return t * t - 4 * det(m)
 
 
 def apply(m: Mat2, vec):
     """m times the column vector vec."""
-    a, b, c, d = m.entries
+    a, b, c, d = entries(m)
     x, y = vec
     return (a * x + b * y, c * x + d * y)
 

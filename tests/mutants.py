@@ -229,6 +229,35 @@ MUTANTS = [
         "range(max(0, a0 - radius), a0 + radius)",
         [f"{_BALL}[{p}]" for p in _PRIMES],
     ),
+    # -- rationals read as integer pairs ---------------------------------------
+    Mutant(
+        "rational parse drops the sign of a negative denominator",
+        "qlat/cli.py",
+        "g = gcd(n, d) if d > 0 else -gcd(n, d)",
+        "g = gcd(n, d)",
+        ["tests/test_oracles.py::test_rationals_parse_to_integer_pairs_in_lowest_terms"],
+    ),
+    Mutant(
+        "field element scaled by den in place of den^2",
+        "qlat/cli.py",
+        "    return (x * den, y * den)\n",
+        "    return (x, y)\n",
+        [
+            "tests/test_oracles.py::test_field_elements_parse_to_the_same_values",
+            "tests/test_cli.py::test_global_rep_field_rational_delta[two-thirds]",
+            "tests/test_cli.py::test_global_rep_field_rational_delta[two-thirds-xy]",
+        ],
+    ),
+    Mutant(
+        "rep-field writes the ratio 1/1 for degree 1",
+        "qlat/cli.py",
+        '"ratio": "1" if rep.degree == 1 else f"1/{rep.degree}",',
+        '"ratio": f"1/{rep.degree}",',
+        [
+            "tests/test_cli.py::test_global_rep_field_conductor",
+            "tests/test_cli.py::test_global_rep_field_rational_delta[two-thirds]",
+        ],
+    ),
     # -- earlier fast paths ----------------------------------------------------
     Mutant(
         "squarefree trial division stops below the cube root",

@@ -134,13 +134,17 @@ from math import gcd, inf, isqrt, lcm
 from helpers import (
     apply,
     conjugate,
+    det,
     discriminant,
+    entries,
     fe,
     fe_pow,
     fe_sub,
     is_primitive,
     is_scalar,
     trace,
+    unit_part,
+    vertex_basis,
     zero_matrix,
 )
 from qlat import branches, bt_tree, exact_padic, local_orders
@@ -181,7 +185,6 @@ from qlat.exact_padic import (
     int_valuation,
     legendre,
     prime_divisors,
-    unit_part,
     valuation,
 )
 from qlat.global_classfield import (
@@ -219,6 +222,8 @@ def smith_local_transforms(g: Mat2, p: int):
 
     e1 <= e2, e1 is the minimal entry valuation, and e1 + e2 = v_p(det g).
     """
+    if isinstance(g, Mat2):
+        g = FractionMat2(entries(g))
     if g.det() == 0:
         raise SingularMatrix("smith form requires an invertible matrix")
     a = [list(r) for r in g.rows()]
@@ -272,7 +277,7 @@ def distance(v: Vertex, w: Vertex) -> int:
         raise ValueError("vertices live on trees of different primes")
     if v == w:
         return 0
-    m = v.basis().inverse() * w.basis()
+    m = vertex_basis(v).inverse() * vertex_basis(w)
     e1, e2 = smith_local(m, v.p)
     return e2 - e1
 
@@ -280,7 +285,7 @@ def distance(v: Vertex, w: Vertex) -> int:
 def neighbors(v: Vertex) -> tuple[Vertex, ...]:
     """The p+1 adjacent classes, sorted canonically."""
     p = v.p
-    g = v.basis()
+    g = vertex_basis(v)
     out = set()
     for j in range(p):
         out.add(canonical_vertex(g * Mat2.of([[1, 0], [j, p]]), p))
@@ -292,7 +297,7 @@ def neighbors(v: Vertex) -> tuple[Vertex, ...]:
 def step_toward_end(v: Vertex, end: End) -> Vertex:
     """The neighbor of v on the ray from v to the given boundary line."""
     p = v.p
-    g = v.basis()
+    g = vertex_basis(v)
     # Coordinates of the line direction in the lattice basis, made primitive.
     u = apply(g.inverse(), (Fraction(end.x), Fraction(end.y)))
     m = min(valuation(x, p) for x in u)
@@ -335,7 +340,7 @@ def fan_slack(base: Vertex, end: End, v: Vertex) -> int:
 
 def mu_margin(a: Mat2, v: Vertex):
     """Largest r with a in Z_(p) + p^r * D_v (may be negative or infinite)."""
-    m = conjugate(a, v.basis())
+    m = conjugate(a, vertex_basis(v))
     p = v.p
     return min(
         valuation(m.m01, p),
@@ -346,9 +351,9 @@ def mu_margin(a: Mat2, v: Vertex):
 
 def contains_shifted(v: Vertex, h: Mat2, r: int) -> bool:
     """Is h in Z_(p) + p^r * D_v?"""
-    m = conjugate(h, v.basis())
+    m = conjugate(h, vertex_basis(v))
     p = v.p
-    if any(valuation(x, p) < 0 for x in m.entries):
+    if any(valuation(x, p) < 0 for x in entries(m)):
         return False
     return (
         valuation(m.m01, p) >= r
@@ -656,7 +661,7 @@ def _char_poly_residues(m: Mat2, p: int) -> tuple[int, int]:
     bounded order even when matrix entries are non-integral, because trace
     and det of order elements are local integers."""
     s = int(reduce_mod_ppow(trace(m), p, 1))
-    n = int(reduce_mod_ppow(m.det(), p, 1))
+    n = int(reduce_mod_ppow(det(m), p, 1))
     return s, n
 
 
@@ -675,7 +680,7 @@ def has_unramified_residue_field(order: LocalOrder) -> bool:
         m = zero_matrix()
         for c, b in zip(coeffs, basis):
             if c:
-                m = m + b.scale(c)
+                m = m + b * c
         if is_scalar(m):
             return False
         s, n = _char_poly_residues(m, p)
@@ -695,7 +700,7 @@ Rat = Fraction
 
 
 def _flatten(m: Mat2) -> list[Rat]:
-    return list(m.entries)
+    return list(entries(m))
 
 
 def _unflatten(row) -> Mat2:
@@ -704,7 +709,7 @@ def _unflatten(row) -> Mat2:
 
 def _min_valuation(m: Mat2, p: int):
     """Least valuation of an entry of m; +infinity for zero."""
-    return min(valuation(x, p) for x in m.entries)
+    return min(valuation(x, p) for x in entries(m))
 
 
 @dataclass(frozen=True)
@@ -730,14 +735,14 @@ class Module4:
     def pivot_columns(self) -> tuple[int, ...]:
         cols = []
         for m in self.basis:
-            flat = m.entries
+            flat = entries(m)
             cols.append(next(i for i in range(4) if flat[i] != 0))
         return tuple(cols)
 
 
 def module_hnf(gens, p: int) -> Module4:
     """Canonical Hermite basis of the Z_(p)-span of the given matrices."""
-    rows = [_flatten(g) for g in gens if any(x != 0 for x in g.entries)]
+    rows = [_flatten(g) for g in gens if any(x != 0 for x in entries(g))]
     pivots: list[tuple[int, list[Rat]]] = []
     for col in range(4):
         best = None
@@ -781,7 +786,7 @@ def _integer_rows(mats, p: int, k: int):
     """Scale by p^k then clear prime-to-p denominators row by row."""
     out = []
     for m in mats:
-        flat = [x * Fraction(p) ** k for x in m.entries]
+        flat = [x * Fraction(p) ** k for x in entries(m)]
         den = 1
         for x in flat:
             den = den * x.denominator // gcd(den, x.denominator)
@@ -925,14 +930,14 @@ def order_closure(gens, p: int, max_rounds: int = CLOSURE_MAX_ROUNDS) -> LocalOr
                 {
                     "reason": "entry valuations strictly decreasing",
                     "min_valuations": minvals,
-                    "basis": [[str(x) for x in b.entries] for b in span.basis],
+                    "basis": [[str(x) for x in entries(b)] for b in span.basis],
                 }
             )
     raise RoundsUnbounded(
         {
             "reason": f"no stabilization within {max_rounds} rounds",
             "min_valuations": minvals,
-            "basis": [[str(x) for x in b.entries] for b in span.basis],
+            "basis": [[str(x) for x in entries(b)] for b in span.basis],
         }
     )
 
@@ -980,14 +985,14 @@ def rounds_order_closure(
         {
             "reason": reason,
             "min_valuations": minvals,
-            "basis": [[_exact_text(x) for x in b.entries] for b in span.basis],
+            "basis": [[_exact_text(x) for x in entries(b)] for b in span.basis],
         }
     )
 
 
 def maximal_order_module(v: Vertex) -> Module4:
     """The stabilizer order of the lattice class v, as a canonical module."""
-    g = v.basis()
+    g = vertex_basis(v)
     units = [
         Mat2.of([[1, 0], [0, 0]]),
         Mat2.of([[0, 1], [0, 0]]),
@@ -1001,7 +1006,7 @@ def shifted_eichler_module(v1: Vertex, v2: Vertex, r: int) -> Module4:
     """Canonical module of Z_(p) + p^r * (D_v1 intersect D_v2)."""
     inner = module_intersect(maximal_order_module(v1), maximal_order_module(v2))
     p = v1.p
-    mats = [Mat2.identity()] + [b.scale(Fraction(p) ** r) for b in inner.basis]
+    mats = [Mat2.identity()] + [b * Fraction(p) ** r for b in inner.basis]
     return module_hnf(mats, p)
 
 
@@ -1104,7 +1109,7 @@ def enumerate_branch(
 
 def canonical_vertex(g: Mat2, p: int) -> Vertex:
     """Canonical form of the lattice class spanned by the columns of g."""
-    if g.det() == 0:
+    if det(g) == 0:
         raise SingularMatrix("lattice basis must be invertible")
     cols = [(g.m00, g.m10), (g.m01, g.m11)]
     # Column 2 takes the minimal-valuation second coordinate.
@@ -1247,7 +1252,7 @@ def classify_single(a: Mat2, p: int) -> Shape:
     """
     # Z_(p)[a] is bounded exactly when the characteristic polynomial is
     # integral; the closure then only runs to certify Unbounded.
-    if valuation(trace(a), p) < 0 or valuation(a.det(), p) < 0:
+    if valuation(trace(a), p) < 0 or valuation(det(a), p) < 0:
         order_closure([a], p)
     if is_scalar(a):
         return Full(p)

@@ -17,6 +17,7 @@ from helpers import (
     connected_members,
     fe,
     fundamental_unit,
+    has_unramified_residue_field,
     is_scalar,
     make_rng,
     odd_pair_oracle,
@@ -25,6 +26,9 @@ from helpers import (
     random_matrix,
     random_order,
     random_vertex_at,
+    selectivity_ratio,
+    shape_member,
+    shift_order,
     spine_vertex,
     unit_norm_is_minus_one,
 )
@@ -33,11 +37,9 @@ from qlat.branches import (
     ThickPath,
     branch_of_order,
     classify_single,
-    deepen,
     eichler_envelope,
     enumerate_branch,
     intersect_shapes,
-    shape_member,
 )
 from qlat.bt_tree import (
     Vertex,
@@ -56,16 +58,13 @@ from qlat.global_classfield import (
     parse_place_key,
     rep_field_comm_quadratic,
     rep_field_rank4,
-    selectivity_ratio,
     spinor_class_field,
 )
 from qlat.local_orders import (
     ShiftedEichler,
     decompose_shifted_eichler,
-    has_unramified_residue_field,
     maximal_order_module,
     order_closure,
-    shift_order,
     shifted_eichler_module,
     three_maximal_orders,
 )
@@ -172,7 +171,7 @@ def test_acceptance_03_scaled_involutions_envelope():
         j = Mat2.of([[0, 1], [1, 0]])
         v0 = standard_vertex(p)
         for r, s in ((0, 1), (1, 2), (1, 3)):
-            order = order_closure([i.scale(p**r), j.scale(p**s)], p)
+            order = order_closure([i * p**r, j * p**s], p)
             shape = branch_of_order(order)
             e1, e2, level, thick = eichler_envelope(shape)
             assert level == 2 * (s - r)
@@ -316,7 +315,7 @@ def test_acceptance_07_three_maximal_orders_constructive():
 
 def _deep_vertices(shape, r, d):
     """(deep shape, certified member set) for the oracle comparison."""
-    deep = deepen(shape, r)
+    deep = shape.deepen(r)
     if isinstance(deep, Empty):
         return deep, frozenset()
     seed = spine_vertex(deep)

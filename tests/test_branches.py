@@ -6,6 +6,7 @@ from math import inf
 import pytest
 
 from helpers import (
+    embeds_in_level,
     is_scalar,
     make_rng,
     module_contains_module,
@@ -13,6 +14,8 @@ from helpers import (
     random_matrix,
     random_order,
     random_vertex_at,
+    shape_member,
+    shift_order,
 )
 from qlat.branches import (
     Empty,
@@ -23,28 +26,23 @@ from qlat.branches import (
     ThickRay,
     branch_of_order,
     classify_single,
-    deepen,
-    diameter,
     eichler_envelope,
-    embeds_in_level,
     enumerate_branch,
     intersect_shapes,
     mu_margin,
-    shape_member,
 )
 from qlat.bt_tree import (
     End,
     Vertex,
     ball,
     distance,
-    end_from_vector,
     geodesic,
     neighbors,
     standard_vertex,
 )
 from qlat.errors import EmptyShape, NotFinite, Unbounded
 from qlat.exact_padic import Mat2
-from qlat.local_orders import order_closure, shift_order, shifted_eichler_module
+from qlat.local_orders import order_closure, shifted_eichler_module
 
 
 def _members(shape, region):
@@ -250,7 +248,7 @@ def test_deepen_deep_set_law():
         order = random_order(rng, p)
         shape = branch_of_order(order)
         for r in (1, 2):
-            deep = deepen(shape, r)
+            deep = shape.deepen(r)
             for v in ball(standard_vertex(p), 3):
                 brute = all(shape_member(shape, w) for w in ball(v, r))
                 assert shape_member(deep, v) == brute
@@ -277,8 +275,8 @@ def test_reindexing_law():
         for k in (0, 1):
             for r in (0, 1):
                 for t in (1, 2):
-                    left = deepen(branch_of_order(shift_order(order, k + t)), r + t)
-                    right = deepen(branch_of_order(shift_order(order, k)), r)
+                    left = branch_of_order(shift_order(order, k + t)).deepen(r + t)
+                    right = branch_of_order(shift_order(order, k)).deepen(r)
                     assert _members(left, region[p]) == _members(right, region[p])
 
 
@@ -307,13 +305,13 @@ def test_branch_saturation_order():
 def test_deepen_to_empty_and_diameter():
     p = 3
     path = ThickPath((standard_vertex(p), Vertex(p, 1, 0, 0)), 1)
-    assert diameter(path) == 1 + 2 * 1
-    assert deepen(path, 1) == ThickPath(path.path, 0)
-    assert deepen(path, 2) == Empty(p)
+    assert path.diameter() == 1 + 2 * 1
+    assert path.deepen(1) == ThickPath(path.path, 0)
+    assert path.deepen(2) == Empty(p)
     with pytest.raises(EmptyShape):
-        diameter(Empty(p))
-    assert diameter(Full(p)) == inf
-    assert diameter(Fan(standard_vertex(p), End(1, 0))) == inf
+        Empty(p).diameter()
+    assert Full(p).diameter() == inf
+    assert Fan(standard_vertex(p), End(1, 0)).diameter() == inf
 
 
 def test_embeds_in_level():
@@ -329,7 +327,7 @@ def test_deepen_fan_is_fan():
     p = 2
     s = classify_single(Mat2.of([[0, 4], [0, 0]]), p)
     assert isinstance(s, Fan)
-    deep = deepen(s, 1)
+    deep = s.deepen(1)
     assert isinstance(deep, Fan)
     for v in ball(standard_vertex(p), 3):
         brute = all(shape_member(s, w) for w in ball(v, 1))

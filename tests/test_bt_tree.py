@@ -5,11 +5,14 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    det,
+    end_from_vector,
     make_rng,
     random_matrix,
     random_vertex,
     random_vertex_at,
     ray_vertices,
+    vertex_basis,
 )
 from qlat.bt_tree import (
     End,
@@ -19,13 +22,12 @@ from qlat.bt_tree import (
     canonical_order,
     canonical_vertex,
     child,
-    dist_to_ray,
     distance,
-    end_from_vector,
     export_dot,
     geodesic,
     neighbors,
     parent,
+    ray_distance,
     standard_vertex,
     step_toward_end,
     walk_toward_end,
@@ -50,7 +52,7 @@ def test_canonical_vertex_homothety_and_unimodular_invariance():
     for _ in range(120):
         p = rng.choice([2, 3, 5])
         g = random_matrix(rng, p)
-        if g.det() == 0:
+        if det(g) == 0:
             continue
         v = canonical_vertex(g, p)
         # scaling the lattice does not change its class
@@ -60,7 +62,7 @@ def test_canonical_vertex_homothety_and_unimodular_invariance():
         u = Mat2.of([[1, rng.randrange(8)], [rng.randrange(8) * p, 1]])
         assert canonical_vertex(g * u, p) == v
         # the canonical representative spans the same class
-        assert canonical_vertex(v.basis(), p) == v
+        assert canonical_vertex(vertex_basis(v), p) == v
 
 
 def test_canonical_vertex_rejects_singular():
@@ -185,10 +187,10 @@ def test_dist_to_ray():
     e = end_from_vector((1, 0))
     rv = ray_vertices(v, e, 4)
     for i, u in enumerate(rv):
-        assert dist_to_ray(u, v, e) == 0
+        assert ray_distance(v, e)(u) == 0
     # a vertex hanging off the ray start on the opposite side
     off = [n for n in neighbors(v) if n != rv[1]]
-    assert all(dist_to_ray(u, v, e) == 1 for u in off)
+    assert all(ray_distance(v, e)(u) == 1 for u in off)
 
 
 def test_export_dot_deterministic_and_complete():

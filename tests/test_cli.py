@@ -1,6 +1,7 @@
 """End-to-end CLI tests: one subprocess per scenario, JSON in / JSON out."""
 
 import dataclasses
+import functools
 import json
 import subprocess
 import sys
@@ -757,6 +758,29 @@ def test_global_rep_field_conductor():
     assert doc["strict_places"] == ["3.1"]
 
 
+# A rational delta is read up to squares as delta den^2, den the lcm of its
+# coordinates' denominators: 2/3 is 6, and L = K(sqrt 6) is not in Sigma,
+# while 2/9 is 2, the selective delta above.
+@pytest.mark.parametrize(
+    "delta,degree,ratio",
+    [("2/3", 1, "1"), ({"x": "2/3", "y": 0}, 1, "1"), ("2/9", 2, "1/2"),
+     ({"x": "1/3", "y": "2/5"}, 1, "1")],
+    ids=["two-thirds", "two-thirds-xy", "two-ninths", "xy"],
+)
+def test_global_rep_field_rational_delta(delta, degree, ratio):
+    request_doc = {
+        "field": {"kind": "quadratic", "d": 10},
+        "algebra": {},
+        "genus": {},
+        "suborder": {"kind": "commutative-quadratic", "delta": delta},
+    }
+    proc = run(["global", "rep-field"], request_doc)
+    assert proc.stdout.decode() == (
+        f'{{"forced_split":[],"ratio":"{ratio}","rep_field_degree":{degree},'
+        '"sigma_degree":2,"strict_places":[]}\n'
+    )
+
+
 def test_global_rep_field_rank4():
     base = {
         "field": {"kind": "quadratic", "d": 10},
@@ -968,6 +992,70 @@ def test_import_leaves_argparse_unloaded_until_help():
     )
     assert proc.returncode == 0
     assert proc.stdout.decode().startswith("usage: qlat [-h] {local,tree,global} ...\n")
+
+
+# A request reads each rational as an integer pair, so no module named
+# `fractions` (or `decimal`, which `fractions` imports) loads on any of the
+# nine: matrices with "a/b" and "3/-4" entries, and a rational delta.
+_RATIONAL_GENERATOR = [[["1/2", "3/-4"], [0, 1]]]
+_QSQRT10 = {"field": {"kind": "quadratic", "d": 10}, "algebra": {}, "genus": {}}
+_NINE = {
+    ("local", "classify"): {"p": 3, "generators": _RATIONAL_GENERATOR},
+    ("local", "branch-enum"): {"p": 3, "generators": _RATIONAL_GENERATOR, "radius": 1},
+    ("local", "spinor-image"): {"p": 3, "generators": _RATIONAL_GENERATOR, "level": 1},
+    ("local", "decompose"): {
+        "p": 3,
+        "generators": [[["1/2", 0], [0, 0]], [[0, "3/-4"], [0, 0]], [[0, 0], [1, 0]]],
+    },
+    ("local", "three-maximals"): {
+        "p": 2,
+        "endpoints": [{"a": 0, "b": 0, "c": 0}, {"a": 1, "b": 0, "c": 1}],
+    },
+    ("tree", "ball"): {"p": 2, "radius": 1},
+    ("tree", "dot"): {"p": 2, "radius": 1},
+    ("global", "sigma"): _QSQRT10,
+    ("global", "rep-field"): {
+        **_QSQRT10,
+        "suborder": {"kind": "commutative-quadratic", "delta": {"x": "1/3", "y": "2/5"}},
+    },
+}
+_LOADED = """
+import io, json, sys
+import qlat.cli
+
+sys.stdin, sys.stdout = io.StringIO(sys.argv[1]), io.StringIO()
+code = qlat.cli.main(sys.argv[2:])
+sys.stdout = sys.__stdout__
+print(json.dumps([code, [m for m in ("fractions", "decimal") if m in sys.modules]]))
+"""
+
+
+@functools.cache
+def _unloaded_at_start_up() -> list[str]:
+    return [m for m in ("fractions", "decimal") if not _imports(m, "pass")]
+
+
+def test_import_leaves_fractions_unloaded():
+    if not _unloaded_at_start_up():
+        pytest.skip("this interpreter imports fractions and decimal at start-up")
+    for module in _unloaded_at_start_up():
+        assert not _imports(module, _EVERY_MODULE), module
+
+
+@pytest.mark.parametrize("argv", list(_NINE), ids=" ".join)
+def test_no_request_imports_fractions(argv):
+    modules = _unloaded_at_start_up()
+    if not modules:
+        pytest.skip("this interpreter imports fractions and decimal at start-up")
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED, json.dumps(_NINE[argv]), *argv],
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert [m for m in loaded if m in modules] == []
 
 
 # Which source files of the package a process executes: an audit hook sees

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import conjugate
+from helpers import conjugate, rows
 from qlat.bt_tree import Vertex, ball_size
 from qlat.cli import main
 from qlat.exact_padic import Mat2, is_squarefree
@@ -304,7 +304,7 @@ def rational_json(x: Fraction):
 
 
 def matrix_json(m: Mat2) -> list:
-    return [[rational_json(x) for x in row] for row in m.rows()]
+    return [[rational_json(x) for x in row] for row in rows(m)]
 
 
 @st.composite
@@ -322,7 +322,7 @@ def generator_sets(draw, q: int) -> list[Mat2]:
     if kind == "eichler":
         d, r = draw(st.integers(0, 3)), draw(st.integers(0, 2))
         units = ([[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [q**d, 0]])
-        gens = [Mat2.of(m).scale(q**r) for m in units]
+        gens = [Mat2.of(m) * q**r for m in units]
     else:
         gens = []
         for _ in range(draw(st.integers(1, 3))):
@@ -335,12 +335,12 @@ def generator_sets(draw, q: int) -> list[Mat2]:
                 m = Mat2.of([[draw(entry), draw(entry)], [0, draw(entry)]])
             else:
                 m = Mat2.of([[draw(entry), draw(entry)], [draw(entry), draw(entry)]])
-            gens.append(m.scale(scale))
+            gens.append(m * scale)
         if kind == "non-integral":
             gens[0] += Mat2.scalar(Fraction(1, q))
         elif kind == "prime-to-p":
             den = draw(st.sampled_from([d for d in (2, 3, 5, 7, 11) if d != q]))
-            gens = [m.scale(Fraction(1, den)) for m in gens]
+            gens = [m * Fraction(1, den) for m in gens]
     g = draw(st.sampled_from([
         Mat2.identity(),
         Mat2.of([[1, draw(entry)], [0, 1]]),

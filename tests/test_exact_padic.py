@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     apply,
     conjugate,
+    det,
     discriminant,
     is_scalar,
     make_rng,
@@ -16,7 +17,9 @@ from helpers import (
     module_index_valuation,
     module_sum,
     random_matrix,
+    rows,
     trace,
+    unit_part,
 )
 from oracles import is_rational_square, reduce_mod_ppow
 from qlat.errors import SingularMatrix
@@ -31,7 +34,6 @@ from qlat.exact_padic import (
     module_hnf,
     module_intersect,
     smith_local,
-    unit_part,
     valuation,
     valuation_by_squares,
 )
@@ -197,11 +199,11 @@ def test_is_local_square_rat():
 def test_mat2_ring_ops():
     a = Mat2.of([[1, 2], [3, 4]])
     b = Mat2.of([[0, 1], [1, 0]])
-    assert (a * b).rows() == ((2, 1), (4, 3))
-    assert (a + b - a).rows() == b.rows()
+    assert rows(a * b) == ((2, 1), (4, 3))
+    assert rows(a + b - a) == rows(b)
     assert (2 * a).m00 == 2
     assert trace(a) == 5
-    assert a.det() == -2
+    assert det(a) == -2
     assert discriminant(a) == 25 - 4 * (-2)
     assert a.inverse() * a == Mat2.identity()
     assert is_scalar(Mat2.scalar(3))
@@ -220,7 +222,7 @@ def test_conjugate_and_commute():
     c = conjugate(a, g)
     assert c == g.inverse() * a * g
     assert trace(c) == trace(a)
-    assert c.det() == a.det()
+    assert det(c) == det(a)
     assert commute(Mat2.of([[1, 0], [0, 2]]), Mat2.of([[3, 0], [0, 5]]))
     assert not commute(Mat2.of([[0, 1], [0, 0]]), Mat2.of([[0, 0], [1, 0]]))
 
@@ -234,7 +236,7 @@ def test_smith_local():
     for _ in range(50):
         p = rng.choice([2, 3, 5])
         g = random_matrix(rng, p)
-        if g.det() == 0:
+        if det(g) == 0:
             continue
         u = Mat2.of([[1, rng.randrange(5)], [0, 1]])
         w = Mat2.of([[1, 0], [rng.randrange(5) * p, 1]])

@@ -9,7 +9,15 @@ from math import gcd, inf, prod
 import pytest
 
 import oracles
-from helpers import fe, fe_conj, fe_inv, fe_pow, fundamental_discriminant, make_rng
+from helpers import (
+    fe,
+    fe_conj,
+    fe_inv,
+    fe_pow,
+    fundamental_discriminant,
+    make_rng,
+    selectivity_ratio,
+)
 from qlat import global_classfield
 from qlat.branches import ThickPath, classify_single
 from qlat.errors import AlgebraNotSplit, EmbeddingInfeasible, SchemaError
@@ -30,7 +38,6 @@ from qlat.global_classfield import (
     rep_field_comm_quadratic,
     rep_field_rank3,
     rep_field_rank4,
-    selectivity_ratio,
     sign_at_real,
     spinor_class_field,
     val_at_place,

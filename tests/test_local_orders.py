@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from helpers import (
+    has_unramified_residue_field,
     make_rng,
     module_contains,
     module_contains_module,
@@ -13,6 +14,8 @@ from helpers import (
     random_order,
     random_vertex,
     random_vertex_at,
+    shift_order,
+    vertex_basis,
 )
 from qlat import local_orders
 from qlat.bt_tree import Vertex, ball, distance, standard_vertex
@@ -22,10 +25,8 @@ from qlat.local_orders import (
     ShiftedEichler,
     contains_shifted,
     decompose_shifted_eichler,
-    has_unramified_residue_field,
     maximal_order_module,
     order_closure,
-    shift_order,
     shifted_eichler_module,
     three_maximal_orders,
 )
@@ -101,7 +102,7 @@ def test_order_closure_certifies_every_pair_of_generators():
         order_closure([a, Mat2.identity(), b], 3)
     assert exc.value.certificate == _certificate("0*2", "trace", -1)
     # with a 3 in b every pair is integral: the order is span{1, a, b, ab}
-    b3 = b.scale(3)
+    b3 = b * 3
     order = order_closure([a, Mat2.identity(), b3], 3)
     assert order.closure == order_closure([a, b3], 3).closure
     assert order.closure == module_hnf([Mat2.identity(), a, b3, a * b3], 3)
@@ -121,7 +122,7 @@ def test_maximal_order_conjugation_equivariance():
     for _ in range(20):
         p = rng.choice([2, 3, 5])
         v = random_vertex(rng, p, 3)
-        g = v.basis()
+        g = vertex_basis(v)
         expected = module_hnf(
             [
                 g * e * g.inverse()

@@ -1,12 +1,15 @@
-"""Every function and method in `src/qlat` is named somewhere else in the
-package or exported in `qlat.__all__`; helpers only the tests use live in
-`tests/helpers.py` and `tests/oracles.py`.  The public entry points that the
-benchmark spans wrap are the ones a request runs through, and a request
-whose later basis row is over a cap reaches no shape intersection."""
+"""Every function and method in `src/qlat` runs on some request, or is on
+an allowlist that says why it stays: a span of `bench/tracer.py` (which
+`bench/smoke.py` requires to exist) or a name `bench/make_corpus.py` uses.
+Helpers only the tests use live in `tests/helpers.py` and
+`tests/oracles.py`.  The public entry points that the benchmark spans wrap
+are the ones a request runs through, and a request whose later basis row
+is over a cap reaches no shape intersection."""
 
 import ast
 import io
 import json
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -17,78 +20,149 @@ import qlat
 from qlat import branches, bt_tree, cli, global_classfield, local_orders, spinor_local
 
 SRC = Path(qlat.__file__).resolve().parent
+POOL_DIR = Path(__file__).resolve().parent.parent / "bench" / "pools"
 
-# Kept although nothing in the package names them, with the reason.
+_SPAN = "spanned by bench/tracer.py, and bench/smoke.py requires every span to exist"
+_CORPUS = "used by bench/make_corpus.py to build the request pools"
+_QUADFORMS = "quadforms waits on ROADMAP item 3 (class numbers, not class groups)"
+
+# Kept although no request runs them, with the reason.
 ALLOWED = {
-    "smith_local": "bench/tracer.py times it as a span, and bench/smoke.py "
-    "requires every span to exist",
+    "exact_padic.valuation": _SPAN,
+    "exact_padic.smith_local": _SPAN,
+    "branches.shape_margin": _SPAN,
+    "local_orders.contains_shifted": _SPAN,
+    "local_orders._divisible": f"the test under contains_shifted, {_SPAN}",
+    "quadforms.compose": f"{_SPAN}; {_QUADFORMS}",
+    "quadforms.prime_form": f"{_SPAN}; {_QUADFORMS}",
+    "quadforms.reduce_definite": f"class_rep of a definite form; {_QUADFORMS}",
     **{
-        name: "bench/make_corpus.py builds the request pools with it"
+        f"quadforms.{name}": f"runs under compose; {_QUADFORMS}"
+        for name in ("QForm.value", "_ext_gcd", "_represent_coprime_to", "ClassGroup.op")
+    },
+    **{
+        f"exact_padic.{name}": _CORPUS
         for name in (
-            *(f"Mat2.{m}" for m in ("m00", "m01", "m10", "m11", "scalar", "inverse")),
+            "Mat2.of", "Mat2.identity", "Mat2.scalar", "Mat2.inverse",
             "is_local_square_rat",
-            "BaseField.places_over",
         )
+    },
+    "exact_padic.Mat2._entry": f"reads m00-m11, {_CORPUS}",
+    "exact_padic.is_local_square_int": f"the test under is_local_square_rat, {_CORPUS}",
+    "global_classfield.BaseField.places_over": _CORPUS,
+    **{
+        f"branches.{kind}.bound_margin": "the margin of a constant shape kind, which "
+        "Shape.margin reads under the shape_margin span; no walk meets one"
+        for kind in ("Full", "Empty")
     },
 }
 
 
-def _defs(tree):
-    """(qualified name, name, node) of the top-level functions and methods."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.name, node.name, node
-        elif isinstance(node, ast.ClassDef):
-            for sub in node.body:
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield f"{node.name}.{sub.name}", sub.name, sub
-
-
-def _named(tree) -> Counter:
-    """How often each identifier is named: variables, attributes, imports."""
-    out = Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            out[node.attr] += 1
-        elif isinstance(node, ast.alias):
-            out[node.name] += 1
-    return out
-
-
-def unreached(sources: dict, exported) -> list[str]:
-    """The functions and methods of the given module sources that no other
-    code in them names, dunder methods and exported names aside."""
-    trees = {module: ast.parse(text) for module, text in sources.items()}
-    named = sum((_named(tree) for tree in trees.values()), Counter())
-    out = []
-    for module, tree in trees.items():
-        for qualified, name, node in _defs(tree):
-            if name.startswith("__") and name.endswith("__") or name in exported:
+def defined(path: Path) -> dict:
+    """{(file, first line): module.name} for the top-level functions and the
+    methods of top-level classes in a source file, dunder methods aside.
+    The first line is that of a function's code object: its first
+    decorator's, or its `def`'s."""
+    out = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if named[name] - _named(node)[name] <= 0:
-                out.append(f"{module}.{qualified}")
+            if fn.name.startswith("__") and fn.name.endswith("__"):
+                continue
+            name = fn.name if fn is node else f"{node.name}.{fn.name}"
+            line = min([d.lineno for d in fn.decorator_list] + [fn.lineno])
+            out[str(path), line] = f"{path.stem}.{name}"
     return out
 
 
-def test_unreached_finds_unnamed_functions():
-    sources = {
-        "a": "def f():\n    return f()\n\nclass C:\n    def m(self): pass\n"
-        "    def __eq__(self, other): pass\n",
-        "b": "from a import C\n\ndef g(x):\n    return x.m()\n\ndef h(): pass\n",
+def test_defined_keys_functions_as_their_code_objects_do(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "def f():\n    pass\n\n\nclass C:\n    x = 1\n\n    @staticmethod\n"
+        "    def m():\n        pass\n\n    def __eq__(self, other):\n        pass\n"
+    )
+    namespace = {}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    f, m = namespace["f"], namespace["C"].m
+    assert defined(path) == {
+        (str(path), f.__code__.co_firstlineno): "m.f",
+        (str(path), m.__code__.co_firstlineno): "m.C.m",
     }
-    assert unreached(sources, {"g"}) == ["a.f", "b.h"]
-    assert unreached(sources, {"g", "h", "f"}) == []
+    assert m.__code__.co_firstlineno == 8  # the decorator's line
 
 
-def test_every_package_function_is_reached_or_exported():
-    sources = {
-        path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))
-    }
-    found = [name.split(".", 1)[1] for name in unreached(sources, set(qlat.__all__))]
-    assert [name for name in found if name not in ALLOWED] == []
-    assert sorted(found) == sorted(ALLOWED)  # every allowance is still needed
+# Run in a fresh interpreter, so that `import qlat` and each module's first
+# use are profiled too: every pooled request (warm-ups included), then the
+# argvs the pools do not send.  It prints the exit codes and the (file,
+# first line) of every Python function that was called.
+_PROFILE = """
+import io, json, sys
+
+items = json.load(sys.stdin)
+called = set()
+
+
+def hook(frame, event, arg):
+    if event == "call":
+        called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+
+sys.setprofile(hook)
+import qlat.cli
+
+exits = []
+for argv, text in items:
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(text), io.StringIO(), io.StringIO()
+    try:
+        exits.append(qlat.cli.main(argv))
+    except SystemExit as exc:
+        exits.append(exc.code)
+sys.setprofile(None)
+sys.__stdout__.write(json.dumps({"exits": exits, "called": sorted(called)}))
+"""
+
+
+def _pooled() -> list:
+    """(argv, request, exit code) of every pooled item, warm-ups included."""
+    out = []
+    for path in sorted(POOL_DIR.glob("*.json")):
+        if path.name == "manifest.json":
+            continue
+        pool = json.loads(path.read_text(encoding="utf-8"))
+        groups = [pool["warmup"], *(g for s in pool["strata"] for g in s["groups"])]
+        out += [(it["argv"], it["request"], it["golden"]["exit"]) for g in groups for it in g]
+    return out
+
+
+def test_every_package_function_runs_on_a_request_or_is_allowed(tmp_path):
+    ball = {"p": 2, "radius": 1}
+    extra = [
+        (["--help"], None, 0),
+        (["tree", "ball", "--out", str(tmp_path / "ball.json")], ball, 0),
+        (["tree", "ball"], {"p": 10**12 + 39, "radius": 0}, 0),  # past trial division
+        # the valuation of 3^40 is read by squares past 32 divisions
+        (["local", "classify"], {"p": 3, "generators": [[[0, 3**40], [0, 0]]]}, 0),
+        (["local", "classify"], {"p": 3, "generators": [[["1/x", 0], [0, 0]]]}, 2),
+    ]
+    items = _pooled() + extra
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROFILE],
+        input=json.dumps([(argv, json.dumps(request)) for argv, request, _ in items]),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["exits"] == [code for *_, code in items]
+    called = {tuple(key) for key in out["called"]}
+    names = {}
+    for path in sorted(SRC.glob("*.py")):
+        names.update(defined(path))
+    unrun = sorted(name for key, name in names.items() if key not in called)
+    assert [name for name in unrun if name not in ALLOWED] == []
+    assert unrun == sorted(ALLOWED)  # every allowance is still needed
 
 
 # A span wraps a function under its public name and rebinds the wrapper in

@@ -13,16 +13,7 @@ from helpers import (
     random_vertex_at,
     spine_vertex,
 )
-from qlat.branches import (
-    Empty,
-    Fan,
-    Full,
-    ThickPath,
-    branch_of_order,
-    classify_single,
-    deepen,
-    shape_member,
-)
+from qlat.branches import Empty, Fan, Full, ThickPath, branch_of_order, classify_single
 from qlat.bt_tree import (
     End,
     ball,
@@ -148,7 +139,7 @@ def test_oracle_worked_examples():
 
 def _deep_vertices(shape, r, d, p):
     """(deep shape, certified member set) for the oracle comparison."""
-    deep = deepen(shape, r)
+    deep = shape.deepen(r)
     if isinstance(deep, Empty):
         return deep, frozenset()
     seed = spine_vertex(deep)
