@@ -22,17 +22,17 @@ import sys
 _EXPORTS = {
     "branches": (
         "Empty", "Fan", "Full", "Shape", "ThickApartment", "ThickPath", "ThickRay",
-        "branch_of_order", "classify_single", "eichler_envelope", "enumerate_branch",
-        "intersect_shapes", "mu_margin", "shape_margin",
+        "branch_of_order", "classify_single", "enumerate_branch", "intersect_shapes",
+        "mu_margin", "shape_margin",
     ),
     "bt_tree": (
         "End", "Vertex", "ball", "canonical_vertex", "distance", "export_dot",
         "geodesic", "neighbors", "standard_vertex",
     ),
     "errors": (
-        "AlgebraNotSplit", "BudgetExceeded", "EmbeddingInfeasible", "EmptyShape",
-        "InfiniteUnsupported", "NotFinite", "NotShiftedEichler", "QlatError",
-        "ResourceLimit", "SchemaError", "SingularMatrix", "Unbounded", "UnsupportedField",
+        "AlgebraNotSplit", "BudgetExceeded", "EmbeddingInfeasible",
+        "InfiniteUnsupported", "NotShiftedEichler", "QlatError", "ResourceLimit",
+        "SchemaError", "SingularMatrix", "Unbounded", "UnsupportedField",
     ),
     "exact_padic": ("Mat2", "legendre", "valuation"),
     "global_classfield": (
@@ -46,7 +46,7 @@ _EXPORTS = {
         "order_closure", "three_maximal_orders",
     ),
     "quadforms": ("ClassGroup", "QForm", "class_group", "prime_form"),
-    "spinor_local": ("SpinorImage", "spinor_image"),
+    "spinor_local": ("SpinorImage", "image_of_diameter", "spinor_image"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME)

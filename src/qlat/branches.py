@@ -25,14 +25,17 @@ changes by at most 1 along edges and is concave along geodesics:
 
 Each shape class carries its own bound margin, deepening, diameter and
 JSON form; only the pair rules of `intersect_shapes` match on two kinds.
-A bound margin is a closure built once over the shape's fixed integers; a
-walk evaluates it vertex by vertex, and `Shape.margin(v)` builds it and
-evaluates it at one vertex.  A `ThickApartment` holds al - de, be, ga,
-v_p(ga) and v_p(den), with t - axis_margin folded in, so per vertex it
-reads two valuations, each only as deep as the margin's minimum can use;
-a `Fan` and a `ThickRay` hold beta_z(base) and v_p of their line's y; a
-`ThickPath` holds its endpoints.  `classify_single` climbs on the bound
-mu of the matrix it classifies.
+Every kind has a diameter, the sup of its distances: level + 2t for a
+`ThickPath`, +oo for the unbounded kinds and -oo for `Empty`, which is
+what `spinor_local.image_of_diameter` reads.  A bound margin is a closure
+built once over the shape's fixed integers; a walk evaluates it vertex by
+vertex, and `Shape.margin(v)` builds it and evaluates it at one vertex.
+A `ThickApartment` holds al - de, be, ga, v_p(ga) and v_p(den), with
+t - axis_margin folded in, so per vertex it reads two valuations, each
+only as deep as the margin's minimum can use; a `Fan` and a `ThickRay`
+hold beta_z(base) and v_p of their line's y; a `ThickPath` holds its
+endpoints.  `classify_single` climbs on the bound mu of the matrix it
+classifies.
 
 Thick rays use the same Busemann function: the distance from v to the ray
 from base toward z is (d(v, base) + beta_z(v) - beta_z(base)) / 2, so no
@@ -80,13 +83,7 @@ from .bt_tree import (
     vertex_budget,
     walk_toward_end,
 )
-from .errors import (
-    BudgetExceeded,
-    EmptyShape,
-    InfiniteUnsupported,
-    NotFinite,
-    ResourceLimit,
-)
+from .errors import BudgetExceeded, InfiniteUnsupported, ResourceLimit
 from .exact_padic import commute, int_valuation, is_square_mod, sqrt_mod
 from .local_orders import LocalOrder, certify_integral
 
@@ -155,7 +152,7 @@ class Empty(Shape, namedtuple("Empty", "p")):
         return lambda v: -inf
 
     def diameter(self):
-        raise EmptyShape("empty shape has no diameter")
+        return -inf  # the sup of the empty set
 
 
 class _Thick(Shape):
@@ -765,9 +762,3 @@ def enumerate_branch(
         frontier = nxt
     return frozenset(found)
 
-
-def eichler_envelope(s: Shape) -> tuple[Vertex, Vertex, int, int]:
-    """(endpoint1, endpoint2, level, shift) read off a thick path."""
-    if s.diameter() == inf:  # Empty raises EmptyShape
-        raise NotFinite(f"branch {type(s).__name__} is unbounded")
-    return s.path[0], s.path[-1], s.level, s.t

@@ -34,8 +34,8 @@ the QLAT_MAX_VERTICES environment variable or an explicit argument) before
 allocating anything, then reads the ball off the distance formula: on each
 level (a, b) its vertices are one arithmetic progression of c, so walking
 the levels in order yields the ball in canonical order, the order of the
-integer triple, with no hashing and no sort.  The DOT export reads its
-edges off the parent links and sorts its vertices (`canonical_order`).
+integer triple, with no hashing and no sort.  The DOT export takes the
+ball in that order and reads its edges off the parent links.
 
 A vertex is the tuple (p, a, b, c), so hashing, equality, order and field
 access run in C.  The public constructor validates the triple; `parent`
@@ -97,12 +97,6 @@ class Vertex(namedtuple("Vertex", "p a b c")):
 # Builds a Vertex without the canonical-triple check, for links whose
 # triples are canonical by construction.
 _link = tuple.__new__
-
-
-def canonical_order(vertices) -> list[Vertex]:
-    """Vertices of one tree in canonical order: tuple order, which is the
-    order of the triple (a, b, c) since p is fixed within one tree."""
-    return sorted(vertices)
 
 
 def standard_vertex(p: int) -> Vertex:
@@ -360,25 +354,21 @@ def ray_distance(base: Vertex, end: End):
 # DOT export
 
 
-def export_dot(vertices, highlights=None) -> str:
-    """Graphviz DOT source for the induced subgraph on the given vertices.
+def export_dot(vertices) -> str:
+    """Graphviz DOT source for the induced subgraph on the given vertices,
+    distinct and in canonical order, as `ball` returns them.
 
-    `highlights` maps vertices to extra label strings.  Output is
-    deterministic: vertices sorted canonically, edges listed once.  Every
+    Vertices are listed in the order given and edges once each.  Every
     tree edge joins a vertex to its parent, so the induced edges are those
     of the vertices whose parent is in the set too.
     """
-    verts = canonical_order(set(vertices))
-    highlights = highlights or {}
-    index = {v: i for i, v in enumerate(verts)}
-    names = [f"v_{v.a}_{v.b}_{v.c}" for v in verts]
+    index = {v: i for i, v in enumerate(vertices)}
+    names = [f"v_{v.a}_{v.b}_{v.c}" for v in vertices]
 
     lines = ["graph lattice_classes {", "  node [shape=circle];"]
-    for v, name in zip(verts, names):
-        label = f"({v.a},{v.b},{v.c})"
-        if v in highlights:
-            label += f"\\n{highlights[v]}"
-        lines.append(f'  {name} [label="{label}"];')
+    lines += [
+        f'  {name} [label="({v.a},{v.b},{v.c})"];' for v, name in zip(vertices, names)
+    ]
     edges = sorted(
         (min(i, j), max(i, j))
         for v, i in index.items()

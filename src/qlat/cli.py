@@ -53,13 +53,7 @@ from math import gcd, inf
 from types import SimpleNamespace
 
 from . import branches, bt_tree, global_classfield, local_orders, spinor_local
-from .errors import (
-    EmptyShape,
-    QlatError,
-    ResourceLimit,
-    SchemaError,
-    UnsupportedField,
-)
+from .errors import QlatError, ResourceLimit, SchemaError, UnsupportedField
 from .exact_padic import Mat2, is_prime, over_lcm
 
 # ---------------------------------------------------------------------------
@@ -123,8 +117,8 @@ def parse_rational(value, path: str) -> tuple[int, int]:
     raise SchemaError(path, f"expected a rational, got {type(value).__name__}")
 
 
-def parse_prime(doc: dict, path: str) -> int:
-    p = _expect_int(_require(doc, "p", ""), f"{path}p" if path else "p")
+def parse_prime(doc: dict) -> int:
+    p = _expect_int(_require(doc, "p", ""), "p")
     if p < 2 or not is_prime(p):
         raise SchemaError("p", f"{p} is not prime")
     return p
@@ -143,11 +137,11 @@ def parse_matrix(value, path: str) -> Mat2:
     return Mat2(*over_lcm(parsed))
 
 
-def parse_generators(doc: dict, path: str = "generators") -> list[Mat2]:
-    value = _expect_list(_require(doc, "generators", ""), path)
+def parse_generators(doc: dict) -> list[Mat2]:
+    value = _expect_list(_require(doc, "generators", ""), "generators")
     if not value:
-        raise SchemaError(path, "at least one generator is required")
-    return [parse_matrix(m, f"{path}[{i}]") for i, m in enumerate(value)]
+        raise SchemaError("generators", "at least one generator is required")
+    return [parse_matrix(m, f"generators[{i}]") for i, m in enumerate(value)]
 
 
 def parse_vertex(value, p: int, path: str) -> bt_tree.Vertex:
@@ -167,14 +161,21 @@ def parse_vertex(value, p: int, path: str) -> bt_tree.Vertex:
         raise SchemaError(path, str(exc)) from None
 
 
-def parse_nonneg(doc: dict, key: str, path: str, default=None) -> int:
+def parse_center(doc: dict, p: int) -> bt_tree.Vertex:
+    """The vertex under "center", or the standard vertex when there is none."""
+    if "center" not in doc:
+        return bt_tree.standard_vertex(p)
+    return parse_vertex(doc["center"], p, "center")
+
+
+def parse_nonneg(doc: dict, key: str, default=None) -> int:
     if key not in doc:
         if default is None:
-            raise SchemaError(path, "missing required key")
+            raise SchemaError(key, "missing required key")
         return default
-    n = _expect_int(doc[key], path)
+    n = _expect_int(doc[key], key)
     if n < 0:
-        raise SchemaError(path, f"must be >= 0, got {n}")
+        raise SchemaError(key, f"must be >= 0, got {n}")
     return n
 
 
@@ -190,28 +191,28 @@ def parse_max_vertices(doc: dict):
 # --- global-layer parsing ---------------------------------------------------
 
 
-def parse_field(doc: dict, path: str = "field") -> global_classfield.BaseField:
-    obj = _expect_obj(_require(doc, "field", ""), path)
-    kind = _expect_str(_require(obj, "kind", path), f"{path}.kind")
+def parse_field(doc: dict) -> global_classfield.BaseField:
+    obj = _expect_obj(_require(doc, "field", ""), "field")
+    kind = _expect_str(_require(obj, "kind", "field"), "field.kind")
     if kind == "Q":
         return global_classfield.BaseField.rationals()
     if kind == "quadratic":
-        d = _expect_int(_require(obj, "d", path), f"{path}.d")
+        d = _expect_int(_require(obj, "d", "field"), "field.d")
         try:
             return global_classfield.BaseField.quadratic(d)
         except ValueError as exc:
-            raise SchemaError(f"{path}.d", str(exc)) from None
+            raise SchemaError("field.d", str(exc)) from None
     raise UnsupportedField(f"unknown field kind {kind!r}")
 
 
 def parse_algebra(
-    field: global_classfield.BaseField, doc: dict, path: str = "algebra"
+    field: global_classfield.BaseField, doc: dict
 ) -> global_classfield.QuatAlgebra:
-    obj = _expect_obj(_require(doc, "algebra", ""), path)
-    keys = _expect_list(obj.get("ramified", []), f"{path}.ramified")
+    obj = _expect_obj(_require(doc, "algebra", ""), "algebra")
+    keys = _expect_list(obj.get("ramified", []), "algebra.ramified")
     finite, real = [], []
     for i, key in enumerate(keys):
-        kpath = f"{path}.ramified[{i}]"
+        kpath = f"algebra.ramified[{i}]"
         key = _expect_str(key, kpath)
         if key.startswith("inf"):
             real.append(key)
@@ -223,7 +224,7 @@ def parse_algebra(
     try:
         return global_classfield.QuatAlgebra.of(field, finite, real)
     except ValueError as exc:
-        raise SchemaError(f"{path}.ramified", str(exc)) from None
+        raise SchemaError("algebra.ramified", str(exc)) from None
 
 
 def parse_ideal_map(field: global_classfield.BaseField, value, path: str) -> dict:
@@ -245,11 +246,11 @@ def parse_ideal_map(field: global_classfield.BaseField, value, path: str) -> dic
 
 
 def parse_genus(
-    field: global_classfield.BaseField, doc: dict, path: str = "genus"
+    field: global_classfield.BaseField, doc: dict
 ) -> global_classfield.Genus:
-    obj = _expect_obj(_require(doc, "genus", ""), path)
-    level = parse_ideal_map(field, obj.get("level"), f"{path}.level")
-    shift = parse_ideal_map(field, obj.get("I"), f"{path}.I")
+    obj = _expect_obj(_require(doc, "genus", ""), "genus")
+    level = parse_ideal_map(field, obj.get("level"), "genus.level")
+    shift = parse_ideal_map(field, obj.get("I"), "genus.I")
     return global_classfield.Genus.of(level=level, shift=shift)
 
 
@@ -273,7 +274,7 @@ def parse_field_element(field: global_classfield.BaseField, value, path: str):
 
 
 def _closed_order(doc: dict):
-    p = parse_prime(doc, "")
+    p = parse_prime(doc)
     gens = parse_generators(doc)
     return p, local_orders.order_closure(gens, p)
 
@@ -286,34 +287,29 @@ def cmd_local_classify(doc: dict, args) -> dict:
 
 def cmd_local_branch_enum(doc: dict, args) -> dict:
     p, order = _closed_order(doc)
-    depth = parse_nonneg(doc, "depth", "depth", default=0)
-    radius = parse_nonneg(doc, "radius", "radius")
-    center = (
-        parse_vertex(doc["center"], p, "center")
-        if "center" in doc
-        else bt_tree.standard_vertex(p)
-    )
+    depth = parse_nonneg(doc, "depth", default=0)
+    radius = parse_nonneg(doc, "radius")
+    center = parse_center(doc, p)
     found = branches.enumerate_branch(
         order, depth, center, radius, parse_max_vertices(doc)
     )
     return {
         "p": p,
         "count": len(found),
-        "vertices": [v.to_json() for v in bt_tree.canonical_order(found)],
+        "vertices": [v.to_json() for v in sorted(found)],
     }
 
 
 def cmd_local_spinor_image(doc: dict, args) -> dict:
     p, order = _closed_order(doc)
-    d = parse_nonneg(doc, "level", "level")
-    r = parse_nonneg(doc, "shift", "shift", default=0)
+    d = parse_nonneg(doc, "level")
+    r = parse_nonneg(doc, "shift", default=0)
     deep = branches.branch_of_order(order, parse_max_vertices(doc)).deepen(r)
     image = spinor_local.spinor_image(deep, d, 0)
-    try:
-        dia = deep.diameter()
-    except EmptyShape:
+    dia = deep.diameter()
+    if dia == -inf:  # the branch is empty
         dia = None
-    if dia == inf:
+    elif dia == inf:
         dia = "infinite"
     return {"image": image.value, "diameter": dia, "level": deep.level}
 
@@ -329,13 +325,13 @@ def cmd_local_decompose(doc: dict, args) -> dict:
 
 
 def cmd_local_three_maximals(doc: dict, args) -> dict:
-    p = parse_prime(doc, "")
+    p = parse_prime(doc)
     ends = _expect_list(_require(doc, "endpoints", ""), "endpoints")
     if len(ends) != 2:
         raise SchemaError("endpoints", f"expected 2 vertices, got {len(ends)}")
     v1 = parse_vertex(ends[0], p, "endpoints[0]")
     v2 = parse_vertex(ends[1], p, "endpoints[1]")
-    shift = parse_nonneg(doc, "shift", "shift", default=0)
+    shift = parse_nonneg(doc, "shift", default=0)
     if shift > bt_tree.MAX_VERTEX_EXPONENT:  # the vertices found lie about `shift` away
         raise ResourceLimit(
             f"shift = {shift} is above {bt_tree.MAX_VERTEX_EXPONENT}", path="shift"
@@ -350,14 +346,9 @@ def cmd_local_three_maximals(doc: dict, args) -> dict:
 
 
 def _parse_ball(doc: dict):
-    p = parse_prime(doc, "")
-    radius = parse_nonneg(doc, "radius", "radius")
-    center = (
-        parse_vertex(doc["center"], p, "center")
-        if "center" in doc
-        else bt_tree.standard_vertex(p)
-    )
-    return bt_tree.ball(center, radius, parse_max_vertices(doc))
+    p = parse_prime(doc)
+    radius = parse_nonneg(doc, "radius")
+    return bt_tree.ball(parse_center(doc, p), radius, parse_max_vertices(doc))
 
 
 def cmd_tree_ball(doc: dict, args) -> dict:

@@ -99,18 +99,6 @@ class NotShiftedEichler(QlatError):
     """A rank-4 order is not an intersection of two maximal orders."""
 
 
-class EmptyShape(QlatError):
-    """An operation requires a nonempty vertex region."""
-
-
-class NotFinite(QlatError):
-    """An operation requires a finite vertex region (ThickPath)."""
-
-
-class AnchorInvalid(QlatError):
-    """A vertex supplied as an anchor is not in the required position."""
-
-
 class UnsupportedField(QlatError):
     """The base field is neither the rationals nor a quadratic field."""
 

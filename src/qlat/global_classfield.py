@@ -14,7 +14,10 @@ Global arithmetic over Q and over quadratic fields Q(sqrt(m)):
   (commutative quadratic suborders with a conductor, rank-3 suborders,
   rank-4 Eichler-type suborders), each of selectivity ratio 1/degree,
   with degrees read off the F_2 rank of genus characters, and K(sqrt(delta))
-  in the spinor class field read off the same characters.
+  in the spinor class field read off the same characters; a commutative
+  suborder's local condition at each place is the local layer's rule
+  `spinor_local.image_of_diameter`, whose module runs on the first such
+  request and loads no other.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from collections import namedtuple
 from functools import cached_property
 from math import inf, isqrt, prod
 
+from . import spinor_local  # bound unrun: its body runs on first use
 from .errors import AlgebraNotSplit, EmbeddingInfeasible, SchemaError
 from .exact_padic import (
     Frozen,
@@ -606,7 +610,13 @@ def rep_field_comm_quadratic(
 
     Feasibility is checked first and raises EmbeddingInfeasible; then the
     field is L exactly when L lies in the spinor class field and at every
-    place inert in L the conductor depth matches shift + level/2.
+    place inert in L the conductor depth matches shift + level/2.  Both
+    read the local rule `spinor_local.image_of_diameter` at each place of
+    the support, on the diameter of the depth-r branch of the local order:
+    +oo where the place splits in L, and otherwise core + 2(t - r) for t
+    the conductor depth and a core of one vertex (L unramified there) or
+    one edge (L ramified).  No embedding is infeasibility; a full image at
+    a place inert in L is a strict place.
     """
     field = algebra.field
     validate_genus(algebra, genus)
@@ -644,14 +654,16 @@ def rep_field_comm_quadratic(
         # a split place is embedded once, for both tests
         embedded = _split_embed(field, delta, place) if place.tag == "split" else None
         if is_local_square(field, delta, place, embedded=embedded):
-            continue  # split in L
-        unramified = is_unramified_or_split(field, delta, place, embedded=embedded)
-        core = 0 if unramified else 1
-        if core + 2 * (t - r) < d:
+            inert, diameter = False, inf  # split in L
+        else:
+            inert = is_unramified_or_split(field, delta, place, embedded=embedded)
+            diameter = (0 if inert else 1) + 2 * (t - r)
+        image = spinor_local.image_of_diameter(diameter, d)
+        if image is spinor_local.SpinorImage.NO_EMBEDDING:
             raise EmbeddingInfeasible(
                 place.key(), "the suborder branch is smaller than the genus level"
             )
-        if unramified and (d % 2 == 1 or t != r + d // 2):
+        if inert and image is spinor_local.SpinorImage.FULL:
             unbalanced.append(place.key())
 
     sigma = spinor_class_field(algebra, genus)

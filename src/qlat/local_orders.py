@@ -22,13 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .bt_tree import Vertex, distance, geodesic, iter_neighbors
-from .errors import (
-    EmptyShape,
-    NotFinite,
-    NotShiftedEichler,
-    QlatError,
-    Unbounded,
-)
+from .errors import NotShiftedEichler, QlatError, Unbounded
 from .exact_padic import (
     Module4,
     int_valuation,
@@ -220,21 +214,19 @@ class ShiftedEichler(namedtuple("ShiftedEichler", "endpoints level shift")):
 def decompose_shifted_eichler(order: LocalOrder, max_vertices=None) -> ShiftedEichler:
     """Recognize Z + p^r * E for an Eichler order E, or raise NotShiftedEichler.
 
-    The branch of the order must be a path-with-thickness, the candidate
-    invariants are read off its envelope, and the candidate is confirmed by
-    exact module equality.  `max_vertices` bounds the branch computation as
-    in `branch_of_order`.
+    The branch of the order must be a path-with-thickness, the only kind
+    with a level; the candidate endpoints, level and shift are read off that
+    thick path, and the candidate is confirmed by exact module equality.
+    `max_vertices` bounds the branch computation as in `branch_of_order`.
     """
-    from .branches import branch_of_order, eichler_envelope
+    from .branches import branch_of_order
 
     if order.rank != 4:
         raise NotShiftedEichler(f"rank is {order.rank}, need 4")
     shape = branch_of_order(order, max_vertices)
-    try:
-        v1, v2, level, shift = eichler_envelope(shape)
-    except (NotFinite, EmptyShape):
-        kind = type(shape).__name__
-        raise NotShiftedEichler(f"branch is {kind}, not a thick path") from None
+    if shape.level is None:
+        raise NotShiftedEichler(f"branch is {type(shape).__name__}, not a thick path")
+    v1, v2, level, shift = shape.path[0], shape.path[-1], shape.level, shape.t
     if shifted_eichler_module(v1, v2, shift) != order.closure:
         raise NotShiftedEichler("module differs from its branch envelope order")
     return ShiftedEichler((v1, v2), level, shift)

@@ -20,7 +20,7 @@ from qlat.bt_tree import (
     step_toward_end,
 )
 from qlat.branches import Shape, branch_of_order
-from qlat.errors import AnchorInvalid, EmptyShape
+from qlat.errors import QlatError
 from qlat.exact_padic import (
     Mat2,
     Module4,
@@ -33,6 +33,10 @@ from qlat.exact_padic import (
 from qlat.global_classfield import FE, RepField, fe_mul, fe_norm
 from qlat.local_orders import LocalOrder, order_closure
 from qlat.quadforms import ClassGroup, QForm, class_rep
+
+
+class AnchorInvalid(QlatError):
+    """A vertex supplied as an anchor is not in the required position."""
 
 
 def make_rng(seed: int) -> random.Random:
@@ -167,10 +171,7 @@ def shape_member(s: Shape, v: Vertex) -> bool:
 
 def embeds_in_level(s: Shape, d: int, r: int) -> bool:
     """Does the depth-r branch contain two vertices at distance d?"""
-    try:
-        return s.deepen(r).diameter() >= d
-    except EmptyShape:
-        return False
+    return s.deepen(r).diameter() >= d
 
 
 def shift_order(order: LocalOrder, t: int) -> LocalOrder:

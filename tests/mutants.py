@@ -18,6 +18,7 @@ _CAPPED = "tests/test_oracles.py::test_capped_margins_and_distances_match_conjug
 _PRIMES = (2, 3, 5, 7, 101)
 _BALL = "tests/test_oracles.py::test_ball_in_canonical_order_matches_link_generator"
 _SWEEP = "tests/test_oracles.py::test_closed_form_closure_matches_rounds"
+_RULE = "tests/test_global_classfield.py::test_local_rule_matches_the_inline_rule"
 _PAIRS = (
     "tests/test_local_orders.py"
     "::test_order_closure_certifies_every_pair_of_generators"
@@ -257,6 +258,32 @@ MUTANTS = [
             "tests/test_cli.py::test_global_rep_field_conductor",
             "tests/test_cli.py::test_global_rep_field_rational_delta[two-thirds]",
         ],
+    ),
+    # -- one spinor rule for both layers ---------------------------------------
+    Mutant(
+        "the rule finds no embedding at delta = d",
+        "qlat/spinor_local.py",
+        "    if delta < d:\n",
+        "    if delta <= d:\n",
+        [
+            "tests/test_spinor_local.py::test_decision_table_hand_cases",
+            "tests/test_spinor_local.py::test_rule_reads_a_diameter_and_a_level",
+            *(f"{_RULE}[{m}]" for m in ("10", "-5")),
+        ],
+    ),
+    Mutant(
+        "a place split in L reads diameter 0",
+        "qlat/global_classfield.py",
+        "inert, diameter = False, inf  # split in L",
+        "inert, diameter = False, 0  # split in L",
+        [f"{_RULE}[{m}]" for m in ("10", "-5")],
+    ),
+    Mutant(
+        "a place ramified in L counts as unbalanced",
+        "qlat/global_classfield.py",
+        "        if inert and image is spinor_local.SpinorImage.FULL:\n",
+        "        if diameter < inf and image is spinor_local.SpinorImage.FULL:\n",
+        [f"{_RULE}[{m}]" for m in ("10", "-5")],
     ),
     # -- earlier fast paths ----------------------------------------------------
     Mutant(

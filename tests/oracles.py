@@ -111,13 +111,17 @@ through argparse, which the plain-grammar loop now serves but for help
 and usage errors, with the exit-code map that each error class's
 `exit_code` replaced.
 
-The last section keeps the request decoder as it was when `is_prime` and
+The section after it keeps the request decoder as it was when `is_prime` and
 `is_squarefree` read the factorizer: those two, `places_over` and
 `parse_place_key` above them, which the cube-root squarefree test, the
 strong-pseudoprime test and the one-pass place key replaced, and the
 rational parsing that made every JSON integer a `Fraction`.  Below
 `SIEVE_BOUND` the two tests read a sieve of smallest prime factors
 instead, which decides the same and costs a lookup.
+
+The last section keeps `rep_field_comm_quadratic` of
+`qlat.global_classfield` as it was when it wrote the local spinor rule
+inline at each place, before it read `spinor_local.image_of_diameter`.
 """
 
 from __future__ import annotations
@@ -148,6 +152,7 @@ from helpers import (
     zero_matrix,
 )
 from qlat import branches, bt_tree, exact_padic, local_orders
+from qlat import global_classfield as gc
 from qlat.branches import (
     Empty,
     Fan,
@@ -170,7 +175,6 @@ from qlat.cli import (
 from qlat.errors import (
     BudgetExceeded,
     EmbeddingInfeasible,
-    EmptyShape,
     InfiniteUnsupported,
     QlatError,
     ResourceLimit,
@@ -1734,7 +1738,7 @@ class DataclassEmpty(DataclassShape):
         return -inf
 
     def diameter(self):
-        raise EmptyShape("empty shape has no diameter")
+        return -inf
 
 
 class DataclassThick(DataclassShape):
@@ -3024,3 +3028,77 @@ def fraction_parse_field_element(field: BaseField, value, path: str):
     if field.is_rational and y != 0:
         raise SchemaError(f"{path}.y", "the rational field has no irrational part")
     return (x, y)
+
+
+# ---------------------------------------------------------------------------
+# The commutative representation field with its local rule inline
+
+
+def inline_rep_field_comm_quadratic(
+    algebra: QuatAlgebra, genus: Genus, delta: FE, conductor=()
+) -> RepField:
+    """`rep_field_comm_quadratic` as it was when it wrote the local rule
+    inline: infeasible when core + 2(t - r) < d, and unbalanced at an
+    unramified place unless d is even and t = r + d/2.
+
+    Representation field of the genus of D = O + I*D0, where D0 is the
+    quadratic suborder O_K + f*O_L of L = K(sqrt(delta)) with conductor f.
+
+    Feasibility is checked first and raises EmbeddingInfeasible; then the
+    field is L exactly when L lies in the spinor class field and at every
+    place inert in L the conductor depth matches shift + level/2.
+    """
+    field = algebra.field
+    gc.validate_genus(algebra, genus)
+    if gc.fe_is_zero(delta):
+        raise ValueError("delta must be nonzero")
+    if field.is_rational and delta[1] != 0:
+        raise ValueError("delta must be rational over Q")
+    delta = gc._integral(delta)
+    cond = gc._normalize_ideal_map(conductor)
+
+    # --- feasibility, checked before any class field computation ---
+    for key in algebra.real:
+        if gc.sign_at_real(field, delta, key) > 0:
+            raise EmbeddingInfeasible(
+                key, "the quadratic algebra splits at a ramified real place"
+            )
+    for place in algebra.finite:
+        if gc.is_local_square(field, delta, place):
+            raise EmbeddingInfeasible(
+                place.key(), "the quadratic algebra splits at a division place"
+            )
+    # one local kind per place: split, unramified or (failing sigma) ramified
+    support = sorted(set(genus.support()) | {p for p, _ in cond})
+    unbalanced = []
+    for place in support:
+        if place in algebra.finite:
+            continue  # any integral quadratic order embeds; no distance condition
+        t = gc._map_at(cond, place)
+        r = genus.shift_at(place)
+        d = genus.level_at(place)
+        if t < r:
+            raise EmbeddingInfeasible(
+                place.key(), "the conductor is shallower than the genus shift"
+            )
+        # a split place is embedded once, for both tests
+        embedded = (
+            gc._split_embed(field, delta, place) if place.tag == "split" else None
+        )
+        if gc.is_local_square(field, delta, place, embedded=embedded):
+            continue  # split in L
+        unramified = gc.is_unramified_or_split(field, delta, place, embedded=embedded)
+        core = 0 if unramified else 1
+        if core + 2 * (t - r) < d:
+            raise EmbeddingInfeasible(
+                place.key(), "the suborder branch is smaller than the genus level"
+            )
+        if unramified and (d % 2 == 1 or t != r + d // 2):
+            unbalanced.append(place.key())
+
+    sigma = gc.spinor_class_field(algebra, genus)
+    if gc.fe_is_square(field, delta):
+        return gc.RepField(1, sigma, ())  # L is not a field: K x K collapses
+    in_sigma = gc._quadratic_in_sigma(sigma, delta)
+    degree = 2 if in_sigma and not unbalanced else 1
+    return gc.RepField(degree, sigma, tuple(unbalanced))

@@ -37,7 +37,6 @@ from qlat.branches import (
     ThickPath,
     branch_of_order,
     classify_single,
-    eichler_envelope,
     enumerate_branch,
     intersect_shapes,
 )
@@ -114,7 +113,7 @@ def test_acceptance_01_edge_order_regression():
             assert isinstance(shape, ThickPath)
             assert shape.level == 1 and shape.t == 2
             assert set(shape.path) == {v0, v1}
-            assert eichler_envelope(shape) == (v0, v1, 1, 2)
+            assert (shape.path[0], shape.path[-1]) == (v0, v1)
 
             # the envelope module of the branch, computed two ways: the
             # shift-2 Eichler module of the edge equals the intersection
@@ -173,7 +172,7 @@ def test_acceptance_03_scaled_involutions_envelope():
         for r, s in ((0, 1), (1, 2), (1, 3)):
             order = order_closure([i * p**r, j * p**s], p)
             shape = branch_of_order(order)
-            e1, e2, level, thick = eichler_envelope(shape)
+            e1, e2, level, thick = shape.path[0], shape.path[-1], shape.level, shape.t
             assert level == 2 * (s - r)
             assert thick == r
             assert distance(e1, e2) == level

@@ -23,10 +23,8 @@ from qlat.branches import (
     Full,
     ThickApartment,
     ThickPath,
-    ThickRay,
     branch_of_order,
     classify_single,
-    eichler_envelope,
     enumerate_branch,
     intersect_shapes,
     mu_margin,
@@ -40,9 +38,9 @@ from qlat.bt_tree import (
     neighbors,
     standard_vertex,
 )
-from qlat.errors import EmptyShape, NotFinite, Unbounded
+from qlat.errors import Unbounded
 from qlat.exact_padic import Mat2
-from qlat.local_orders import order_closure, shifted_eichler_module
+from qlat.local_orders import shifted_eichler_module
 
 
 def _members(shape, region):
@@ -308,8 +306,7 @@ def test_deepen_to_empty_and_diameter():
     assert path.diameter() == 1 + 2 * 1
     assert path.deepen(1) == ThickPath(path.path, 0)
     assert path.deepen(2) == Empty(p)
-    with pytest.raises(EmptyShape):
-        Empty(p).diameter()
+    assert Empty(p).diameter() == -inf  # the sup of the empty set
     assert Full(p).diameter() == inf
     assert Fan(standard_vertex(p), End(1, 0)).diameter() == inf
 
@@ -335,7 +332,11 @@ def test_deepen_fan_is_fan():
 
 
 # ---------------------------------------------------------------------------
-# envelopes
+# envelopes: the endpoints, level and shift of a thick path
+
+
+def _envelope(shape):
+    return shape.path[0], shape.path[-1], shape.level, shape.t
 
 
 def test_eichler_envelope_reads_off_thick_path():
@@ -344,14 +345,14 @@ def test_eichler_envelope_reads_off_thick_path():
     v2 = Vertex(p, 2, 0, 3)
     mod = shifted_eichler_module(v1, v2, 1)
     shape = branch_of_order(order_from_module(mod))
-    e1, e2, d, t = eichler_envelope(shape)
+    e1, e2, d, t = _envelope(shape)
     assert {e1, e2} == {v1, v2}
     assert (d, t) == (2, 1)
 
 
 def test_eichler_envelope_single_vertex():
     p = 3
-    assert eichler_envelope(ThickPath((standard_vertex(p),), 0)) == (
+    assert _envelope(ThickPath((standard_vertex(p),), 0)) == (
         standard_vertex(p),
         standard_vertex(p),
         0,
@@ -360,8 +361,10 @@ def test_eichler_envelope_single_vertex():
 
 
 def test_eichler_envelope_requires_finite():
+    """Only a thick path has a level, which `decompose_shifted_eichler`
+    reads to refuse every other kind."""
     p = 3
-    with pytest.raises(NotFinite):
-        eichler_envelope(Full(p))
-    with pytest.raises(EmptyShape):
-        eichler_envelope(Empty(p))
+    v = standard_vertex(p)
+    assert ThickPath((v,), 0).level == 0
+    for shape in (Full(p), Empty(p), Fan(v, End(1, 0))):
+        assert shape.level is None, shape

@@ -1114,6 +1114,43 @@ def test_a_request_runs_only_the_layers_it_needs(args, request_doc, layers):
     assert set(json.loads(proc.stdout)) == _FRONT_END | layers
 
 
+# A global request leaves the local modules bound but unrun: their
+# `_LazyModule` class is replaced on the first attribute read.  rep-field
+# reads the spinor rule, whose module imports none of them.
+_LAZY = """
+import io, json, sys
+import qlat.cli
+
+sys.stdin, sys.stdout = io.StringIO(sys.argv[1]), io.StringIO()
+code = qlat.cli.main(sys.argv[2:])
+sys.stdout = sys.__stdout__
+names = ("branches", "bt_tree", "local_orders", "spinor_local")
+print(json.dumps([code, [type(sys.modules[f"qlat.{n}"]).__name__ for n in names]]))
+"""
+_CONDUCTOR = {
+    **_QSQRT10,
+    "suborder": {"kind": "commutative-quadratic", "delta": 2, "conductor": {"3.1": 1}},
+}
+
+
+@pytest.mark.parametrize(
+    "argv,request_doc,rule",
+    [
+        (["global", "sigma"], _QSQRT10, "_LazyModule"),
+        (["global", "rep-field"], _CONDUCTOR, "module"),
+    ],
+    ids=["sigma", "rep-field"],
+)
+def test_a_global_request_leaves_the_local_modules_unrun(argv, request_doc, rule):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY, json.dumps(request_doc), *argv],
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == [0, ["_LazyModule"] * 3 + [rule]]
+
+
 def test_public_names_are_their_home_modules_objects():
     import qlat
 

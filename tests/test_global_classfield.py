@@ -42,7 +42,6 @@ from qlat.global_classfield import (
     spinor_class_field,
     val_at_place,
 )
-from qlat.quadforms import QForm, class_rep
 from qlat.spinor_local import SpinorImage, spinor_image
 
 Q = BaseField.rationals()
@@ -716,3 +715,74 @@ def test_local_global_crosscheck_at_split_prime():
             for d in range(5):
                 local = spinor_image(shape, d, r)
                 assert local == _global_verdict(t, r, d), (t, r, d, local)
+
+
+# ---------------------------------------------------------------------------
+# one local rule: `image_of_diameter` against the inline rule it replaced
+
+
+def _deltas_by_local_kind(field, pl) -> dict:
+    """{"split" | "inert" | "ramified": delta}, the first delta = x + y sqrt m
+    with |x| <= 12 and 0 <= y <= 3 of each kind at pl in L = K(sqrt delta),
+    skipping the global squares."""
+    found = {}
+    for y in range(4):
+        for x in range(-12, 13):
+            delta = (x, y)
+            if (x, y) == (0, 0) or fe_is_square(field, delta):
+                continue
+            if is_local_square(field, delta, pl):
+                kind = "split"
+            elif is_unramified_or_split(field, delta, pl):
+                kind = "inert"
+            else:
+                kind = "ramified"
+            found.setdefault(kind, delta)
+    return found
+
+
+def _outcome(rep_field, alg, genus, delta, conductor):
+    try:
+        rep = rep_field(alg, genus, delta, conductor)
+    except EmbeddingInfeasible as exc:
+        return "infeasible", exc.place, str(exc)
+    return "ok", rep.strict_places, rep.degree
+
+
+@pytest.mark.parametrize("m", [10, -5], ids=["10", "-5"])
+def test_local_rule_matches_the_inline_rule(m):
+    """On t <= 4, r <= t + 1 and d <= 6 at a split, an inert and a ramified
+    place of K, each with a delta that splits, stays inert and ramifies
+    there in L, the rule read through `image_of_diameter` gives the same
+    infeasible place and message, or the same strict places and degree, as
+    the inline rule (`t < r` included)."""
+    field = BaseField.quadratic(m)
+    alg = QuatAlgebra.of(field)
+    odd = [p for p in range(3, 30) if is_prime(p)]
+    places = [
+        place(field, f"{p}.1" if tag == "split" else str(p))
+        for tag in ("split", "inert", "ramified")
+        for p in [next(q for q in odd if field.splitting(q) == tag)]
+    ]
+    kinds = Counter()
+    for pl in places:
+        deltas = _deltas_by_local_kind(field, pl)
+        assert set(deltas) == {"split", "inert", "ramified"}, (pl, deltas)
+        for kind, delta in deltas.items():
+            for t in range(5):
+                for r in range(t + 2):
+                    for d in range(7):
+                        genus = Genus.of(level={pl: d}, shift={pl: r})
+                        args = (alg, genus, delta, {pl: t})
+                        got = _outcome(rep_field_comm_quadratic, *args)
+                        want = _outcome(oracles.inline_rep_field_comm_quadratic, *args)
+                        assert got == want, (pl, kind, delta, t, r, d)
+                        kinds[kind, got[0], got[0] == "ok" and bool(got[1])] += 1
+    # each kind of place in L is met feasible and infeasible, and only a
+    # place inert in L is ever strict
+    assert {key[:2] for key in kinds} == {
+        (kind, verdict)
+        for kind in ("split", "inert", "ramified")
+        for verdict in ("ok", "infeasible")
+    }
+    assert {key for key in kinds if key[2]} == {("inert", "ok", True)}

@@ -9,11 +9,9 @@ from helpers import (
     has_unramified_residue_field,
     make_rng,
     module_contains,
-    module_contains_module,
     order_from_module,
     random_order,
     random_vertex,
-    random_vertex_at,
     shift_order,
     vertex_basis,
 )

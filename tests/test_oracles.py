@@ -2510,7 +2510,7 @@ def test_error_classes_carry_the_exit_code_map():
 
     classes = [c for c in vars(errors).values()
                if isinstance(c, type) and issubclass(c, errors.QlatError)]
-    assert len(classes) == 14
+    assert len(classes) == 11
     for cls in classes:
         exc = cls.__new__(cls)  # isinstance is all the map reads
         assert exc.exit_code == oracles.exit_code_for(exc), cls

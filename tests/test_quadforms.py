@@ -16,7 +16,6 @@ from qlat.errors import ResourceLimit
 from qlat.exact_padic import is_squarefree
 from qlat.quadforms import (
     MAX_CLASS_GROUP_DISC,
-    ClassGroup,
     QForm,
     class_group,
     class_rep,

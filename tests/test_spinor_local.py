@@ -1,9 +1,11 @@
 """Local spinor images: the diameter decision procedure vs the pair oracle."""
 
+from math import inf
 
 import pytest
 
 from helpers import (
+    AnchorInvalid,
     connected_members,
     is_scalar,
     make_rng,
@@ -22,10 +24,9 @@ from qlat.bt_tree import (
     standard_vertex,
     walk_toward_end,
 )
-from qlat.errors import AnchorInvalid, Unbounded
-from qlat.exact_padic import Mat2
+from qlat.errors import Unbounded
 from qlat.local_orders import shifted_eichler_module
-from qlat.spinor_local import SpinorImage, spinor_image
+from qlat.spinor_local import SpinorImage, image_of_diameter, spinor_image
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +74,30 @@ def test_decision_from_diameter_matches_shapes():
     assert spinor_image(Full(p), 6, 0) == SpinorImage.FULL
     with pytest.raises(ValueError):
         spinor_image(Full(p), -1, 0)
+
+
+def test_rule_reads_a_diameter_and_a_level():
+    """No embedding below the level, the unit squares exactly at an even
+    level, and everything above it or at an odd level; an empty branch
+    (diameter -inf) has no embedding and an unbounded one (+inf) the full
+    image."""
+    none, squares, full = (
+        SpinorImage.NO_EMBEDDING,
+        SpinorImage.UNIT_SQUARES,
+        SpinorImage.FULL,
+    )
+    four = [full, full, full, full, squares, none, none]
+    three = [full, full, full, full, none, none, none]
+    assert [image_of_diameter(4, d) for d in range(7)] == four
+    assert [image_of_diameter(3, d) for d in range(7)] == three
+    assert image_of_diameter(0, 0) == squares
+    shape = ThickPath((standard_vertex(3),), 2)
+    for d in range(7):
+        assert image_of_diameter(-inf, d) == none
+        assert image_of_diameter(inf, d) == full
+        for r in range(4):  # diameters 4, 2, 0 and then the empty branch
+            delta = shape.deepen(r).diameter()
+            assert spinor_image(shape, d, r) == image_of_diameter(delta, d)
 
 
 def test_decision_rejects_negative_arguments():
